@@ -113,13 +113,13 @@ def run_once(benchmark, fn):
     return benchmark.pedantic(fn, rounds=1, iterations=1)
 
 
-def traced_run_batch(config, batch, source, deduplicate=True, kernel="vector"):
+def traced_run_batch(config, batch, source, deduplicate=True):
     """Run one batch with an in-memory tracer; returns (engine, result, events)."""
     from repro.core import FafnirEngine
     from repro.obs import InMemorySink, Tracer
 
     sink = InMemorySink()
-    engine = FafnirEngine(config=config, kernel=kernel, tracer=Tracer([sink]))
+    engine = FafnirEngine(config=config, tracer=Tracer([sink]))
     result = engine.run_batch(batch, source, deduplicate=deduplicate)
     return engine, result, sink.events
 

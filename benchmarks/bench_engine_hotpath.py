@@ -1,14 +1,14 @@
-"""Hot-path regression bench: vectorized PE kernels and the SoA sweep.
+"""Hot-path regression bench: the vectorized PE kernels and tracing cost.
 
-The PE compute units used to be pure-Python ``O(entries × partners)`` scan
-loops; the NumPy kernels in ``repro.core.pe`` / ``repro.core.bitset``
-replace them with sparse intersection-counting array operations, and the
-level-synchronous SoA sweep (``repro.core.soa``) replaces the per-PE
-object walk entirely.  This bench runs one 256-query, 64-rank batch
-through each path, proves the outputs and all statistics are
-byte-identical, and asserts the tracked speedup floors — so the speedups
-are tracked like any other reproduced figure and a regression (someone
-re-introducing a Python inner loop) fails CI.
+The PE compute units' executable specification is a pure-Python
+``O(entries × partners)`` scan; the NumPy kernels in ``repro.core.pe``
+replace it with sparse intersection-counting array operations on every
+invocation above a size cutover.  This bench runs one 256-query, 64-rank
+batch on the default engine and with the scalar specification forced
+everywhere (both cutovers pinned out of reach), proves the outputs and all
+statistics are byte-identical, and asserts the tracked speedup floor — so
+the speedup is tracked like any other reproduced figure and a regression
+(someone re-introducing a Python inner loop) fails CI.
 
 The scalar pass is long (~1 min); the faster paths are timed repeatedly
 and the best run is used, with competing configurations *interleaved* so
@@ -18,9 +18,13 @@ whichever ran last.  Headline numbers append to the repo-root
 """
 
 import os
+import sys
 import time
 
 import numpy as np
+import pytest
+
+import repro.core.pe as pe_module
 
 from _common import append_trajectory, run_once, write_report
 from repro.analysis import Table
@@ -37,16 +41,9 @@ ELEMENTS = 128
 # the floor (FAFNIR_HOTPATH_MIN_SPEEDUP) — any re-introduced Python inner
 # loop lands near 1× and still fails.
 REQUIRED_SPEEDUP = float(os.environ.get("FAFNIR_HOTPATH_MIN_SPEEDUP", "5.0"))
-# The SoA sweep's floor over the object vector path.  Measured ~1.3× on
-# the reference container (the sweep's wins are concentrated in the tree
-# walk; memory planning and host-side work are shared) — the floor sits
-# below that so noise cannot fail it while a real regression (SoA falling
-# back to per-object work) still does.
-SOA_REQUIRED_SPEEDUP = float(os.environ.get("FAFNIR_SOA_MIN_SPEEDUP", "1.1"))
 # Acceptance bound for in-memory tracing through the packed columnar sink.
 TRACING_MAX_OVERHEAD = float(os.environ.get("FAFNIR_TRACING_MAX_OVERHEAD", "1.15"))
 VECTOR_REPEATS = 2
-SOA_REPEATS = 3
 
 
 def _workload():
@@ -75,14 +72,8 @@ def _workload():
     return config, memory, queries, vectors
 
 
-def _run(kernel, config, memory, queries, vectors, tracer=None, engine="object"):
-    instance = FafnirEngine(
-        config=config,
-        memory_config=memory,
-        kernel=kernel,
-        tracer=tracer,
-        engine=engine,
-    )
+def _run(config, memory, queries, vectors, tracer=None):
+    instance = FafnirEngine(config=config, memory_config=memory, tracer=tracer)
     start = time.perf_counter()
     result = instance.run_batch(queries, vectors.__getitem__)
     return time.perf_counter() - start, result
@@ -91,10 +82,14 @@ def _run(kernel, config, memory, queries, vectors, tracer=None, engine="object")
 def test_engine_hotpath_speedup(benchmark):
     config, memory, queries, vectors = _workload()
 
-    scalar_s, scalar = _run("scalar", config, memory, queries, vectors)
+    with pytest.MonkeyPatch.context() as patch:
+        # The scalar specification on every invocation, however large.
+        patch.setattr(pe_module, "_VECTOR_SCAN_CUTOVER", sys.maxsize)
+        patch.setattr(pe_module, "_VECTOR_FOLD_CUTOVER", sys.maxsize)
+        scalar_s, scalar = _run(config, memory, queries, vectors)
 
     def vector_run():
-        return _run("vector", config, memory, queries, vectors)
+        return _run(config, memory, queries, vectors)
 
     vector_s, vector = run_once(benchmark, vector_run)
     for _ in range(VECTOR_REPEATS - 1):
@@ -105,16 +100,14 @@ def test_engine_hotpath_speedup(benchmark):
     table = Table(["kernel", "wall_s", "speedup"])
     table.add_row(["scalar", f"{scalar_s:.3f}", "1.00×"])
     table.add_row(["vector", f"{vector_s:.3f}", f"{speedup:.2f}×"])
-    write_report(
-        "engine_hotpath",
-        table,
-        record={
-            "config": _config_record(config),
-            "scalar_wall_s": round(scalar_s, 4),
-            "vector_wall_s": round(vector_s, 4),
-            "speedup": round(speedup, 3),
-        },
-    )
+    record = {
+        "config": _config_record(config),
+        "scalar_wall_s": round(scalar_s, 4),
+        "vector_wall_s": round(vector_s, 4),
+        "speedup": round(speedup, 3),
+    }
+    write_report("engine_hotpath", table, record=record)
+    append_trajectory("hotpath", record)
 
     # Identical physics: same vectors (bit for bit), same timing, same work.
     assert len(scalar.vectors) == len(vector.vectors) == QUERIES
@@ -139,62 +132,8 @@ def _config_record(config):
     }
 
 
-def test_soa_engine_speedup(benchmark):
-    """The level-synchronous SoA sweep vs the object-walk vector path.
-
-    Both engines run the same batch; outputs, statuses, and every per-PE
-    work counter must match bit for bit (the differential harness pins
-    the trace streams too).  Timing interleaves object/SoA pairs and
-    compares min against min, so the reference container's drifting load
-    cannot bias one side.  The measured speedup lands in
-    ``BENCH_hotpath.json``; the floor only guards against the sweep
-    regressing to object-path speed.
-    """
-    config, memory, queries, vectors = _workload()
-
-    object_s = soa_s = None
-    object_res = soa_res = None
-
-    def paired_run():
-        nonlocal object_s, soa_s, object_res, soa_res
-        for _ in range(SOA_REPEATS):
-            seconds, object_res = _run("vector", config, memory, queries, vectors)
-            object_s = seconds if object_s is None else min(object_s, seconds)
-            seconds, soa_res = _run(
-                "vector", config, memory, queries, vectors, engine="soa"
-            )
-            soa_s = seconds if soa_s is None else min(soa_s, seconds)
-
-    run_once(benchmark, paired_run)
-    speedup = object_s / soa_s
-
-    table = Table(["engine", "wall_s", "speedup"])
-    table.add_row(["object (vector)", f"{object_s:.3f}", "1.00×"])
-    table.add_row(["soa", f"{soa_s:.3f}", f"{speedup:.2f}×"])
-    record = {
-        "config": _config_record(config),
-        "object_wall_s": round(object_s, 4),
-        "soa_wall_s": round(soa_s, 4),
-        "speedup": round(speedup, 3),
-    }
-    write_report("engine_soa_speedup", table, record=record)
-    append_trajectory("hotpath", record)
-
-    assert len(object_res.vectors) == len(soa_res.vectors) == QUERIES
-    for a, b in zip(object_res.vectors, soa_res.vectors):
-        assert a.tobytes() == b.tobytes()
-    assert object_res.stats.latency_pe_cycles == soa_res.stats.latency_pe_cycles
-    assert object_res.stats.per_pe_work == soa_res.stats.per_pe_work
-    assert object_res.query_statuses == soa_res.query_statuses
-
-    assert speedup >= SOA_REQUIRED_SPEEDUP, (
-        f"SoA sweep only {speedup:.2f}× over the object vector path "
-        f"({object_s:.3f}s vs {soa_s:.3f}s); required {SOA_REQUIRED_SPEEDUP}×"
-    )
-
-
 def test_tracing_disabled_no_overhead(benchmark):
-    """The speedup floors above are measured with tracing disabled — this
+    """The speedup floor above is measured with tracing disabled — this
     guard checks that state really is free, and bounds the cost of
     recording through the packed columnar sink.
 
@@ -231,9 +170,7 @@ def test_tracing_disabled_no_overhead(benchmark):
     last_tracer = {}
 
     def timed(tracer=None):
-        return _run(
-            "vector", config, memory, queries, vectors, tracer, engine="soa"
-        )
+        return _run(config, memory, queries, vectors, tracer)
 
     def bracketed_rounds():
         # Untimed warm-up: the first batch a process runs pays page

@@ -9,7 +9,7 @@ simulator runs on, the three rates that bound the simulation itself:
 * **gather bandwidth** — ``np.take`` of random vector-sized rows from a
   table, i.e. the raw sparse-gather primitive the leaf ranks model;
 * **engine effective rate** — unique gathered bytes per second achieved
-  by the SoA engine end-to-end on the hot-path workload, which shows how
+  by the engine end-to-end on the hot-path workload, which shows how
   far the *simulator* (tree bookkeeping, not data movement) sits beneath
   the machine's gather roof.
 
@@ -95,7 +95,7 @@ def _engine_effective_rate():
         for index in query:
             if index not in vectors:
                 vectors[index] = rng.normal(size=VECTOR_ELEMENTS)
-    engine = FafnirEngine(config=config, memory_config=memory, engine="soa")
+    engine = FafnirEngine(config=config, memory_config=memory)
     start = time.perf_counter()
     result = engine.run_batch(queries, vectors.__getitem__)
     seconds = time.perf_counter() - start

@@ -25,7 +25,6 @@ from repro.baselines.base import (
 from repro.core.config import FafnirConfig
 from repro.core.engine import FafnirEngine
 from repro.core.operators import ReductionOperator, SUM
-from repro.core.pe import KERNEL_VECTOR
 from repro.memory.config import MemoryConfig
 from repro.obs.tracer import Tracer
 
@@ -43,7 +42,6 @@ class FafnirGatherEngine(GatherEngine):
         link: Optional[HostLink] = None,
         deduplicate: bool = True,
         pipeline: bool = True,
-        kernel: str = KERNEL_VECTOR,
         tracer: Optional[Tracer] = None,
     ) -> None:
         super().__init__(operator)
@@ -51,7 +49,6 @@ class FafnirGatherEngine(GatherEngine):
             config=config,
             operator=operator,
             memory_config=memory_config,
-            kernel=kernel,
             tracer=tracer,
         )
         self.link = link or HostLink(

@@ -220,7 +220,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     tracer = Tracer([memory_sink, ChromeTraceSink(args.out)])
     if args.jsonl:
         tracer.add_sink(JsonlSink(args.jsonl))
-    engine = FafnirEngine(config=config, kernel=args.kernel, tracer=tracer)
+    engine = FafnirEngine(config=config, tracer=tracer)
     result = engine.run_batch(batch, tables.vector, deduplicate=args.dedup)
     tracer.close()
 
@@ -1034,9 +1034,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--batch-size", type=int, default=32)
     trace.add_argument("--query-len", type=int, default=16)
     trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument(
-        "--kernel", choices=("scalar", "vector"), default="vector"
-    )
     trace.add_argument(
         "--out", default="fafnir_trace.json", help="Chrome trace JSON path"
     )

@@ -13,7 +13,6 @@ from repro.core.engine import (
 from repro.core.header import Header, Message
 from repro.core.microsim import MicrosimReport, PEMicrosim
 from repro.core.phased import PhasedFafnirEngine
-from repro.core.pipeline import BatchStageCosts, PipelinedRun, simulate_stream
 from repro.core.interactive import InteractiveEngine, InteractiveResult
 from repro.core.stats import LevelUtilization, TreeUtilization, tree_utilization
 from repro.core.operators import (
@@ -26,9 +25,6 @@ from repro.core.operators import (
     get_operator,
 )
 from repro.core.pe import (
-    KERNEL_SCALAR,
-    KERNEL_VECTOR,
-    KERNELS,
     PEResult,
     PEWork,
     ProcessingElement,
@@ -42,9 +38,6 @@ from repro.core.tree import FafnirTree, TreePE
 
 __all__ = [
     "BatchPlan",
-    "BatchStageCosts",
-    "PipelinedRun",
-    "simulate_stream",
     "FafnirAccelerator",
     "FafnirConfig",
     "FafnirEngine",
@@ -52,9 +45,6 @@ __all__ = [
     "Header",
     "InteractiveEngine",
     "InteractiveResult",
-    "KERNELS",
-    "KERNEL_SCALAR",
-    "KERNEL_VECTOR",
     "LevelUtilization",
     "LookupResult",
     "LookupStats",

@@ -30,8 +30,7 @@ from repro.core.batch import BatchPlan, plan_batch
 from repro.core.config import FafnirConfig
 from repro.core.header import Header, Message
 from repro.core.operators import ReductionOperator, SUM, get_operator
-from repro.core.pe import KERNEL_VECTOR, KERNELS, PEWork, ProcessingElement
-from repro.core.soa import run_tree_soa
+from repro.core.pe import PEWork, ProcessingElement
 from repro.core.tree import FafnirTree, TreePE
 from repro.faults.plan import (
     FAULT_SOURCE_ERROR,
@@ -69,12 +68,6 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.tiering.cache import HotTierConfig
 
 VectorSource = Callable[[int], np.ndarray]
-
-#: Object-per-message tree sweep (the reference implementation).
-ENGINE_OBJECT = "object"
-#: Level-synchronous structure-of-arrays sweep (:mod:`repro.core.soa`).
-ENGINE_SOA = "soa"
-ENGINES = (ENGINE_OBJECT, ENGINE_SOA)
 
 
 @dataclass
@@ -241,12 +234,10 @@ class FafnirEngine:
         operator: ReductionOperator = SUM,
         memory_config: Optional[MemoryConfig] = None,
         check_values: bool = False,
-        kernel: str = KERNEL_VECTOR,
         tracer: Optional[Tracer] = None,
         rank_order: Optional[Sequence[int]] = None,
         faults: Optional[FaultPlan] = None,
         fault_policy: Optional[FaultPolicy] = None,
-        engine: str = ENGINE_OBJECT,
         cache: Optional[HotTierConfig] = None,
         placement: Optional[VectorPlacement] = None,
     ) -> None:
@@ -257,7 +248,6 @@ class FafnirEngine:
             operator: reduction operator (name or instance).
             memory_config: DDR4/HBM substrate; must match ``total_ranks``.
             check_values: enable the merge-unit value-consistency assertion.
-            kernel: PE compute-unit implementation (``"scalar"``/``"vector"``).
             tracer: event tracer threaded through the memory system, every
                 PE, and the engine's own host-side hooks; ``None`` installs
                 the zero-overhead :data:`~repro.obs.tracer.NULL_TRACER`.
@@ -268,12 +258,6 @@ class FafnirEngine:
                 code path byte-identical to a fault-free build.
             fault_policy: recovery budgets and the ``fail_fast``/``degrade``
                 exhaustion mode (defaults to ``fail_fast``).
-            engine: tree-sweep implementation.  ``"object"`` (default) walks
-                one :class:`ProcessingElement` at a time over per-message
-                objects; ``"soa"`` runs the level-synchronous
-                structure-of-arrays sweep (:mod:`repro.core.soa`) — the same
-                results, work counters, and trace events, byte for byte,
-                with no per-message objects between fold and root.
             cache: opt-in rank-level hot-index tier
                 (:class:`~repro.tiering.cache.HotTierConfig`); ``None``
                 (the default) keeps the memory path byte-identical to an
@@ -286,12 +270,6 @@ class FafnirEngine:
                 :class:`~repro.tiering.placement.PermutedRankPlacement`);
                 ``None`` uses the paper's row-major placement.
         """
-        if kernel not in KERNELS:
-            raise ValueError(f"unknown PE kernel {kernel!r}; choose from {KERNELS}")
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose from {ENGINES}"
-            )
         self.config = config or FafnirConfig()
         if isinstance(operator, str):
             operator = get_operator(operator)
@@ -324,8 +302,6 @@ class FafnirEngine:
         )
         self.tree = FafnirTree(self.config, rank_order=rank_order)
         self._check_values = check_values
-        self._kernel = kernel
-        self._engine = engine
         self._last_memory_stats = AccessStats()
         self._lost_read_indices: Set[int] = set()
 
@@ -499,16 +475,6 @@ class FafnirEngine:
         self, leaf_inputs: Dict[int, List[List[Message]]]
     ) -> tuple:
         """Propagate messages leaves→root; returns (root outputs, per-PE work)."""
-        if self._engine == ENGINE_SOA:
-            return run_tree_soa(
-                self.tree,
-                self.config,
-                self.operator,
-                self.tracer,
-                self._check_values,
-                self._kernel,
-                leaf_inputs,
-            )
         outputs: Dict[int, List[Message]] = {}
         per_pe_work: Dict[int, PEWork] = {}
         for pe_id in self.tree.bottom_up_ids():
@@ -518,7 +484,6 @@ class FafnirEngine:
                 self.operator,
                 name=f"PE{pe_id}",
                 check_values=self._check_values,
-                kernel=self._kernel,
                 tracer=self.tracer,
                 pe_id=pe_id,
                 level=node.level,

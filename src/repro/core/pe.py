@@ -22,20 +22,22 @@ Timing is annotated per message: an output is ready one pipeline stage after
 the later of its parents, and the PE's finite compute units impose a simple
 one-output-per-unit-per-cycle issue limit on top.
 
-Two interchangeable kernel implementations back the compute units:
+Each compute-unit step has two exact implementations, picked per
+invocation by input size:
 
-* ``"scalar"`` — the original pure-Python ``O(entries × partners)`` scan,
-  kept as the executable specification;
-* ``"vector"`` (default) — NumPy kernels (sparse intersection counting for
-  the scan, membership gathers via :mod:`repro.core.bitset` for the fold)
-  that evaluate every entry-vs-partner subset test of one invocation in a
-  few array operations and combine all matched values in one batched
-  ``operator.combine`` call.
+* the scalar pure-Python ``O(entries × partners)`` scan and fold — the
+  executable specification, and the faster choice for small invocations;
+* NumPy kernels (sparse intersection counting for the scan, membership
+  gathers over a dense index numbering for the fold) that evaluate every
+  entry-vs-partner subset test of one invocation in a few array operations
+  and combine all matched values in one batched ``operator.combine`` call.
+  They take over at ``_VECTOR_SCAN_CUTOVER`` entry-vs-partner pairs and
+  ``_VECTOR_FOLD_CUTOVER`` streamed messages.
 
-Both kernels produce byte-identical outputs, headers, ready cycles, and
-:class:`PEWork` counters; the vector path simply gets there without the
-Python inner loops (see ``benchmarks/bench_engine_hotpath.py`` for the
-tracked speedup).
+Both produce byte-identical outputs, headers, ready cycles, and
+:class:`PEWork` counters, so the cutovers are purely performance knobs
+(tests force either path everywhere by patching them; see
+``benchmarks/bench_engine_hotpath.py`` for the tracked speedup).
 """
 
 from __future__ import annotations
@@ -46,16 +48,11 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.bitset import IndexUniverse
 from repro.core.config import FafnirConfig
 from repro.core.header import Header, Message, entry_sort_key, sorted_tuple
 from repro.core.operators import ReductionOperator
 from repro.obs.events import PE_FORWARD, PE_MERGE, PE_REDUCE
 from repro.obs.tracer import NULL_TRACER, Tracer
-
-KERNEL_SCALAR = "scalar"
-KERNEL_VECTOR = "vector"
-KERNELS = (KERNEL_SCALAR, KERNEL_VECTOR)
 
 # Below this many entry-vs-partner pairs the NumPy set-up cost exceeds the
 # loop it replaces; both kernels are exact, so the cutover is purely a
@@ -139,20 +136,16 @@ class ProcessingElement:
         operator: ReductionOperator,
         name: str = "PE",
         check_values: bool = False,
-        kernel: str = KERNEL_VECTOR,
         tracer: Tracer = NULL_TRACER,
         pe_id: Optional[int] = None,
         level: Optional[int] = None,
     ) -> None:
-        if kernel not in KERNELS:
-            raise ValueError(f"unknown PE kernel {kernel!r}; choose from {KERNELS}")
         self.config = config
         self.operator = operator
         self.name = name
         self.check_values = check_values
-        self.kernel = kernel
         # Tracing: events are emitted exactly where the PEWork counters
-        # increment, in both kernels, so scalar and vector runs produce
+        # increment, on both code paths, so scalar and vector runs produce
         # ==-equal event streams (asserted by the differential tests).
         # Every emission is guarded by ``tracer.enabled`` — one attribute
         # read when tracing is off.
@@ -193,11 +186,10 @@ class ProcessingElement:
         work: PEWork,
         raw: List[_RawOutput],
     ) -> None:
-        if self.kernel == KERNEL_VECTOR:
-            pairs = sum(len(m.entries) for m in own) * max(1, len(partners))
-            if pairs >= _VECTOR_SCAN_CUTOVER:
-                self._scan_side_vector(own, partners, work, raw)
-                return
+        pairs = sum(len(m.entries) for m in own) * max(1, len(partners))
+        if pairs >= _VECTOR_SCAN_CUTOVER:
+            self._scan_side_vector(own, partners, work, raw)
+            return
         self._scan_side_scalar(own, partners, work, raw)
 
     def _scan_side_scalar(
@@ -616,7 +608,7 @@ class ProcessingElement:
         completion invariant: after the fold, the buffer holds one message
         covering exactly each query's indices homed on this FIFO.
         """
-        if self.kernel == KERNEL_VECTOR and len(stream) >= _VECTOR_FOLD_CUTOVER:
+        if len(stream) >= _VECTOR_FOLD_CUTOVER:
             return self._fold_stream_vector(stream, work)
         return self._fold_stream_scalar(stream, work)
 
@@ -692,12 +684,15 @@ class ProcessingElement:
         counters are identical to the scalar fold.
         """
         latencies = self.config.latencies
-        universe = IndexUniverse(
-            [m.indices for m in stream]
-            + [entry for m in stream for entry in m.entries]
-        )
-        position_of = universe.position_map()
-        sentinel = universe.size
+        # Dense first-appearance numbering of every index the fold can see.
+        position_of: Dict[int, int] = {}
+        for index_set in [m.indices for m in stream] + [
+            entry for m in stream for entry in m.entries
+        ]:
+            for index in index_set:
+                if index not in position_of:
+                    position_of[index] = len(position_of)
+        sentinel = len(position_of)
         buffer: List[Message] = []
         rows_by_indices: Dict[FrozenSet[int], List[int]] = {}
         capacity = max(4, 2 * len(stream))

@@ -47,7 +47,6 @@ class PhasedFafnirEngine(FafnirEngine):
                 self.operator,
                 name=f"PE{pe_id}",
                 check_values=self._check_values,
-                kernel=self._kernel,
             )
             if node.is_leaf:
                 fold_work = PEWork()

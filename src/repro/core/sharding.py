@@ -74,7 +74,6 @@ if TYPE_CHECKING:  # sharding ← comm.reducer ← core.engine: import lazily
 from repro.core.config import FafnirConfig
 from repro.core.engine import FafnirEngine, MultiBatchResult, VectorSource
 from repro.core.operators import ReductionOperator, SUM
-from repro.core.pe import KERNEL_VECTOR
 from repro.faults.plan import (
     FAULT_WORKER_CRASH,
     FAULT_WORKER_HANG,
@@ -121,7 +120,6 @@ def _run_shard(
     config: Optional[FafnirConfig],
     operator: ReductionOperator,
     memory_config: Optional[MemoryConfig],
-    kernel: str,
     batches: Shard,
     source: VectorSource,
     deduplicate: bool,
@@ -162,7 +160,6 @@ def _run_shard(
         config=config,
         operator=operator,
         memory_config=memory_config,
-        kernel=kernel,
         tracer=Tracer([sink]) if sink is not None else None,
         faults=faults,
         fault_policy=fault_policy,
@@ -184,7 +181,6 @@ class ShardedRunner:
         config: Optional[FafnirConfig] = None,
         operator: ReductionOperator = SUM,
         memory_config: Optional[MemoryConfig] = None,
-        kernel: str = KERNEL_VECTOR,
         max_workers: Optional[int] = None,
         trace: bool = False,
         faults: Optional[FaultPlan] = None,
@@ -226,7 +222,6 @@ class ShardedRunner:
         self.config = config
         self.operator = operator
         self.memory_config = memory_config
-        self.kernel = kernel
         self.max_workers = max_workers
         self.trace = trace
         self.faults = faults
@@ -291,7 +286,6 @@ class ShardedRunner:
                         self.config,
                         self.operator,
                         self.memory_config,
-                        self.kernel,
                         shards[index],
                         source,
                         deduplicate,
@@ -542,7 +536,6 @@ class ShardedRunner:
                     self.config,
                     self.operator,
                     self.memory_config,
-                    self.kernel,
                     shard,
                     source,
                     deduplicate,

@@ -74,8 +74,8 @@ class ColumnarSink(Sink):
     The in-memory tracing tax of :class:`InMemorySink` is dominated by
     constructing one :class:`TraceEvent` (dataclass + args dict) per
     emission.  This sink instead accepts the *fields* of an event through
-    the packed fast path (:meth:`record_packed` / :meth:`record_rows`,
-    driven by ``Tracer.emit_packed`` / ``Tracer.emit_rows``) and stores
+    the packed fast path (:meth:`record_packed`, driven by
+    ``Tracer.emit_packed``) and stores
     them as plain integers in contiguous NumPy columns; ``TraceEvent``
     objects are materialized only when the recorded stream is *read*
     (:attr:`events` / :meth:`to_events`).
@@ -149,43 +149,6 @@ class ColumnarSink(Sink):
             self._args[slot, 0] = args[0]
         elif n:
             self._args[slot, :n] = args
-
-    def record_rows(
-        self,
-        kind_codes: np.ndarray,
-        cycles: np.ndarray,
-        clock: str,
-        pe: Optional[int],
-        level: Optional[int],
-        arg0: Optional[np.ndarray],
-    ) -> None:
-        """Slab write: many single-int-arg events sharing pe/level/clock.
-
-        ``kind_codes`` may interleave kinds (e.g. reduce/forward rows in
-        scan order) — row order is preserved exactly.  This is the bulk
-        path the SoA sweep uses to trace a whole tree level per call.
-        """
-        count = len(kind_codes)
-        start = 0
-        while start < count:
-            cursor = self._total % self.capacity
-            room = min(count - start, self.capacity - cursor)
-            stop = start + room
-            window = slice(cursor, cursor + room)
-            self._evict(cursor, cursor + room)
-            self._kind[window] = kind_codes[start:stop]
-            self._cycle[window] = cycles[start:stop]
-            self._dram[window] = clock == CLOCK_DRAM
-            self._pe[window] = self._UNSET if pe is None else pe
-            self._level[window] = self._UNSET if level is None else level
-            self._rank[window] = self._UNSET
-            if arg0 is not None:
-                self._args[window, 0] = arg0[start:stop]
-                self._nargs[window] = 1
-            else:
-                self._nargs[window] = 0
-            self._total += room
-            start = stop
 
     def _claim(self) -> int:
         slot = self._total % self.capacity

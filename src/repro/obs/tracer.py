@@ -20,17 +20,14 @@ attached sink is packed-capable (``supports_packed``, e.g.
 typed columns and no :class:`TraceEvent` or args dict is ever built;
 otherwise the tracer materializes the event once and dispatches it
 through :meth:`emit`, so object sinks observe exactly the same stream.
-:meth:`emit_rows` is the bulk variant — whole arrays of single-int-arg
-events (a tree level's reduce/forward rows) recorded in one call.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 from repro.obs.events import (
     CLOCK_PE,
-    EVENT_KINDS,
     PACKED_SCHEMAS,
     TraceEvent,
 )
@@ -94,47 +91,6 @@ class Tracer:
         )
         for sink in self.sinks:
             sink.record(event)
-
-    def emit_rows(
-        self,
-        kind_codes: "Sequence[int]",
-        cycles: "Sequence[int]",
-        pe: Optional[int] = None,
-        level: Optional[int] = None,
-        arg0: "Optional[Sequence[int]]" = None,
-        clock: str = CLOCK_PE,
-    ) -> None:
-        """Bulk emission of single-int-arg events sharing pe/level/clock.
-
-        ``kind_codes`` are :data:`~repro.obs.events.KIND_CODES` values and
-        may interleave kinds; row order is the emission order.  On the
-        packed path this is one slab write per sink; otherwise each row
-        materializes a TraceEvent in order.
-        """
-        if self.all_packed:
-            for sink in self.sinks:
-                sink.record_rows(kind_codes, cycles, clock, pe, level, arg0)
-            return
-        codes = list(kind_codes)
-        cycle_list = list(cycles)
-        arg_list = None if arg0 is None else list(arg0)
-        for row, code in enumerate(codes):
-            kind = EVENT_KINDS[code]
-            if arg_list is None:
-                args = {}
-            else:
-                key, decode = PACKED_SCHEMAS[kind][0]
-                args = {key: decode(arg_list[row])}
-            event = TraceEvent(
-                kind,
-                cycle=int(cycle_list[row]),
-                clock=clock,
-                pe=pe,
-                level=level,
-                args=args,
-            )
-            for sink in self.sinks:
-                sink.record(event)
 
     def close(self) -> None:
         """Flush and close every sink (file-backed sinks write here)."""

@@ -236,8 +236,6 @@ class ServingSimulator:
 
     batcher: ContinuousBatcher
     config: Optional[FafnirConfig] = None
-    engine: str = "object"
-    kernel: str = "vector"
     interactive_fallback: bool = True
     registry: Optional[MetricsRegistry] = None
     cache: Optional[HotTierConfig] = None
@@ -285,12 +283,14 @@ class ServingSimulator:
         """The batch engine, with open ranks routed to a boosted tier."""
         return FafnirEngine(
             config=self.config,
-            kernel=self.kernel,
-            engine=self.engine,
             cache=self._tier_for(open_ranks),
             faults=self.faults,
             fault_policy=self.fault_policy,
         )
+
+    def _pe_cycles(self, us: float) -> int:
+        """A modeled serving time (µs) as a PE-clock event cycle."""
+        return self.config.pe_clock.ns_to_cycles(us * 1e3)
 
     def _tier_for(self, open_ranks: frozenset) -> Optional[HotTierConfig]:
         """The hot-tier description serving the given open-rank set.
@@ -496,7 +496,7 @@ class ServingSimulator:
                         report.events.append(
                             TraceEvent(
                                 REQUEST_SHED,
-                                cycle=max(0, int(request.arrival_us)),
+                                cycle=self._pe_cycles(request.arrival_us),
                                 args={
                                     "request": request.request_id,
                                     "queue_depth": len(batcher),
@@ -563,7 +563,7 @@ class ServingSimulator:
                     report.events.append(
                         TraceEvent(
                             BREAKER_OPENED,
-                            cycle=max(0, int(complete_us)),
+                            cycle=self._pe_cycles(complete_us),
                             rank=rank,
                             args={
                                 "rank": rank,

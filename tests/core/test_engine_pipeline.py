@@ -16,6 +16,7 @@ from repro.core import (
 from repro.core.batch import plan_batch
 from repro.core.tree import TreePE
 from repro.memory import MemoryConfig
+from repro.workloads import EmbeddingTableSet, QueryGenerator
 
 RANKS = 8
 ELEMENTS = 16
@@ -117,6 +118,22 @@ class TestRunBatches:
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
             make_engine().run_batches([], vector_source)
+
+    def test_results_depend_on_dedup(self):
+        """Redundant-access elimination shortens the pipelined makespan of
+        a paper-calibrated stream (never lengthens it)."""
+        tables = EmbeddingTableSet(rows_per_table=50_000, seed=9)
+        generator = QueryGenerator.paper_calibrated(tables, seed=10)
+        batches = [generator.batch(16) for _ in range(3)]
+
+        def makespan(deduplicate):
+            engine = FafnirEngine(FafnirConfig(batch_size=16))
+            run = engine.run_batches(
+                batches, tables.vector, deduplicate=deduplicate
+            )
+            return run.pipeline.pipelined_latency_pe_cycles
+
+        assert makespan(True) <= makespan(False)
 
 
 class TestShardedRunner:

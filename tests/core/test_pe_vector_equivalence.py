@@ -3,15 +3,15 @@
 The scalar kernel is the executable specification; the vector kernel must
 reproduce it *byte for byte* — same output values, same canonical headers,
 same ready cycles and hop counts, same :class:`PEWork` counters.  These
-tests drive both kernels over randomized message populations (forcing the
-vector path by dropping the size cutovers to zero) and whole-engine runs,
-and compare everything exactly.
+tests drive both over randomized message populations and whole-engine
+runs — the shared ``on_pe_paths`` fixture pins the size cutovers so each
+run stays on one path, even for tiny invocations — and compare everything
+exactly.
 """
 
 import numpy as np
 import pytest
 
-import repro.core.pe as pe_module
 from repro.core import (
     FafnirConfig,
     FafnirEngine,
@@ -23,13 +23,6 @@ from repro.core import (
 )
 from repro.core.pe import PEWork
 from repro.memory import MemoryConfig
-
-
-@pytest.fixture(autouse=True)
-def force_vector_kernel(monkeypatch):
-    """Drop the cutovers so even tiny invocations exercise the NumPy path."""
-    monkeypatch.setattr(pe_module, "_VECTOR_SCAN_CUTOVER", 0)
-    monkeypatch.setattr(pe_module, "_VECTOR_FOLD_CUTOVER", 0)
 
 
 def random_messages(rng, count, universe, max_indices=3, max_entries=3,
@@ -72,81 +65,81 @@ def message_fingerprint(message):
     )
 
 
-def assert_identical(scalar_result, vector_result):
-    assert [message_fingerprint(m) for m in scalar_result.outputs] == [
-        message_fingerprint(m) for m in vector_result.outputs
-    ]
-    assert scalar_result.work == vector_result.work
-
-
-def make_pes(operator=SUM):
+def make_pe(operator=SUM):
     config = FafnirConfig(batch_size=64, total_ranks=8, ranks_per_leaf_pe=2)
-    scalar = ProcessingElement(config, operator, kernel="scalar")
-    vector = ProcessingElement(config, operator, kernel="vector")
-    return scalar, vector
+    return ProcessingElement(config, operator)
+
+
+def process_on_paths(on_pe_paths, a, b, operator=SUM):
+    """``process(a, b)`` on both paths; the fixture asserts they agree."""
+    pe = make_pe(operator)
+
+    def run():
+        result = pe.process(a, b)
+        return [message_fingerprint(m) for m in result.outputs], result.work
+
+    return on_pe_paths(run)
+
+
+def fold_on_paths(on_pe_paths, stream):
+    """``fold_stream(stream)`` on both paths; the fixture asserts they agree."""
+    pe = make_pe()
+
+    def run():
+        work = PEWork()
+        outputs = pe.fold_stream(list(stream), work)
+        return [message_fingerprint(m) for m in outputs], work
+
+    return on_pe_paths(run)
 
 
 class TestProcessEquivalence:
     @pytest.mark.parametrize("seed", range(12))
-    def test_random_populations(self, seed):
+    def test_random_populations(self, seed, on_pe_paths):
         rng = np.random.default_rng(seed)
         universe = int(rng.integers(6, 40))
         a = random_messages(rng, int(rng.integers(1, 12)), universe)
         b = random_messages(rng, int(rng.integers(0, 12)), universe)
-        scalar, vector = make_pes()
-        assert_identical(scalar.process(a, b), vector.process(a, b))
+        process_on_paths(on_pe_paths, a, b)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_dense_overlap_many_ties(self, seed):
+    def test_dense_overlap_many_ties(self, seed, on_pe_paths):
         """A tiny universe maximises duplicate entries and tie-breaks."""
         rng = np.random.default_rng(1000 + seed)
         a = random_messages(rng, 10, universe=5, max_indices=2,
                             max_entries=2, max_entry_len=3)
         b = random_messages(rng, 10, universe=5, max_indices=2,
                             max_entries=2, max_entry_len=3)
-        scalar, vector = make_pes()
-        assert_identical(scalar.process(a, b), vector.process(a, b))
+        process_on_paths(on_pe_paths, a, b)
 
-    def test_empty_partner_side(self):
+    def test_empty_partner_side(self, on_pe_paths):
         rng = np.random.default_rng(3)
         a = random_messages(rng, 6, universe=12)
-        scalar, vector = make_pes()
-        assert_identical(scalar.process(a, []), vector.process(a, []))
+        process_on_paths(on_pe_paths, a, [])
 
-    def test_complete_entries_forward(self):
+    def test_complete_entries_forward(self, on_pe_paths):
         value = np.arange(4.0)
         done = Message(Header.make({1, 2}, [set()]), value)
         other = Message(Header.make({9}, [{4}]), value)
-        scalar, vector = make_pes()
-        assert_identical(
-            scalar.process([done], [other]), vector.process([done], [other])
-        )
+        process_on_paths(on_pe_paths, [done], [other])
 
     @pytest.mark.parametrize("name", ["sum", "min", "max"])
-    def test_operators(self, name):
+    def test_operators(self, name, on_pe_paths):
         rng = np.random.default_rng(17)
         a = random_messages(rng, 8, universe=16)
         b = random_messages(rng, 8, universe=16)
-        scalar, vector = make_pes(get_operator(name))
-        assert_identical(scalar.process(a, b), vector.process(a, b))
+        process_on_paths(on_pe_paths, a, b, get_operator(name))
 
 
 class TestFoldEquivalence:
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_streams(self, seed):
+    def test_random_streams(self, seed, on_pe_paths):
         rng = np.random.default_rng(2000 + seed)
         stream = random_messages(rng, int(rng.integers(2, 10)),
                                  universe=int(rng.integers(4, 16)))
-        scalar, vector = make_pes()
-        scalar_work, vector_work = PEWork(), PEWork()
-        scalar_out = scalar.fold_stream(list(stream), scalar_work)
-        vector_out = vector.fold_stream(list(stream), vector_work)
-        assert [message_fingerprint(m) for m in scalar_out] == [
-            message_fingerprint(m) for m in vector_out
-        ]
-        assert scalar_work == vector_work
+        fold_on_paths(on_pe_paths, stream)
 
-    def test_chained_reduction_within_one_fifo(self):
+    def test_chained_reduction_within_one_fifo(self, on_pe_paths):
         """Co-located indices that must fold 0⊕1⊕2 inside one stream."""
         value = np.ones(4)
         stream = [
@@ -154,20 +147,13 @@ class TestFoldEquivalence:
             Message(Header.make({1}, [{0, 2}]), value * 2),
             Message(Header.make({2}, [{0, 1}]), value * 4),
         ]
-        scalar, vector = make_pes()
-        scalar_work, vector_work = PEWork(), PEWork()
-        scalar_out = scalar.fold_stream(list(stream), scalar_work)
-        vector_out = vector.fold_stream(list(stream), vector_work)
-        assert [message_fingerprint(m) for m in scalar_out] == [
-            message_fingerprint(m) for m in vector_out
-        ]
-        assert scalar_work == vector_work
+        fold_on_paths(on_pe_paths, stream)
 
 
 class TestEngineEquivalence:
-    def run_both(self, queries, seed=0, operator=SUM, deduplicate=True,
-                 ranks=8):
-        rng = np.random.default_rng(seed)
+    def run_on_paths(self, on_pe_paths, queries, operator=SUM,
+                     deduplicate=True, ranks=8):
+        """One batch on both paths: vectors, latency and ``PEWork`` agree."""
         store = {}
 
         def source(index):
@@ -186,57 +172,43 @@ class TestEngineEquivalence:
             num_tables=ranks,
         )
         memory = MemoryConfig().scaled_to_ranks(ranks)
-        del rng
-        results = []
-        for kernel in ("scalar", "vector"):
+
+        def run():
             engine = FafnirEngine(
-                config=config,
-                operator=operator,
-                memory_config=memory,
-                kernel=kernel,
+                config=config, operator=operator, memory_config=memory
             )
-            results.append(
-                engine.run_batch(queries, source, deduplicate=deduplicate)
+            result = engine.run_batch(queries, source, deduplicate=deduplicate)
+            return (
+                [vector.tobytes() for vector in result.vectors],
+                result.stats.latency_pe_cycles,
+                result.stats.per_pe_work,
             )
-        return results
+
+        return on_pe_paths(run)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("deduplicate", [True, False])
-    def test_random_batches(self, seed, deduplicate):
+    def test_random_batches(self, seed, deduplicate, on_pe_paths):
         rng = np.random.default_rng(3000 + seed)
         queries = [
             rng.choice(64, size=int(rng.integers(1, 9)),
                        replace=False).tolist()
             for _ in range(int(rng.integers(2, 17)))
         ]
-        scalar, vector = self.run_both(
-            queries, seed=seed, deduplicate=deduplicate
-        )
-        for a, b in zip(scalar.vectors, vector.vectors):
-            assert a.tobytes() == b.tobytes()
-        assert (
-            scalar.stats.latency_pe_cycles == vector.stats.latency_pe_cycles
-        )
-        assert scalar.stats.per_pe_work == vector.stats.per_pe_work
+        self.run_on_paths(on_pe_paths, queries, deduplicate=deduplicate)
 
-    def test_same_rank_collisions(self):
+    def test_same_rank_collisions(self, on_pe_paths):
         """Queries whose indices share a home rank exercise the fold path."""
         ranks = 8
         # index % ranks is the home rank under the default placement, so
         # each query's indices are deliberately congruent mod ranks.
         queries = [[3, 3 + ranks, 3 + 2 * ranks], [5, 5 + ranks], [1, 9, 17]]
-        scalar, vector = self.run_both(queries, ranks=ranks)
-        for a, b in zip(scalar.vectors, vector.vectors):
-            assert a.tobytes() == b.tobytes()
-        assert scalar.stats.per_pe_work == vector.stats.per_pe_work
+        self.run_on_paths(on_pe_paths, queries, ranks=ranks)
 
     @pytest.mark.parametrize("name", ["min", "mean"])
-    def test_other_operators(self, name):
+    def test_other_operators(self, name, on_pe_paths):
         rng = np.random.default_rng(9)
         queries = [
             rng.choice(48, size=6, replace=False).tolist() for _ in range(8)
         ]
-        scalar, vector = self.run_both(queries, operator=get_operator(name))
-        for a, b in zip(scalar.vectors, vector.vectors):
-            assert a.tobytes() == b.tobytes()
-        assert scalar.stats.per_pe_work == vector.stats.per_pe_work
+        self.run_on_paths(on_pe_paths, queries, operator=get_operator(name))

@@ -7,8 +7,8 @@ multi-batch streams (repeats across batches are what make the cache
 actually hit) and requires:
 
 * byte-identical vectors, identical per-query statuses, and identical
-  per-PE work counters across all three engine variants (scalar kernel,
-  vector kernel, SoA sweep);
+  per-PE work counters on both PE code paths (the scalar specification
+  and the NumPy kernels, each forced everywhere by ``on_pe_paths``);
 * the same invariance under fault injection, in both fail-fast-survivable
   and degrade modes — injected read timeouts are keyed by batch position,
   and the tier keeps positions intact, so the *same* queries degrade;
@@ -41,7 +41,6 @@ from repro.tiering import HotTierConfig
 
 UNIVERSE = 96  # small on purpose: cross-batch repeats keep the tier hot
 LINK = LinkModel(latency_ns=300.0, bandwidth_gb_s=20.0)
-VARIANTS = [("scalar", "object"), ("vector", "object"), ("vector", "soa")]
 
 
 def random_setup(seed):
@@ -97,8 +96,6 @@ def run_variant(
     config,
     batches,
     source,
-    kernel,
-    engine,
     cache,
     deduplicate,
     faults=None,
@@ -108,8 +105,6 @@ def run_variant(
     sink = InMemorySink() if trace else None
     instance = FafnirEngine(
         config=config,
-        kernel=kernel,
-        engine=engine,
         cache=cache,
         faults=faults,
         fault_policy=fault_policy,
@@ -133,30 +128,34 @@ SEEDS = range(10)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_cached_runs_are_byte_identical_across_engines(seed):
+def test_cached_runs_are_byte_identical_across_engines(seed, on_pe_paths):
     config, batches, cache, deduplicate = random_setup(seed)
     source = make_source(seed, config.vector_elements)
 
     reference, base_reads, _, _ = run_variant(
-        config, batches, source, "vector", "object", None, deduplicate
+        config, batches, source, None, deduplicate
     )
-    for kernel, engine in VARIANTS:
-        cached, cached_reads, _, instance = run_variant(
-            config, batches, source, kernel, engine, cache, deduplicate
+
+    def cached_run():
+        functional, reads, _, instance = run_variant(
+            config, batches, source, cache, deduplicate
         )
-        assert cached == reference, f"{kernel}/{engine} diverged under cache"
-        assert cached_reads <= base_reads
         stats = instance.memory.cache_stats
-        assert stats.hits + stats.misses == stats.accesses
-        # Every hit is exactly one DRAM read that did not happen (vector
-        # reads are single-piece on these geometries only when the vector
-        # fits one column; in general a hit removes >= 1 request).
-        if stats.hits:
-            assert cached_reads < base_reads
+        return functional, reads, (stats.hits, stats.misses, stats.accesses)
+
+    cached, cached_reads, (hits, misses, accesses) = on_pe_paths(cached_run)
+    assert cached == reference, "diverged under cache"
+    assert cached_reads <= base_reads
+    assert hits + misses == accesses
+    # Every hit is exactly one DRAM read that did not happen (vector
+    # reads are single-piece on these geometries only when the vector
+    # fits one column; in general a hit removes >= 1 request).
+    if hits:
+        assert cached_reads < base_reads
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_cached_runs_are_byte_identical_under_faults(seed):
+def test_cached_runs_are_byte_identical_under_faults(seed, on_pe_paths):
     """Fault injection is keyed by batch position; a cached run keeps
     positions intact, so the same reads degrade in both worlds."""
     config, batches, cache, deduplicate = random_setup(seed)
@@ -172,29 +171,24 @@ def test_cached_runs_are_byte_identical_under_faults(seed):
         config,
         batches,
         source,
-        "vector",
-        "object",
         None,
         deduplicate,
         faults=plan,
         fault_policy=policy,
     )
-    for kernel, engine in VARIANTS:
-        cached, cached_reads, _, _ = run_variant(
+    cached, cached_reads = on_pe_paths(
+        lambda: run_variant(
             config,
             batches,
             source,
-            kernel,
-            engine,
             cache,
             deduplicate,
             faults=plan,
             fault_policy=policy,
-        )
-        assert cached == reference, (
-            f"{kernel}/{engine} diverged under cache + faults"
-        )
-        assert cached_reads <= base_reads
+        )[:2]
+    )
+    assert cached == reference, "diverged under cache + faults"
+    assert cached_reads <= base_reads
 
 
 @pytest.mark.parametrize("seed", SEEDS[:5])
@@ -205,10 +199,10 @@ def test_trace_derived_pe_work_is_invariant(seed):
     source = make_source(seed, config.vector_elements)
 
     _, _, base_events, _ = run_variant(
-        config, batches, source, "vector", "soa", None, deduplicate, trace=True
+        config, batches, source, None, deduplicate, trace=True
     )
     _, _, cached_events, _ = run_variant(
-        config, batches, source, "vector", "soa", cache, deduplicate, trace=True
+        config, batches, source, cache, deduplicate, trace=True
     )
     for kind in (PE_REDUCE, PE_FORWARD, PE_MERGE):
         assert per_level_counts(base_events, kind) == per_level_counts(
@@ -232,12 +226,10 @@ def test_warmed_zipf_stream_strictly_reduces_dram_reads():
     )
     source = make_source(0, config.vector_elements)
     batches = [[[0, 1, 2]], [[0, 5, 9]], [[0, 13, 2]]]
-    _, base_reads, _, _ = run_variant(
-        config, batches, source, "vector", "object", None, True
-    )
+    _, base_reads, _, _ = run_variant(config, batches, source, None, True)
     cache = HotTierConfig(size_bytes=4096, line_bytes=64)
     _, cached_reads, _, instance = run_variant(
-        config, batches, source, "vector", "object", cache, True
+        config, batches, source, cache, True
     )
     # id 0 re-read twice, id 2 once: three DRAM reads replaced by hits.
     assert instance.memory.cache_stats.hits == 3

@@ -6,17 +6,16 @@ randomly drawn machines and workloads:
 * **functional** — the tree's per-query outputs must equal a plain NumPy
   reduction of the same table rows, whatever the tree arity, rank count,
   rank→leaf wiring permutation, batch shape, or dedup setting;
-* **behavioural** — the scalar kernel, the vectorized kernel, and the
-  level-synchronous SoA sweep must emit *identical* event streams (same
-  kinds, cycles, PEs, levels, args, in the same order) and identical
-  per-level event counts, recorded through in-memory sinks.
-  Byte-identical outputs could still hide divergent internal
-  scheduling; stream equality cannot.
+* **behavioural** — the PE's scalar specification and its NumPy kernels,
+  each forced onto every invocation through the shared ``on_pe_paths``
+  fixture, must emit *identical* event streams (same kinds, cycles, PEs,
+  levels, args, in the same order) and identical per-level event counts,
+  recorded through in-memory sinks.  Byte-identical outputs could still
+  hide divergent internal scheduling; stream equality cannot.
 
-The three-way engine comparison runs plain, traced (object and columnar
-sinks), and fault-injected (latency degradation + read timeouts under
-the degrade policy) — the SoA sweep must be indistinguishable from the
-object walk in every observable, not just on the happy path.
+The comparison runs plain, traced (object and columnar sinks), and
+fault-injected (latency degradation + read timeouts) — the two code paths
+must be indistinguishable in every observable, not just on the happy path.
 
 Configs are drawn from a seeded RNG so every run covers the same
 machines (failures reproduce) while spanning the space far wider than
@@ -112,100 +111,72 @@ def test_fafnir_matches_cpu_reduction_all_operators(operator):
         np.testing.assert_allclose(vector, expected, rtol=1e-12, atol=1e-12)
 
 
+def _fingerprint(result, events):
+    """Every observable of one engine run, as ``==``-comparable data."""
+    return {
+        "vectors": [vector.tobytes() for vector in result.vectors],
+        "latency": result.stats.latency_pe_cycles,
+        "work": result.stats.per_pe_work,
+        "statuses": result.query_statuses,
+        "events": events,
+        # Implied by stream equality, but kept explicit: if streams ever
+        # diverge, the level histogram localizes which tree stage drifted.
+        "levels": per_level_counts(events),
+    }
+
+
+def _traced_run(config, rank_order, queries, table, deduplicate, **kwargs):
+    sink = InMemorySink()
+    engine = FafnirEngine(
+        config=config,
+        rank_order=rank_order,
+        tracer=Tracer([sink]),
+        **kwargs,
+    )
+    result = engine.run_batch(
+        queries, table.__getitem__, deduplicate=deduplicate
+    )
+    return _fingerprint(result, sink.events)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_scalar_and_vector_kernels_emit_identical_event_streams(seed):
+def test_scalar_and_vector_kernels_emit_identical_event_streams(
+    seed, on_pe_paths
+):
+    """spec == kernels on vectors, latency, ``PEWork``, statuses and the
+    full event stream (``on_pe_paths`` asserts the equality)."""
     config, rank_order, queries, deduplicate = random_setup(seed)
     table = make_table(config, seed)
-
-    def run(kernel):
-        sink = InMemorySink()
-        engine = FafnirEngine(
-            config=config,
-            kernel=kernel,
-            rank_order=rank_order,
-            tracer=Tracer([sink]),
-        )
-        result = engine.run_batch(
-            queries, table.__getitem__, deduplicate=deduplicate
-        )
-        return result, sink.events
-
-    scalar_result, scalar_events = run("scalar")
-    vector_result, vector_events = run("vector")
-
-    # Same physics, bit for bit.
-    for a, b in zip(scalar_result.vectors, vector_result.vectors):
-        assert a.tobytes() == b.tobytes()
-    assert (
-        scalar_result.stats.latency_pe_cycles
-        == vector_result.stats.latency_pe_cycles
+    observed = on_pe_paths(
+        lambda: _traced_run(config, rank_order, queries, table, deduplicate)
     )
-    assert scalar_result.stats.per_pe_work == vector_result.stats.per_pe_work
-
-    # Same observable behaviour, event for event.
-    assert scalar_events == vector_events
-
-
-def _assert_runs_identical(reference, candidate):
-    """Every observable of two engine runs must match bit for bit."""
-    ref_result, ref_events = reference
-    cand_result, cand_events = candidate
-    assert len(ref_result.vectors) == len(cand_result.vectors)
-    for a, b in zip(ref_result.vectors, cand_result.vectors):
-        assert a.tobytes() == b.tobytes()
-    assert (
-        ref_result.stats.latency_pe_cycles
-        == cand_result.stats.latency_pe_cycles
-    )
-    assert ref_result.stats.per_pe_work == cand_result.stats.per_pe_work
-    assert ref_result.query_statuses == cand_result.query_statuses
-    assert ref_events == cand_events
-    # Per-level counts are implied by stream equality, but assert them
-    # explicitly: if streams ever diverge, the level histogram localizes
-    # which tree stage drifted.
-    assert per_level_counts(ref_events) == per_level_counts(cand_events)
+    assert len(observed["vectors"]) == len(queries)
+    assert observed["events"], "run recorded nothing"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_three_engine_paths_are_indistinguishable(seed):
-    """scalar kernel == vector kernel == SoA sweep, on every observable.
+def test_three_engine_paths_are_indistinguishable(seed, on_pe_paths):
+    """The default engine (size-selected PE code per invocation) == spec
+    everywhere == kernels everywhere, on every observable.
 
-    The SoA sweep is a from-scratch rewrite of the tree walk (bitset
-    pools instead of frozensets, level-synchronous batches instead of a
-    per-PE object loop), so nothing is shared with the object paths
-    except the contract — making stream equality here the strongest
-    evidence the rewrite preserved the machine's semantics.
+    The default run mixes both code paths inside one tree sweep, so it
+    also checks that the scalar and vector steps hand each other
+    identical messages.
     """
     config, rank_order, queries, deduplicate = random_setup(seed)
     table = make_table(config, seed)
 
-    def run(kernel, engine):
-        sink = InMemorySink()
-        instance = FafnirEngine(
-            config=config,
-            kernel=kernel,
-            engine=engine,
-            rank_order=rank_order,
-            tracer=Tracer([sink]),
-        )
-        result = instance.run_batch(
-            queries, table.__getitem__, deduplicate=deduplicate
-        )
-        return result, sink.events
+    def run():
+        return _traced_run(config, rank_order, queries, table, deduplicate)
 
-    scalar = run("scalar", "object")
-    vector = run("vector", "object")
-    soa = run("vector", "soa")
-
-    _assert_runs_identical(scalar, vector)
-    _assert_runs_identical(vector, soa)
+    assert run() == on_pe_paths(run)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_soa_sweep_matches_object_walk_under_faults(seed):
+def test_pe_paths_agree_under_faults(seed, on_pe_paths):
     """Fault injection exercises retry/timeout paths the happy-path seeds
-    never reach; the SoA sweep must replicate the object walk's behaviour
-    there too — same degraded timings, same statuses, same streams."""
+    never reach; spec and kernels must agree there too — same degraded
+    timings, same statuses, same streams."""
     config, rank_order, queries, deduplicate = random_setup(seed)
     table = make_table(config, seed)
     plan = FaultPlan(
@@ -213,36 +184,24 @@ def test_soa_sweep_matches_object_walk_under_faults(seed):
         rank_latency_multipliers={1: 1.4},
         rank_timeout_probability={0: 0.15},
     )
-
-    def run(engine):
-        sink = InMemorySink()
-        instance = FafnirEngine(
-            config=config,
-            engine=engine,
-            rank_order=rank_order,
-            faults=plan,
-            tracer=Tracer([sink]),
+    on_pe_paths(
+        lambda: _traced_run(
+            config, rank_order, queries, table, deduplicate, faults=plan
         )
-        result = instance.run_batch(
-            queries, table.__getitem__, deduplicate=deduplicate
-        )
-        return result, sink.events
-
-    _assert_runs_identical(run("object"), run("soa"))
+    )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_columnar_sink_materializes_object_stream(seed):
     """The packed columnar ring buffer and the object in-memory sink are
-    two encodings of one stream: recording an SoA run through both at
-    once must materialize to ``==``-equal event lists."""
+    two encodings of one stream: recording a run through both at once
+    must materialize to ``==``-equal event lists."""
     config, rank_order, queries, deduplicate = random_setup(seed)
     table = make_table(config, seed)
     columnar = ColumnarSink()
     objects = InMemorySink()
     engine = FafnirEngine(
         config=config,
-        engine="soa",
         rank_order=rank_order,
         tracer=Tracer([columnar, objects]),
     )

@@ -4,16 +4,18 @@ The cross-shard reduction (src/repro/comm/) claims byte-identity with the
 single-node tree for subtree-aligned partitions: each shard computes an
 exact subtree of the single-node tournament, and the canonical fold
 replays the missing upper levels in the same association.  This module
-pits every single-node engine variant (scalar kernel, vector kernel, SoA
-sweep) against every sharded ``reduction=`` schedule at power-of-two
+pits the single-node engine on both PE code paths (the scalar
+specification and the NumPy kernels, each forced everywhere by the
+``on_pe_paths`` fixture) against every sharded ``reduction=`` schedule at
+power-of-two
 shard counts and requires bit-for-bit agreement on vectors and statuses —
 on clean runs and under index-keyed fault injection, where retries and
 dropped rows must land on exactly the same queries in both worlds.
 
 Latencies are compared where the model says they must agree: the three
 sharded schedules share identical shard-local per-query latencies (a
-schedule only re-times the comm phase), and the single-node kernels share
-identical latencies among themselves.  Single-node and sharded latencies
+schedule only re-times the comm phase), and the two single-node PE paths
+share identical latencies.  Single-node and sharded latencies
 legitimately differ — a shard's private memory system sees less
 contention than one node serving the whole stream.
 """
@@ -30,7 +32,6 @@ from repro.obs import SHARD_MSG_SENT, SHARD_REDUCED
 
 UNIVERSE = 512
 LINK = LinkModel(latency_ns=300.0, bandwidth_gb_s=20.0)
-SINGLE_VARIANTS = [("scalar", "object"), ("vector", "object"), ("vector", "soa")]
 
 
 def random_setup(seed):
@@ -69,15 +70,15 @@ class make_source:
         return rng.standard_normal(self.elements)
 
 
-def run_single(config, batches, source, kernel, engine, **kwargs):
-    instance = FafnirEngine(
-        config=config, operator="sum", kernel=kernel, engine=engine, **kwargs
-    )
+def run_single(config, batches, source, **kwargs):
+    """One single-node run as (vector bytes, statuses, latencies)."""
+    instance = FafnirEngine(config=config, operator="sum", **kwargs)
     result = instance.run_batches(batches, source)
     latencies = [
         cycles for item in result.results for cycles in item.ready_pe_cycles
     ]
-    return result.vectors, result.statuses, latencies
+    vectors = [vector.tobytes() for vector in result.vectors]
+    return vectors, result.statuses, latencies
 
 
 def run_sharded(config, batches, source, schedule, shards, **kwargs):
@@ -98,23 +99,19 @@ SEEDS = range(8)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_matrix_agrees_on_vectors_and_statuses(seed):
-    """Every cell — 3 single-node variants x {2,4} shards x 3 schedules —
-    produces the same bytes and the same per-query statuses."""
+def test_matrix_agrees_on_vectors_and_statuses(seed, on_pe_paths):
+    """Every cell — the default engine and both PE paths x {2,4} shards x
+    3 schedules — produces the same bytes and the same per-query
+    statuses."""
     config, batches = random_setup(seed)
     source = make_source(seed, config.vector_elements)
 
-    reference, ref_statuses, _ = run_single(
-        config, batches, source, "vector", "object"
+    ref_bytes, ref_statuses, _ = run_single(config, batches, source)
+    paths_bytes, paths_statuses, _ = on_pe_paths(
+        lambda: run_single(config, batches, source)
     )
-    ref_bytes = [vector.tobytes() for vector in reference]
-
-    for kernel, engine in SINGLE_VARIANTS:
-        vectors, statuses, _ = run_single(
-            config, batches, source, kernel, engine
-        )
-        assert [v.tobytes() for v in vectors] == ref_bytes, (kernel, engine)
-        assert statuses == ref_statuses
+    assert paths_bytes == ref_bytes
+    assert paths_statuses == ref_statuses
 
     for shards in (2, 4):
         for name in sorted(SCHEDULES):
@@ -127,20 +124,14 @@ def test_matrix_agrees_on_vectors_and_statuses(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_local_latencies_are_schedule_independent(seed):
+def test_local_latencies_are_schedule_independent(seed, on_pe_paths):
     """A schedule re-times only the comm phase: per-query shard-local
     latencies must be identical across all three schedules (and the
-    single-node kernels must agree among themselves)."""
+    single-node PE paths must agree with each other)."""
     config, batches = random_setup(seed)
     source = make_source(seed, config.vector_elements)
 
-    single = {
-        (kernel, engine): run_single(
-            config, batches, source, kernel, engine
-        )[2]
-        for kernel, engine in SINGLE_VARIANTS
-    }
-    assert len({tuple(lat) for lat in single.values()}) == 1
+    on_pe_paths(lambda: run_single(config, batches, source)[2])
 
     sharded = {
         name: run_sharded(config, batches, source, name, 4).local_latencies
@@ -172,16 +163,9 @@ def test_matrix_agrees_under_fault_injection(seed):
         max_corruption_retries=0, max_source_retries=0
     )
 
-    reference, ref_statuses, _ = run_single(
-        config,
-        batches,
-        source,
-        "vector",
-        "object",
-        faults=plan,
-        fault_policy=policy,
+    ref_bytes, ref_statuses, _ = run_single(
+        config, batches, source, faults=plan, fault_policy=policy
     )
-    ref_bytes = [vector.tobytes() for vector in reference]
     assert set(ref_statuses) != {"ok"}, "faults never fired; weak test"
 
     for shards in (2, 4):

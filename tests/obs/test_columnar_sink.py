@@ -4,8 +4,8 @@ The columnar sink's whole contract is equivalence — a run traced through
 packed typed-array columns must read back as precisely the TraceEvent
 list an :class:`InMemorySink` would have captured, bools and all.  These
 tests pin that equivalence on real engine runs (including fault runs,
-whose events travel the object side table) plus the ring-overwrite and
-slab-write semantics the engine-level tests don't reach.
+whose events travel the object side table) plus the ring-overwrite
+semantics the engine-level tests don't reach.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ from repro.obs import (
     TraceEvent,
     Tracer,
 )
-from repro.obs.events import KIND_CODES, PE_FORWARD
+from repro.obs.events import PE_FORWARD
 
 UNIVERSE = 128
 
@@ -145,49 +145,6 @@ class TestRingSemantics:
         sink.clear()
         assert len(sink) == 0
         assert sink.to_events() == []
-
-
-class TestSlabWrites:
-    def test_record_rows_preserves_interleaved_order(self):
-        sink = ColumnarSink(capacity=16)
-        tracer = Tracer([sink])
-        codes = np.array(
-            [KIND_CODES[PE_REDUCE], KIND_CODES[PE_FORWARD], KIND_CODES[PE_REDUCE]],
-            dtype=np.int16,
-        )
-        cycles = np.array([10, 11, 12], dtype=np.int64)
-        args = np.array([28, 14, 28], dtype=np.int64)
-        tracer.emit_rows(codes, cycles, pe=3, level=1, arg0=args)
-        events = sink.to_events()
-        assert [e.kind for e in events] == [PE_REDUCE, PE_FORWARD, PE_REDUCE]
-        assert [e.cycle for e in events] == [10, 11, 12]
-        assert [e.args for e in events] == [
-            {"dur_cycles": 28},
-            {"dur_cycles": 14},
-            {"dur_cycles": 28},
-        ]
-        assert all(e.pe == 3 and e.level == 1 for e in events)
-
-    def test_record_rows_wraps_ring(self):
-        sink = ColumnarSink(capacity=4)
-        tracer = Tracer([sink])
-        codes = np.full(10, KIND_CODES[PE_REDUCE], dtype=np.int16)
-        cycles = np.arange(10, dtype=np.int64)
-        tracer.emit_rows(codes, cycles, pe=0, level=0, arg0=cycles)
-        assert sink.dropped == 6
-        assert [e.cycle for e in sink.to_events()] == [6, 7, 8, 9]
-
-    def test_emit_rows_object_fallback_matches_packed(self):
-        codes = np.array(
-            [KIND_CODES[PE_FORWARD], KIND_CODES[PE_REDUCE]], dtype=np.int16
-        )
-        cycles = np.array([4, 5], dtype=np.int64)
-        args = np.array([14, 28], dtype=np.int64)
-        packed_sink = ColumnarSink()
-        Tracer([packed_sink]).emit_rows(codes, cycles, pe=2, level=1, arg0=args)
-        object_sink = InMemorySink()
-        Tracer([object_sink]).emit_rows(codes, cycles, pe=2, level=1, arg0=args)
-        assert packed_sink.to_events() == object_sink.events
 
 
 class TestTracerCapability:

@@ -16,6 +16,7 @@ from repro.serving import (
     ContinuousBatcher,
     OpenLoopGenerator,
     RampStage,
+    Request,
     ServingSimulator,
 )
 from repro.workloads import EmbeddingTableSet, QueryGenerator
@@ -58,6 +59,19 @@ def _burst(tables, protect):
     )
 
 
+class _OneRequest:
+    """A load source offering exactly one request."""
+
+    def __init__(self, request):
+        self.request = request
+
+    def initial(self):
+        return [self.request]
+
+    def on_complete(self, request, complete_us):
+        return None
+
+
 class TestLoadShedding:
     def test_shedding_keeps_the_admitted_stream_on_slo(self, tables):
         burst = _burst(tables, protect=False)
@@ -97,6 +111,21 @@ class TestLoadShedding:
         assert derived["events.request_shed"] == shed.shed_requests
         assert derived["serving.shed"] == shed.shed_requests
         assert shed.status_counts()[STATUS_SHED] == shed.shed_requests
+
+    def test_shed_event_is_stamped_in_pe_cycles(self, tables):
+        """A shed at 2.9 µs is PE cycle 580 at 200 MHz — converted through
+        the PE clock, not the µs value truncated to 2."""
+        request = Request(
+            request_id=0, indices=(1, 2), arrival_us=2.9, deadline_us=2.9
+        )
+        simulator = make_simulator(
+            overload=OverloadPolicy(initial_service_us=1.0)
+        )
+        report = simulator.run(_OneRequest(request), tables.vector)
+        assert simulator.config.pe_clock.freq_mhz == 200
+        (event,) = [e for e in report.events if e.kind == "request_shed"]
+        assert event.clock == "pe"
+        assert event.cycle == 580
 
     def test_underload_sheds_nothing_and_stays_byte_identical(self, tables):
         plain = make_simulator().run(open_load(tables, qps=2e6), tables.vector)
