@@ -125,19 +125,8 @@ def traced_run_batch(config, batch, source, deduplicate=True):
 
 
 def assert_trace_matches_stats(engine, result, events):
-    """Event stream and ``LookupStats`` must agree — they are independent
-    observers of the same run (per-level reduce counts, DRAM completions,
-    query completions), so any drift means one of them is lying."""
-    from repro.core.stats import tree_utilization
-    from repro.obs import MEM_READ_COMPLETE, QUERY_COMPLETE, per_level_counts
+    """Event stream and ``LookupStats`` must agree (see
+    :func:`repro.core.stats.trace_mismatches`)."""
+    from repro.core.stats import trace_mismatches
 
-    utilization = tree_utilization(
-        engine.tree, result.stats, engine.memory.config.geometry
-    )
-    event_levels = per_level_counts(events)
-    for level in utilization.levels:
-        assert event_levels.get(level.level, 0) == level.work.reduces, level.level
-    mem_completions = sum(1 for e in events if e.kind == MEM_READ_COMPLETE)
-    assert mem_completions == result.stats.memory.reads
-    completed = sum(1 for e in events if e.kind == QUERY_COMPLETE)
-    assert completed == len(result.plan.queries)
+    assert trace_mismatches(engine, result, events) == []

@@ -7,8 +7,9 @@ diminishing returns of growing the RecNMP baseline's cache.
 
 The second sweep measures the two mechanisms *composed*: the hot-index
 tier (:mod:`repro.tiering`) runs on top of FAFNIR's host-side dedup and
-removes the cross-batch popularity redundancy dedup cannot see.  Cached
-cells are verified byte-identical to the dedup-only baseline, and the
+removes the cross-batch popularity redundancy dedup cannot see.  The grid
+is the registered ``cache`` experiment: cached cells are verified
+byte-identical to the dedup-only baseline, and the
 headline numbers — DRAM-read drop and hit rate per (Zipf α, cache size)
 cell — are appended to the repo-root ``BENCH_cache.json`` trajectory.
 At the RecNMP reference point (128 KB/rank, α = 1.05) the tier must cut
@@ -31,6 +32,7 @@ from _common import (
 from repro.analysis import Table
 from repro.baselines import FafnirGatherEngine, RecNmpGatherEngine
 from repro.core import FafnirConfig
+from repro.experiments import get_experiment
 
 SMOKE = bool(int(os.environ.get("FAFNIR_SMOKE", "0")))
 
@@ -95,64 +97,31 @@ def test_ablation_recnmp_cache_sweep(benchmark):
 TIER_ALPHAS = (1.05,) if SMOKE else (0.8, 1.05, 1.65)
 TIER_SIZES_KB = (128,) if SMOKE else (32, 128, 512)
 TIER_BATCHES = 16  # enough warm batches for steady-state hit rates
-TIER_BATCH_SIZE = 32
-TIER_QUERY_LEN = 16
-TIER_HOT_ROWS = 4096
-TIER_SEED = 0
 
 
 def test_hot_index_tier_trajectory(benchmark):
     """Dedup + hot-index tier composition, recorded in BENCH_cache.json."""
-    from repro.core.engine import FafnirEngine
-    from repro.tiering import HotTierConfig
-    from repro.workloads import EmbeddingTableSet, QueryGenerator
-
-    config = FafnirConfig()
-    tables = EmbeddingTableSet.random(seed=TIER_SEED)
-
-    def run_stream(alpha, tier):
-        generator = QueryGenerator(
-            tables,
-            query_len=TIER_QUERY_LEN,
-            skew=alpha,
-            hot_rows=TIER_HOT_ROWS,
-            seed=TIER_SEED,
-        )
-        stream = [
-            generator.batch(TIER_BATCH_SIZE) for _ in range(TIER_BATCHES)
-        ]
-        engine = FafnirEngine(config=config, cache=tier)
-        result = engine.run_batches(stream, tables.vector, deduplicate=True)
-        return {
-            "bytes": tuple(v.tobytes() for v in result.vectors),
-            "reads": result.memory_stats.reads,
-            "stats": engine.memory.cache_stats,
-        }
-
-    def experiment():
-        cells = []
-        for alpha in TIER_ALPHAS:
-            baseline = run_stream(alpha, None)
-            for size_kb in TIER_SIZES_KB:
-                tier = HotTierConfig(
-                    size_bytes=size_kb * 1024, line_bytes=config.vector_bytes
-                )
-                cached = run_stream(alpha, tier)
-                cells.append((alpha, size_kb, baseline, cached))
-        return cells
-
-    cells = run_once(benchmark, experiment)
+    result = run_once(
+        benchmark,
+        lambda: get_experiment("cache").run(
+            sizes_kb=TIER_SIZES_KB, alphas=TIER_ALPHAS, batches=TIER_BATCHES
+        ),
+    )
+    assert not result.failures, result.failures
+    data = result.data
 
     table = Table(
         ["alpha", "cache_KB", "hit_rate", "base_reads", "reads", "drop"]
     )
     records = []
-    for alpha, size_kb, baseline, cached in cells:
+    for cell in data["cells"]:
+        alpha, size_kb = cell["alpha"], cell["cache_kb"]
+        baseline, cached = cell["baseline"], cell["cached"]
         assert cached["bytes"] == baseline["bytes"], (
             f"tier changed results at alpha={alpha}, {size_kb} KB"
         )
         drop = 1.0 - cached["reads"] / baseline["reads"]
-        hit_rate = cached["stats"].hit_rate
+        hit_rate = cached["hit_rate"]
         table.add_row(
             [
                 f"{alpha:.2f}",
@@ -176,11 +145,11 @@ def test_hot_index_tier_trajectory(benchmark):
 
     record = {
         "smoke": SMOKE,
-        "batches": TIER_BATCHES,
-        "batch_size": TIER_BATCH_SIZE,
-        "query_len": TIER_QUERY_LEN,
-        "hot_rows": TIER_HOT_ROWS,
-        "line_bytes": config.vector_bytes,
+        "batches": data["batches"],
+        "batch_size": data["batch_size"],
+        "query_len": data["query_len"],
+        "hot_rows": data["hot_rows"],
+        "line_bytes": data["line_bytes"],
         "cells": records,
     }
     write_report("ablation_cache_tier", table, record=record)

@@ -14,9 +14,10 @@ collective-cost crossover the topology predicts:
 * reduce-scatter + allgather pays 2·log2(S) half-sized steps — more steps
   but smaller messages, the bandwidth-bound regime's schedule.
 
-Every cell is verified byte-identical to the single-node engine before
-its cost is recorded — a schedule that got faster by reducing differently
-would be measuring a different computation.
+The sweep is the registered ``reduce`` experiment, which verifies every
+cell byte-identical to the single-node engine before its cost is
+recorded — a schedule that got faster by reducing differently would be
+measuring a different computation.
 
 Headline numbers are appended to ``BENCH_reduction.json`` so the
 trajectory travels with the repo.  ``FAFNIR_SMOKE=1`` shrinks the batch
@@ -24,68 +25,27 @@ stream for CI smoke runs.
 """
 
 import os
-import time
 
 from _common import append_trajectory, run_once, write_report
 from repro.analysis import Table
-from repro.comm import SCHEDULES, LinkModel
-from repro.core import FafnirConfig, FafnirEngine
-from repro.core.sharding import ShardedRunner
-from repro.workloads import EmbeddingTableSet, QueryGenerator
+from repro.experiments import get_experiment
 
 SMOKE = bool(int(os.environ.get("FAFNIR_SMOKE", "0")))
 
 SHARD_COUNTS = [2, 4, 8, 16]
 BATCHES = 2 if SMOKE else 4
 BATCH_SIZE = 16 if SMOKE else 32
-QUERY_LEN = 16
-SEED = 0
-LINK = LinkModel()  # PCIe-class defaults: 500 ns + 25 GB/s
-
-
-def _run_cell(config, stream, source, expected, shards, schedule):
-    runner = ShardedRunner(
-        config=config,
-        operator="sum",
-        max_workers=1,
-        reduction=schedule,
-        num_shards=shards,
-        link=LINK,
-    )
-    start = time.perf_counter()
-    reduced = runner.run_reduced(stream, source)
-    wall_s = time.perf_counter() - start
-    identical = [vector.tobytes() for vector in reduced.vectors] == expected
-    return reduced, identical, wall_s
 
 
 def test_reduction_sweep(benchmark):
-    config = FafnirConfig(batch_size=BATCH_SIZE)
-    tables = EmbeddingTableSet.random(seed=SEED)
-    generator = QueryGenerator.paper_calibrated(
-        tables, seed=SEED, query_len=QUERY_LEN
+    result = run_once(
+        benchmark,
+        lambda: get_experiment("reduce").run(
+            shard_counts=SHARD_COUNTS, batches=BATCHES, batch_size=BATCH_SIZE
+        ),
     )
-    stream = [generator.batch(BATCH_SIZE) for _ in range(BATCHES)]
-
-    def experiment():
-        single = FafnirEngine(config=config, operator="sum")
-        baseline = single.run_batches(stream, tables.vector)
-        expected = [vector.tobytes() for vector in baseline.vectors]
-        cells = []
-        for shards in SHARD_COUNTS:
-            for name in sorted(SCHEDULES):
-                cells.append(
-                    (
-                        shards,
-                        name,
-                        *_run_cell(
-                            config, stream, tables.vector, expected, shards, name
-                        ),
-                    )
-                )
-        return cells
-
-    cells = run_once(benchmark, experiment)
+    assert not result.failures, result.failures
+    data = result.data
 
     table = Table(
         [
@@ -101,7 +61,9 @@ def test_reduction_sweep(benchmark):
         ]
     )
     levels = []
-    for shards, name, reduced, identical, wall_s in cells:
+    for cell in data["cells"]:
+        shards, name, reduced = cell["shards"], cell["schedule"], cell["reduced"]
+        identical, wall_s = cell["identical"], cell["wall_s"]
         table.add_row(
             [
                 shards,
@@ -133,8 +95,8 @@ def test_reduction_sweep(benchmark):
         "smoke": SMOKE,
         "batches": BATCHES,
         "batch_size": BATCH_SIZE,
-        "query_len": QUERY_LEN,
-        "link": LINK.to_dict(),
+        "query_len": data["query_len"],
+        "link": data["link"].to_dict(),
         "levels": levels,
     }
     write_report("reduction", table, record=record)

@@ -16,7 +16,9 @@ measures what the resilience stack buys back:
 Headline numbers (makespan inflation unhedged vs hedged, burst p99 and
 attainment with and without shedding, the admitted-stream floor) are
 appended to ``BENCH_resilience.json`` so the trajectory travels with the
-repo.  ``FAFNIR_SMOKE=1`` shrinks the workload for CI smoke runs.
+repo.  The cells are those of the registered ``resilience`` experiment,
+which also checks every reduced vector against the clean run.
+``FAFNIR_SMOKE=1`` shrinks the workload for CI smoke runs.
 """
 
 import os
@@ -24,107 +26,37 @@ import time
 
 from _common import append_trajectory, run_once, write_report
 from repro.analysis import Table
-from repro.comm import LinkModel
-from repro.core import FafnirConfig
-from repro.core.sharding import ShardedRunner
-from repro.faults import FaultPlan, FaultPolicy
-from repro.resilience import HedgePolicy, OverloadPolicy
-from repro.serving import (
-    ContinuousBatcher,
-    OpenLoopGenerator,
-    RampStage,
-    ServingSimulator,
-)
-from repro.workloads import EmbeddingTableSet, QueryGenerator
+from repro.experiments import get_experiment
 
 SMOKE = bool(int(os.environ.get("FAFNIR_SMOKE", "0")))
 
-SEED = 0
-SHARDS = 4
 BATCHES = 2 if SMOKE else 4
 BATCH_SIZE = 16 if SMOKE else 32
-QUERY_LEN = 16
-LINK_LOSS = 0.01
-STRAGGLER_FACTOR = 4.0
-BURST_FACTOR = 2.0
-SLO_US = 25.0
 N_REQUESTS = 80 if SMOKE else 200
 #: Recorded floor on the admitted stream's SLO attainment under the
 #: reference burst — the number CI holds future revisions to.
 ATTAINMENT_FLOOR = 0.75
 
 
-def _reduction_cell(tables, stream):
-    link = LinkModel(latency_ns=300.0, bandwidth_gb_s=20.0)
-
-    def runner(**kwargs):
-        return ShardedRunner(
-            config=FafnirConfig(),
-            max_workers=1,
-            reduction="gather",
-            num_shards=SHARDS,
-            link=link,
-            **kwargs,
-        )
-
-    clean = runner().run_reduced(stream, tables.vector)
-    straggler_piece = clean.active_pieces[len(clean.active_pieces) // 2]
-    plan = FaultPlan(
-        seed=SEED,
-        link_loss_probability=LINK_LOSS,
-        straggler_multipliers={straggler_piece: STRAGGLER_FACTOR},
-    )
-    unhedged = runner(
-        faults=plan, fault_policy=FaultPolicy.graceful()
-    ).run_reduced(stream, tables.vector)
-    hedged = runner(
-        faults=plan,
-        fault_policy=FaultPolicy.graceful(),
-        hedge=HedgePolicy(),
-    ).run_reduced(stream, tables.vector)
-    return clean, unhedged, hedged
-
-
-def _serving_cell(tables):
-    def serve(qps, count, protect):
-        load = OpenLoopGenerator(
-            QueryGenerator.paper_calibrated(
-                tables, seed=SEED + 1, query_len=QUERY_LEN
-            ),
-            [RampStage(qps=qps, duration_us=count / qps * 1e6)],
-            slo_us=SLO_US,
-            seed=SEED + 2,
-        )
-        simulator = ServingSimulator(
-            batcher=ContinuousBatcher(batch_size=16, window=64),
-            overload=OverloadPolicy() if protect else None,
-        )
-        return simulator.run(load, tables.vector)
-
-    probe = serve(1e9, N_REQUESTS, protect=False)
-    capacity_qps = probe.observed_qps
-    burst_n = max(N_REQUESTS, int(capacity_qps * SLO_US * 3 / 1e6))
-    burst = serve(BURST_FACTOR * capacity_qps, burst_n, protect=False)
-    shed = serve(BURST_FACTOR * capacity_qps, burst_n, protect=True)
-    return capacity_qps, burst, shed
-
-
 def test_resilience_chaos_cell(benchmark):
-    tables = EmbeddingTableSet.random(seed=SEED)
-    generator = QueryGenerator.paper_calibrated(
-        tables, seed=SEED, query_len=QUERY_LEN
-    )
-    stream = [generator.batch(BATCH_SIZE) for _ in range(BATCHES)]
-
     def experiment():
         start = time.perf_counter()
-        reduction = _reduction_cell(tables, stream)
-        serving = _serving_cell(tables)
-        return reduction, serving, time.perf_counter() - start
+        result = get_experiment("resilience").run(
+            min_attainment=ATTAINMENT_FLOOR,
+            batches=BATCHES,
+            batch_size=BATCH_SIZE,
+            requests=N_REQUESTS,
+        )
+        return result, time.perf_counter() - start
 
-    (clean, unhedged, hedged), (capacity_qps, burst, shed), wall_s = run_once(
-        benchmark, experiment
+    result, wall_s = run_once(benchmark, experiment)
+    assert not result.failures, result.failures
+    data = result.data
+    clean, unhedged, hedged = (
+        data["clean"], data["chaos_unhedged"], data["chaos_hedged"]
     )
+    capacity_qps, burst, shed = data["capacity_qps"], data["burst"], data["shed"]
+    admitted_ok = data["admitted_attainment"]
 
     clean_bytes = [vector.tobytes() for vector in clean.vectors]
     unhedged_identical = [
@@ -135,11 +67,6 @@ def test_resilience_chaos_cell(benchmark):
     ] == clean_bytes
     unhedged_inflation = unhedged.makespan_pe_cycles / clean.makespan_pe_cycles
     hedged_inflation = hedged.makespan_pe_cycles / clean.makespan_pe_cycles
-
-    admitted = [record for record in shed.records if record.status != "shed"]
-    admitted_ok = sum(1 for record in admitted if record.slo_met) / max(
-        len(admitted), 1
-    )
 
     table = Table(["quantity", "clean", "chaos", "protected"])
     table.add_row(
@@ -169,10 +96,10 @@ def test_resilience_chaos_cell(benchmark):
 
     record = {
         "smoke": SMOKE,
-        "link_loss": LINK_LOSS,
-        "straggler_factor": STRAGGLER_FACTOR,
-        "burst_factor": BURST_FACTOR,
-        "slo_us": SLO_US,
+        "link_loss": data["link_loss"],
+        "straggler_factor": data["straggler_factor"],
+        "burst_factor": data["burst_factor"],
+        "slo_us": data["slo_us"],
         "attainment_floor": ATTAINMENT_FLOOR,
         "clean_makespan_cycles": clean.makespan_pe_cycles,
         "unhedged_makespan_cycles": unhedged.makespan_pe_cycles,

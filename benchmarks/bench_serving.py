@@ -21,53 +21,24 @@ seconds on CI smoke runs.
 """
 
 import os
-import time
 
 from _common import append_trajectory, run_once, write_report
 from repro.analysis import Table
-from repro.serving import ContinuousBatcher, OpenLoopGenerator, RampStage, ServingSimulator
-from repro.workloads import EmbeddingTableSet, QueryGenerator
+from repro.experiments import get_experiment
 
 SMOKE = bool(int(os.environ.get("FAFNIR_SMOKE", "0")))
 
 QPS_LEVELS = [0.5e6, 2e6, 6e6, 12e6]
 REQUESTS = 150 if SMOKE else 600
-SLO_US = 25.0
-BATCH_SIZE = 16
-WINDOW = 64
-MARGIN_US = 3.0
-QUERY_LEN = 16
-SEED = 0
-
-
-def _run_level(tables, qps):
-    queries = QueryGenerator.paper_calibrated(
-        tables, seed=SEED + 1, query_len=QUERY_LEN
-    )
-    load = OpenLoopGenerator(
-        queries,
-        [RampStage(qps=qps, duration_us=REQUESTS / qps * 1e6)],
-        slo_us=SLO_US,
-        seed=SEED + 2,
-    )
-    simulator = ServingSimulator(
-        batcher=ContinuousBatcher(
-            batch_size=BATCH_SIZE, window=WINDOW, dispatch_margin_us=MARGIN_US
-        )
-    )
-    start = time.perf_counter()
-    report = simulator.run(load, tables.vector)
-    wall_s = time.perf_counter() - start
-    return report, wall_s
 
 
 def test_serving_sweep(benchmark):
-    tables = EmbeddingTableSet.random(seed=SEED)
-
-    def experiment():
-        return [(qps, *_run_level(tables, qps)) for qps in QPS_LEVELS]
-
-    results = run_once(benchmark, experiment)
+    result = run_once(
+        benchmark,
+        lambda: get_experiment("serve").run(qps=QPS_LEVELS, requests=REQUESTS),
+    )
+    assert not result.failures, result.failures
+    data = result.data
 
     table = Table(
         [
@@ -82,8 +53,9 @@ def test_serving_sweep(benchmark):
         ]
     )
     levels = []
-    for qps, report, wall_s in results:
-        summary = report.summary()
+    for level in data["levels"]:
+        qps, wall_s = level["qps"], level["wall_s"]
+        summary = level["report"].summary()
         table.add_row(
             [
                 f"{qps / 1e6:.2f}M",
@@ -111,10 +83,10 @@ def test_serving_sweep(benchmark):
 
     record = {
         "smoke": SMOKE,
-        "slo_us": SLO_US,
-        "batch_size": BATCH_SIZE,
-        "window": WINDOW,
-        "margin_us": MARGIN_US,
+        "slo_us": data["slo_us"],
+        "batch_size": data["batch_size"],
+        "window": data["window"],
+        "margin_us": data["margin_us"],
         "levels": levels,
     }
     write_report("serving", table, record=record)

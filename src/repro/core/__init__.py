@@ -14,7 +14,12 @@ from repro.core.header import Header, Message
 from repro.core.microsim import MicrosimReport, PEMicrosim
 from repro.core.phased import PhasedFafnirEngine
 from repro.core.interactive import InteractiveEngine, InteractiveResult
-from repro.core.stats import LevelUtilization, TreeUtilization, tree_utilization
+from repro.core.stats import (
+    LevelUtilization,
+    TreeUtilization,
+    trace_mismatches,
+    tree_utilization,
+)
 from repro.core.operators import (
     MAX,
     MEAN,
@@ -68,6 +73,7 @@ __all__ = [
     "SUM",
     "TreePE",
     "TreeUtilization",
+    "trace_mismatches",
     "tree_utilization",
     "available_operators",
     "get_operator",

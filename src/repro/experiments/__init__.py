@@ -1,4 +1,5 @@
-"""Runnable reproductions of every paper figure and table.
+"""Runnable reproductions of every paper figure and table, plus the
+system sweeps (chaos, serve, reduce, cache, resilience).
 
 Importing this package registers all experiments; use
 :func:`list_experiments` / :func:`get_experiment` or the CLI's
@@ -17,6 +18,7 @@ from repro.experiments.base import (
 from repro.experiments import embedding as _embedding  # noqa: F401
 from repro.experiments import hardware as _hardware  # noqa: F401
 from repro.experiments import spmv_experiments as _spmv  # noqa: F401
+from repro.experiments import sweeps as _sweeps  # noqa: F401
 
 __all__ = [
     "Experiment",

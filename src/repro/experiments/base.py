@@ -2,15 +2,17 @@
 
 A :class:`Experiment` couples an id ("fig13"), a description, and a runner
 returning an :class:`ExperimentResult` — a rendered table plus the raw data
-series the asserting benches and the CLI both consume.  The registry lets
+series the asserting benches and the CLI both consume, and the list of
+built-in checks that failed.  The registry lets
 ``python -m repro.cli experiments --run fig13`` regenerate any single
-artifact without pytest.
+artifact without pytest; keyword arguments to :meth:`Experiment.run` reach
+the runner, so callers pick the sweep size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from repro.analysis.report import Table
 
@@ -24,6 +26,8 @@ class ExperimentResult:
     table: Table
     data: Dict[str, object] = field(default_factory=dict)
     notes: str = ""
+    #: One line per built-in check that failed; empty when the run is sound.
+    failures: List[str] = field(default_factory=list)
 
     def render(self) -> str:
         lines = [f"== {self.experiment_id}: {self.title} ==", self.table.render()]
@@ -38,10 +42,10 @@ class Experiment:
 
     experiment_id: str
     title: str
-    runner: Callable[[], ExperimentResult]
+    runner: Callable[..., ExperimentResult]
 
-    def run(self) -> ExperimentResult:
-        result = self.runner()
+    def run(self, **kwargs: Any) -> ExperimentResult:
+        result = self.runner(**kwargs)
         if result.experiment_id != self.experiment_id:
             raise RuntimeError(
                 f"runner for {self.experiment_id} returned result tagged "
@@ -56,7 +60,9 @@ _REGISTRY: Dict[str, Experiment] = {}
 def register(experiment_id: str, title: str):
     """Decorator registering a runner under an experiment id."""
 
-    def wrap(runner: Callable[[], ExperimentResult]) -> Callable[[], ExperimentResult]:
+    Runner = Callable[..., ExperimentResult]
+
+    def wrap(runner: Runner) -> Runner:
         if experiment_id in _REGISTRY:
             raise ValueError(f"experiment {experiment_id!r} already registered")
         _REGISTRY[experiment_id] = Experiment(

@@ -55,6 +55,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     metrics_from_events,
+    nearest_rank,
     per_level_counts,
 )
 from repro.obs.sinks import (
@@ -104,5 +105,6 @@ __all__ = [
     "Tracer",
     "chrome_trace_json",
     "metrics_from_events",
+    "nearest_rank",
     "per_level_counts",
 ]

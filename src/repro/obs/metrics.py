@@ -16,7 +16,8 @@ against :class:`~repro.core.engine.LookupStats` aggregates.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+import math
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.obs.events import (
     BREAKER_OPENED,
@@ -42,6 +43,20 @@ from repro.obs.events import (
     SHARD_REDUCED,
     TraceEvent,
 )
+
+
+def nearest_rank(ordered: Sequence[float], p: float) -> float:
+    """Nearest-rank percentile of already-sorted samples; ``p`` in [0, 100].
+
+    Returns the sample at rank ``max(1, ceil(p/100 · n))`` (1-based), and
+    ``0.0`` for an empty sequence.
+    """
+    if not 0 <= p <= 100:
+        raise ValueError("percentile must be within [0, 100]")
+    if not ordered:
+        return 0.0
+    rank = max(1, math.ceil(p * len(ordered) / 100))
+    return ordered[min(rank, len(ordered)) - 1]
 
 
 class Counter:
@@ -124,13 +139,7 @@ class Histogram:
         ``mean``/``max``).  Repeated calls between ``record``\\ s reuse the
         cached sort.
         """
-        if not 0 <= p <= 100:
-            raise ValueError("percentile must be within [0, 100]")
-        if not self._values:
-            return 0.0
-        ordered = self._ordered()
-        rank = max(1, -(-int(p * len(ordered)) // 100))  # ceil(p/100 · n)
-        return ordered[min(rank, len(ordered)) - 1]
+        return nearest_rank(self._ordered(), p)
 
 
 class MetricsRegistry:

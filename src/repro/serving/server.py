@@ -52,7 +52,7 @@ from repro.faults.policy import (
     FaultPolicy,
 )
 from repro.obs.events import BREAKER_OPENED, REQUEST_SHED, TraceEvent
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, nearest_rank
 from repro.resilience.admission import SHED, AdmissionController, OverloadPolicy
 from repro.resilience.breaker import BreakerConfig, CircuitBreaker
 
@@ -136,11 +136,7 @@ class ServingReport:
         )
 
     def latency_percentile_us(self, p: float) -> float:
-        ordered = self._latencies()
-        if not ordered:
-            return 0.0
-        rank = max(1, -(-int(p * len(ordered)) // 100))
-        return ordered[min(rank, len(ordered)) - 1]
+        return nearest_rank(self._latencies(), p)
 
     @property
     def slo_attainment(self) -> float:

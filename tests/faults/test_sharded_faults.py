@@ -115,6 +115,20 @@ class TestCrashRecovery:
         with pytest.raises(ShardFailedError, match="re-dispatch budget"):
             runner.run(shards, vector_source)
 
+    def test_dead_shard_under_fail_fast_raises(self):
+        runner = make_runner(max_workers=1, reduction="gather", num_shards=4)
+        dead = runner.run_reduced(BATCHES, vector_source).active_pieces[0]
+        plan = FaultPlan(seed=0, dead_shards=frozenset({dead}))
+        failing = make_runner(
+            max_workers=1,
+            reduction="gather",
+            num_shards=4,
+            faults=plan,
+            fault_policy=FaultPolicy(),
+        )
+        with pytest.raises(ShardFailedError, match="dead shard"):
+            failing.run_reduced(BATCHES, vector_source)
+
     def test_persistent_serial_crash_raises_too(self, shards):
         plan = FaultPlan(seed=0, crash_shards=frozenset({0}), crash_attempts=10)
         runner = make_runner(

@@ -12,7 +12,7 @@ import pytest
 from repro.core.config import FafnirConfig
 from repro.core.engine import FafnirEngine
 from repro.core.sharding import ShardedRunner, shard_batches
-from repro.core.stats import tree_utilization
+from repro.core.stats import trace_mismatches, tree_utilization
 from repro.obs import (
     BATCH_COMPLETE,
     BATCH_START,
@@ -23,6 +23,7 @@ from repro.obs import (
     MEM_READ_COMPLETE,
     MEM_READ_ISSUE,
     NULL_TRACER,
+    PE_REDUCE,
     PIPELINE_BATCH,
     QUERY_COMPLETE,
     Tracer,
@@ -122,6 +123,37 @@ class TestStatsCrossCheck:
         assert events[0].kind == BATCH_START
         assert events[-1].kind == BATCH_COMPLETE
         assert events[-1].cycle == result.stats.latency_pe_cycles
+
+
+class TestTraceMismatches:
+    """The one trace-vs-stats checker used by ``repro.cli trace`` and the
+    benches: clean on a real run, and each seeded break is reported."""
+
+    def test_clean_run_has_no_mismatches(self, traced_run):
+        engine, result, events, _ = traced_run
+        assert trace_mismatches(engine, result, events) == []
+
+    @pytest.mark.parametrize(
+        "kind, reported",
+        [(QUERY_COMPLETE, "queries"), (MEM_READ_COMPLETE, "DRAM reads")],
+    )
+    def test_dropped_event_is_reported(self, traced_run, kind, reported):
+        engine, result, events, _ = traced_run
+        position = next(i for i, event in enumerate(events) if event.kind == kind)
+        broken = events[:position] + events[position + 1 :]
+        mismatches = trace_mismatches(engine, result, broken)
+        assert len(mismatches) == 1
+        assert reported in mismatches[0] and kind in mismatches[0]
+
+    def test_dropped_reduce_is_reported_per_level(self, traced_run):
+        engine, result, events, _ = traced_run
+        position = next(i for i, event in enumerate(events) if event.kind == PE_REDUCE)
+        level = events[position].level
+        broken = events[:position] + events[position + 1 :]
+        assert trace_mismatches(engine, result, broken) == [
+            f"level {level}: {per_level_counts(events)[level]} reduces in stats, "
+            f"{per_level_counts(events)[level] - 1} in events"
+        ]
 
 
 class TestFifoStall:

@@ -1,5 +1,7 @@
 """Unit tests for counters, gauges, histograms, and event-derived metrics."""
 
+import math
+
 import pytest
 
 from repro.obs import (
@@ -15,6 +17,7 @@ from repro.obs import (
     QUERY_COMPLETE,
     TraceEvent,
     metrics_from_events,
+    nearest_rank,
     per_level_counts,
 )
 
@@ -73,6 +76,31 @@ class TestHistogram:
             histogram.record(value)
         assert histogram.mean == pytest.approx(2.0)
         assert histogram.max == 3
+
+
+class TestNearestRank:
+    """The one nearest-rank percentile behind ``Histogram.percentile``,
+    ``ServingReport.latency_percentile_us`` and the cache sweep's p99."""
+
+    @pytest.mark.parametrize("n", [1, 24, 100, 192])
+    @pytest.mark.parametrize("p", [0, 1, 50, 95, 99, 99.5, 100])
+    def test_matches_ceil_definition(self, n, p):
+        ordered = [10.0 * value for value in range(n)]
+        rank = max(1, math.ceil(p * n / 100))
+        assert nearest_rank(ordered, p) == ordered[rank - 1]
+        histogram = Histogram()
+        for value in reversed(ordered):
+            histogram.record(value)
+        assert histogram.percentile(p) == ordered[rank - 1]
+
+    def test_exact_rank_is_not_read_one_high(self):
+        # 0.99 · 100 is an integer: p99 of 1..100 is the 99th sample.
+        assert nearest_rank(list(range(1, 101)), 99) == 99
+
+    def test_empty_and_out_of_range(self):
+        assert nearest_rank([], 50) == 0.0
+        with pytest.raises(ValueError):
+            nearest_rank([1.0], -1)
 
 
 class TestRegistry:

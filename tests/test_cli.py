@@ -151,7 +151,6 @@ class TestCommands:
                 [
                     "resilience",
                     "--quick",
-                    "--check",
                     "--out",
                     str(out_path),
                 ]
@@ -171,13 +170,12 @@ class TestCommands:
         assert payload["admitted_attainment"] >= payload["burst_attainment"]
 
     def test_resilience_min_attainment_floor(self, capsys):
-        # An impossible floor must flip the exit code under --check.
+        # An impossible floor must flip the exit code.
         assert (
             main(
                 [
                     "resilience",
                     "--quick",
-                    "--check",
                     "--min-attainment",
                     "1.01",
                 ]
@@ -195,7 +193,7 @@ class TestCommands:
         assert "NO" not in out
 
     def test_cache_check_quick(self, capsys):
-        assert main(["cache", "--quick", "--check"]) == 0
+        assert main(["cache", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "cache smoke passed" in out
         assert "uniform hit rate 0.000" in out

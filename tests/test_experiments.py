@@ -15,6 +15,8 @@ from repro.experiments import (
 )
 
 EXPECTED_IDS = {
+    "cache",
+    "chaos",
     "connections",
     "fig02",
     "fig03",
@@ -25,6 +27,9 @@ EXPECTED_IDS = {
     "fig14",
     "fig15",
     "fig16",
+    "reduce",
+    "resilience",
+    "serve",
     "table1",
     "table4",
     "table5",
@@ -78,3 +83,22 @@ class TestBookkeepingExperiments:
         result = get_experiment("fig11").run()
         assert result.data["memory_ratio"] > 1.0
         assert result.data["compute_ratio"] > 1.0
+
+
+class TestSystemSweeps:
+    """Each system sweep at its quick size passes its own built-in checks."""
+
+    @pytest.mark.parametrize(
+        "experiment_id", ["chaos", "serve", "reduce", "cache", "resilience"]
+    )
+    def test_quick_run_has_no_failures(self, experiment_id):
+        result = get_experiment(experiment_id).run(quick=True)
+        assert result.experiment_id == experiment_id
+        assert result.failures == []
+        assert experiment_id in result.render()
+
+    def test_floor_is_reported_as_failure(self):
+        result = get_experiment("serve").run(quick=True, qps=[5e5], min_attainment=1.01)
+        assert result.failures == [
+            "worst SLO attainment 1.000 below floor 1.010"
+        ]
