@@ -1,9 +1,9 @@
-"""Hot-path regression bench: the vectorized PE kernels and tracing cost.
+"""Hot-path regression bench: the PE lookup kernels and tracing cost.
 
 The PE compute units' executable specification is a pure-Python
-``O(entries × partners)`` scan; the NumPy kernels in ``repro.core.pe``
-replace it with sparse intersection-counting array operations on every
-invocation above a size cutover.  This bench runs one 256-query, 64-rank
+``O(entries × partners)`` scan; the kernels in ``repro.core.pe`` replace it
+with one exact-match hash lookup per entry (and one batched value combine
+per scan) on every invocation above a size cutover.  This bench runs one 256-query, 64-rank
 batch on the default engine and with the scalar specification forced
 everywhere (both cutovers pinned out of reach), proves the outputs and all
 statistics are byte-identical, and asserts the tracked speedup floor — so

@@ -27,12 +27,14 @@ invocation by input size:
 
 * the scalar pure-Python ``O(entries × partners)`` scan and fold — the
   executable specification, and the faster choice for small invocations;
-* NumPy kernels (sparse intersection counting for the scan, membership
-  gathers over a dense index numbering for the fold) that evaluate every
-  entry-vs-partner subset test of one invocation in a few array operations
-  and combine all matched values in one batched ``operator.combine`` call.
-  They take over at ``_VECTOR_SCAN_CUTOVER`` entry-vs-partner pairs and
-  ``_VECTOR_FOLD_CUTOVER`` streamed messages.
+* exact-match lookup kernels that find each entry's partner with one hash
+  lookup of ``entry ∩ covered`` (``covered`` being the union of the
+  candidates' indices) and combine all of a scan's matched values in one
+  batched ``operator.combine`` call.  Any contained candidate lies inside
+  that key, so a candidate equal to it is the spec's widest, first-on-ties
+  match; when none equals it, a scalar scan decides (see
+  :func:`_partner_of`).  They take over at ``_VECTOR_SCAN_CUTOVER``
+  entry-vs-partner pairs and ``_VECTOR_FOLD_CUTOVER`` streamed messages.
 
 Both produce byte-identical outputs, headers, ready cycles, and
 :class:`PEWork` counters, so the cutovers are purely performance knobs
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,11 +56,55 @@ from repro.core.operators import ReductionOperator
 from repro.obs.events import PE_FORWARD, PE_MERGE, PE_REDUCE
 from repro.obs.tracer import NULL_TRACER, Tracer
 
-# Below this many entry-vs-partner pairs the NumPy set-up cost exceeds the
-# loop it replaces; both kernels are exact, so the cutover is purely a
-# performance knob.
+# Below this many entry-vs-partner pairs (streamed messages for the fold)
+# building the lookup tables costs more than the loop they replace; both
+# paths are exact, so the cutovers are purely performance knobs.
 _VECTOR_SCAN_CUTOVER = 64
 _VECTOR_FOLD_CUTOVER = 8
+
+
+def _widest_contained(entry: FrozenSet[int], candidates: Sequence[Message]) -> int:
+    """Position of the first widest candidate whose indices lie in ``entry``.
+
+    Returns -1 when no candidate is contained.  This is the scalar spec's
+    choice, by a scan of every candidate.
+    """
+    best, width = -1, 0
+    for position, candidate in enumerate(candidates):
+        size = len(candidate.indices)
+        if size > width and candidate.indices <= entry:
+            best, width = position, size
+    return best
+
+
+def _partner_of(
+    entry: FrozenSet[int],
+    covered: AbstractSet[int],
+    first_with: Dict[FrozenSet[int], int],
+    candidates: Sequence[Message],
+) -> int:
+    """:func:`_widest_contained` by one hash lookup, exact for any input.
+
+    ``covered`` is the union of the candidates' ``indices`` and
+    ``first_with`` maps each distinct ``indices`` set to its first position.
+    Every candidate is non-empty and lies inside ``covered``, so a candidate
+    contained in ``entry`` is contained in ``key = entry & covered``.  An
+    empty key therefore matches nothing.  A candidate equal to ``key`` is as
+    wide as any contained candidate can be, and every contained candidate of
+    that width equals ``key``, so the first one is exactly the spec's widest
+    match with the first winning ties.  Only when no candidate equals
+    ``key`` does the lookup fall back to the scan.  Engine-built inputs never
+    get there: the tree spans every rank, so the other input holds one
+    message covering exactly the entry's indices beneath it — which is
+    ``key``.
+    """
+    key = entry & covered
+    if not key:
+        return -1
+    position = first_with.get(key)
+    if position is None:
+        return _widest_contained(entry, candidates)
+    return position
 
 
 @dataclass
@@ -71,9 +117,9 @@ class PEWork:
     ``pe_forward`` / ``pe_merge`` :class:`~repro.obs.TraceEvent`, so
     ``repro.obs.per_level_counts(events)`` equals the per-level sums
     produced by :func:`repro.core.stats.tree_utilization` over
-    ``LookupStats.per_pe_work``.  The scalar and vector kernels increment
-    (and therefore emit) at the same semantic points, which is what makes
-    their event streams comparable with ``==``.
+    ``LookupStats.per_pe_work``.  The scalar spec and the lookup kernels
+    increment (and therefore emit) at the same semantic points, which is
+    what makes their event streams comparable with ``==``.
     """
 
     compares: int = 0
@@ -277,14 +323,12 @@ class ProcessingElement:
         work: PEWork,
         raw: List[_RawOutput],
     ) -> None:
-        """Intersection-counting kernel equivalent of :meth:`_scan_side_scalar`.
+        """Exact-match lookup equivalent of :meth:`_scan_side_scalar`.
 
-        One row per (message, entry) pair, in scalar scan order.  The subset
-        tests ``partner ⊆ entry`` are evaluated by accumulating, index by
-        index, how many of each partner's members every distinct entry
-        contains; a partner is contained exactly when its count reaches its
-        size.  All matched values are combined in one batched
-        ``operator.combine`` call; the surviving Python loop only
+        One row per (message, entry) pair, in scalar scan order.  Each
+        distinct entry finds its partner with one hash lookup
+        (:func:`_partner_of`); all matched values are combined in one batched
+        ``operator.combine`` call, and the surviving Python loop only
         materialises the raw-output records.
         """
         latencies = self.config.latencies
@@ -299,68 +343,23 @@ class ProcessingElement:
             return
 
         num_partners = len(partners)
-        best_of = np.full(rows, -1, dtype=np.int64)
-        # Identical entries choose identical partners, so the kernel only
-        # ever sees each distinct non-empty entry once.
-        slot_of: Dict[FrozenSet[int], int] = {}
-        row_slot = np.full(rows, -1, dtype=np.int64)
-        for row, entry in enumerate(entries):
-            if entry:
-                slot = slot_of.setdefault(entry, len(slot_of))
-                row_slot[row] = slot
-        if slot_of and num_partners:
-            partner_indices = [p.indices for p in partners]
-            partner_sizes = np.fromiter(
-                (len(s) for s in partner_indices), np.int16, num_partners
-            )
-            # Sparse intersection counting.  Almost every (entry, partner)
-            # pair shares no index at all, so instead of testing each pair
-            # directly the kernel accumulates, index by index, how many of
-            # partner j's members entry i contains; containment is then
-            # ``count == |partner|``.  Work is Σ_u |entries∋u|·|partners∋u|
-            # — proportional to the actual index overlap, not to
-            # rows × partners × width.
-            max_entry = max(len(entry) for entry in slot_of)
-            cols_by_u: Dict[int, List[int]] = {}
-            for j, index_set in enumerate(partner_indices):
-                # A partner wider than the widest entry can never be
-                # contained in one — keep it out of the accumulation (near
-                # the root this drops partners whose folded index sets hold
-                # thousands of members).
-                if len(index_set) <= max_entry:
-                    for u in index_set:
-                        cols_by_u.setdefault(u, []).append(j)
-            rows_by_u: Dict[int, List[int]] = {}
-            for slot, entry in enumerate(slot_of):
-                for u in entry:
-                    if u in cols_by_u:
-                        rows_by_u.setdefault(u, []).append(slot)
-            count_type = np.uint8 if max_entry < 255 else np.int32
-            count = np.zeros((len(slot_of), num_partners), dtype=count_type)
-            for u, slots in rows_by_u.items():
-                count[np.ix_(slots, cols_by_u[u])] += 1
-            # Ineligible partners keep count 0 but have size > max_entry, so
-            # clipping their compare target to max_entry + 1 (which a count
-            # can never reach) keeps them uncontained without a mask.
-            targets = np.minimum(partner_sizes, max_entry + 1).astype(
-                count_type
-            )
-            contained = count == targets[None, :]
-            # Maximal match, first-partner tie-break: every header names at
-            # least one index, so sizes are ≥ 1 and ``contained * sizes`` is
-            # positive exactly for contained partners; argmax then
-            # reproduces the scalar loop's "strictly greater wins, earlier
-            # partner kept on ties" and an all-zero row means no match.
-            score = contained * partner_sizes[None, :]
-            choice = score.argmax(axis=1)
-            matched = score[np.arange(len(slot_of)), choice] > 0
-            slot_best = np.where(matched, choice, -1)
-            live = row_slot >= 0
-            best_of[live] = slot_best[row_slot[live]]
+        first_with: Dict[FrozenSet[int], int] = {}
+        for position, partner in enumerate(partners):
+            first_with.setdefault(partner.indices, position)
+        covered = frozenset().union(*first_with)
+        # Identical entries choose identical partners, so each distinct entry
+        # is looked up once; an empty entry never matches and is forwarded.
+        choice_of: Dict[FrozenSet[int], int] = {}
+        for entry in entries:
+            if entry not in choice_of:
+                choice_of[entry] = _partner_of(
+                    entry, covered, first_with, partners
+                )
+        best_of = np.fromiter((choice_of[e] for e in entries), np.int64, rows)
 
         # The scalar loop charges one compare per partner for every
         # non-empty entry, match or not.
-        work.compares += num_partners * int((row_slot >= 0).sum())
+        work.compares += num_partners * sum(1 for entry in entries if entry)
 
         msg_index = np.asarray(msg_of, dtype=np.int64)
         reduce_rows = np.nonzero(best_of >= 0)[0]
@@ -673,103 +672,48 @@ class ProcessingElement:
     def _fold_stream_vector(
         self, stream: Sequence[Message], work: PEWork
     ) -> List[Message]:
-        """Membership-gather kernel equivalent of :meth:`_fold_stream_scalar`.
+        """Exact-match lookup equivalent of :meth:`_fold_stream_scalar`.
 
-        The buffer's ``indices`` sets are mirrored in an incrementally grown
-        position matrix (one padded row of universe positions per buffered
-        message), so each arriving entry tests containment against the
-        *whole* buffer in one gather-and-reduce instead of a Python scan —
-        cost proportional to the widest buffered set, not to the index
-        universe.  Insertion order, greedy-match choices, and all ``PEWork``
-        counters are identical to the scalar fold.
+        The buffer is mirrored by the running union of its ``indices`` sets
+        and the buffer rows grouped by ``indices`` set, so each arriving entry
+        finds its greedy match with one hash lookup (:func:`_partner_of`)
+        instead of a scan of the buffer.  Insertion order, greedy-match
+        choices, and all ``PEWork`` counters are identical to the scalar fold.
         """
         latencies = self.config.latencies
-        # Dense first-appearance numbering of every index the fold can see.
-        position_of: Dict[int, int] = {}
-        for index_set in [m.indices for m in stream] + [
-            entry for m in stream for entry in m.entries
-        ]:
-            for index in index_set:
-                if index not in position_of:
-                    position_of[index] = len(position_of)
-        sentinel = len(position_of)
         buffer: List[Message] = []
+        buffered: set = set()
+        first_row: Dict[FrozenSet[int], int] = {}
         rows_by_indices: Dict[FrozenSet[int], List[int]] = {}
-        capacity = max(4, 2 * len(stream))
-        width = max((len(m.indices) for m in stream), default=1)
-        buffer_pos = np.full((capacity, width), sentinel, dtype=np.int64)
-        buffer_sizes = np.zeros(capacity, dtype=np.int64)
-
-        def append_row(message: Message) -> None:
-            nonlocal capacity, width, buffer_pos, buffer_sizes
-            if len(buffer) > capacity:
-                raise AssertionError("buffer bookkeeping out of sync")
-            if len(buffer) == capacity:
-                capacity *= 2
-                buffer_pos = np.vstack(
-                    [buffer_pos, np.full_like(buffer_pos, sentinel)]
-                )
-                buffer_sizes = np.concatenate(
-                    [buffer_sizes, np.zeros_like(buffer_sizes)]
-                )
-            positions = [position_of[i] for i in message.indices]
-            if len(positions) > width:
-                grown = np.full(
-                    (capacity, len(positions)), sentinel, dtype=np.int64
-                )
-                grown[:, :width] = buffer_pos
-                buffer_pos = grown
-                width = len(positions)
-            row = len(buffer)
-            buffer_pos[row, : len(positions)] = positions
-            buffer_pos[row, len(positions):] = sentinel
-            buffer_sizes[row] = len(positions)
-            rows_by_indices.setdefault(message.indices, []).append(row)
-            buffer.append(message)
 
         def insert(message: Message) -> None:
             produced: List[Message] = []
-            count = len(buffer)
             live = [entry for entry in message.entries if entry]
-            if live:
-                work.compares += count * len(live)
-            if live and count:
-                membership = np.zeros(sentinel + 1, dtype=bool)
-                membership[sentinel] = True
-                for entry in live:
-                    positions = [position_of[i] for i in entry]
-                    membership[positions] = True
-                    contained = membership[buffer_pos[:count]].all(axis=1)
-                    membership[positions] = False
-                    # Sizes are ≥ 1 (headers name at least one index), so
-                    # ``contained * sizes`` is positive exactly for
-                    # contained buffer rows; argmax keeps the earliest
-                    # maximal match, like the scalar scan.
-                    score = contained * buffer_sizes[:count]
-                    choice = int(score.argmax())
-                    if score[choice] <= 0:
-                        continue
-                    best = buffer[choice]
-                    work.reduces += 1
-                    ready = (
-                        max(message.ready_cycle, best.ready_cycle)
-                        + latencies.reduce_path
+            work.compares += len(buffer) * len(live)
+            for entry in live:
+                choice = _partner_of(entry, buffered, first_row, buffer)
+                if choice < 0:
+                    continue
+                best = buffer[choice]
+                work.reduces += 1
+                ready = (
+                    max(message.ready_cycle, best.ready_cycle)
+                    + latencies.reduce_path
+                )
+                if self.tracer.enabled:
+                    self._emit_op(PE_REDUCE, ready, latencies.reduce_path)
+                produced.append(
+                    Message(
+                        header=message.header.reduced_with(best.indices, entry),
+                        value=self.operator.combine(message.value, best.value),
+                        ready_cycle=ready,
+                        hops=max(message.hops, best.hops),
                     )
-                    if self.tracer.enabled:
-                        self._emit_op(PE_REDUCE, ready, latencies.reduce_path)
-                    produced.append(
-                        Message(
-                            header=message.header.reduced_with(
-                                best.indices, entry
-                            ),
-                            value=self.operator.combine(
-                                message.value, best.value
-                            ),
-                            ready_cycle=ready,
-                            hops=max(message.hops, best.hops),
-                        )
-                    )
-            append_row(message)
+                )
+            first_row.setdefault(message.indices, len(buffer))
+            rows_by_indices.setdefault(message.indices, []).append(len(buffer))
+            buffered.update(message.indices)
+            buffer.append(message)
             for combined in produced:
                 already = any(
                     set(combined.entries) <= set(buffer[row].entries)

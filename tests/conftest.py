@@ -7,8 +7,8 @@ import pytest
 import repro.core.pe as pe_module
 
 #: The two PE code paths the differential tests compare, keyed by the value
-#: both vector-kernel cutovers are pinned to.  ``spec`` never leaves the
-#: scalar executable specification; ``kernels`` runs the NumPy kernels on
+#: both kernel cutovers are pinned to.  ``spec`` never leaves the
+#: scalar executable specification; ``kernels`` runs the lookup kernels on
 #: every invocation, however small.  Randomized small configs would
 #: otherwise stay below the cutovers and compare the scalar code with
 #: itself.

@@ -12,6 +12,7 @@ exactly.
 import numpy as np
 import pytest
 
+import repro.core.pe as pe_module
 from repro.core import (
     FafnirConfig,
     FafnirEngine,
@@ -19,10 +20,13 @@ from repro.core import (
     Message,
     ProcessingElement,
     SUM,
+    ShardedRunner,
     get_operator,
 )
 from repro.core.pe import PEWork
+from repro.faults import FaultPlan, FaultPolicy, STATUS_DEGRADED, STATUS_OK
 from repro.memory import MemoryConfig
+from repro.workloads import EmbeddingTableSet, QueryGenerator
 
 
 def random_messages(rng, count, universe, max_indices=3, max_entries=3,
@@ -212,3 +216,167 @@ class TestEngineEquivalence:
             rng.choice(48, size=6, replace=False).tolist() for _ in range(8)
         ]
         self.run_on_paths(on_pe_paths, queries, operator=get_operator(name))
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    """Record every call of the lookup kernels' scalar fallback."""
+    calls = []
+    scan = pe_module._widest_contained
+
+    def recording(entry, candidates):
+        calls.append(entry)
+        return scan(entry, candidates)
+
+    monkeypatch.setattr(pe_module, "_widest_contained", recording)
+    return calls
+
+
+def output_with(outputs, indices):
+    (match,) = [m for m in outputs if m[0] == frozenset(indices)]
+    return match
+
+
+class TestLookupFallback:
+    """Inputs where no candidate equals ``entry ∩ covered``: the kernels fall
+    back to the widest-contained scan and must still pick the spec's partner."""
+
+    def test_scan_without_exact_partner_picks_first_widest(
+        self, on_pe_paths, fallback_calls
+    ):
+        value = np.arange(4.0)
+        a = [Message(Header.make({9}, [{1, 2, 3}]), value)]
+        b = [
+            Message(Header.make({1}, [{5}]), value * 10),
+            Message(Header.make({2}, [{6}]), value * 100),
+        ]
+        outputs, _ = process_on_paths(on_pe_paths, a, b)
+        assert fallback_calls == [frozenset({1, 2, 3})]
+        reduced = output_with(outputs, {1, 9})
+        assert reduced[1] == (frozenset({2, 3}),)
+        assert reduced[2] == (value * 11).tobytes()
+
+    @pytest.mark.parametrize("entry", [{1}, {1, 2, 3}])
+    def test_scan_duplicate_partners_pick_the_first(
+        self, entry, on_pe_paths, fallback_calls
+    ):
+        value = np.arange(4.0)
+        a = [Message(Header.make({9}, [entry]), value)]
+        b = [
+            Message(Header.make({1}, [{5}]), value * 10),
+            Message(Header.make({1}, [{6}]), value * 100),
+            Message(Header.make({2}, [{7}]), value * 1000),
+        ]
+        outputs, _ = process_on_paths(on_pe_paths, a, b)
+        assert bool(fallback_calls) == (len(entry) > 1)
+        assert output_with(outputs, {1, 9})[2] == (value * 11).tobytes()
+
+    def test_fold_without_exact_buffered_row(self, on_pe_paths, fallback_calls):
+        value = np.arange(4.0)
+        stream = [
+            Message(Header.make({1}, [{5}]), value * 10),
+            Message(Header.make({2}, [{6}]), value * 100),
+            Message(Header.make({9}, [{1, 2, 3}]), value),
+        ]
+        outputs, work = fold_on_paths(on_pe_paths, stream)
+        assert fallback_calls == [frozenset({1, 2, 3})]
+        folded = output_with(outputs, {1, 9})
+        assert folded[1] == (frozenset({2, 3}),)
+        assert folded[2] == (value * 11).tobytes()
+        assert work.reduces == 2  # then {1, 9} ⊕ {2} by an exact lookup
+
+
+def _invariant_source(index):
+    """Module-level (picklable) vector store for the sharded run."""
+    return np.random.default_rng(60_000 + index).normal(size=16)
+
+
+class TestLookupInvariant:
+    """On engine-built inputs every kernel lookup is an exact hit.
+
+    The tree spans every rank, so the other input of a PE always holds one
+    message covering exactly an entry's indices beneath it.  These runs force
+    the lookup kernels on every invocation and make the scalar fallback
+    raise: output would be byte-identical either way, so only this test
+    notices a change that sends entries down the O(candidates) fallback.
+    """
+
+    RANKS = 8
+
+    @pytest.fixture(autouse=True)
+    def lookups_only(self, monkeypatch):
+        def unreachable(entry, candidates):
+            raise AssertionError(f"lookup fell back for entry {sorted(entry)}")
+
+        monkeypatch.setattr(pe_module, "_VECTOR_SCAN_CUTOVER", 0)
+        monkeypatch.setattr(pe_module, "_VECTOR_FOLD_CUTOVER", 0)
+        monkeypatch.setattr(pe_module, "_widest_contained", unreachable)
+
+    def config(self, queries):
+        return FafnirConfig(
+            batch_size=len(queries),
+            max_query_len=max(len(q) for q in queries),
+            vector_bytes=16 * 4,
+            total_ranks=self.RANKS,
+            ranks_per_leaf_pe=2,
+            num_tables=self.RANKS,
+        )
+
+    def run(self, queries, deduplicate=True, **engine_kwargs):
+        engine = FafnirEngine(
+            config=self.config(queries),
+            memory_config=MemoryConfig().scaled_to_ranks(self.RANKS),
+            **engine_kwargs,
+        )
+        result = engine.run_batch(queries, _invariant_source, deduplicate)
+        for query, vector, status in zip(
+            queries, result.vectors, result.query_statuses
+        ):
+            if status == STATUS_OK:
+                expected = sum(_invariant_source(i) for i in set(query))
+                assert np.allclose(vector, expected)
+        return result
+
+    def uniform_batch(self, seed, size=24, width=12):
+        rng = np.random.default_rng(seed)
+        return [
+            rng.choice(96, size=int(rng.integers(1, width + 1)),
+                       replace=False).tolist()
+            for _ in range(size)
+        ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("deduplicate", [True, False])
+    def test_uniform_batches(self, seed, deduplicate):
+        self.run(self.uniform_batch(seed), deduplicate=deduplicate)
+
+    def test_paper_calibrated_zipf_batches(self):
+        tables = EmbeddingTableSet(num_tables=self.RANKS, rows_per_table=4096)
+        generator = QueryGenerator.paper_calibrated(tables, seed=5, query_len=6)
+        for _ in range(3):
+            self.run(generator.batch(32))
+
+    def test_permuted_rank_order(self):
+        order = np.random.default_rng(7).permutation(self.RANKS).tolist()
+        self.run(self.uniform_batch(11), rank_order=order)
+
+    def test_degraded_run_drops_indices(self):
+        result = self.run(
+            self.uniform_batch(12),
+            faults=FaultPlan(seed=0, rank_timeout_probability={0: 1.0}),
+            fault_policy=FaultPolicy.graceful(max_read_retries=0),
+        )
+        assert result.dropped_indices
+        assert STATUS_DEGRADED in result.query_statuses
+
+    def test_sharded_run_reduced(self):
+        batches = [self.uniform_batch(seed, size=8) for seed in (20, 21, 22)]
+        runner = ShardedRunner(
+            config=self.config(batches[0]),
+            memory_config=MemoryConfig().scaled_to_ranks(self.RANKS),
+            max_workers=1,
+            reduction="gather",
+            num_shards=4,
+        )
+        reduced = runner.run_reduced(batches, _invariant_source)
+        assert len(reduced.active_pieces) == 4
