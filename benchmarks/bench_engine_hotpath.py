@@ -10,8 +10,8 @@ statistics are byte-identical, and asserts the tracked speedup floor — so
 the speedup is tracked like any other reproduced figure and a regression
 (someone re-introducing a Python inner loop) fails CI.
 
-The scalar pass is long (~1 min); the faster paths are timed repeatedly
-and the best run is used, with competing configurations *interleaved* so
+The scalar pass runs once; the faster paths are timed repeatedly and the
+best run is used, with competing configurations *interleaved* so
 drifting host load biases every contestant equally rather than penalising
 whichever ran last.  Headline numbers append to the repo-root
 ``BENCH_hotpath.json`` / ``BENCH_tracing.json`` trajectories.

@@ -63,14 +63,19 @@ _VECTOR_SCAN_CUTOVER = 64
 _VECTOR_FOLD_CUTOVER = 8
 
 
-def _widest_contained(entry: FrozenSet[int], candidates: Sequence[Message]) -> int:
+def _widest_contained(
+    entry: FrozenSet[int], candidates: Sequence[Optional[Message]]
+) -> int:
     """Position of the first widest candidate whose indices lie in ``entry``.
 
     Returns -1 when no candidate is contained.  This is the scalar spec's
-    choice, by a scan of every candidate.
+    choice, by a scan of every candidate; ``None`` marks a removed row and
+    is skipped.
     """
     best, width = -1, 0
     for position, candidate in enumerate(candidates):
+        if candidate is None:
+            continue
         size = len(candidate.indices)
         if size > width and candidate.indices <= entry:
             best, width = position, size
@@ -81,7 +86,7 @@ def _partner_of(
     entry: FrozenSet[int],
     covered: AbstractSet[int],
     first_with: Dict[FrozenSet[int], int],
-    candidates: Sequence[Message],
+    candidates: Sequence[Optional[Message]],
 ) -> int:
     """:func:`_widest_contained` by one hash lookup, exact for any input.
 
@@ -93,10 +98,13 @@ def _partner_of(
     wide as any contained candidate can be, and every contained candidate of
     that width equals ``key``, so the first one is exactly the spec's widest
     match with the first winning ties.  Only when no candidate equals
-    ``key`` does the lookup fall back to the scan.  Engine-built inputs never
-    get there: the tree spans every rank, so the other input holds one
-    message covering exactly the entry's indices beneath it — which is
-    ``key``.
+    ``key`` does the lookup fall back to the scan.  ``covered`` may be any
+    superset of that union (the leaf fold keeps every index it has
+    buffered, consumed rows included); the argument only needs every
+    candidate inside it.  Engine-built inputs never reach the scan:
+    the tree spans every rank, so the other input holds the one live
+    message for the entry's query beneath that subtree, and it covers
+    exactly the entry's indices there — which is ``key``.
     """
     key = entry & covered
     if not key:
@@ -105,6 +113,24 @@ def _partner_of(
     if position is None:
         return _widest_contained(entry, candidates)
     return position
+
+
+def _without(
+    message: Message, removed: AbstractSet[FrozenSet[int]]
+) -> Optional[Message]:
+    """``message`` minus its ``removed`` entries; ``None`` if none remain."""
+    if not removed:
+        return message
+    remaining = tuple(entry for entry in message.entries if entry not in removed)
+    if not remaining:
+        return None
+    # A subsequence of a canonical entry tuple is still canonical.
+    return Message(
+        header=Header(indices=message.indices, entries=remaining),
+        value=message.value,
+        ready_cycle=message.ready_cycle,
+        hops=message.hops,
+    )
 
 
 @dataclass
@@ -127,6 +153,7 @@ class PEWork:
     forwards: int = 0
     merges: int = 0
     duplicates_removed: int = 0
+    entries_consumed: int = 0
     outputs: int = 0
     peak_input_occupancy: int = 0
 
@@ -137,6 +164,7 @@ class PEWork:
             forwards=self.forwards + other.forwards,
             merges=self.merges + other.merges,
             duplicates_removed=self.duplicates_removed + other.duplicates_removed,
+            entries_consumed=self.entries_consumed + other.entries_consumed,
             outputs=self.outputs + other.outputs,
             peak_input_occupancy=max(
                 self.peak_input_occupancy, other.peak_input_occupancy
@@ -592,20 +620,25 @@ class ProcessingElement:
         the leaf PE's FIFO one after another, and the compute units compare
         each arriving item against the entries already buffered (Fig. 5 shows
         the units iterating over the buffer).  This method models that
-        streaming self-combination: it computes the closure of pairwise
-        reductions within one FIFO, charging the reduce path per combination
+        streaming self-combination, charging the reduce path per combination
         but no forward cost for items that merely sit in the buffer.
 
         Messages that do not interact pass through untouched, so for
         paper-style workloads this is an identity with zero added latency.
 
-        Combination is greedy: each arriving item reduces, per query entry,
-        with the *maximal* already-buffered match — the running accumulator
-        for that query within this FIFO.  This keeps the buffered message
-        count linear in the stream length (the full pairwise closure would
-        be exponential for heavily co-located queries) while preserving the
-        completion invariant: after the fold, the buffer holds one message
-        covering exactly each query's indices homed on this FIFO.
+        Combination is greedy: each arriving entry reduces with the *maximal*
+        already-buffered match — the running accumulator for its query
+        within this FIFO.  A reduction consumes the query it serves, as the
+        paper's header moves matched indices out of ``queries`` (§IV-B):
+        arriving entry ``e`` on message ``m`` reduces with ``best`` for query
+        ``q = m.indices ∪ e``, so ``e`` leaves ``m`` and ``q − best.indices``
+        leaves the buffered row with ``best.indices`` that carries it.  Only
+        the combined message carries ``q`` on; a message left with no entries
+        is dropped.  An entry that reaches the fold a second time on the same
+        ``indices`` (a reduction found twice, or a repeated read of one query
+        without deduplication) is a duplicate and is dropped too.  After the
+        fold the buffer therefore holds exactly one live entry per query
+        touching this FIFO: ``q − S`` on the message for ``S = q ∩ FIFO``.
         """
         if len(stream) >= _VECTOR_FOLD_CUTOVER:
             return self._fold_stream_vector(stream, work)
@@ -616,10 +649,33 @@ class ProcessingElement:
     ) -> List[Message]:
         latencies = self.config.latencies
         buffer: List[Message] = []
+        seen: set = set()
+
+        def consume(indices: FrozenSet[int], entry: FrozenSet[int]) -> None:
+            """Drop ``entry`` from the first buffered row with ``indices``
+            that carries it, and the row itself once it carries nothing."""
+            for position, row in enumerate(buffer):
+                if row.indices == indices and entry in row.entries:
+                    work.entries_consumed += 1
+                    kept = _without(row, {entry})
+                    if kept is None:
+                        del buffer[position]
+                    else:
+                        buffer[position] = kept
+                    return
 
         def insert(message: Message) -> None:
             produced: List[Message] = []
+            removed = set()
             for entry in message.entries:
+                if (message.indices, entry) in seen:
+                    # This query's copy of these indices already entered the
+                    # fold: a reduction found twice, or a repeated read
+                    # without deduplication.
+                    work.duplicates_removed += 1
+                    removed.add(entry)
+                    continue
+                seen.add((message.indices, entry))
                 if not entry:
                     continue
                 best = None
@@ -648,17 +704,14 @@ class ProcessingElement:
                             hops=max(message.hops, best.hops),
                         )
                     )
-            buffer.append(message)
+                    removed.add(entry)
+                    work.entries_consumed += 1
+                    consume(best.indices, (message.indices | entry) - best.indices)
+            kept = _without(message, removed)
+            if kept is not None:
+                buffer.append(kept)
             for combined in produced:
-                already = any(
-                    other.indices == combined.indices
-                    and set(combined.entries) <= set(other.entries)
-                    for other in buffer
-                )
-                if already:
-                    work.duplicates_removed += 1
-                else:
-                    insert(combined)
+                insert(combined)
 
         # FIFO arrival order — the deterministic append order built by
         # ``FafnirEngine._leaf_inputs`` — not ready-cycle order: which pairs
@@ -674,23 +727,55 @@ class ProcessingElement:
     ) -> List[Message]:
         """Exact-match lookup equivalent of :meth:`_fold_stream_scalar`.
 
-        The buffer is mirrored by the running union of its ``indices`` sets
-        and the buffer rows grouped by ``indices`` set, so each arriving entry
-        finds its greedy match with one hash lookup (:func:`_partner_of`)
-        instead of a scan of the buffer.  Insertion order, greedy-match
-        choices, and all ``PEWork`` counters are identical to the scalar fold.
+        Buffer rows keep their positions: a consumed row becomes ``None``.
+        The live rows are mirrored by ``rows_by_indices`` (their positions,
+        grouped by ``indices`` set) and ``first_row``, and ``buffered`` is the
+        union of every ``indices`` set ever buffered — a superset of the live
+        rows' union, which is all :func:`_partner_of` needs — so each
+        arriving entry finds its greedy match with one hash lookup instead of
+        a scan of the buffer.  Insertion order, greedy-match choices,
+        consumed entries and all ``PEWork`` counters are identical to the
+        scalar fold.
         """
         latencies = self.config.latencies
-        buffer: List[Message] = []
+        buffer: List[Optional[Message]] = []
+        live = 0
         buffered: set = set()
+        seen: set = set()
         first_row: Dict[FrozenSet[int], int] = {}
         rows_by_indices: Dict[FrozenSet[int], List[int]] = {}
 
+        def consume(indices: FrozenSet[int], entry: FrozenSet[int]) -> None:
+            nonlocal live
+            rows = rows_by_indices[indices]
+            for row in rows:
+                message = buffer[row]
+                if entry in message.entries:
+                    work.entries_consumed += 1
+                    kept = _without(message, {entry})
+                    buffer[row] = kept
+                    if kept is None:
+                        live -= 1
+                        rows.remove(row)
+                        if rows:
+                            first_row[indices] = rows[0]
+                        else:
+                            del rows_by_indices[indices], first_row[indices]
+                    return
+
         def insert(message: Message) -> None:
+            nonlocal live
             produced: List[Message] = []
-            live = [entry for entry in message.entries if entry]
-            work.compares += len(buffer) * len(live)
-            for entry in live:
+            removed = set()
+            for entry in message.entries:
+                if (message.indices, entry) in seen:
+                    work.duplicates_removed += 1
+                    removed.add(entry)
+                    continue
+                seen.add((message.indices, entry))
+                if not entry:
+                    continue
+                work.compares += live
                 choice = _partner_of(entry, buffered, first_row, buffer)
                 if choice < 0:
                     continue
@@ -710,24 +795,25 @@ class ProcessingElement:
                         hops=max(message.hops, best.hops),
                     )
                 )
-            first_row.setdefault(message.indices, len(buffer))
-            rows_by_indices.setdefault(message.indices, []).append(len(buffer))
-            buffered.update(message.indices)
-            buffer.append(message)
+                removed.add(entry)
+                work.entries_consumed += 1
+                consume(best.indices, (message.indices | entry) - best.indices)
+            kept = _without(message, removed)
+            if kept is not None:
+                first_row.setdefault(kept.indices, len(buffer))
+                rows_by_indices.setdefault(kept.indices, []).append(len(buffer))
+                buffered.update(kept.indices)
+                buffer.append(kept)
+                live += 1
             for combined in produced:
-                already = any(
-                    set(combined.entries) <= set(buffer[row].entries)
-                    for row in rows_by_indices.get(combined.indices, ())
-                )
-                if already:
-                    work.duplicates_removed += 1
-                else:
-                    insert(combined)
+                insert(combined)
 
         # FIFO arrival order, matching the scalar fold exactly.
         for message in stream:
             insert(message)
-        return self._coalesce(buffer, work)
+        return self._coalesce(
+            [message for message in buffer if message is not None], work
+        )
 
     def _coalesce(self, messages: List[Message], work: PEWork) -> List[Message]:
         """Merge same-``indices`` messages without charging PE latency."""
@@ -759,4 +845,4 @@ class ProcessingElement:
 
     def theoretical_output_bound(self, n: int, m: int) -> int:
         """Paper §IV-B: at most min(nm + n + m, B) distinct outputs."""
-        return min(n * m + n + m, self.config.batch_size * self.config.max_query_len)
+        return min(n * m + n + m, self.config.batch_size)

@@ -47,6 +47,9 @@ class PhasedFafnirEngine(FafnirEngine):
                 self.operator,
                 name=f"PE{pe_id}",
                 check_values=self._check_values,
+                tracer=self.tracer,
+                pe_id=pe_id,
+                level=node.level,
             )
             if node.is_leaf:
                 fold_work = PEWork()

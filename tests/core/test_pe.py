@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import FafnirConfig, Header, Message, ProcessingElement, SUM
+from repro.core import (
+    FafnirConfig,
+    FafnirEngine,
+    Header,
+    Message,
+    ProcessingElement,
+    SUM,
+)
 from repro.core.pe import PEWork
 
 
@@ -198,7 +205,39 @@ class TestFoldStream:
 
 
 class TestOutputBound:
-    def test_theoretical_bound(self, pe, config):
-        assert pe.theoretical_output_bound(2, 3) == 2 * 3 + 2 + 3
-        big = pe.theoretical_output_bound(100, 100)
-        assert big == config.batch_size * config.max_query_len
+    def test_every_pe_within_the_paper_bound(self, monkeypatch):
+        """§IV-B: a PE emits at most min(nm + n + m, B) messages.
+
+        The batch has ``offline-uniform``'s shape — 128 queries of 64
+        lookups on 64 ranks — so a query has several indices on most leaf
+        FIFOs, and an entry the leaf fold consumed but left buffered would
+        climb the tree and push PEs past B.
+        """
+        config = FafnirConfig(
+            batch_size=128, max_query_len=64, total_ranks=64, num_tables=64
+        )
+        rng = np.random.default_rng(1)
+        queries = [
+            rng.choice(8192, size=64, replace=False).tolist() for _ in range(128)
+        ]
+        checked = []
+        process = ProcessingElement.process
+
+        def bounded(self, input_a, input_b):
+            result = process(self, input_a, input_b)
+            bound = self.theoretical_output_bound(len(input_a), len(input_b))
+            checked.append((self.pe_id, len(result.outputs), bound))
+            return result
+
+        monkeypatch.setattr(ProcessingElement, "process", bounded)
+        engine = FafnirEngine(config=config)
+        engine.run_batch(queries, lambda index: np.full(128, float(index)))
+        assert len(checked) == 63
+        over = [(pe_id, n, bound) for pe_id, n, bound in checked if n > bound]
+        assert over == []
+        # Bottom-up order ends at the root: one finished answer per query.
+        assert checked[-1][1] == len(queries)
+
+    def test_bound_caps_at_batch_size(self, pe, config):
+        assert pe.theoretical_output_bound(1, 2) == 1 * 2 + 1 + 2
+        assert pe.theoretical_output_bound(2, 3) == config.batch_size

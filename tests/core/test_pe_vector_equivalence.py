@@ -218,6 +218,136 @@ class TestEngineEquivalence:
         self.run_on_paths(on_pe_paths, queries, operator=get_operator(name))
 
 
+def _oracle_source(index):
+    return np.random.default_rng(70_000 + index).normal(size=16)
+
+
+class TestFoldConsumption:
+    """A leaf-fold reduction consumes the query it serves (paper §IV-B)."""
+
+    def test_co_located_pair_leaves_no_stale_rows(self, on_pe_paths):
+        value = np.ones(4)
+        stream = [
+            Message(Header.make({1}, [{2, 3}, {8}]), value),  # {1,2,3}, {1,8}
+            Message(Header.make({2}, [{1, 3}]), value * 2),
+        ]
+        outputs, work = fold_on_paths(on_pe_paths, stream)
+        carried = {(m[0], m[1]) for m in outputs}
+        assert carried == {
+            (frozenset({1}), (frozenset({8}),)),
+            (frozenset({1, 2}), (frozenset({3}),)),
+        }
+        assert work.reduces == 1
+        assert work.entries_consumed == 2
+
+    def test_row_serving_another_query_survives(self, on_pe_paths):
+        value = np.ones(4)
+        stream = [
+            Message(Header.make({1}, [{2}, {7}]), value),  # {1,2} and {1,7}
+            Message(Header.make({2}, [{1}]), value * 2),
+        ]
+        outputs, work = fold_on_paths(on_pe_paths, stream)
+        assert output_with(outputs, {1})[1] == (frozenset({7}),)
+        assert output_with(outputs, {1, 2})[1] == (frozenset(),)
+        assert len(outputs) == 2
+        assert work.entries_consumed == 2
+
+    def test_repeated_copies_of_one_query_fold_once(self, on_pe_paths):
+        """Without deduplication two identical queries {3, 11} stream two
+        copies of each read; the second copy of an entry is a duplicate."""
+        value = np.ones(4)
+        copy_3 = Message(Header.make({3}, [{11}]), value)
+        copy_11 = Message(Header.make({11}, [{3}]), value * 2)
+        stream = [copy_3, copy_3, copy_11, copy_11]
+        outputs, work = fold_on_paths(on_pe_paths, stream)
+        assert [(m[0], m[1]) for m in outputs] == [
+            (frozenset({3, 11}), (frozenset(),))
+        ]
+        assert work.reduces == 1
+        assert work.entries_consumed == 2
+        assert work.duplicates_removed == 2
+
+    def run_batch(self, on_pe_paths, queries, deduplicate, ranks=8):
+        config = FafnirConfig(
+            batch_size=len(queries),
+            max_query_len=max(len(q) for q in queries),
+            vector_bytes=16 * 4,
+            total_ranks=ranks,
+            num_tables=ranks,
+        )
+
+        def run():
+            engine = FafnirEngine(
+                config=config, memory_config=MemoryConfig().scaled_to_ranks(ranks)
+            )
+            result = engine.run_batch(queries, _oracle_source, deduplicate)
+            return [v.tobytes() for v in result.vectors], result.ready_pe_cycles
+
+        vectors, ready = on_pe_paths(run)
+        for query, vector in zip(queries, vectors):
+            expected = sum(_oracle_source(i) for i in set(query))
+            assert np.allclose(np.frombuffer(vector), expected)
+        return ready
+
+    def test_undeduplicated_co_located_batch_matches_oracle(self, on_pe_paths):
+        # index % 8 is the home rank, so each query stacks several indices on
+        # one rank; the repeated query makes duplicate read occurrences.
+        queries = [[3, 11, 19, 5], [3, 11, 19, 5], [11, 19, 27], [1, 9, 17, 25, 33]]
+        self.run_batch(on_pe_paths, queries, deduplicate=False)
+
+    # Per-query ready cycles of this batch before the fold consumed entries.
+    STALE_READY = {
+        True: [207, 156, 212, 202, 221, 196, 207, 207, 203, 273, 234, 231,
+               203, 223, 188, 194, 248, 178, 217, 267, 243, 234, 197, 194,
+               207, 156, 212, 202, 221, 196, 207, 207],
+        False: [201, 177, 195, 187, 202, 209, 193, 219, 222, 281, 246, 234,
+                228, 241, 214, 248, 288, 223, 258, 321, 274, 299, 275, 253,
+                201, 177, 195, 187, 202, 209, 193, 219],
+    }
+
+    @pytest.mark.parametrize("deduplicate", [True, False])
+    def test_no_query_ready_later_than_with_stale_entries(
+        self, deduplicate, on_pe_paths
+    ):
+        """Consuming entries removes only stale rows, which could only delay
+        a merged message or hold an issue slot, and a repeated query's
+        duplicate reads no longer join its answer: no query gets later."""
+        rng = np.random.default_rng(0)
+        queries = [
+            rng.choice(256, size=16, replace=False).tolist() for _ in range(24)
+        ]
+        queries += queries[:8]
+        ready = self.run_batch(on_pe_paths, queries, deduplicate)
+        stale = self.STALE_READY[deduplicate]
+        assert all(now <= before for now, before in zip(ready, stale))
+        assert sum(ready) < sum(stale)
+
+
+class TestPELawChecks:
+    """Seeded breaks: ``on_pe_paths`` rejects a stale entry on an engine PE."""
+
+    def engine_pe(self):
+        config = FafnirConfig(batch_size=64, total_ranks=8, ranks_per_leaf_pe=2)
+        return ProcessingElement(config, SUM, pe_id=0, level=0)
+
+    # {1, 2} already folded query {1, 2, 3}, yet {1} still carries it.
+    STALE = [
+        Message(Header.make({1}, [{2, 3}]), np.ones(4)),
+        Message(Header.make({1, 2}, [{3}]), np.ones(4) * 3),
+    ]
+
+    def test_fold_check_catches_a_stale_stream(self, on_pe_paths):
+        pe = self.engine_pe()
+        with pytest.raises(AssertionError, match=r"fold carries \[1\] -> \[2, 3\]"):
+            on_pe_paths(lambda: pe.fold_stream(self.STALE, PEWork()))
+
+    def test_process_check_catches_a_stale_input(self, on_pe_paths):
+        pe = self.engine_pe()
+        partner = [Message(Header.make({3}, [{1, 2}]), np.ones(4) * 4)]
+        with pytest.raises(AssertionError, match="rides on both"):
+            on_pe_paths(lambda: pe.process(self.STALE, partner))
+
+
 @pytest.fixture
 def fallback_calls(monkeypatch):
     """Record every call of the lookup kernels' scalar fallback."""
@@ -280,10 +410,16 @@ class TestLookupFallback:
         ]
         outputs, work = fold_on_paths(on_pe_paths, stream)
         assert fallback_calls == [frozenset({1, 2, 3})]
-        folded = output_with(outputs, {1, 9})
-        assert folded[1] == (frozenset({2, 3}),)
-        assert folded[2] == (value * 11).tobytes()
-        assert work.reduces == 2  # then {1, 9} ⊕ {2} by an exact lookup
+        # {9} ⊕ {1} by the fallback, then {1, 9} ⊕ {2} by an exact lookup;
+        # each reduction consumes the entry it served, so {9} and {1, 9}
+        # are gone and only {1, 2, 9} carries the query on.
+        assert work.reduces == 2
+        folded = output_with(outputs, {1, 2, 9})
+        assert folded[1] == (frozenset({3}),)
+        assert folded[2] == (value * 111).tobytes()
+        assert output_with(outputs, {1})[1] == (frozenset({5}),)
+        assert output_with(outputs, {2})[1] == (frozenset({6}),)
+        assert sorted(sorted(m[0]) for m in outputs) == [[1], [1, 2, 9], [2]]
 
 
 def _invariant_source(index):

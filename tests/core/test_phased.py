@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import FafnirConfig, FafnirEngine, PhasedFafnirEngine
+from repro.core.stats import trace_mismatches
+from repro.obs import InMemorySink, Tracer
 from repro.workloads import EmbeddingTableSet, QueryGenerator
 
 
@@ -62,3 +64,12 @@ class TestPhasedEngine:
             phased.stats.latency_pe_cycles
             > phased.stats.memory_latency_pe_cycles
         )
+
+    def test_traced_run_matches_stats(self, workload):
+        """The phased tree emits the same ``pe_*`` events as the dataflow
+        one, so a traced phased run agrees with its stats."""
+        tables, batch = workload
+        sink = InMemorySink()
+        engine = PhasedFafnirEngine(FafnirConfig(batch_size=16), tracer=Tracer([sink]))
+        result = engine.run_batch(batch, tables.vector)
+        assert trace_mismatches(engine, result, sink.events) == []
