@@ -1,8 +1,8 @@
 """Ablation — timing-model bracket: dataflow vs phased vs interactive.
 
-The hardware's true latency lies between the optimistic dataflow engine
+The hardware's true latency lies between the optimistic dataflow timing
 (messages race ahead the moment their operands arrive, §IV-A's conflict-free
-routes) and the conservative phased engine (each PE waits for its whole
+routes) and the conservative phased timing (each PE waits for its whole
 input batch).  Interactive mode (compare-free PEs, §IV-C) gives the
 single-query floor.  All three produce identical functional results.
 """
@@ -12,12 +12,7 @@ import pytest
 
 from _common import calibrated_batch, reference_tables, run_once, write_report
 from repro.analysis import Table
-from repro.core import (
-    FafnirConfig,
-    FafnirEngine,
-    InteractiveEngine,
-    PhasedFafnirEngine,
-)
+from repro.core import FafnirConfig, FafnirEngine, InteractiveEngine
 
 
 def test_ablation_timing_models(benchmark):
@@ -27,7 +22,9 @@ def test_ablation_timing_models(benchmark):
     def run():
         config = FafnirConfig(batch_size=16)
         dataflow = FafnirEngine(config).run_batch(batch, tables.vector)
-        phased = PhasedFafnirEngine(config).run_batch(batch, tables.vector)
+        phased = FafnirEngine(config, timing="phased").run_batch(
+            batch, tables.vector
+        )
         interactive = InteractiveEngine(config)
         single_cycles = [
             interactive.lookup_one(query, tables.vector).latency_pe_cycles

@@ -12,7 +12,6 @@ from repro.core.engine import (
 )
 from repro.core.header import Header, Message
 from repro.core.microsim import MicrosimReport, PEMicrosim
-from repro.core.phased import PhasedFafnirEngine
 from repro.core.interactive import InteractiveEngine, InteractiveResult
 from repro.core.stats import (
     LevelUtilization,
@@ -65,7 +64,6 @@ __all__ = [
     "MicrosimReport",
     "PEMicrosim",
     "PELatencies",
-    "PhasedFafnirEngine",
     "PEResult",
     "PEWork",
     "ProcessingElement",

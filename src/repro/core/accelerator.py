@@ -129,6 +129,7 @@ def _concatenate(first: LookupResult, second: LookupResult) -> LookupResult:
         vectors=first.vectors + second.vectors,
         stats=merged_stats,
         plan=merged_plan,
+        statuses=first.statuses + second.statuses,
     )
 
 

@@ -1,25 +1,33 @@
 """Cycle-approximate execution of embedding-lookup batches on FAFNIR.
 
-The engine glues the three layers together:
+There is one batch path (paper §IV-A, §IV-C):
 
 1. **Host** — batch preprocessing (:mod:`repro.core.batch`) produces the
    unique-index read list and initial headers.
 2. **Memory** — reads are issued to the DDR4 model
    (:mod:`repro.memory`); each vector's message becomes ready at its DRAM
    completion time, converted into the PE clock domain.
-3. **Tree** — messages flow leaves→root through
+3. **Leaf boundary** — each unique vector is fetched from the source once,
+   through the source- and corruption-fault gauntlet.
+4. **Tree** — messages flow leaves→root through
    :class:`~repro.core.pe.ProcessingElement` instances; per-message ready
    cycles model the paper's conflict-free pipelining of distinct queries
-   through distinct tree routes.
+   through distinct tree routes (``timing="dataflow"``), or the
+   store-and-forward upper bound (``timing="phased"``).
 
-The result is one reduced vector per query plus a :class:`LookupStats`
-record with everything the evaluation figures need (latency split, DRAM
-behaviour, per-level PE work, data movement).
+Faults are data on that path, not a second engine.  Lost reads and
+exhausted fetches form the batch's *drop set*; a fault-free run is the
+empty drop set.  A non-empty one re-plans the surviving queries before the
+tree runs, so the completion guarantee holds for what remains.
+
+The result is one reduced vector per query, a status per query, and a
+:class:`LookupStats` record with everything the evaluation figures need
+(latency split, DRAM behaviour, per-level PE work, data movement).
 """
 
 from __future__ import annotations
 
-from collections import Counter as _Counter
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -28,7 +36,7 @@ import numpy as np
 from repro.clocks import convert_cycles
 from repro.core.batch import BatchPlan, plan_batch
 from repro.core.config import FafnirConfig
-from repro.core.header import Header, Message
+from repro.core.header import Header, Message, sorted_tuple
 from repro.core.operators import ReductionOperator, SUM, get_operator
 from repro.core.pe import PEWork, ProcessingElement
 from repro.core.tree import FafnirTree, TreePE
@@ -68,6 +76,14 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.tiering.cache import HotTierConfig
 
 VectorSource = Callable[[int], np.ndarray]
+
+
+def _query_status(query: FrozenSet[int], dropped: Set[int]) -> str:
+    """A query's status given its batch's drop set."""
+    remaining = len(query - dropped)
+    if remaining == len(query):
+        return STATUS_OK
+    return STATUS_DEGRADED if remaining else STATUS_FAILED
 
 
 @dataclass
@@ -131,13 +147,13 @@ class LookupStats:
 class LookupResult:
     """Per-query reduced vectors (submission order) and run statistics.
 
-    ``statuses`` is populated by fault-injected runs under a ``degrade``
-    policy: per query, :data:`~repro.faults.policy.STATUS_OK` (all indices
-    folded), :data:`~repro.faults.policy.STATUS_DEGRADED` (reduced over
-    the surviving subset — the vector matches a CPU oracle on exactly
-    those indices), or :data:`~repro.faults.policy.STATUS_FAILED` (no
-    index survived; the vector is all-NaN poison, never silent zeros).
-    ``None`` means the run saw no fault machinery — every query is ``ok``.
+    ``statuses`` holds one entry per query:
+    :data:`~repro.faults.policy.STATUS_OK` (all indices folded — every
+    query of a fault-free run), :data:`~repro.faults.policy.STATUS_DEGRADED`
+    (reduced over the surviving subset; the vector matches a CPU oracle on
+    exactly those indices), or :data:`~repro.faults.policy.STATUS_FAILED`
+    (no index survived; the vector is all-NaN poison, never silent zeros).
+    ``dropped_indices`` is the batch's drop set — empty on a clean run.
 
     ``ready_pe_cycles`` is each query's completion cycle at the tree root
     (submission order, same length as ``vectors``; failed queries carry 0).
@@ -149,15 +165,13 @@ class LookupResult:
     vectors: List[np.ndarray]
     stats: LookupStats
     plan: BatchPlan
-    statuses: Optional[List[str]] = None
+    statuses: List[str]
     dropped_indices: FrozenSet[int] = frozenset()
     ready_pe_cycles: List[int] = field(default_factory=list)
 
     @property
     def query_statuses(self) -> List[str]:
-        if self.statuses is not None:
-            return list(self.statuses)
-        return [STATUS_OK] * len(self.vectors)
+        return list(self.statuses)
 
 
 @dataclass
@@ -240,6 +254,7 @@ class FafnirEngine:
         fault_policy: Optional[FaultPolicy] = None,
         cache: Optional[HotTierConfig] = None,
         placement: Optional[VectorPlacement] = None,
+        timing: str = "dataflow",
     ) -> None:
         """Build one FAFNIR instance.
 
@@ -254,8 +269,8 @@ class FafnirEngine:
             rank_order: optional permutation of ``range(total_ranks)``
                 rewiring ranks to leaf PEs (boards whose physical wiring
                 does not follow the logical numbering).
-            faults: seeded chaos script; ``None`` (the default) keeps every
-                code path byte-identical to a fault-free build.
+            faults: seeded chaos script; ``None`` (the default) injects
+                nothing, so every batch's drop set is empty.
             fault_policy: recovery budgets and the ``fail_fast``/``degrade``
                 exhaustion mode (defaults to ``fail_fast``).
             cache: opt-in rank-level hot-index tier
@@ -269,7 +284,19 @@ class FafnirEngine:
                 placement-optimizer
                 :class:`~repro.tiering.placement.PermutedRankPlacement`);
                 ``None`` uses the paper's row-major placement.
+            timing: ``"dataflow"`` (the default) lets each message advance
+                the moment its operands are ready — the optimistic end of
+                the hardware.  ``"phased"`` is the store-and-forward upper
+                bound: each PE waits for its whole input batch, grinds
+                through its compares, then emits one output per cycle.
+                Functional outputs and work counts are identical; only
+                ready cycles differ.
         """
+        if timing not in ("dataflow", "phased"):
+            raise ValueError(
+                f"unknown timing model {timing!r}; expected 'dataflow' or 'phased'"
+            )
+        self.timing = timing
         self.config = config or FafnirConfig()
         if isinstance(operator, str):
             operator = get_operator(operator)
@@ -302,19 +329,21 @@ class FafnirEngine:
         )
         self.tree = FafnirTree(self.config, rank_order=rank_order)
         self._check_values = check_values
-        self._last_memory_stats = AccessStats()
-        self._lost_read_indices: Set[int] = set()
 
     # ------------------------------------------------------------------
-    def _fetch_from_memory(self, plan: BatchPlan) -> Dict[int, List[int]]:
-        """Issue all planned reads; returns per-index DRAM finish cycles.
+    def _fetch_from_memory(
+        self, plan: BatchPlan
+    ) -> Tuple[Dict[int, List[int]], Set[int], AccessStats]:
+        """Issue all planned reads once.
 
-        Each entry of ``plan.reads`` is one *occurrence*: a deduplicated
-        plan has one occurrence per unique index, the ablation plan one per
-        (query, index) lookup.  The result maps each index to its
-        occurrences' finish cycles in issue order, where an occurrence
-        finishes when the **last** of its split requests completes (a vector
-        is usable only once every piece has arrived).
+        Returns ``(finish, lost, stats)``.  Each entry of ``plan.reads`` is
+        one *occurrence*: a deduplicated plan has one occurrence per unique
+        index, the ablation plan one per (query, index) lookup.  ``finish``
+        maps each index to its occurrences' finish cycles in issue order,
+        where an occurrence finishes when the **last** of its split requests
+        completes (a vector is usable only once every piece has arrived).
+        ``lost`` holds the indices a rank fault lost for good; ``stats`` is
+        the memory system's access record for the batch.
         """
         requests: List[ReadRequest] = []
         occurrences: List[tuple] = []
@@ -323,11 +352,10 @@ class FafnirEngine:
             occurrences.append((index, len(requests), len(requests) + len(pieces)))
             requests.extend(pieces)
         completions, stats = self.memory.execute(requests)
-        self._last_memory_stats = stats
 
         finish: Dict[int, List[int]] = {}
+        lost: Set[int] = set()
         lost_positions = self.memory.failed_positions
-        self._lost_read_indices = set()
         for index, start, stop in occurrences:
             cycle = max(
                 completion.finish_cycle for completion in completions[start:stop]
@@ -337,8 +365,8 @@ class FafnirEngine:
                 # Any lost split request loses the whole vector; a vector
                 # with any lost occurrence is dropped entirely (the engine
                 # degrades per index, not per occurrence).
-                self._lost_read_indices.add(index)
-        return finish
+                lost.add(index)
+        return finish, lost, stats
 
     @staticmethod
     def _fifo_side(leaf: TreePE, rank: int) -> int:
@@ -365,10 +393,11 @@ class FafnirEngine:
         self,
         plan: BatchPlan,
         finish_cycles: Dict[int, List[int]],
-        source: VectorSource,
+        values: Dict[int, np.ndarray],
     ) -> Dict[int, List[List[Message]]]:
         """Build each leaf PE's two input FIFOs from the fetched vectors.
 
+        ``values`` maps each of ``plan``'s unique indices to its vector.
         With deduplication each index yields one message.  The ablation
         path instead emits one message per read occurrence, each carrying
         the entry of the query that occurrence serves and becoming ready at
@@ -380,19 +409,13 @@ class FafnirEngine:
         per_leaf: Dict[int, List[List[Message]]] = {
             leaf.pe_id: [[], []] for leaf in self.tree.leaves()
         }
-        vector_elements = self.config.vector_elements
         queries_using: Dict[int, List] = {}
         if not plan.deduplicated:
             for query in plan.queries:
                 for index in query:
                     queries_using.setdefault(index, []).append(query)
         for index in plan.unique_indices:
-            value = np.asarray(source(index), dtype=np.float64)
-            if value.shape != (vector_elements,):
-                raise ValueError(
-                    f"vector {index} has shape {value.shape}; expected "
-                    f"({vector_elements},)"
-                )
+            value = values[index]
             rank = self.placement.home_rank(index)
             assert rank is not None
             leaf = self.tree.leaf_for_rank(rank)
@@ -400,34 +423,23 @@ class FafnirEngine:
             fifo = per_leaf[leaf.pe_id][side]
             cycles = finish_cycles[index]
             if plan.deduplicated:
-                ready = convert_cycles(
-                    cycles[0], self.config.dram_clock, self.config.pe_clock
-                )
-                fifo.append(
-                    Message(
-                        header=plan.headers[index], value=value, ready_cycle=ready
-                    )
-                )
-                if self.tracer.enabled:
-                    self._emit_inject(leaf, side, rank, index, ready, len(fifo))
+                arrivals = [(plan.headers[index], cycles[0])]
             else:
                 # plan.reads lists occurrences query-major, so occurrence j
-                # of this index belongs to the j-th query containing it.
-                for query, cycle in zip(queries_using[index], cycles):
-                    ready = convert_cycles(
-                        cycle, self.config.dram_clock, self.config.pe_clock
-                    )
-                    fifo.append(
-                        Message(
-                            header=Header.make({index}, [query - {index}]),
-                            value=value,
-                            ready_cycle=ready,
-                        )
-                    )
-                    if self.tracer.enabled:
-                        self._emit_inject(
-                            leaf, side, rank, index, ready, len(fifo)
-                        )
+                # of this index belongs to the j-th query containing it.  A
+                # re-plan keeps that pairing: every query holding a
+                # surviving index survives, in submission order.
+                arrivals = [
+                    (Header.make({index}, [query - {index}]), cycle)
+                    for query, cycle in zip(queries_using[index], cycles)
+                ]
+            for header, cycle in arrivals:
+                ready = convert_cycles(
+                    cycle, self.config.dram_clock, self.config.pe_clock
+                )
+                fifo.append(Message(header=header, value=value, ready_cycle=ready))
+                if self.tracer.enabled:
+                    self._emit_inject(leaf, side, rank, index, ready, len(fifo))
         return per_leaf
 
     def _emit_inject(
@@ -475,6 +487,7 @@ class FafnirEngine:
         self, leaf_inputs: Dict[int, List[List[Message]]]
     ) -> tuple:
         """Propagate messages leaves→root; returns (root outputs, per-PE work)."""
+        phased = self.timing == "phased"
         outputs: Dict[int, List[Message]] = {}
         per_pe_work: Dict[int, PEWork] = {}
         for pe_id in self.tree.bottom_up_ids():
@@ -488,35 +501,59 @@ class FafnirEngine:
                 pe_id=pe_id,
                 level=node.level,
             )
+            fold_work = PEWork()
             if node.is_leaf:
                 # Items from one rank stream through one FIFO and may
                 # self-combine there (general workloads; a no-op for the
                 # paper's one-vector-per-rank queries).
-                fold_work = PEWork()
                 raw_a, raw_b = leaf_inputs[pe_id]
                 input_a = pe.fold_stream(raw_a, fold_work)
                 input_b = pe.fold_stream(raw_b, fold_work)
             else:
-                fold_work = PEWork()
                 left, right = node.children  # type: ignore[misc]
                 input_a = outputs.get(left, [])
                 input_b = outputs.get(right, [])
             result = pe.process(input_a, input_b)
+            work = result.work.merged_with(fold_work)
+            if phased:
+                self._retime_phased([*input_a, *input_b], result.outputs, work)
             outputs[pe_id] = result.outputs
-            per_pe_work[pe_id] = result.work.merged_with(fold_work)
+            per_pe_work[pe_id] = work
         return outputs[self.tree.root_id], per_pe_work
+
+    def _retime_phased(
+        self, inputs: Sequence[Message], outputs: Sequence[Message], work: PEWork
+    ) -> None:
+        """Restamp one PE's outputs with store-and-forward timing.
+
+        The PE starts when the last of its inputs is ready, spends its
+        compare workload spread over the compute units plus one reduce-path
+        drain, then emits one output per cycle in (dataflow ready, sorted
+        indices) order.  Only the stamps change: the list keeps the
+        canonical sorted-indices order the parent's matching relies on.
+        """
+        start = max((message.ready_cycle for message in inputs), default=0)
+        busy = (
+            math.ceil(max(1, work.compares) / self.config.compute_units)
+            + self.config.latencies.reduce_path
+        )
+        emit_order = sorted(
+            outputs, key=lambda m: (m.ready_cycle, sorted_tuple(m.indices))
+        )
+        for position, message in enumerate(emit_order):
+            message.ready_cycle = start + busy + position
 
     def _collect_results(
         self,
         plan: BatchPlan,
         root_outputs: Sequence[Message],
-        query_positions: Optional[Sequence[int]] = None,
+        positions: Sequence[int],
     ) -> tuple:
         """Match root messages to queries; returns (vectors, completion cycles).
 
-        ``query_positions`` relabels the emitted ``query_complete`` events
-        when ``plan`` is a degraded re-plan whose queries map back to
-        different submission positions in the original batch.
+        ``positions`` gives each of ``plan``'s queries its submission
+        position in the batch (a re-plan holds only the surviving queries);
+        the emitted ``query_complete`` events carry those positions.
         """
         by_indices: Dict[frozenset, Message] = {}
         for message in root_outputs:
@@ -525,7 +562,7 @@ class FafnirEngine:
 
         vectors: List[np.ndarray] = []
         ready_cycles: List[int] = []
-        for position, query in enumerate(plan.queries):
+        for position, query in zip(positions, plan.queries):
             message = by_indices.get(query)
             if message is None:
                 raise RuntimeError(
@@ -536,15 +573,10 @@ class FafnirEngine:
             vectors.append(self.operator.finalize(message.value.copy(), len(query)))
             ready_cycles.append(message.ready_cycle)
             if self.tracer.enabled:
-                label = (
-                    query_positions[position]
-                    if query_positions is not None
-                    else position
-                )
                 self.tracer.emit_packed(
                     QUERY_COMPLETE,
                     message.ready_cycle,
-                    args=(label, len(query)),
+                    args=(position, len(query)),
                 )
         return vectors, ready_cycles
 
@@ -554,26 +586,31 @@ class FafnirEngine:
         queries: Sequence[Sequence[int]],
         source: VectorSource,
         deduplicate: bool = True,
-        reset_memory: bool = True,
     ) -> LookupResult:
         """Execute one batch of queries and return reduced vectors + stats.
+
+        Memory starts from cold row buffers, so runs are deterministic.
+        Reads are issued exactly once.  Rank faults surface as lost
+        indices, leaf-boundary faults (transient source errors, vector
+        corruption) during the fetch; under ``fail_fast`` any unrecovered
+        fault has raised by the time the drop set is known.  An empty drop
+        set runs the plan as is.  Otherwise the surviving queries are
+        re-planned (reusing the recorded read completions, so no DRAM
+        traffic is double-counted) and every query gets an explicit
+        ``ok``/``degraded``/``failed`` status.
 
         Args:
             queries: batch of index lists (one list per query).
             source: callable giving the stored vector for a global index.
             deduplicate: eliminate redundant reads (the paper's mechanism);
                 pass ``False`` for the ablation baseline.
-            reset_memory: start from cold row buffers (deterministic runs).
         """
         if len(queries) > self.config.batch_size:
             raise ValueError(
                 f"batch of {len(queries)} exceeds configured batch size "
                 f"{self.config.batch_size}"
             )
-        if self.faults is not None:
-            return self._run_batch_faulty(queries, source, deduplicate, reset_memory)
-        if reset_memory:
-            self.memory.reset()
+        self.memory.reset()
         if self.tracer.enabled:
             self.tracer.emit(
                 TraceEvent(
@@ -586,80 +623,7 @@ class FafnirEngine:
         plan = plan_batch(
             queries, max_query_len=self.config.max_query_len, deduplicate=deduplicate
         )
-        finish_cycles = self._fetch_from_memory(plan)
-        leaf_inputs = self._leaf_inputs(plan, finish_cycles, source)
-        root_outputs, per_pe_work = self._run_tree(leaf_inputs)
-        vectors, ready_cycles = self._collect_results(plan, root_outputs)
-
-        memory_stats = self._last_memory_stats
-        memory_pe_cycles = convert_cycles(
-            memory_stats.finish_cycle, self.config.dram_clock, self.config.pe_clock
-        )
-        stats = LookupStats(
-            memory=memory_stats,
-            per_pe_work=per_pe_work,
-            latency_pe_cycles=max(ready_cycles) if ready_cycles else 0,
-            memory_latency_pe_cycles=memory_pe_cycles,
-            total_lookups=plan.total_lookups,
-            unique_reads=len(plan.unique_indices),
-            dram_bytes_read=memory_stats.bytes_read,
-            output_bytes=len(plan.queries) * self.config.vector_bytes,
-            naive_movement_bytes=plan.total_lookups * self.config.vector_bytes,
-        )
-        if self.tracer.enabled:
-            self.tracer.emit(
-                TraceEvent(
-                    BATCH_COMPLETE,
-                    cycle=stats.latency_pe_cycles,
-                    args={
-                        "queries": len(plan.queries),
-                        "unique_reads": len(plan.unique_indices),
-                    },
-                )
-            )
-        return LookupResult(
-            vectors=vectors, stats=stats, plan=plan, ready_pe_cycles=ready_cycles
-        )
-
-    # --- fault-injected execution -------------------------------------
-    def _run_batch_faulty(
-        self,
-        queries: Sequence[Sequence[int]],
-        source: VectorSource,
-        deduplicate: bool,
-        reset_memory: bool,
-    ) -> LookupResult:
-        """One batch under an installed :class:`FaultPlan`.
-
-        Memory reads are issued exactly once; rank faults surface as lost
-        indices via :attr:`MemorySystem.failed_positions`, leaf-boundary
-        faults (transient source errors, vector corruption) surface during
-        prefetch.  Under ``fail_fast`` any unrecovered fault has already
-        raised by the time the drop set is known; under ``degrade`` the
-        batch is re-planned without the dropped indices so the tree's
-        completion guarantee holds for what remains, and every query gets
-        an explicit ``ok``/``degraded``/``failed`` status.
-        """
-        if reset_memory:
-            self.memory.reset()
-        if self.tracer.enabled:
-            self.tracer.emit(
-                TraceEvent(
-                    BATCH_START,
-                    cycle=0,
-                    args={
-                        "queries": len(queries),
-                        "dedup": deduplicate,
-                        "faults": True,
-                    },
-                )
-            )
-
-        plan = plan_batch(
-            queries, max_query_len=self.config.max_query_len, deduplicate=deduplicate
-        )
-        finish_cycles = self._fetch_from_memory(plan)
-        dropped: Set[int] = set(self._lost_read_indices)
+        finish_cycles, dropped, memory_stats = self._fetch_from_memory(plan)
         values: Dict[int, np.ndarray] = {}
         for index in plan.unique_indices:
             if index in dropped:
@@ -670,25 +634,60 @@ class FafnirEngine:
             else:
                 values[index] = value
 
-        statuses: Optional[List[str]] = None
-        if not dropped:
-            leaf_inputs = self._leaf_inputs(plan, finish_cycles, values.__getitem__)
-            root_outputs, per_pe_work = self._run_tree(leaf_inputs)
-            vectors, ready_cycles = self._collect_results(plan, root_outputs)
-            statuses = [STATUS_OK] * len(vectors)
-        else:
-            vectors, ready_cycles, statuses, per_pe_work = self._run_degraded(
-                plan, finish_cycles, values, dropped, deduplicate
-            )
+        # A non-empty drop set re-plans the surviving queries, so every
+        # header references only vectors that will arrive and the tree's
+        # completion guarantee holds for what remains.
+        tree_plan = plan
+        positions: Sequence[int] = range(len(plan.queries))
+        statuses = [STATUS_OK] * len(plan.queries)
+        if dropped:
+            statuses = [_query_status(query, dropped) for query in plan.queries]
+            positions = [
+                p for p, status in enumerate(statuses) if status != STATUS_FAILED
+            ]
+            if positions:
+                tree_plan = plan_batch(
+                    [plan.queries[p] - dropped for p in positions],
+                    max_query_len=self.config.max_query_len,
+                    deduplicate=deduplicate,
+                )
 
-        memory_stats = self._last_memory_stats
+        vectors: list = [None] * len(plan.queries)
+        ready_cycles = [0] * len(plan.queries)
+        per_pe_work: Dict[int, PEWork] = {}
+        if positions:
+            leaf_inputs = self._leaf_inputs(tree_plan, finish_cycles, values)
+            root_outputs, per_pe_work = self._run_tree(leaf_inputs)
+            for position, vector, ready in zip(
+                positions, *self._collect_results(tree_plan, root_outputs, positions)
+            ):
+                vectors[position] = vector
+                ready_cycles[position] = ready
+        for position, status in enumerate(statuses):
+            if status == STATUS_OK:
+                continue
+            if status == STATUS_FAILED:
+                vectors[position] = np.full(self.config.vector_elements, np.nan)
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    TraceEvent(
+                        QUERY_DEGRADED,
+                        cycle=ready_cycles[position],
+                        args={
+                            "query": position,
+                            "status": status,
+                            "dropped": sorted(plan.queries[position] & dropped),
+                        },
+                    )
+                )
+
         memory_pe_cycles = convert_cycles(
             memory_stats.finish_cycle, self.config.dram_clock, self.config.pe_clock
         )
         stats = LookupStats(
             memory=memory_stats,
             per_pe_work=per_pe_work,
-            latency_pe_cycles=max(ready_cycles) if ready_cycles else 0,
+            latency_pe_cycles=max(ready_cycles),
             memory_latency_pe_cycles=memory_pe_cycles,
             total_lookups=plan.total_lookups,
             unique_reads=len(plan.unique_indices),
@@ -722,170 +721,80 @@ class FafnirEngine:
     ) -> Optional[np.ndarray]:
         """Fetch one vector through the source- and corruption-fault gauntlet.
 
-        Models two leaf-boundary hazards: a flaky source (the fetch
-        attempt raises; retried up to ``max_source_retries``) and in-flight
-        corruption (the vector arrives bit-flipped or NaN-poisoned; the
-        leaf's modelled end-to-end integrity check catches it and the
-        vector is re-read up to ``max_corruption_retries``).  Returns the
-        clean vector, ``None`` when the budget is exhausted under
-        ``degrade``, or raises under ``fail_fast``.
+        With no fault plan installed this is ``source(index)`` as float64.
+        Otherwise it models two leaf-boundary hazards: a flaky source (the
+        fetch attempt raises; retried up to ``max_source_retries``) and
+        in-flight corruption (the vector arrives bit-flipped or
+        NaN-poisoned; the leaf's modelled end-to-end integrity check catches
+        it and the vector is re-read up to ``max_corruption_retries``).
+        Returns the clean vector, ``None`` when the budget is exhausted
+        under ``degrade``, or raises under ``fail_fast``.
         """
-        assert self.faults is not None
-        plan = self.faults
+        faults = self.faults
         policy = self.fault_policy
-        rank = self.placement.home_rank(index)
-
         attempt = 0
-        while plan.source_raises(index, attempt):
-            exhausted = attempt >= policy.max_source_retries
-            self._emit_leaf_fault(
-                FAULT_SOURCE_ERROR, rank, index, attempt, exhausted
-            )
-            if exhausted:
-                if policy.fail_fast:
-                    raise SourceFaultError(
-                        f"vector source for index {index} kept raising; "
-                        f"retry budget ({policy.max_source_retries}) exhausted"
-                    )
+        while faults is not None and faults.source_raises(index, attempt):
+            if not self._leaf_fault(
+                FAULT_SOURCE_ERROR, index, attempt, policy.max_source_retries
+            ):
                 return None
             attempt += 1
 
         value = np.asarray(source(index), dtype=np.float64)
-
-        attempt = 0
-        while True:
-            corrupted = plan.corrupt_vector(index, attempt, value)
-            if corrupted is None:
-                return value
-            exhausted = attempt >= policy.max_corruption_retries
-            self._emit_leaf_fault(
-                FAULT_VECTOR_CORRUPTION, rank, index, attempt, exhausted
+        if value.shape != (self.config.vector_elements,):
+            raise ValueError(
+                f"vector {index} has shape {value.shape}; expected "
+                f"({self.config.vector_elements},)"
             )
-            if exhausted:
-                if policy.fail_fast:
-                    raise VectorCorruptionError(
-                        f"vector {index} failed its leaf-boundary integrity "
-                        f"check on every fetch; retry budget "
-                        f"({policy.max_corruption_retries}) exhausted"
-                    )
+        attempt = 0
+        while (
+            faults is not None
+            and faults.corrupt_vector(index, attempt, value) is not None
+        ):
+            if not self._leaf_fault(
+                FAULT_VECTOR_CORRUPTION, index, attempt, policy.max_corruption_retries
+            ):
                 return None
             attempt += 1
+        return value
 
-    def _emit_leaf_fault(
-        self,
-        fault: str,
-        rank: Optional[int],
-        index: int,
-        attempt: int,
-        exhausted: bool,
-    ) -> None:
-        """One inject→detect(→retry) step of a leaf-boundary fault."""
-        if not self.tracer.enabled:
-            return
-        base = {"fault": fault, "index": index, "attempt": attempt}
-        self.tracer.emit(
-            TraceEvent(FAULT_INJECTED, cycle=0, rank=rank, args=dict(base))
-        )
-        detected = dict(base)
-        if exhausted:
-            detected["fatal"] = True
-        self.tracer.emit(
-            TraceEvent(FAULT_DETECTED, cycle=0, rank=rank, args=detected)
-        )
-        if not exhausted:
-            retry = dict(base)
-            retry["attempt"] = attempt + 1
-            self.tracer.emit(
-                TraceEvent(RETRY_ISSUED, cycle=0, rank=rank, args=retry)
-            )
+    def _leaf_fault(self, fault: str, index: int, attempt: int, budget: int) -> bool:
+        """Record one failed leaf-boundary attempt; returns whether to retry.
 
-    def _run_degraded(
-        self,
-        plan: BatchPlan,
-        finish_cycles: Dict[int, List[int]],
-        values: Dict[int, np.ndarray],
-        dropped: Set[int],
-        deduplicate: bool,
-    ) -> Tuple[List[np.ndarray], List[int], List[str], Dict[int, PEWork]]:
-        """Complete a batch that lost vectors: re-plan, run, degrade.
-
-        The surviving indices are re-planned so every header's query sets
-        reference only vectors that will actually arrive — the tree's
-        completion guarantee then holds for the reduced batch.  Each
-        original query maps to ``ok`` (untouched), ``degraded`` (reduced
-        over its surviving subset; the output matches a CPU oracle on
-        exactly those indices), or ``failed`` (nothing survived; all-NaN).
-        Memory reads were already issued once — the re-plan reuses the
-        recorded completion cycles, so no DRAM traffic is double-counted.
+        Emits the attempt's inject→detect(→retry) events.  Once ``budget``
+        retries are spent the fault is fatal: it raises under ``fail_fast``
+        and returns ``False`` under ``degrade`` (the vector is dropped).
         """
-        vector_elements = self.config.vector_elements
-        statuses: List[str] = []
-        effective: List[List[int]] = []
-        for query in plan.queries:
-            remaining = sorted(query - dropped)
-            effective.append(remaining)
-            if len(remaining) == len(query):
-                statuses.append(STATUS_OK)
-            elif remaining:
-                statuses.append(STATUS_DEGRADED)
-            else:
-                statuses.append(STATUS_FAILED)
-
-        surviving = [
-            (position, indices)
-            for position, indices in enumerate(effective)
-            if indices
-        ]
-        per_pe_work: Dict[int, PEWork] = {}
-        sub_vectors: List[np.ndarray] = []
-        sub_ready: List[int] = []
-        if surviving:
-            sub_plan = plan_batch(
-                [indices for _, indices in surviving],
-                max_query_len=self.config.max_query_len,
-                deduplicate=deduplicate,
+        exhausted = attempt >= budget
+        if self.tracer.enabled:
+            rank = self.placement.home_rank(index)
+            base = {"fault": fault, "index": index, "attempt": attempt}
+            self.tracer.emit(
+                TraceEvent(FAULT_INJECTED, cycle=0, rank=rank, args=dict(base))
             )
-            needed = _Counter(sub_plan.reads)
-            sub_finish = {
-                index: (finish_cycles[index] + [finish_cycles[index][-1]] * count)[
-                    :count
-                ]
-                for index, count in needed.items()
-            }
-            leaf_inputs = self._leaf_inputs(
-                sub_plan, sub_finish, values.__getitem__
+            detected = dict(base)
+            if exhausted:
+                detected["fatal"] = True
+            self.tracer.emit(
+                TraceEvent(FAULT_DETECTED, cycle=0, rank=rank, args=detected)
             )
-            root_outputs, per_pe_work = self._run_tree(leaf_inputs)
-            sub_vectors, sub_ready = self._collect_results(
-                sub_plan,
-                root_outputs,
-                query_positions=[position for position, _ in surviving],
-            )
-
-        vectors: List[np.ndarray] = []
-        ready_cycles: List[int] = []
-        cursor = 0
-        for position, query in enumerate(plan.queries):
-            if statuses[position] == STATUS_FAILED:
-                vectors.append(np.full(vector_elements, np.nan))
-                ready_cycles.append(0)
-            else:
-                vectors.append(sub_vectors[cursor])
-                ready_cycles.append(sub_ready[cursor])
-                cursor += 1
-            if statuses[position] != STATUS_OK and self.tracer.enabled:
+            if not exhausted:
+                retry = dict(base)
+                retry["attempt"] = attempt + 1
                 self.tracer.emit(
-                    TraceEvent(
-                        QUERY_DEGRADED,
-                        cycle=ready_cycles[-1],
-                        args={
-                            "query": position,
-                            "status": statuses[position],
-                            "dropped": sorted(query & dropped),
-                        },
-                    )
+                    TraceEvent(RETRY_ISSUED, cycle=0, rank=rank, args=retry)
                 )
-        return vectors, ready_cycles, statuses, per_pe_work
+        if exhausted and self.fault_policy.fail_fast:
+            if fault == FAULT_SOURCE_ERROR:
+                raise SourceFaultError(
+                    f"vector source for index {index} kept raising; "
+                    f"retry budget ({budget}) exhausted"
+                )
+            raise VectorCorruptionError(
+                f"vector {index} failed its leaf-boundary integrity check on "
+                f"every fetch; retry budget ({budget}) exhausted"
+            )
+        return not exhausted
 
     # ------------------------------------------------------------------
     def run_batches(
@@ -914,9 +823,7 @@ class FafnirEngine:
         memory_cursor = 0
         serial_cursor = 0
         for position, batch in enumerate(batches):
-            result = self.run_batch(
-                batch, source, deduplicate=deduplicate, reset_memory=True
-            )
+            result = self.run_batch(batch, source, deduplicate=deduplicate)
             stats = result.stats
             if pipeline:
                 completions.append(memory_cursor + stats.latency_pe_cycles)

@@ -75,7 +75,7 @@ class InteractiveEngine:
         return max(latencies.reduce_value, latencies.forward)
 
     def lookup_one(
-        self, query: Sequence[int], source: VectorSource, reset_memory: bool = True
+        self, query: Sequence[int], source: VectorSource
     ) -> InteractiveResult:
         """Gather-and-reduce one query with minimal latency."""
         indices = sorted(set(int(i) for i in query))
@@ -86,8 +86,7 @@ class InteractiveEngine:
                 f"query of {len(indices)} indices exceeds the configured "
                 f"maximum of {self.config.max_query_len}"
             )
-        if reset_memory:
-            self.memory.reset()
+        self.memory.reset()
 
         requests: List[ReadRequest] = []
         for index in indices:

@@ -10,7 +10,8 @@ The taxonomy follows the message lifecycle through one batch:
 ========================  =====================================================
 kind                      meaning
 ========================  =====================================================
-``batch_start``           host submits a batch (cycle 0 of the batch)
+``batch_start``           host submits a batch (cycle 0 of the batch; args
+                          carry ``queries``/``dedup``)
 ``mem_read_issue``        a DRAM read request enters the channel controller
 ``mem_read_complete``     its last data beat arrived (args carry start/bytes/
                           row_hit/bursts)
@@ -22,7 +23,9 @@ kind                      meaning
 ``pe_forward``            a compute unit passed an entry along unmatched
 ``pe_merge``              the merge unit coalesced same-``indices`` outputs
 ``query_complete``        a finished answer was matched at the root
-``batch_complete``        the batch's last query completed
+``batch_complete``        the batch's last query completed (args carry
+                          ``queries``/``unique_reads``/``dropped_indices``,
+                          0 on a clean run)
 ``pipeline_batch``        multi-batch streaming: one batch's pipelined vs
                           serial completion (emitted by ``run_batches``)
 ``fault_injected``        a :class:`~repro.faults.plan.FaultPlan` fired at an

@@ -256,6 +256,8 @@ class ServingSimulator:
         self.registry = self.registry if self.registry is not None else MetricsRegistry()
         self._engine_open_ranks = frozenset()
         self._engine = self._build_engine(self._engine_open_ranks)
+        # InteractiveEngine has no fault model: with a plan installed a
+        # singleton must stay on the batch engine, or it bypasses the plan.
         self._interactive = (
             InteractiveEngine(config=self.config)
             if self.interactive_fallback and self.faults is None

@@ -289,7 +289,7 @@ class TestDedupAblationTiming:
         engine = make_engine()
         queries = [[1, 2, 3], [1, 2, 4], [1, 5, 6]]
         plan = plan_batch(queries, deduplicate=False)
-        finish = engine._fetch_from_memory(plan)
+        finish, _, _ = engine._fetch_from_memory(plan)
         # Index 1 is read three times, index 2 twice, the rest once.
         assert len(finish[1]) == 3
         assert len(finish[2]) == 2

@@ -106,8 +106,9 @@ def test_message_value_matches_indices_reduction(queries):
     its indices set."""
     engine = small_engine()
     plan = plan_batch(queries, max_query_len=8)
-    finish = engine._fetch_from_memory(plan)
-    leaf_inputs = engine._leaf_inputs(plan, finish, deterministic_source)
+    finish, _, _ = engine._fetch_from_memory(plan)
+    values = {i: deterministic_source(i) for i in plan.unique_indices}
+    leaf_inputs = engine._leaf_inputs(plan, finish, values)
     root_outputs, _ = engine._run_tree(leaf_inputs)
     for message in root_outputs:
         want = np.sum(
@@ -124,8 +125,9 @@ def test_subtree_completion_invariant(queries):
     the query indices homed beneath it."""
     engine = small_engine()
     plan = plan_batch(queries, max_query_len=8)
-    finish = engine._fetch_from_memory(plan)
-    leaf_inputs = engine._leaf_inputs(plan, finish, deterministic_source)
+    finish, _, _ = engine._fetch_from_memory(plan)
+    values = {i: deterministic_source(i) for i in plan.unique_indices}
+    leaf_inputs = engine._leaf_inputs(plan, finish, values)
 
     outputs = {}
     for pe_id in engine.tree.bottom_up_ids():

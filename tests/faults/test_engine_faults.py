@@ -15,7 +15,13 @@ from repro.faults import (
 )
 from repro.memory import MemoryConfig
 from repro.obs import InMemorySink, Tracer
-from repro.obs.events import FAULT_DETECTED, FAULT_INJECTED, QUERY_DEGRADED
+from repro.obs.events import (
+    BATCH_COMPLETE,
+    BATCH_START,
+    FAULT_DETECTED,
+    FAULT_INJECTED,
+    QUERY_DEGRADED,
+)
 
 RANKS = 8
 ELEMENTS = 16
@@ -50,24 +56,38 @@ def oracle(query, dropped=frozenset()):
 
 class TestCleanPathEquivalence:
     def test_zero_probability_plan_matches_fault_free_run(self):
-        """The faulty code path with nothing firing must reproduce the
-        fault-free path bit for bit — same vectors, same timing."""
-        clean = make_engine().run_batch(QUERIES, vector_source)
+        """An installed plan with nothing firing must reproduce the
+        fault-free run bit for bit — same vectors, timing, work and
+        event stream (batch start/complete args included)."""
+        clean_sink, faulty_sink = InMemorySink(), InMemorySink()
+        clean = make_engine(tracer=Tracer([clean_sink])).run_batch(
+            QUERIES, vector_source
+        )
         idle_plan = FaultPlan(seed=0)
         faulty = make_engine(
-            faults=idle_plan, fault_policy=FaultPolicy.graceful()
+            faults=idle_plan,
+            fault_policy=FaultPolicy.graceful(),
+            tracer=Tracer([faulty_sink]),
         ).run_batch(QUERIES, vector_source)
-        assert faulty.query_statuses == [STATUS_OK] * len(QUERIES)
+        assert faulty.statuses == [STATUS_OK] * len(QUERIES)
+        assert clean.statuses == [STATUS_OK] * len(QUERIES)
         assert faulty.dropped_indices == frozenset()
         for a, b in zip(clean.vectors, faulty.vectors):
             assert a.tobytes() == b.tobytes()
         assert (
             faulty.stats.latency_pe_cycles == clean.stats.latency_pe_cycles
         )
+        assert faulty.stats.per_pe_work == clean.stats.per_pe_work
+        assert faulty.ready_pe_cycles == clean.ready_pe_cycles
+        assert [(e.kind, e.cycle, e.args) for e in faulty_sink.events] == [
+            (e.kind, e.cycle, e.args) for e in clean_sink.events
+        ]
+        kinds = [e.kind for e in clean_sink.events]
+        assert kinds[0] == BATCH_START and kinds[-1] == BATCH_COMPLETE
 
     def test_no_plan_statuses_default_to_ok(self):
         result = make_engine().run_batch(QUERIES, vector_source)
-        assert result.statuses is None
+        assert result.statuses == [STATUS_OK] * len(QUERIES)
         assert result.query_statuses == [STATUS_OK] * len(QUERIES)
 
 

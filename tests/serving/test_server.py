@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import FafnirConfig, FafnirEngine
+from repro.faults import STATUS_OK, FaultPlan, FaultPolicy
 from repro.serving import (
     ClosedLoopGenerator,
     ContinuousBatcher,
@@ -103,6 +104,18 @@ class TestServingSimulator:
             open_load(tables, qps=2e4, n_requests=30), tables.vector
         )
         assert report.interactive_dispatches == 0
+
+    def test_fault_plan_keeps_singletons_on_the_batch_engine(self, tables):
+        """The interactive engine has no fault model: with a plan installed,
+        a singleton must still run on the batch engine so the plan applies."""
+        plan = FaultPlan(seed=0, rank_timeout_probability={0: 1.0, 1: 1.0})
+        report = make_simulator(
+            faults=plan, fault_policy=FaultPolicy.graceful(max_read_retries=0)
+        ).run(open_load(tables, qps=2e4, n_requests=40), tables.vector)
+        singletons = [r for r in report.records if r.batch_size == 1]
+        assert singletons
+        assert report.interactive_dispatches == 0
+        assert any(r.status != STATUS_OK for r in singletons)
 
     def test_dedup_savings_reported(self, tables):
         report = make_simulator().run(open_load(tables, qps=4e6), tables.vector)
