@@ -1,49 +1,51 @@
-"""Hot-path regression bench: the PE lookup kernels and tracing cost.
+"""Hot-path regression bench: the closed-form tree sweep and tracing cost.
 
-The PE compute units' executable specification is a pure-Python
-``O(entries × partners)`` scan; the kernels in ``repro.core.pe`` replace it
-with one exact-match hash lookup per entry (and one batched value combine
-per scan) on every invocation above a size cutover.  This bench runs one 256-query, 64-rank
-batch on the default engine and with the scalar specification forced
-everywhere (both cutovers pinned out of reach), proves the outputs and all
-statistics are byte-identical, and asserts the tracked speedup floor — so
-the speedup is tracked like any other reproduced figure and a regression
-(someone re-introducing a Python inner loop) fails CI.
+The engine computes every PE of a tree level in a handful of array ops
+(``repro.core.sweep``).  Its executable specification is the object PE
+model kept in the test suite (``tests/pe_oracle.py``): one pure-Python
+``O(entries × partners)`` scan and merge per PE, plus the scalar leaf fold.
+This bench runs the tree stage of one 256-query, 64-rank batch — the same
+leaf FIFOs → root — through both, proves the vectors, per-PE work and
+ready cycles byte-identical, and asserts the tracked speedup floor, so the
+speedup is tracked like any other reproduced figure and a regression
+(someone re-introducing a per-message Python loop) fails CI.
 
-The scalar pass runs once; the faster paths are timed repeatedly and the
-best run is used, with competing configurations *interleaved* so
-drifting host load biases every contestant equally rather than penalising
-whichever ran last.  Headline numbers append to the repo-root
-``BENCH_hotpath.json`` / ``BENCH_tracing.json`` trajectories.
+The oracle runs once; the sweep is timed repeatedly and the best run is
+used.  The tracing guard below times whole batches, with competing
+configurations *interleaved* so drifting host load biases every contestant
+equally rather than penalising whichever ran last.  Headline numbers
+append to the repo-root ``BENCH_hotpath.json`` / ``BENCH_tracing.json``
+trajectories.
 """
 
 import os
+import statistics
 import sys
 import time
 
 import numpy as np
-import pytest
 
-import repro.core.pe as pe_module
-
-from _common import append_trajectory, run_once, write_report
+from _common import REPO_ROOT, append_trajectory, run_once, write_report
 from repro.analysis import Table
-from repro.core import FafnirConfig, FafnirEngine
+from repro.core import FafnirConfig, FafnirEngine, plan_batch
 from repro.memory import MemoryConfig
 from repro.obs import ColumnarSink, InMemorySink, Tracer
+
+sys.path.insert(0, str(REPO_ROOT))
+from tests import pe_oracle  # noqa: E402
 
 QUERIES = 256
 RANKS = 64
 QUERY_LEN = 64
 UNIVERSE = 8192
 ELEMENTS = 128
-# ≥5× is the tracked bar on a quiet host; shared CI runners may override
-# the floor (FAFNIR_HOTPATH_MIN_SPEEDUP) — any re-introduced Python inner
-# loop lands near 1× and still fails.
-REQUIRED_SPEEDUP = float(os.environ.get("FAFNIR_HOTPATH_MIN_SPEEDUP", "5.0"))
+# ≥3× is the tracked bar on a quiet host; shared CI runners may override
+# the floor (FAFNIR_HOTPATH_MIN_SPEEDUP) — a per-message Python loop
+# brought back into the sweep lands near 1× and still fails.
+REQUIRED_SPEEDUP = float(os.environ.get("FAFNIR_HOTPATH_MIN_SPEEDUP", "3.0"))
 # Acceptance bound for in-memory tracing through the packed columnar sink.
 TRACING_MAX_OVERHEAD = float(os.environ.get("FAFNIR_TRACING_MAX_OVERHEAD", "1.15"))
-VECTOR_REPEATS = 2
+SWEEP_REPEATS = 3
 
 
 def _workload():
@@ -61,7 +63,7 @@ def _workload():
         rng.choice(UNIVERSE, size=QUERY_LEN, replace=False).tolist()
         for _ in range(QUERIES)
     ]
-    # Pre-filled so vector generation is not timed inside either kernel run.
+    # Pre-filled so vector generation is not timed inside any run.
     vectors = {}
     for query in queries:
         for index in query:
@@ -79,46 +81,53 @@ def _run(config, memory, queries, vectors, tracer=None):
     return time.perf_counter() - start, result
 
 
+def _timed(tree_stage):
+    start = time.perf_counter()
+    result = tree_stage()
+    return time.perf_counter() - start, result
+
+
 def test_engine_hotpath_speedup(benchmark):
     config, memory, queries, vectors = _workload()
+    engine = FafnirEngine(config=config, memory_config=memory)
+    plan = plan_batch(queries, max_query_len=QUERY_LEN)
+    finish, _, _ = engine._fetch_from_memory(plan)
+    leaf_inputs = engine._leaf_inputs(
+        plan, finish, {index: vectors[index] for index in plan.unique_indices}
+    )
 
-    with pytest.MonkeyPatch.context() as patch:
-        # The scalar specification on every invocation, however large.
-        patch.setattr(pe_module, "_VECTOR_SCAN_CUTOVER", sys.maxsize)
-        patch.setattr(pe_module, "_VECTOR_FOLD_CUTOVER", sys.maxsize)
-        scalar_s, scalar = _run(config, memory, queries, vectors)
+    def sweep_run():
+        return _timed(lambda: engine._run_tree(plan, leaf_inputs))
 
-    def vector_run():
-        return _run(config, memory, queries, vectors)
+    oracle_s, oracle = _timed(lambda: pe_oracle.run_tree(engine, plan, leaf_inputs))
+    sweep_s, sweep = run_once(benchmark, sweep_run)
+    for _ in range(SWEEP_REPEATS - 1):
+        sweep_s = min(sweep_s, sweep_run()[0])
+    speedup = oracle_s / sweep_s
 
-    vector_s, vector = run_once(benchmark, vector_run)
-    for _ in range(VECTOR_REPEATS - 1):
-        repeat_s, _unused = vector_run()
-        vector_s = min(vector_s, repeat_s)
-    speedup = scalar_s / vector_s
-
-    table = Table(["kernel", "wall_s", "speedup"])
-    table.add_row(["scalar", f"{scalar_s:.3f}", "1.00×"])
-    table.add_row(["vector", f"{vector_s:.3f}", f"{speedup:.2f}×"])
+    table = Table(["tree stage", "wall_s", "speedup"])
+    table.add_row(["object PE oracle", f"{oracle_s:.3f}", "1.00×"])
+    table.add_row(["closed-form sweep", f"{sweep_s:.3f}", f"{speedup:.2f}×"])
     record = {
         "config": _config_record(config),
-        "scalar_wall_s": round(scalar_s, 4),
-        "vector_wall_s": round(vector_s, 4),
+        "oracle_tree_s": round(oracle_s, 4),
+        "sweep_tree_s": round(sweep_s, 4),
         "speedup": round(speedup, 3),
     }
     write_report("engine_hotpath", table, record=record)
     append_trajectory("hotpath", record)
 
     # Identical physics: same vectors (bit for bit), same timing, same work.
-    assert len(scalar.vectors) == len(vector.vectors) == QUERIES
-    for a, b in zip(scalar.vectors, vector.vectors):
-        assert a.tobytes() == b.tobytes()
-    assert scalar.stats.latency_pe_cycles == vector.stats.latency_pe_cycles
-    assert scalar.stats.per_pe_work == vector.stats.per_pe_work
+    sweep_values, sweep_ready, sweep_work = sweep
+    oracle_values, oracle_ready, oracle_work = oracle
+    assert len(sweep_values) == len(oracle_values) == QUERIES
+    assert sweep_values.tobytes() == oracle_values.tobytes()
+    assert sweep_ready == oracle_ready
+    assert sweep_work == oracle_work
 
     assert speedup >= REQUIRED_SPEEDUP, (
-        f"vector kernel only {speedup:.2f}× faster than scalar "
-        f"({scalar_s:.3f}s vs {vector_s:.3f}s); required {REQUIRED_SPEEDUP}×"
+        f"tree sweep only {speedup:.2f}× faster than the object oracle "
+        f"({oracle_s:.3f}s vs {sweep_s:.3f}s); required {REQUIRED_SPEEDUP}×"
     )
 
 
@@ -133,8 +142,7 @@ def _config_record(config):
 
 
 def test_tracing_disabled_no_overhead(benchmark):
-    """The speedup floor above is measured with tracing disabled — this
-    guard checks that state really is free, and bounds the cost of
+    """The sweep above runs with tracing disabled — this guard checks that state really is free, and bounds the cost of
     recording through the packed columnar sink.
 
     Every emit site is behind an ``if tracer.enabled`` test, so an engine
@@ -191,6 +199,7 @@ def test_tracing_disabled_no_overhead(benchmark):
                 null_s = after_s
 
     run_once(benchmark, bracketed_rounds)
+    keys = [("disabled", "disabled"), ("columnar", "columnar"), ("inmemory", "in-memory")]
     baseline_s = min(null_walls)
     overhead = {name: min(values) for name, values in ratios.items()}
 
@@ -213,6 +222,17 @@ def test_tracing_disabled_no_overhead(benchmark):
         "columnar_overhead": round(overhead["columnar"], 3),
         "disabled_overhead": round(overhead["disabled"], 3),
         "inmemory_overhead": round(overhead["in-memory"], 3),
+        # The spread behind the best-of-rounds figures above.
+        "repeats": repeats,
+        "null_wall_s_median": round(statistics.median(null_walls), 4),
+        **{
+            f"{key}_wall_s_median": round(statistics.median(walls[name]), 4)
+            for key, name in keys
+        },
+        **{
+            f"{key}_overhead_median": round(statistics.median(ratios[name]), 3)
+            for key, name in keys
+        },
     }
     write_report("engine_tracing_overhead", table, record=record)
     append_trajectory("tracing", record)

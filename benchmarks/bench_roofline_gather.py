@@ -22,6 +22,7 @@ batch so the bench finishes in seconds on CI smoke runs.
 """
 
 import os
+import statistics
 import time
 
 import numpy as np
@@ -45,22 +46,26 @@ ENGINE_QUERY_LEN = 16 if SMOKE else 64
 ENGINE_UNIVERSE = 1024 if SMOKE else 8192
 
 
-def _best_seconds(fn, repeats=REPEATS):
-    best = None
+def _seconds(fn, repeats=REPEATS):
+    """Wall seconds of each of ``repeats`` calls of ``fn``."""
+    samples = []
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best
+        samples.append(time.perf_counter() - start)
+    return samples
+
+
+def _rates(volume, samples):
+    """(best, median) rate of moving ``volume`` bytes over the samples."""
+    return volume / min(samples), volume / statistics.median(samples)
 
 
 def _copy_ceiling():
     src = np.ones(COPY_BYTES // 8, dtype=np.float64)
     dst = np.empty_like(src)
-    seconds = _best_seconds(lambda: np.copyto(dst, src))
     # One read + one write stream.
-    return 2 * COPY_BYTES / seconds
+    return _rates(2 * COPY_BYTES, _seconds(lambda: np.copyto(dst, src)))
 
 
 def _gather_bandwidth():
@@ -70,9 +75,9 @@ def _gather_bandwidth():
     )
     indices = rng.integers(0, TABLE_ROWS, GATHER_ROWS)
     out = np.empty((GATHER_ROWS, VECTOR_ELEMENTS), dtype=np.float32)
-    seconds = _best_seconds(lambda: np.take(table, indices, axis=0, out=out))
+    samples = _seconds(lambda: np.take(table, indices, axis=0, out=out))
     # Gathered reads + contiguous writes of the same volume.
-    return 2 * GATHER_ROWS * VECTOR_ELEMENTS * 4 / seconds
+    return _rates(2 * GATHER_ROWS * VECTOR_ELEMENTS * 4, samples)
 
 
 def _engine_effective_rate():
@@ -96,24 +101,23 @@ def _engine_effective_rate():
             if index not in vectors:
                 vectors[index] = rng.normal(size=VECTOR_ELEMENTS)
     engine = FafnirEngine(config=config, memory_config=memory)
-    start = time.perf_counter()
-    result = engine.run_batch(queries, vectors.__getitem__)
-    seconds = time.perf_counter() - start
+    results = []
+    samples = _seconds(
+        lambda: results.append(engine.run_batch(queries, vectors.__getitem__))
+    )
     gathered_bytes = len(vectors) * config.vector_bytes
-    assert len(result.vectors) == ENGINE_QUERIES
-    return gathered_bytes / seconds, gathered_bytes, seconds
+    assert all(len(result.vectors) == ENGINE_QUERIES for result in results)
+    return _rates(gathered_bytes, samples), gathered_bytes, samples
 
 
 def test_roofline_gather(benchmark):
     def experiment():
-        copy_bw = _copy_ceiling()
-        gather_bw = _gather_bandwidth()
-        engine_bw, gathered_bytes, engine_s = _engine_effective_rate()
-        return copy_bw, gather_bw, engine_bw, gathered_bytes, engine_s
+        return _copy_ceiling(), _gather_bandwidth(), _engine_effective_rate()
 
-    copy_bw, gather_bw, engine_bw, gathered_bytes, engine_s = run_once(
+    copy_rates, gather_rates, (engine_rates, gathered_bytes, engine_s) = run_once(
         benchmark, experiment
     )
+    copy_bw, gather_bw, engine_bw = copy_rates[0], gather_rates[0], engine_rates[0]
 
     gib = float(1 << 30)
     table = Table(["tier", "GiB_per_s", "vs_copy_ceiling"])
@@ -128,12 +132,18 @@ def test_roofline_gather(benchmark):
             f"{engine_bw / copy_bw:.4f}×",
         ]
     )
+    # Best-of-repeats headline figures, with the median as the spread.
     record = {
         "smoke": SMOKE,
+        "repeats": REPEATS,
         "copy_gib_s": round(copy_bw / gib, 3),
+        "copy_gib_s_median": round(copy_rates[1] / gib, 3),
         "gather_gib_s": round(gather_bw / gib, 3),
+        "gather_gib_s_median": round(gather_rates[1] / gib, 3),
         "engine_gib_s": round(engine_bw / gib, 5),
-        "engine_wall_s": round(engine_s, 4),
+        "engine_gib_s_median": round(engine_rates[1] / gib, 5),
+        "engine_wall_s": round(min(engine_s), 4),
+        "engine_wall_s_median": round(statistics.median(engine_s), 4),
         "engine_gathered_bytes": gathered_bytes,
         "config": {
             "vector_elements": VECTOR_ELEMENTS,

@@ -3,20 +3,17 @@
 Paper: compare 12 cycles, reduce(value) 4, reduce(header) 16, forward 2;
 reduce and forward are parallel paths, so the critical path is governed by
 compare + reduce.  This bench verifies the configured model and measures the
-simulator's actual per-PE stage behaviour against it.
+simulator's per-PE stage behaviour against it, through the engine: a query
+whose two vectors meet at a PE pays the reduce path, a lone vector the
+forward path.
 """
 
 import numpy as np
 
 from _common import run_once, write_report
 from repro.analysis import Table
-from repro.core import (
-    FafnirConfig,
-    Header,
-    Message,
-    ProcessingElement,
-    SUM,
-)
+from repro.core import FafnirConfig, FafnirEngine
+from repro.memory import MemoryConfig
 
 
 def test_table4_compute_unit_latencies(benchmark):
@@ -24,15 +21,26 @@ def test_table4_compute_unit_latencies(benchmark):
     latencies = config.latencies
 
     def run():
-        pe = ProcessingElement(config, SUM)
-        reduce_in_a = Message(Header.make({1}, [{2}]), np.zeros(128), ready_cycle=0)
-        reduce_in_b = Message(Header.make({2}, [{1}]), np.zeros(128), ready_cycle=0)
-        reduced = pe.process([reduce_in_a], [reduce_in_b]).outputs
-        reduce_latency = max(m.ready_cycle for m in reduced)
-        forward_in = Message(Header.make({3}, [{9}]), np.zeros(128), ready_cycle=0)
-        forwarded = pe.process([forward_in], []).outputs
-        forward_latency = forwarded[0].ready_cycle
-        return reduce_latency, forward_latency
+        # Two ranks feed the two FIFOs of one leaf PE, which is also the
+        # root: a query's tree time is that PE's path, plus issue stalls
+        # (none for a single output).
+        machine = config.with_ranks(2, ranks_per_leaf_pe=2)
+        engine = FafnirEngine(
+            config=machine, memory_config=MemoryConfig().scaled_to_ranks(2)
+        )
+        pair = [0, 1]
+        assert {engine.placement.home_rank(index) for index in pair} == {0, 1}
+
+        def tree_cycles(query):
+            result = engine.run_batch(
+                [query], lambda index: np.zeros(machine.vector_elements)
+            )
+            return (
+                result.ready_pe_cycles[0]
+                - result.stats.memory_latency_pe_cycles
+            )
+
+        return tree_cycles(pair), tree_cycles([pair[0]])
 
     reduce_latency, forward_latency = run_once(benchmark, run)
 

@@ -28,11 +28,7 @@ from repro.core.operators import (
     available_operators,
     get_operator,
 )
-from repro.core.pe import (
-    PEResult,
-    PEWork,
-    ProcessingElement,
-)
+from repro.core.pe import PEWork
 from repro.core.sharding import (
     ShardedRunner,
     fleet_makespan_pe_cycles,
@@ -64,9 +60,7 @@ __all__ = [
     "MicrosimReport",
     "PEMicrosim",
     "PELatencies",
-    "PEResult",
     "PEWork",
-    "ProcessingElement",
     "ReductionOperator",
     "SUM",
     "TreePE",

@@ -33,7 +33,6 @@ class FafnirAccelerator:
         config: Optional[FafnirConfig] = None,
         operator: Union[str, ReductionOperator] = "sum",
         memory_config: Optional[MemoryConfig] = None,
-        check_values: bool = False,
     ) -> None:
         if isinstance(operator, str):
             operator = get_operator(operator)
@@ -43,7 +42,6 @@ class FafnirAccelerator:
             config=self.config,
             operator=operator,
             memory_config=memory_config,
-            check_values=check_values,
         )
 
     @property

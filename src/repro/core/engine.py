@@ -9,11 +9,13 @@ There is one batch path (paper §IV-A, §IV-C):
    completion time, converted into the PE clock domain.
 3. **Leaf boundary** — each unique vector is fetched from the source once,
    through the source- and corruption-fault gauntlet.
-4. **Tree** — messages flow leaves→root through
-   :class:`~repro.core.pe.ProcessingElement` instances; per-message ready
-   cycles model the paper's conflict-free pipelining of distinct queries
-   through distinct tree routes (``timing="dataflow"``), or the
-   store-and-forward upper bound (``timing="phased"``).
+4. **Tree** — each leaf FIFO folds its stream
+   (:func:`~repro.core.pe.fold_stream`), then
+   :func:`~repro.core.sweep.sweep_tree` computes every PE of a level at
+   once, leaves→root.  Per-message ready cycles model the paper's
+   conflict-free pipelining of distinct queries through distinct tree
+   routes (``timing="dataflow"``), or the store-and-forward upper bound
+   (``timing="phased"``).
 
 Faults are data on that path, not a second engine.  Lost reads and
 exhausted fetches form the batch's *drop set*; a fault-free run is the
@@ -27,7 +29,6 @@ The result is one reduced vector per query, a status per query, and a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -36,9 +37,10 @@ import numpy as np
 from repro.clocks import convert_cycles
 from repro.core.batch import BatchPlan, plan_batch
 from repro.core.config import FafnirConfig
-from repro.core.header import Header, Message, sorted_tuple
+from repro.core.header import Header, Message
 from repro.core.operators import ReductionOperator, SUM, get_operator
-from repro.core.pe import PEWork, ProcessingElement
+from repro.core.pe import PEWork
+from repro.core.sweep import SweepResult, sweep_tree
 from repro.core.tree import FafnirTree, TreePE
 from repro.faults.plan import (
     FAULT_SOURCE_ERROR,
@@ -247,7 +249,6 @@ class FafnirEngine:
         config: Optional[FafnirConfig] = None,
         operator: ReductionOperator = SUM,
         memory_config: Optional[MemoryConfig] = None,
-        check_values: bool = False,
         tracer: Optional[Tracer] = None,
         rank_order: Optional[Sequence[int]] = None,
         faults: Optional[FaultPlan] = None,
@@ -262,7 +263,6 @@ class FafnirEngine:
             config: accelerator shape and timing (paper defaults if None).
             operator: reduction operator (name or instance).
             memory_config: DDR4/HBM substrate; must match ``total_ranks``.
-            check_values: enable the merge-unit value-consistency assertion.
             tracer: event tracer threaded through the memory system, every
                 PE, and the engine's own host-side hooks; ``None`` installs
                 the zero-overhead :data:`~repro.obs.tracer.NULL_TRACER`.
@@ -328,7 +328,6 @@ class FafnirEngine:
             )
         )
         self.tree = FafnirTree(self.config, rank_order=rank_order)
-        self._check_values = check_values
 
     # ------------------------------------------------------------------
     def _fetch_from_memory(
@@ -484,101 +483,21 @@ class FafnirEngine:
             )
 
     def _run_tree(
-        self, leaf_inputs: Dict[int, List[List[Message]]]
-    ) -> tuple:
-        """Propagate messages leaves→root; returns (root outputs, per-PE work)."""
+        self, plan: BatchPlan, leaf_inputs: Dict[int, List[List[Message]]]
+    ) -> Tuple[np.ndarray, List[int], Dict[int, PEWork]]:
+        """Leaf FIFOs → root: each of ``plan``'s queries' root value and
+        ready cycle, plus the per-PE work."""
+        result = self._sweep(plan, leaf_inputs)
+        return result.values, result.ready, result.per_pe_work
+
+    def _sweep(
+        self, plan: BatchPlan, leaf_inputs: Dict[int, List[List[Message]]]
+    ) -> SweepResult:
+        """The closed-form sweep over the engine's current tree, operator,
+        tracer and timing model."""
         phased = self.timing == "phased"
-        outputs: Dict[int, List[Message]] = {}
-        per_pe_work: Dict[int, PEWork] = {}
-        for pe_id in self.tree.bottom_up_ids():
-            node = self.tree.pe(pe_id)
-            pe = ProcessingElement(
-                self.config,
-                self.operator,
-                name=f"PE{pe_id}",
-                check_values=self._check_values,
-                tracer=self.tracer,
-                pe_id=pe_id,
-                level=node.level,
-            )
-            fold_work = PEWork()
-            if node.is_leaf:
-                # Items from one rank stream through one FIFO and may
-                # self-combine there (general workloads; a no-op for the
-                # paper's one-vector-per-rank queries).
-                raw_a, raw_b = leaf_inputs[pe_id]
-                input_a = pe.fold_stream(raw_a, fold_work)
-                input_b = pe.fold_stream(raw_b, fold_work)
-            else:
-                left, right = node.children  # type: ignore[misc]
-                input_a = outputs.get(left, [])
-                input_b = outputs.get(right, [])
-            result = pe.process(input_a, input_b)
-            work = result.work.merged_with(fold_work)
-            if phased:
-                self._retime_phased([*input_a, *input_b], result.outputs, work)
-            outputs[pe_id] = result.outputs
-            per_pe_work[pe_id] = work
-        return outputs[self.tree.root_id], per_pe_work
-
-    def _retime_phased(
-        self, inputs: Sequence[Message], outputs: Sequence[Message], work: PEWork
-    ) -> None:
-        """Restamp one PE's outputs with store-and-forward timing.
-
-        The PE starts when the last of its inputs is ready, spends its
-        compare workload spread over the compute units plus one reduce-path
-        drain, then emits one output per cycle in (dataflow ready, sorted
-        indices) order.  Only the stamps change: the list keeps the
-        canonical sorted-indices order the parent's matching relies on.
-        """
-        start = max((message.ready_cycle for message in inputs), default=0)
-        busy = (
-            math.ceil(max(1, work.compares) / self.config.compute_units)
-            + self.config.latencies.reduce_path
-        )
-        emit_order = sorted(
-            outputs, key=lambda m: (m.ready_cycle, sorted_tuple(m.indices))
-        )
-        for position, message in enumerate(emit_order):
-            message.ready_cycle = start + busy + position
-
-    def _collect_results(
-        self,
-        plan: BatchPlan,
-        root_outputs: Sequence[Message],
-        positions: Sequence[int],
-    ) -> tuple:
-        """Match root messages to queries; returns (vectors, completion cycles).
-
-        ``positions`` gives each of ``plan``'s queries its submission
-        position in the batch (a re-plan holds only the surviving queries);
-        the emitted ``query_complete`` events carry those positions.
-        """
-        by_indices: Dict[frozenset, Message] = {}
-        for message in root_outputs:
-            if message.header.complete_entries:
-                by_indices[message.indices] = message
-
-        vectors: List[np.ndarray] = []
-        ready_cycles: List[int] = []
-        for position, query in zip(positions, plan.queries):
-            message = by_indices.get(query)
-            if message is None:
-                raise RuntimeError(
-                    f"tree failed to complete query {position} "
-                    f"({sorted(query)}) — FAFNIR's completion guarantee was "
-                    "violated; this is a bug"
-                )
-            vectors.append(self.operator.finalize(message.value.copy(), len(query)))
-            ready_cycles.append(message.ready_cycle)
-            if self.tracer.enabled:
-                self.tracer.emit_packed(
-                    QUERY_COMPLETE,
-                    message.ready_cycle,
-                    args=(position, len(query)),
-                )
-        return vectors, ready_cycles
+        return sweep_tree(plan.queries, leaf_inputs, self.config, self.tree,
+                          self.operator, self.tracer, phased)
 
     # ------------------------------------------------------------------
     def run_batch(
@@ -657,12 +576,18 @@ class FafnirEngine:
         per_pe_work: Dict[int, PEWork] = {}
         if positions:
             leaf_inputs = self._leaf_inputs(tree_plan, finish_cycles, values)
-            root_outputs, per_pe_work = self._run_tree(leaf_inputs)
-            for position, vector, ready in zip(
-                positions, *self._collect_results(tree_plan, root_outputs, positions)
+            root_values, root_ready, per_pe_work = self._run_tree(
+                tree_plan, leaf_inputs
+            )
+            for position, query, value, ready in zip(
+                positions, tree_plan.queries, root_values, root_ready
             ):
-                vectors[position] = vector
+                vectors[position] = self.operator.finalize(value, len(query))
                 ready_cycles[position] = ready
+                if self.tracer.enabled:
+                    self.tracer.emit_packed(
+                        QUERY_COMPLETE, ready, args=(position, len(query))
+                    )
         for position, status in enumerate(statuses):
             if status == STATUS_OK:
                 continue

@@ -14,7 +14,7 @@ Operation:
   to the ``compute_units`` units in input order;
 * a unit issues one comparison per cycle; an entry's reduce/forward decision
   falls when its scan over the partner input completes (choosing the
-  maximal matching partner, as in :class:`~repro.core.pe.ProcessingElement`);
+  maximal matching partner, as the tree's PEs do);
 * the decided result then traverses the reduce path (compare + reduce) or
   the forward path (compare + forward);
 * the merge unit retires one result per cycle, deduplicating and merging

@@ -1,20 +1,23 @@
 """Shared fixtures for the whole test tree."""
 
-import sys
+from collections import Counter
 from typing import List
 
 import pytest
 
 import repro.core.pe as pe_module
-from repro.core.pe import ProcessingElement
+import repro.core.sweep as sweep_module
+from repro.core.engine import FafnirEngine
+from repro.obs.events import PE_FORWARD, PE_MERGE, PE_REDUCE
+from repro.obs.tracer import NULL_TRACER
+from tests import pe_oracle
 
-#: The two PE code paths the differential tests compare, keyed by the value
-#: both kernel cutovers are pinned to.  ``spec`` never leaves the
-#: scalar executable specification; ``kernels`` runs the lookup kernels on
-#: every invocation, however small.  Randomized small configs would
-#: otherwise stay below the cutovers and compare the scalar code with
-#: itself.
-PE_PATHS = {"spec": sys.maxsize, "kernels": 0}
+#: The two tree implementations the differential tests compare: the
+#: closed-form level sweep every engine runs, and the object PE oracle
+#: (``tests/pe_oracle.py``) with its scalar leaf fold.
+PE_PATHS = ("sweep", "oracle")
+
+_PE_EVENTS = (PE_REDUCE, PE_FORWARD, PE_MERGE)
 
 
 def pe_law_violations(pe, input_a, input_b, outputs) -> List[str]:
@@ -44,7 +47,7 @@ def pe_law_violations(pe, input_a, input_b, outputs) -> List[str]:
     return problems
 
 
-def fold_law_violations(pe, stream, outputs) -> List[str]:
+def fold_law_violations(name, stream, outputs) -> List[str]:
     """Breaches of the leaf fold's projection law by one ``fold_stream`` call.
 
     Every query ``q`` the stream serves leaves the fold on exactly one
@@ -61,32 +64,69 @@ def fold_law_violations(pe, stream, outputs) -> List[str]:
         (message.indices, entry) for message in outputs for entry in message.entries
     }
     return [
-        f"{pe.name}: fold carries {sorted(indices)} -> {sorted(entry)}, "
+        f"{name}: fold carries {sorted(indices)} -> {sorted(entry)}, "
         f"not the projection of its query"
         for indices, entry in sorted(carried - expected, key=str)
     ] + [
-        f"{pe.name}: fold lost {sorted(indices)} -> {sorted(entry)}"
+        f"{name}: fold lost {sorted(indices)} -> {sorted(entry)}"
         for indices, entry in sorted(expected - carried, key=str)
     ]
 
 
+def tree_event_fingerprint(events):
+    """An event stream as ``==``-comparable data for the differential tests.
+
+    Every event off the tree keeps its place in the stream.  The PE events
+    (``pe_reduce``/``pe_forward``/``pe_merge``) are compared as one
+    multiset per PE: the sweep emits a level's events in a different order
+    from the object PEs.
+    """
+    stream, per_pe = [], {}
+    for event in events:
+        if event.kind in _PE_EVENTS:
+            key = (event.kind, event.cycle, event.level, repr(event.args))
+            per_pe.setdefault(event.pe, Counter())[key] += 1
+        else:
+            stream.append(event)
+    return stream, per_pe
+
+
+def _checked_fold(fold):
+    """``fold`` plus :func:`fold_law_violations` on every engine leaf fold."""
+
+    def run(stream, work, operator, reduce_path, tracer=NULL_TRACER,
+            pe_id=None, level=None):
+        outputs = fold(stream, work, operator, reduce_path, tracer, pe_id, level)
+        if pe_id is not None:
+            problems = fold_law_violations(f"PE{pe_id}", stream, outputs)
+            assert not problems, "\n".join(problems)
+        return outputs
+
+    return run
+
+
 @pytest.fixture
 def on_pe_paths():
-    """Run a thunk once per PE path; assert the results are ``==``-equal.
+    """Run a thunk on the tree sweep and on the object oracle; assert ``==``.
 
-    ``on_pe_paths(thunk)`` calls ``thunk()`` under each entry of
-    :data:`PE_PATHS` and returns the common result.  Thunks return plain
-    comparable data — vector bytes, ``PEWork`` counters, statuses, event
-    lists — so the equality covers every observable they capture.
+    ``on_pe_paths(thunk)`` calls ``thunk()`` once per entry of
+    :data:`PE_PATHS` and returns the common result.  On the ``oracle`` path
+    every engine's tree stage (``FafnirEngine._run_tree``) is the object
+    sweep of :func:`tests.pe_oracle.run_tree`, merge-unit value check on,
+    and ``repro.core.pe.fold_stream`` is the oracle's scalar fold.  Thunks
+    return plain comparable data — vector bytes, ready cycles, ``PEWork``
+    counters, statuses, :func:`tree_event_fingerprint` of a trace — so the
+    equality covers every observable they capture.
 
-    Every engine PE invocation inside the thunk (a PE built with a
-    ``pe_id``) is also checked against :func:`pe_law_violations` and, for
-    leaf folds, :func:`fold_law_violations`.  Hand-built messages in unit
-    tests need not describe a real batch, so PEs built without a
-    ``pe_id`` are left unchecked.
+    Every engine leaf fold on either path is checked against
+    :func:`fold_law_violations`, and every object PE invocation (a PE built
+    with a ``pe_id``) against :func:`pe_law_violations`.  Hand-built
+    messages in unit tests need not describe a real batch, so folds and PEs
+    without a ``pe_id`` are left unchecked.
     """
-    process = ProcessingElement.process
-    fold_stream = ProcessingElement.fold_stream
+    process = pe_oracle.ProcessingElement.process
+    sweep_fold = _checked_fold(pe_module.fold_stream)
+    oracle_fold = _checked_fold(pe_oracle.fold_stream)
 
     def checked_process(self, input_a, input_b):
         result = process(self, input_a, input_b)
@@ -95,23 +135,23 @@ def on_pe_paths():
             assert not problems, "\n".join(problems)
         return result
 
-    def checked_fold(self, stream, work):
-        outputs = fold_stream(self, stream, work)
-        if self.pe_id is not None:
-            problems = fold_law_violations(self, stream, outputs)
-            assert not problems, "\n".join(problems)
-        return outputs
+    def oracle_tree(engine, plan, leaf_inputs):
+        return pe_oracle.run_tree(engine, plan, leaf_inputs, check_values=True)
 
     def run(thunk):
         results = {}
-        for name, cutover in PE_PATHS.items():
+        for name in PE_PATHS:
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(pe_module, "_VECTOR_SCAN_CUTOVER", cutover)
-                patch.setattr(pe_module, "_VECTOR_FOLD_CUTOVER", cutover)
-                patch.setattr(ProcessingElement, "process", checked_process)
-                patch.setattr(ProcessingElement, "fold_stream", checked_fold)
+                patch.setattr(pe_oracle.ProcessingElement, "process", checked_process)
+                if name == "sweep":
+                    patch.setattr(sweep_module, "fold_stream", sweep_fold)
+                    patch.setattr(pe_module, "fold_stream", sweep_fold)
+                else:
+                    patch.setattr(pe_oracle, "fold_stream", oracle_fold)
+                    patch.setattr(pe_module, "fold_stream", oracle_fold)
+                    patch.setattr(FafnirEngine, "_run_tree", oracle_tree)
                 results[name] = thunk()
-        assert results["spec"] == results["kernels"], "PE paths diverged"
-        return results["spec"]
+        assert results["sweep"] == results["oracle"], "tree sweep diverged from the oracle"
+        return results["sweep"]
 
     return run

@@ -31,7 +31,7 @@ class TestFacade:
         assert all(v.shape == (128,) for v in result.vectors)
 
     def test_verify_against_oracle(self):
-        accelerator = FafnirAccelerator(check_values=True)
+        accelerator = FafnirAccelerator()
         source = make_source(seed=2)
         rng = np.random.default_rng(3)
         queries = [list(rng.choice(1024, size=8, replace=False)) for _ in range(16)]
@@ -41,7 +41,7 @@ class TestFacade:
         """Paper §IV-B: larger software batches are served as several small
         hardware batches."""
         config = FafnirConfig(batch_size=4)
-        accelerator = FafnirAccelerator(config=config, check_values=True)
+        accelerator = FafnirAccelerator(config=config)
         source = make_source(seed=4)
         rng = np.random.default_rng(5)
         queries = [list(rng.choice(256, size=4, replace=False)) for _ in range(10)]

@@ -51,7 +51,7 @@ def fig6_engine():
         num_tables=8,
     )
     memory = MemoryConfig().scaled_to_ranks(8)
-    return FafnirEngine(config=config, memory_config=memory, check_values=True)
+    return FafnirEngine(config=config, memory_config=memory)
 
 
 class TestFig6WalkThrough:
@@ -109,7 +109,7 @@ class TestFig6WalkThrough:
 
 class TestEngineGeneral:
     def test_default_engine_matches_oracle_random_batch(self):
-        engine = FafnirEngine(check_values=True)
+        engine = FafnirEngine()
         source = make_source(seed=5)
         rng = np.random.default_rng(11)
         queries = [list(rng.choice(4096, size=16, replace=False)) for _ in range(32)]
@@ -119,7 +119,7 @@ class TestEngineGeneral:
 
     def test_min_operator_end_to_end(self):
         operator = get_operator("min")
-        engine = FafnirEngine(operator=operator, check_values=True)
+        engine = FafnirEngine(operator=operator)
         source = make_source(seed=6)
         queries = [[1, 33, 65], [2, 33]]
         result = engine.run_batch(queries, source)
@@ -128,7 +128,7 @@ class TestEngineGeneral:
 
     def test_mean_operator_divides_by_query_length(self):
         operator = get_operator("mean")
-        engine = FafnirEngine(operator=operator, check_values=True)
+        engine = FafnirEngine(operator=operator)
         source = make_source(seed=7)
         queries = [[10, 43, 76, 109]]
         result = engine.run_batch(queries, source)
@@ -137,7 +137,7 @@ class TestEngineGeneral:
 
     def test_same_rank_collision_query_completes(self):
         """Two indices homed in the same rank still complete (FIFO fold)."""
-        engine = FafnirEngine(check_values=True)
+        engine = FafnirEngine()
         source = make_source(seed=8)
         # Indices 0 and 32 both live in rank 0 of the 32-rank system.
         queries = [[0, 32, 5]]
@@ -145,13 +145,13 @@ class TestEngineGeneral:
         assert np.allclose(result.vectors[0], oracle(source, queries)[0])
 
     def test_single_index_query(self):
-        engine = FafnirEngine(check_values=True)
+        engine = FafnirEngine()
         source = make_source(seed=9)
         result = engine.run_batch([[17]], source)
         assert np.allclose(result.vectors[0], source(17))
 
     def test_duplicate_queries_each_get_output(self):
-        engine = FafnirEngine(check_values=True)
+        engine = FafnirEngine()
         source = make_source(seed=10)
         result = engine.run_batch([[3, 70], [3, 70]], source)
         assert len(result.vectors) == 2
@@ -176,7 +176,7 @@ class TestEngineGeneral:
             )
 
     def test_dedup_reduces_memory_reads(self):
-        engine = FafnirEngine(check_values=True)
+        engine = FafnirEngine()
         source = make_source(seed=12)
         rng = np.random.default_rng(13)
         queries = [list(rng.choice(64, size=16, replace=False)) for _ in range(32)]

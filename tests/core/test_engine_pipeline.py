@@ -270,7 +270,7 @@ class TestLeafRouting:
     def test_permuted_rank_wiring_still_matches_oracle(self):
         """A board whose physical rank order is scrambled must still gather
         correctly — the regression the position-based routing fixes."""
-        engine = make_engine(check_values=True)
+        engine = make_engine()
         permutation = [5, 2, 7, 0, 3, 6, 1, 4]
         engine.tree = FafnirTree(engine.config, rank_order=permutation)
         rng = np.random.default_rng(21)

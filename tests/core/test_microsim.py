@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import FafnirConfig, Header, Message, ProcessingElement, SUM
+from repro.core import FafnirConfig, Header, Message, SUM
 from repro.core.microsim import PEMicrosim
+from tests.pe_oracle import ProcessingElement
 
 
 def fs(*items):

@@ -1,17 +1,16 @@
-"""Tests for the PE compute/merge semantics, anchored to the paper's Fig. 6."""
+"""Tests for the PE compute/merge semantics, anchored to the paper's Fig. 6.
+
+The per-message PE here is the test-side oracle (``tests/pe_oracle.py``);
+the engine's closed-form sweep is held equal to it by the differential
+suites.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    FafnirConfig,
-    FafnirEngine,
-    Header,
-    Message,
-    ProcessingElement,
-    SUM,
-)
+from repro.core import FafnirConfig, FafnirEngine, Header, Message, SUM
 from repro.core.pe import PEWork
+from tests.pe_oracle import ProcessingElement
 
 
 def fs(*items):
@@ -211,7 +210,9 @@ class TestOutputBound:
         The batch has ``offline-uniform``'s shape — 128 queries of 64
         lookups on 64 ranks — so a query has several indices on most leaf
         FIFOs, and an entry the leaf fold consumed but left buffered would
-        climb the tree and push PEs past B.
+        climb the tree and push PEs past B.  The message counts come from
+        the sweep's id tables: a PE's inputs are its children's distinct
+        ids, its outputs its own.
         """
         config = FafnirConfig(
             batch_size=128, max_query_len=64, total_ranks=64, num_tables=64
@@ -220,23 +221,33 @@ class TestOutputBound:
         queries = [
             rng.choice(8192, size=64, replace=False).tolist() for _ in range(128)
         ]
-        checked = []
-        process = ProcessingElement.process
+        results = []
+        run = FafnirEngine._sweep
 
-        def bounded(self, input_a, input_b):
-            result = process(self, input_a, input_b)
-            bound = self.theoretical_output_bound(len(input_a), len(input_b))
-            checked.append((self.pe_id, len(result.outputs), bound))
-            return result
+        def recording(self, *args):
+            results.append(run(self, *args))
+            return results[-1]
 
-        monkeypatch.setattr(ProcessingElement, "process", bounded)
+        monkeypatch.setattr(FafnirEngine, "_sweep", recording)
         engine = FafnirEngine(config=config)
         engine.run_batch(queries, lambda index: np.full(128, float(index)))
+        (result,) = results
+
+        def messages(table, column):
+            ids = table[:, column]
+            return len(np.unique(ids[ids >= 0]))
+
+        checked = []
+        for children, table in zip(result.ids, result.ids[1:]):
+            for node in range(table.shape[1]):
+                n = messages(children, 2 * node)
+                m = messages(children, 2 * node + 1)
+                bound = min(n * m + n + m, config.batch_size)
+                checked.append((messages(table, node), bound))
         assert len(checked) == 63
-        over = [(pe_id, n, bound) for pe_id, n, bound in checked if n > bound]
-        assert over == []
+        assert [(n, bound) for n, bound in checked if n > bound] == []
         # Bottom-up order ends at the root: one finished answer per query.
-        assert checked[-1][1] == len(queries)
+        assert checked[-1][0] == len(queries)
 
     def test_bound_caps_at_batch_size(self, pe, config):
         assert pe.theoretical_output_bound(1, 2) == 1 * 2 + 1 + 2

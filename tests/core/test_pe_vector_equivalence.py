@@ -1,13 +1,16 @@
-"""Property-style proof that the vector PE kernels match the scalar ones.
+"""Differential proof that the tree sweep and the lookup fold match the oracle.
 
-The scalar kernel is the executable specification; the vector kernel must
-reproduce it *byte for byte* — same output values, same canonical headers,
-same ready cycles and hop counts, same :class:`PEWork` counters.  These
-tests drive both over randomized message populations and whole-engine
-runs — the shared ``on_pe_paths`` fixture pins the size cutovers so each
-run stays on one path, even for tiny invocations — and compare everything
-exactly.
+The object PE model in ``tests/pe_oracle.py`` is the executable
+specification; the engine's closed-form level sweep (``repro.core.sweep``)
+and its exact-match leaf fold (``repro.core.pe.fold_stream``) must
+reproduce it *byte for byte* — same output values, same ready cycles, same
+:class:`PEWork` counters (and, for the fold, the same canonical headers and
+hop counts).  The shared ``on_pe_paths`` fixture runs each thunk on both and
+compares everything exactly, over randomized PE inputs, fold streams and
+whole-engine runs.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +21,6 @@ from repro.core import (
     FafnirEngine,
     Header,
     Message,
-    ProcessingElement,
     SUM,
     ShardedRunner,
     get_operator,
@@ -27,6 +29,9 @@ from repro.core.pe import PEWork
 from repro.faults import FaultPlan, FaultPolicy, STATUS_DEGRADED, STATUS_OK
 from repro.memory import MemoryConfig
 from repro.workloads import EmbeddingTableSet, QueryGenerator
+from tests.pe_oracle import ProcessingElement
+
+REDUCE_PATH = FafnirConfig().latencies.reduce_path
 
 
 def random_messages(rng, count, universe, max_indices=3, max_entries=3,
@@ -69,29 +74,80 @@ def message_fingerprint(message):
     )
 
 
-def make_pe(operator=SUM):
-    config = FafnirConfig(batch_size=64, total_ranks=8, ranks_per_leaf_pe=2)
-    return ProcessingElement(config, operator)
+def random_queries(rng, count, universe, max_len=4):
+    """Distinct random queries, in a canonical order."""
+    queries = {
+        frozenset(
+            int(i)
+            for i in rng.choice(
+                universe, size=int(rng.integers(1, max_len + 1)), replace=False
+            )
+        )
+        for _ in range(count)
+    }
+    return sorted(queries, key=sorted)
+
+
+def pe_inputs(rng, queries, max_ready=50, elements=8):
+    """Engine-shaped inputs of one PE: A holds the even indices, B the odd.
+
+    Each input carries one message per distinct projection of the queries
+    onto its indices, the shape every child of a real tree hands on.
+    """
+    inputs = []
+    for parity in (0, 1):
+        entries_of = {}
+        for query in queries:
+            projection = frozenset(i for i in query if i % 2 == parity)
+            if projection:
+                entries_of.setdefault(projection, []).append(query - projection)
+        inputs.append(
+            [
+                Message(
+                    Header.make(projection, entries),
+                    rng.normal(size=elements),
+                    ready_cycle=int(rng.integers(0, max_ready)),
+                )
+                for projection, entries in sorted(
+                    entries_of.items(), key=lambda item: sorted(item[0])
+                )
+            ]
+        )
+    return inputs
 
 
 def process_on_paths(on_pe_paths, a, b, operator=SUM):
-    """``process(a, b)`` on both paths; the fixture asserts they agree."""
-    pe = make_pe(operator)
+    """One PE's ``(a, b)`` through both paths; the fixture asserts they agree.
+
+    A two-rank machine has a single leaf PE, which is also the root, so the
+    tree stage is exactly that PE's leaf fold (an identity on these inputs)
+    and ``process``.  Returns each query's value bytes and ready cycle, and
+    the PE's work.
+    """
+    queries = sorted(
+        {m.indices | entry for m in [*a, *b] for entry in m.entries}, key=sorted
+    )
+    config = FafnirConfig(batch_size=64, total_ranks=2, ranks_per_leaf_pe=2)
+    plan = SimpleNamespace(queries=tuple(queries))
 
     def run():
-        result = pe.process(a, b)
-        return [message_fingerprint(m) for m in result.outputs], result.work
+        engine = FafnirEngine(
+            config=config,
+            operator=operator,
+            memory_config=MemoryConfig().scaled_to_ranks(2),
+        )
+        values, ready, work = engine._run_tree(plan, {0: [list(a), list(b)]})
+        return [value.tobytes() for value in values], ready, work
 
     return on_pe_paths(run)
 
 
 def fold_on_paths(on_pe_paths, stream):
     """``fold_stream(stream)`` on both paths; the fixture asserts they agree."""
-    pe = make_pe()
 
     def run():
         work = PEWork()
-        outputs = pe.fold_stream(list(stream), work)
+        outputs = pe_module.fold_stream(list(stream), work, SUM, REDUCE_PATH)
         return [message_fingerprint(m) for m in outputs], work
 
     return on_pe_paths(run)
@@ -102,37 +158,38 @@ class TestProcessEquivalence:
     def test_random_populations(self, seed, on_pe_paths):
         rng = np.random.default_rng(seed)
         universe = int(rng.integers(6, 40))
-        a = random_messages(rng, int(rng.integers(1, 12)), universe)
-        b = random_messages(rng, int(rng.integers(0, 12)), universe)
-        process_on_paths(on_pe_paths, a, b)
+        queries = random_queries(rng, int(rng.integers(1, 12)), universe)
+        process_on_paths(on_pe_paths, *pe_inputs(rng, queries))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dense_overlap_many_ties(self, seed, on_pe_paths):
-        """A tiny universe maximises duplicate entries and tie-breaks."""
+        """A tiny universe and few ready cycles maximise shared projections
+        and ready-cycle ties."""
         rng = np.random.default_rng(1000 + seed)
-        a = random_messages(rng, 10, universe=5, max_indices=2,
-                            max_entries=2, max_entry_len=3)
-        b = random_messages(rng, 10, universe=5, max_indices=2,
-                            max_entries=2, max_entry_len=3)
-        process_on_paths(on_pe_paths, a, b)
+        queries = random_queries(rng, 10, universe=5, max_len=3)
+        process_on_paths(on_pe_paths, *pe_inputs(rng, queries, max_ready=3))
 
     def test_empty_partner_side(self, on_pe_paths):
         rng = np.random.default_rng(3)
-        a = random_messages(rng, 6, universe=12)
-        process_on_paths(on_pe_paths, a, [])
+        evens = [frozenset(2 * i for i in q) for q in random_queries(rng, 6, 12)]
+        a, b = pe_inputs(rng, evens)
+        assert b == []
+        process_on_paths(on_pe_paths, a, b)
 
     def test_complete_entries_forward(self, on_pe_paths):
         value = np.arange(4.0)
-        done = Message(Header.make({1, 2}, [set()]), value)
-        other = Message(Header.make({9}, [{4}]), value)
-        process_on_paths(on_pe_paths, [done], [other])
+        done = Message(Header.make({2, 4}, [set()]), value)
+        partial = Message(Header.make({4}, [{9}]), value * 2)
+        other = Message(Header.make({9}, [{4}]), value * 3)
+        values, _, work = process_on_paths(on_pe_paths, [done, partial], [other])
+        assert work[0].forwards == 1 and work[0].reduces == 2
+        assert values == [value.tobytes(), (value * 5).tobytes()]
 
     @pytest.mark.parametrize("name", ["sum", "min", "max"])
     def test_operators(self, name, on_pe_paths):
         rng = np.random.default_rng(17)
-        a = random_messages(rng, 8, universe=16)
-        b = random_messages(rng, 8, universe=16)
-        process_on_paths(on_pe_paths, a, b, get_operator(name))
+        queries = random_queries(rng, 8, universe=16)
+        process_on_paths(on_pe_paths, *pe_inputs(rng, queries), get_operator(name))
 
 
 class TestFoldEquivalence:
@@ -330,6 +387,11 @@ class TestPELawChecks:
         config = FafnirConfig(batch_size=64, total_ranks=8, ranks_per_leaf_pe=2)
         return ProcessingElement(config, SUM, pe_id=0, level=0)
 
+    def engine_fold(self, stream):
+        return pe_module.fold_stream(
+            stream, PEWork(), SUM, REDUCE_PATH, pe_id=0, level=0
+        )
+
     # {1, 2} already folded query {1, 2, 3}, yet {1} still carries it.
     STALE = [
         Message(Header.make({1}, [{2, 3}]), np.ones(4)),
@@ -337,9 +399,8 @@ class TestPELawChecks:
     ]
 
     def test_fold_check_catches_a_stale_stream(self, on_pe_paths):
-        pe = self.engine_pe()
         with pytest.raises(AssertionError, match=r"fold carries \[1\] -> \[2, 3\]"):
-            on_pe_paths(lambda: pe.fold_stream(self.STALE, PEWork()))
+            on_pe_paths(lambda: self.engine_fold(self.STALE))
 
     def test_process_check_catches_a_stale_input(self, on_pe_paths):
         pe = self.engine_pe()
@@ -350,7 +411,7 @@ class TestPELawChecks:
 
 @pytest.fixture
 def fallback_calls(monkeypatch):
-    """Record every call of the lookup kernels' scalar fallback."""
+    """Record every call of the lookup fold's scalar fallback."""
     calls = []
     scan = pe_module._widest_contained
 
@@ -368,38 +429,9 @@ def output_with(outputs, indices):
 
 
 class TestLookupFallback:
-    """Inputs where no candidate equals ``entry ∩ covered``: the kernels fall
-    back to the widest-contained scan and must still pick the spec's partner."""
-
-    def test_scan_without_exact_partner_picks_first_widest(
-        self, on_pe_paths, fallback_calls
-    ):
-        value = np.arange(4.0)
-        a = [Message(Header.make({9}, [{1, 2, 3}]), value)]
-        b = [
-            Message(Header.make({1}, [{5}]), value * 10),
-            Message(Header.make({2}, [{6}]), value * 100),
-        ]
-        outputs, _ = process_on_paths(on_pe_paths, a, b)
-        assert fallback_calls == [frozenset({1, 2, 3})]
-        reduced = output_with(outputs, {1, 9})
-        assert reduced[1] == (frozenset({2, 3}),)
-        assert reduced[2] == (value * 11).tobytes()
-
-    @pytest.mark.parametrize("entry", [{1}, {1, 2, 3}])
-    def test_scan_duplicate_partners_pick_the_first(
-        self, entry, on_pe_paths, fallback_calls
-    ):
-        value = np.arange(4.0)
-        a = [Message(Header.make({9}, [entry]), value)]
-        b = [
-            Message(Header.make({1}, [{5}]), value * 10),
-            Message(Header.make({1}, [{6}]), value * 100),
-            Message(Header.make({2}, [{7}]), value * 1000),
-        ]
-        outputs, _ = process_on_paths(on_pe_paths, a, b)
-        assert bool(fallback_calls) == (len(entry) > 1)
-        assert output_with(outputs, {1, 9})[2] == (value * 11).tobytes()
+    """Streams where no buffered row equals ``entry ∩ covered``: the lookup
+    fold falls back to the widest-contained scan and must still pick the
+    specification's partner."""
 
     def test_fold_without_exact_buffered_row(self, on_pe_paths, fallback_calls):
         value = np.arange(4.0)
@@ -428,13 +460,12 @@ def _invariant_source(index):
 
 
 class TestLookupInvariant:
-    """On engine-built inputs every kernel lookup is an exact hit.
+    """On engine-built streams every leaf-fold lookup is an exact hit.
 
-    The tree spans every rank, so the other input of a PE always holds one
-    message covering exactly an entry's indices beneath it.  These runs force
-    the lookup kernels on every invocation and make the scalar fallback
-    raise: output would be byte-identical either way, so only this test
-    notices a change that sends entries down the O(candidates) fallback.
+    The buffered row for an entry's query covers exactly the entry's
+    indices in that FIFO.  These runs make the scalar fallback raise:
+    output would be byte-identical either way, so only this test notices a
+    change that sends entries down the O(candidates) fallback.
     """
 
     RANKS = 8
@@ -444,8 +475,6 @@ class TestLookupInvariant:
         def unreachable(entry, candidates):
             raise AssertionError(f"lookup fell back for entry {sorted(entry)}")
 
-        monkeypatch.setattr(pe_module, "_VECTOR_SCAN_CUTOVER", 0)
-        monkeypatch.setattr(pe_module, "_VECTOR_FOLD_CUTOVER", 0)
         monkeypatch.setattr(pe_module, "_widest_contained", unreachable)
 
     def config(self, queries):

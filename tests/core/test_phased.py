@@ -57,7 +57,7 @@ class TestPhasedEngine:
     def test_phased_matches_oracle(self, workload):
         tables, batch = workload
         engine = FafnirEngine(
-            FafnirConfig(batch_size=16), check_values=True, timing="phased"
+            FafnirConfig(batch_size=16), timing="phased"
         )
         result = engine.run_batch(batch, tables.vector)
         for query, vector in zip(result.plan.queries, result.vectors):

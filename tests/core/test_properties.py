@@ -13,12 +13,12 @@ from repro.core import (
     FafnirEngine,
     Header,
     Message,
-    ProcessingElement,
     SUM,
     get_operator,
     plan_batch,
 )
 from repro.memory import MemoryConfig
+from tests.pe_oracle import ProcessingElement
 
 ELEMENTS = 16
 
@@ -36,7 +36,6 @@ def small_engine(operator=SUM):
         config=config,
         operator=operator,
         memory_config=MemoryConfig().scaled_to_ranks(8),
-        check_values=True,
     )
 
 
@@ -102,62 +101,53 @@ def test_plan_unique_fraction_bounds(queries):
 @settings(max_examples=40, deadline=None)
 @given(queries=queries_strategy)
 def test_message_value_matches_indices_reduction(queries):
-    """Invariant 1: every root message's value is exactly the reduction of
-    its indices set."""
+    """Invariant 1: every root value is exactly the reduction of its
+    query's indices."""
     engine = small_engine()
     plan = plan_batch(queries, max_query_len=8)
     finish, _, _ = engine._fetch_from_memory(plan)
     values = {i: deterministic_source(i) for i in plan.unique_indices}
     leaf_inputs = engine._leaf_inputs(plan, finish, values)
-    root_outputs, _ = engine._run_tree(leaf_inputs)
-    for message in root_outputs:
-        want = np.sum(
-            [deterministic_source(i) for i in sorted(message.indices)], axis=0
-        )
-        assert np.allclose(message.value, want)
+    root_values, _, _ = engine._run_tree(plan, leaf_inputs)
+    for query, value in zip(plan.queries, root_values):
+        want = np.sum([deterministic_source(i) for i in sorted(query)], axis=0)
+        assert np.allclose(value, want)
     engine.memory.reset()
 
 
 @settings(max_examples=40, deadline=None)
 @given(queries=queries_strategy)
 def test_subtree_completion_invariant(queries):
-    """Invariant 2: each subtree's output holds a message covering exactly
-    the query indices homed beneath it."""
+    """Invariant 2: each subtree's output holds one message per distinct
+    projection of the queries onto the indices homed beneath it.
+
+    In the sweep's id tables, a query has a message at a node exactly when
+    it has an index below, and two queries share that message exactly when
+    their projections there are equal.
+    """
     engine = small_engine()
     plan = plan_batch(queries, max_query_len=8)
     finish, _, _ = engine._fetch_from_memory(plan)
     values = {i: deterministic_source(i) for i in plan.unique_indices}
     leaf_inputs = engine._leaf_inputs(plan, finish, values)
+    result = engine._sweep(plan, leaf_inputs)
 
-    outputs = {}
-    for pe_id in engine.tree.bottom_up_ids():
-        node = engine.tree.pe(pe_id)
-        pe = ProcessingElement(engine.config, engine.operator)
-        if node.is_leaf:
-            from repro.core.pe import PEWork
-
-            work = PEWork()
-            input_a = pe.fold_stream(leaf_inputs[pe_id][0], work)
-            input_b = pe.fold_stream(leaf_inputs[pe_id][1], work)
-        else:
-            left, right = node.children
-            input_a, input_b = outputs[left], outputs[right]
-        outputs[pe_id] = pe.process(input_a, input_b).outputs
-
-        covered = set(engine.tree.covered_ranks(pe_id))
-        for query in plan.queries:
-            expected_indices = frozenset(
-                i for i in query if engine.placement.home_rank(i) in covered
-            )
-            if not expected_indices:
-                continue
-            assert any(
-                message.indices == expected_indices
-                for message in outputs[pe_id]
-            ), (
-                f"subtree {pe_id} missing cover {sorted(expected_indices)} "
-                f"for query {sorted(query)}"
-            )
+    for level, table in enumerate(result.ids[1:]):
+        for node, pe_id in enumerate(engine.tree.level_ids(level)):
+            covered = set(engine.tree.covered_ranks(pe_id))
+            message_of = {}
+            for query, message in zip(result.queries, table[:, node].tolist()):
+                projection = frozenset(
+                    i for i in query if engine.placement.home_rank(i) in covered
+                )
+                assert (message >= 0) == bool(projection), (
+                    f"subtree {pe_id} missing cover {sorted(projection)} "
+                    f"for query {sorted(query)}"
+                )
+                if projection:
+                    message_of.setdefault(projection, message)
+                    assert message_of[projection] == message
+            assert len(set(message_of.values())) == len(message_of)
     engine.memory.reset()
 
 

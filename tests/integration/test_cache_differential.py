@@ -7,8 +7,8 @@ multi-batch streams (repeats across batches are what make the cache
 actually hit) and requires:
 
 * byte-identical vectors, identical per-query statuses, and identical
-  per-PE work counters on both PE code paths (the scalar specification
-  and the NumPy kernels, each forced everywhere by ``on_pe_paths``);
+  per-PE work counters on both tree implementations (the closed-form sweep
+  and the object PE oracle, swapped by ``on_pe_paths``);
 * the same invariance under fault injection, in both fail-fast-survivable
   and degrade modes — injected read timeouts are keyed by batch position,
   and the tier keeps positions intact, so the *same* queries degrade;

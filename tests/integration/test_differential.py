@@ -6,16 +6,18 @@ randomly drawn machines and workloads:
 * **functional** — the tree's per-query outputs must equal a plain NumPy
   reduction of the same table rows, whatever the tree arity, rank count,
   rank→leaf wiring permutation, batch shape, or dedup setting;
-* **behavioural** — the PE's scalar specification and its NumPy kernels,
-  each forced onto every invocation through the shared ``on_pe_paths``
-  fixture, must emit *identical* event streams (same kinds, cycles, PEs,
-  levels, args, in the same order) and identical per-level event counts,
+* **behavioural** — the engine's closed-form tree sweep and the object PE
+  oracle, swapped through the shared ``on_pe_paths`` fixture, must emit
+  *identical* event streams (same kinds, cycles, PEs, levels, args; the
+  tree's PE events compared as one multiset per PE, since the sweep orders
+  a level's events differently) and identical per-level event counts,
   recorded through in-memory sinks.  Byte-identical outputs could still
   hide divergent internal scheduling; stream equality cannot.
 
 The comparison runs plain, traced (object and columnar sinks), and
-fault-injected (latency degradation + read timeouts) — the two code paths
-must be indistinguishable in every observable, not just on the happy path.
+fault-injected (latency degradation + read timeouts) — the two tree
+implementations must be indistinguishable in every observable, not just on
+the happy path.
 
 Configs are drawn from a seeded RNG so every run covers the same
 machines (failures reproduce) while spanning the space far wider than
@@ -30,6 +32,7 @@ from repro.core.engine import FafnirEngine
 from repro.core.operators import MAX, MEAN, SUM
 from repro.faults import FaultPlan
 from repro.obs import ColumnarSink, InMemorySink, Tracer, per_level_counts
+from tests.conftest import tree_event_fingerprint
 
 UNIVERSE = 512
 
@@ -118,7 +121,8 @@ def _fingerprint(result, events):
         "latency": result.stats.latency_pe_cycles,
         "work": result.stats.per_pe_work,
         "statuses": result.query_statuses,
-        "events": events,
+        "ready": result.ready_pe_cycles,
+        "events": tree_event_fingerprint(events),
         # Implied by stream equality, but kept explicit: if streams ever
         # diverge, the level histogram localizes which tree stage drifted.
         "levels": per_level_counts(events),
@@ -143,26 +147,22 @@ def _traced_run(config, rank_order, queries, table, deduplicate, **kwargs):
 def test_scalar_and_vector_kernels_emit_identical_event_streams(
     seed, on_pe_paths
 ):
-    """spec == kernels on vectors, latency, ``PEWork``, statuses and the
-    full event stream (``on_pe_paths`` asserts the equality)."""
+    """sweep == oracle on vectors, latency, ready cycles, ``PEWork``,
+    statuses and the event stream (``on_pe_paths`` asserts the equality)."""
     config, rank_order, queries, deduplicate = random_setup(seed)
     table = make_table(config, seed)
     observed = on_pe_paths(
         lambda: _traced_run(config, rank_order, queries, table, deduplicate)
     )
     assert len(observed["vectors"]) == len(queries)
-    assert observed["events"], "run recorded nothing"
+    assert observed["events"][1], "run recorded no PE events"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_three_engine_paths_are_indistinguishable(seed, on_pe_paths):
-    """The default engine (size-selected PE code per invocation) == spec
-    everywhere == kernels everywhere, on every observable.
-
-    The default run mixes both code paths inside one tree sweep, so it
-    also checks that the scalar and vector steps hand each other
-    identical messages.
-    """
+    """The default engine == the sweep inside the fixture == the object
+    oracle, on every observable: the fixture's patches leave the default
+    path itself untouched."""
     config, rank_order, queries, deduplicate = random_setup(seed)
     table = make_table(config, seed)
 
@@ -175,7 +175,7 @@ def test_three_engine_paths_are_indistinguishable(seed, on_pe_paths):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_pe_paths_agree_under_faults(seed, on_pe_paths):
     """Fault injection exercises retry/timeout paths the happy-path seeds
-    never reach; spec and kernels must agree there too — same degraded
+    never reach; sweep and oracle must agree there too — same degraded
     timings, same statuses, same streams."""
     config, rank_order, queries, deduplicate = random_setup(seed)
     table = make_table(config, seed)

@@ -8,7 +8,6 @@ from repro.core import (
     FafnirEngine,
     Header,
     Message,
-    ProcessingElement,
     SUM,
 )
 from repro.faults import (
@@ -21,6 +20,7 @@ from repro.faults import (
     STATUSES,
 )
 from repro.memory import MemoryConfig
+from tests.pe_oracle import ProcessingElement
 
 
 def good_source(index):

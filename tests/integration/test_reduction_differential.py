@@ -4,8 +4,8 @@ The cross-shard reduction (src/repro/comm/) claims byte-identity with the
 single-node tree for subtree-aligned partitions: each shard computes an
 exact subtree of the single-node tournament, and the canonical fold
 replays the missing upper levels in the same association.  This module
-pits the single-node engine on both PE code paths (the scalar
-specification and the NumPy kernels, each forced everywhere by the
+pits the single-node engine on both tree implementations (the
+closed-form sweep and the object PE oracle, swapped by the
 ``on_pe_paths`` fixture) against every sharded ``reduction=`` schedule at
 power-of-two
 shard counts and requires bit-for-bit agreement on vectors and statuses —
@@ -14,8 +14,8 @@ dropped rows must land on exactly the same queries in both worlds.
 
 Latencies are compared where the model says they must agree: the three
 sharded schedules share identical shard-local per-query latencies (a
-schedule only re-times the comm phase), and the two single-node PE paths
-share identical latencies.  Single-node and sharded latencies
+schedule only re-times the comm phase), and the two single-node tree
+implementations share identical latencies.  Single-node and sharded latencies
 legitimately differ — a shard's private memory system sees less
 contention than one node serving the whole stream.
 """
@@ -100,7 +100,7 @@ SEEDS = range(8)
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_matrix_agrees_on_vectors_and_statuses(seed, on_pe_paths):
-    """Every cell — the default engine and both PE paths x {2,4} shards x
+    """Every cell — the default engine and both tree paths x {2,4} shards x
     3 schedules — produces the same bytes and the same per-query
     statuses."""
     config, batches = random_setup(seed)
@@ -127,7 +127,7 @@ def test_matrix_agrees_on_vectors_and_statuses(seed, on_pe_paths):
 def test_local_latencies_are_schedule_independent(seed, on_pe_paths):
     """A schedule re-times only the comm phase: per-query shard-local
     latencies must be identical across all three schedules (and the
-    single-node PE paths must agree with each other)."""
+    single-node tree paths must agree with each other)."""
     config, batches = random_setup(seed)
     source = make_source(seed, config.vector_elements)
 
