@@ -7,24 +7,8 @@ from repro.analysis.locality import (
     measured_colocation_fraction,
     prob_all_same_device,
 )
-from repro.analysis.energy import (
-    EnergyBreakdown,
-    energy_saving_vs,
-    run_energy,
-)
-from repro.analysis.movement import MovementModel, measured_movement_elements
+from repro.analysis.movement import MovementModel
 from repro.analysis.report import Table
-from repro.analysis.roofline import (
-    Roofline,
-    SERVER_ROOFLINE,
-    bandwidth_utilization,
-    gather_reduce_intensity,
-)
-from repro.analysis.statistics import (
-    SummaryStats,
-    bootstrap_mean,
-    speedup_significant,
-)
 from repro.analysis.unique import (
     UniqueIndexStats,
     max_accesses_per_rank,
@@ -33,25 +17,14 @@ from repro.analysis.unique import (
 )
 
 __all__ = [
-    "EnergyBreakdown",
     "MovementModel",
-    "energy_saving_vs",
-    "run_energy",
-    "Roofline",
-    "SERVER_ROOFLINE",
-    "bandwidth_utilization",
-    "gather_reduce_intensity",
     "Table",
-    "SummaryStats",
-    "bootstrap_mean",
-    "speedup_significant",
     "UniqueIndexStats",
     "expected_lonely_vectors",
     "expected_ndp_reducible_fraction",
     "expected_occupied_devices",
     "max_accesses_per_rank",
     "measured_colocation_fraction",
-    "measured_movement_elements",
     "per_rank_access_counts",
     "prob_all_same_device",
     "unique_fraction_stats",

@@ -11,7 +11,6 @@ For ``n`` queries of ``q`` indices over ``v``-element vectors:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.analysis.locality import expected_occupied_devices
 
@@ -64,14 +63,3 @@ class MovementModel:
             raise KeyError(
                 f"unknown engine {engine!r}; expected one of {sorted(shipped)}"
             ) from None
-
-
-def measured_movement_elements(
-    queries: Sequence[Sequence[int]],
-    vector_elements: int,
-    shipped_items_per_query: Sequence[int],
-) -> int:
-    """Movement from a simulated run: shipped items × vector width."""
-    if len(shipped_items_per_query) != len(queries):
-        raise ValueError("one shipped-item count per query required")
-    return sum(shipped_items_per_query) * vector_elements

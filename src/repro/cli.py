@@ -91,6 +91,21 @@ ENGINES = {
 }
 
 
+def _batch_size(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _query_len(text: str) -> int:
+    value = int(text)
+    limit = FafnirConfig().max_query_len
+    if not 1 <= value <= limit:
+        raise argparse.ArgumentTypeError(f"must be in 1..{limit}, got {value}")
+    return value
+
+
 def _make_batch(batch_size: int, query_len: int, seed: int):
     tables = EmbeddingTableSet.random(seed=seed)
     generator = QueryGenerator.paper_calibrated(
@@ -317,14 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     lookup = subparsers.add_parser("lookup", help="run one batch on one engine")
     lookup.add_argument("--engine", choices=sorted(ENGINES), default="fafnir")
-    lookup.add_argument("--batch-size", type=int, default=32)
-    lookup.add_argument("--query-len", type=int, default=16)
+    lookup.add_argument("--batch-size", type=_batch_size, default=32)
+    lookup.add_argument("--query-len", type=_query_len, default=16)
     lookup.add_argument("--seed", type=int, default=0)
     lookup.set_defaults(func=_cmd_lookup)
 
     compare = subparsers.add_parser("compare", help="compare all engines")
-    compare.add_argument("--batch-size", type=int, default=32)
-    compare.add_argument("--query-len", type=int, default=16)
+    compare.add_argument("--batch-size", type=_batch_size, default=32)
+    compare.add_argument("--query-len", type=_query_len, default=16)
     compare.add_argument("--seed", type=int, default=0)
     compare.set_defaults(func=_cmd_compare)
 
@@ -342,14 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
     rank.set_defaults(func=_cmd_pagerank)
 
     hw = subparsers.add_parser("hw", help="hardware bookkeeping tables")
-    hw.add_argument("--batch-size", type=int, default=32)
+    hw.add_argument("--batch-size", type=_batch_size, default=32)
     hw.set_defaults(func=_cmd_hw)
 
     trace = subparsers.add_parser(
         "trace", help="capture a cycle-level event trace of one batch"
     )
-    trace.add_argument("--batch-size", type=int, default=32)
-    trace.add_argument("--query-len", type=int, default=16)
+    trace.add_argument("--batch-size", type=_batch_size, default=32)
+    trace.add_argument("--query-len", type=_query_len, default=16)
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument(
         "--out", default="fafnir_trace.json", help="Chrome trace JSON path"

@@ -11,7 +11,6 @@ from repro.core.engine import (
     PipelineStats,
 )
 from repro.core.header import Header, Message
-from repro.core.microsim import MicrosimReport, PEMicrosim
 from repro.core.interactive import InteractiveEngine, InteractiveResult
 from repro.core.stats import (
     LevelUtilization,
@@ -57,8 +56,6 @@ __all__ = [
     "MEAN",
     "MIN",
     "Message",
-    "MicrosimReport",
-    "PEMicrosim",
     "PELatencies",
     "PEWork",
     "ReductionOperator",

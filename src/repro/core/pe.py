@@ -58,47 +58,31 @@ class PEWork:
         )
 
 
-def _widest_contained(
-    entry: FrozenSet[int], candidates: Sequence[Optional[Message]]
-) -> int:
-    """Position of the first widest candidate whose indices lie in ``entry``.
-
-    Returns -1 when no candidate is contained.  This is the specification's
-    choice, by a scan of every candidate; ``None`` marks a removed row and
-    is skipped.
-    """
-    best, width = -1, 0
-    for position, candidate in enumerate(candidates):
-        if candidate is None:
-            continue
-        size = len(candidate.indices)
-        if size > width and candidate.indices <= entry:
-            best, width = position, size
-    return best
-
-
 def _partner_of(
     entry: FrozenSet[int],
     covered: AbstractSet[int],
     first_with: Dict[FrozenSet[int], int],
-    candidates: Sequence[Optional[Message]],
 ) -> int:
-    """:func:`_widest_contained` by one hash lookup, exact for any input.
+    """Position of the buffered row ``entry`` reduces with, or -1 for none.
 
-    ``covered`` is a superset of the candidates' indices and ``first_with``
-    maps each distinct ``indices`` set to its first position.  A candidate
-    contained in ``entry`` is contained in ``key = entry & covered``, so a
-    candidate equal to ``key`` is the widest match (first on ties) and an
-    empty key matches nothing.  Only when no candidate equals ``key`` does
-    the scan decide; engine-built streams never reach it (the buffered row
-    for the entry's query covers exactly ``key``).
+    ``covered`` is a superset of the buffered rows' indices and
+    ``first_with`` maps each distinct ``indices`` set to its first position.
+    A row contained in ``entry`` is contained in ``key = entry & covered``,
+    so a row equal to ``key`` is the widest match (first on ties) and an
+    empty key matches nothing.  In a stream built like a leaf FIFO (one
+    message per read index, carrying the remainders of the queries it
+    serves) the buffered row for the entry's query covers exactly ``key``;
+    any other miss means the stream is not one, and is an error.
     """
     key = entry & covered
     if not key:
         return -1
     position = first_with.get(key)
     if position is None:
-        return _widest_contained(entry, candidates)
+        raise ValueError(
+            f"no buffered row equals {sorted(key)} for entry {sorted(entry)}: "
+            "the stream was not built like a leaf FIFO"
+        )
     return position
 
 
@@ -143,7 +127,8 @@ def fold_stream(
     rows with equal ``indices`` coalesce.  The result holds one entry per
     query touching the FIFO: ``q − S`` on the message for ``S = q ∩ FIFO``.
     Buffer rows keep their positions (a consumed row becomes ``None``), and
-    each arrival finds its match with one :func:`_partner_of` lookup.
+    each arrival finds its match with one :func:`_partner_of` lookup; a
+    stream not built like a leaf FIFO can miss it and raises ``ValueError``.
     """
     buffer: List[Optional[Message]] = []
     live = 0
@@ -183,7 +168,7 @@ def fold_stream(
             if not entry:
                 continue
             work.compares += live
-            choice = _partner_of(entry, buffered, first_row, buffer)
+            choice = _partner_of(entry, buffered, first_row)
             if choice < 0:
                 continue
             best = buffer[choice]

@@ -20,7 +20,6 @@ from repro.hw.buffers import (
 from repro.hw.connections import (
     ConnectionComparison,
     all_to_all_connections,
-    crossover_memory_devices,
     fafnir_connections,
 )
 from repro.hw.link import LinkModel
@@ -63,7 +62,6 @@ __all__ = [
     "SYSTEM_MW",
     "XCVU9P",
     "all_to_all_connections",
-    "crossover_memory_devices",
     "fafnir_connections",
     "fpga_node_power_w",
     "fpga_power_breakdown_w",

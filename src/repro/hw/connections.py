@@ -42,22 +42,3 @@ class ConnectionComparison:
     @property
     def reduction_factor(self) -> float:
         return self.all_to_all / self.fafnir
-
-
-def crossover_memory_devices(compute_devices: int) -> int:
-    """Smallest m where the tree uses strictly fewer links than all-to-all.
-
-    Solves c·m > 2m − 2 + c, i.e. m(c − 2) > c − 2 ⇒ m > 1 for c > 2: the
-    tree wins for any real system; this helper makes the scaling claim
-    testable for arbitrary c.
-    """
-    if compute_devices < 1:
-        raise ValueError("compute_devices must be positive")
-    m = 1
-    while all_to_all_connections(m, compute_devices) <= fafnir_connections(
-        m, compute_devices
-    ):
-        m += 1
-        if m > 1_000_000:
-            raise RuntimeError("no crossover found (degenerate c)")
-    return m

@@ -12,7 +12,7 @@ from repro.memory.config import (
     MemoryConfig,
     MemoryGeometry,
 )
-from repro.memory.hbm import HBM2_GEOMETRY, HBM2_TIMING, hbm2_stack, pseudo_channel_count
+from repro.memory.hbm import HBM2_GEOMETRY, HBM2_TIMING, hbm2_stack
 from repro.memory.mapping import (
     ColumnMajorPlacement,
     RowMajorPlacement,
@@ -21,12 +21,6 @@ from repro.memory.mapping import (
 )
 from repro.memory.request import Completion, ReadRequest, WriteRequest
 from repro.memory.system import MemorySystem
-from repro.memory.timeline import (
-    TimelineOptions,
-    render_fault_timeline,
-    render_rank_timeline,
-    render_trace_timeline,
-)
 from repro.memory.trace import AccessStats, AccessTrace
 
 __all__ = [
@@ -39,17 +33,12 @@ __all__ = [
     "HBM2_GEOMETRY",
     "HBM2_TIMING",
     "hbm2_stack",
-    "pseudo_channel_count",
     "MemoryConfig",
     "MemoryGeometry",
     "MemorySystem",
     "ReadRequest",
     "RowMajorPlacement",
     "StreamPlacement",
-    "TimelineOptions",
     "VectorPlacement",
     "WriteRequest",
-    "render_fault_timeline",
-    "render_rank_timeline",
-    "render_trace_timeline",
 ]

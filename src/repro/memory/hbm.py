@@ -39,8 +39,3 @@ HBM2_GEOMETRY = MemoryGeometry(
 def hbm2_stack() -> MemoryConfig:
     """One HBM2 stack: 32 pseudo-channels, FAFNIR leaves at 1PE:2PC."""
     return MemoryConfig(geometry=HBM2_GEOMETRY, timing=HBM2_TIMING)
-
-
-def pseudo_channel_count(config: MemoryConfig) -> int:
-    """Pseudo-channels of an HBM-style config (= channels here)."""
-    return config.geometry.channels

@@ -1,7 +1,6 @@
 """Sparse-matrix substrate: formats and synthetic generators."""
 
 from repro.sparse.coo import CooMatrix
-from repro.sparse.csr import CsrMatrix
 from repro.sparse.generators import (
     diagonally_dominant,
     laplacian_2d,
@@ -9,18 +8,14 @@ from repro.sparse.generators import (
     rmat,
     road_mesh,
 )
-from repro.sparse.io import read_matrix_market, write_matrix_market
 from repro.sparse.lil import LilMatrix
 
 __all__ = [
     "CooMatrix",
-    "CsrMatrix",
     "LilMatrix",
     "diagonally_dominant",
     "laplacian_2d",
     "random_sparse",
     "rmat",
     "road_mesh",
-    "read_matrix_market",
-    "write_matrix_market",
 ]

@@ -16,8 +16,6 @@ from repro.spmv.semiring import (
     Semiring,
     get_semiring,
 )
-from repro.spmv.solvers import EigenResult, conjugate_gradient, power_iteration
-from repro.spmv.spmm import SpmmResult, spmm
 
 __all__ = [
     "AppResult",
@@ -28,9 +26,6 @@ __all__ = [
     "SpmvPlan",
     "SpmvResult",
     "SpmvStats",
-    "SpmmResult",
-    "spmm",
-    "EigenResult",
     "MAX_TIMES",
     "MIN_PLUS",
     "OR_AND",
@@ -39,8 +34,6 @@ __all__ = [
     "get_semiring",
     "sssp",
     "bfs",
-    "conjugate_gradient",
-    "power_iteration",
     "jacobi_solve",
     "pagerank",
     "sweep",

@@ -10,9 +10,7 @@ from repro.workloads.scheduler import (
     SharingAwareScheduler,
     evaluate_schedule,
 )
-from repro.workloads.mlp import MlpConfig, calibrated_fc_batch, mlp_latency_ms
-from repro.workloads.recommender import RecommendationModel, ScoredBatch
-from repro.workloads.suites import SpmvWorkload, fig14_suite, suite_by_name
+from repro.workloads.suites import SpmvWorkload, fig14_suite
 from repro.workloads.traces import QueryTrace
 
 __all__ = [
@@ -25,14 +23,8 @@ __all__ = [
     "SharingAwareScheduler",
     "evaluate_schedule",
     "InferenceBreakdown",
-    "MlpConfig",
-    "RecommendationModel",
-    "ScoredBatch",
-    "calibrated_fc_batch",
-    "mlp_latency_ms",
     "InferenceModel",
     "QueryGenerator",
     "SpmvWorkload",
     "fig14_suite",
-    "suite_by_name",
 ]

@@ -9,7 +9,7 @@ stand-ins; DESIGN.md §2 documents the substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 from repro.sparse.generators import (
     laplacian_2d,
@@ -85,7 +85,3 @@ def fig14_suite() -> List[SpmvWorkload]:
             "65 K-vertex road network",
         ),
     ]
-
-
-def suite_by_name() -> Dict[str, SpmvWorkload]:
-    return {workload.name: workload for workload in fig14_suite()}

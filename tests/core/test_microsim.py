@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import FafnirConfig, Header, Message, SUM
-from repro.core.microsim import PEMicrosim
+from tests.pe_microsim import PEMicrosim
 from tests.pe_oracle import ProcessingElement
 
 

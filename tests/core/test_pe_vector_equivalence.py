@@ -34,36 +34,6 @@ from tests.pe_oracle import ProcessingElement
 REDUCE_PATH = FafnirConfig().latencies.reduce_path
 
 
-def random_messages(rng, count, universe, max_indices=3, max_entries=3,
-                    max_entry_len=4, elements=8):
-    """A random, header-valid message population."""
-    messages = []
-    for _ in range(count):
-        indices = frozenset(
-            int(i)
-            for i in rng.choice(universe, size=rng.integers(1, max_indices + 1),
-                                replace=False)
-        )
-        entries = []
-        for _ in range(rng.integers(1, max_entries + 1)):
-            length = int(rng.integers(0, max_entry_len + 1))
-            entry = frozenset(
-                int(i)
-                for i in rng.choice(universe, size=length, replace=False)
-                if int(i) not in indices
-            )
-            entries.append(entry)
-        messages.append(
-            Message(
-                Header.make(indices, entries),
-                rng.normal(size=elements),
-                ready_cycle=int(rng.integers(0, 50)),
-                hops=int(rng.integers(0, 4)),
-            )
-        )
-    return messages
-
-
 def message_fingerprint(message):
     return (
         message.header.indices,
@@ -72,6 +42,11 @@ def message_fingerprint(message):
         message.ready_cycle,
         message.hops,
     )
+
+
+def output_with(outputs, indices):
+    (match,) = [m for m in outputs if m[0] == frozenset(indices)]
+    return match
 
 
 def random_queries(rng, count, universe, max_len=4):
@@ -114,6 +89,30 @@ def pe_inputs(rng, queries, max_ready=50, elements=8):
             ]
         )
     return inputs
+
+
+def fifo_stream(rng, queries, deduplicate=True, elements=8):
+    """An engine-shaped leaf FIFO holding the even indices, in random order.
+
+    As in ``FafnirEngine._leaf_inputs``, every read index arrives as one
+    single-index message carrying the remainder of each query it serves;
+    without deduplication each occurrence arrives on its own.
+    """
+    homed = sorted({i for query in queries for i in query if i % 2 == 0})
+    stream = []
+    for index in rng.permutation(homed).tolist():
+        remainders = [query - {index} for query in queries if index in query]
+        arrivals = [remainders] if deduplicate else [[r] for r in remainders]
+        value = rng.normal(size=elements)
+        for entries in arrivals:
+            stream.append(
+                Message(
+                    Header.make({index}, entries),
+                    value,
+                    ready_cycle=int(rng.integers(0, 50)),
+                )
+            )
+    return stream
 
 
 def process_on_paths(on_pe_paths, a, b, operator=SUM):
@@ -196,8 +195,9 @@ class TestFoldEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_streams(self, seed, on_pe_paths):
         rng = np.random.default_rng(2000 + seed)
-        stream = random_messages(rng, int(rng.integers(2, 10)),
+        queries = random_queries(rng, int(rng.integers(2, 10)),
                                  universe=int(rng.integers(4, 16)))
+        stream = fifo_stream(rng, queries, deduplicate=seed % 2 == 0)
         fold_on_paths(on_pe_paths, stream)
 
     def test_chained_reduction_within_one_fifo(self, on_pe_paths):
@@ -409,49 +409,21 @@ class TestPELawChecks:
             on_pe_paths(lambda: pe.process(self.STALE, partner))
 
 
-@pytest.fixture
-def fallback_calls(monkeypatch):
-    """Record every call of the lookup fold's scalar fallback."""
-    calls = []
-    scan = pe_module._widest_contained
+class TestLookupMiss:
+    """A stream where no buffered row equals ``entry ∩ covered`` was not
+    built like a leaf FIFO: the lookup fold rejects it instead of guessing."""
 
-    def recording(entry, candidates):
-        calls.append(entry)
-        return scan(entry, candidates)
-
-    monkeypatch.setattr(pe_module, "_widest_contained", recording)
-    return calls
-
-
-def output_with(outputs, indices):
-    (match,) = [m for m in outputs if m[0] == frozenset(indices)]
-    return match
-
-
-class TestLookupFallback:
-    """Streams where no buffered row equals ``entry ∩ covered``: the lookup
-    fold falls back to the widest-contained scan and must still pick the
-    specification's partner."""
-
-    def test_fold_without_exact_buffered_row(self, on_pe_paths, fallback_calls):
+    def test_fold_without_exact_buffered_row(self):
         value = np.arange(4.0)
+        # {1} and {2} serve other queries ({1, 5} and {2, 6}), so no row
+        # carries the {1, 2, 3, 9} query's projection {1, 2}.
         stream = [
             Message(Header.make({1}, [{5}]), value * 10),
             Message(Header.make({2}, [{6}]), value * 100),
             Message(Header.make({9}, [{1, 2, 3}]), value),
         ]
-        outputs, work = fold_on_paths(on_pe_paths, stream)
-        assert fallback_calls == [frozenset({1, 2, 3})]
-        # {9} ⊕ {1} by the fallback, then {1, 9} ⊕ {2} by an exact lookup;
-        # each reduction consumes the entry it served, so {9} and {1, 9}
-        # are gone and only {1, 2, 9} carries the query on.
-        assert work.reduces == 2
-        folded = output_with(outputs, {1, 2, 9})
-        assert folded[1] == (frozenset({3}),)
-        assert folded[2] == (value * 111).tobytes()
-        assert output_with(outputs, {1})[1] == (frozenset({5}),)
-        assert output_with(outputs, {2})[1] == (frozenset({6}),)
-        assert sorted(sorted(m[0]) for m in outputs) == [[1], [1, 2, 9], [2]]
+        with pytest.raises(ValueError, match=r"no buffered row equals \[1, 2\]"):
+            pe_module.fold_stream(stream, PEWork(), SUM, REDUCE_PATH)
 
 
 def _invariant_source(index):
@@ -463,19 +435,11 @@ class TestLookupInvariant:
     """On engine-built streams every leaf-fold lookup is an exact hit.
 
     The buffered row for an entry's query covers exactly the entry's
-    indices in that FIFO.  These runs make the scalar fallback raise:
-    output would be byte-identical either way, so only this test notices a
-    change that sends entries down the O(candidates) fallback.
+    indices in that FIFO; a miss raises, so these runs fail if the engine
+    ever hands the fold a stream that is not leaf-FIFO shaped.
     """
 
     RANKS = 8
-
-    @pytest.fixture(autouse=True)
-    def lookups_only(self, monkeypatch):
-        def unreachable(entry, candidates):
-            raise AssertionError(f"lookup fell back for entry {sorted(entry)}")
-
-        monkeypatch.setattr(pe_module, "_widest_contained", unreachable)
 
     def config(self, queries):
         return FafnirConfig(

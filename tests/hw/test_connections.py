@@ -5,7 +5,6 @@ import pytest
 from repro.hw import (
     ConnectionComparison,
     all_to_all_connections,
-    crossover_memory_devices,
     fafnir_connections,
 )
 
@@ -32,13 +31,15 @@ class TestConnectionCounts:
 
     def test_crossover(self):
         """For c > 2, the tree wins from m = 2 onward."""
-        assert crossover_memory_devices(4) == 2
-        assert crossover_memory_devices(16) == 2
+        for compute in (4, 16):
+            assert fafnir_connections(1, compute) == all_to_all_connections(1, compute)
+            for memory in range(2, 65):
+                assert fafnir_connections(memory, compute) < all_to_all_connections(
+                    memory, compute
+                )
 
     def test_validation(self):
         with pytest.raises(ValueError):
             all_to_all_connections(0, 4)
         with pytest.raises(ValueError):
             fafnir_connections(4, 0)
-        with pytest.raises(ValueError):
-            crossover_memory_devices(0)

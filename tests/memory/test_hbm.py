@@ -10,14 +10,13 @@ from repro.memory import (
     MemorySystem,
     ReadRequest,
     hbm2_stack,
-    pseudo_channel_count,
 )
 
 
 class TestHbmPreset:
     def test_32_pseudo_channels(self):
         config = hbm2_stack()
-        assert pseudo_channel_count(config) == 32
+        assert config.geometry.channels == 32
         assert config.geometry.total_ranks == 32
 
     def test_no_rank_to_rank_penalty(self):

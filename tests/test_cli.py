@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import ENGINES, build_parser, main
+from repro.core import FafnirConfig
 
 
 class TestParser:
@@ -32,6 +33,30 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (command, flag, value)
+            for command in ("lookup", "compare", "trace")
+            for flag, value in (
+                ("--query-len", "17"),
+                ("--query-len", "0"),
+                ("--batch-size", "0"),
+            )
+        ]
+        + [("hw", "--batch-size", "0")],
+    )
+    def test_rejects_out_of_range_batch_shape(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+
+    def test_accepts_the_configured_query_len(self):
+        limit = str(FafnirConfig().max_query_len)
+        args = build_parser().parse_args(["lookup", "--query-len", limit])
+        assert args.query_len == FafnirConfig().max_query_len
 
     def test_engine_choices(self):
         assert set(ENGINES) == {
