@@ -398,6 +398,24 @@ class _RoutingState:
         return self.outcome
 
     # --- shared building blocks -------------------------------------------
+    def exchange(self, distance: int, core: int, select=None) -> None:
+        """One pair-parallel step: node ``i`` ships ``select(i, partner)``
+        (default: all it holds) to ``partner = i xor distance``."""
+        step = self.outcome.steps
+        inbound: Dict[int, int] = {}
+        pair_cycles: Dict[Tuple[int, int], List[int]] = {}
+        for node in range(core):
+            partner = node ^ distance
+            queries = select(node, partner) if select is not None else None
+            message = self.send(step, node, partner, queries)
+            if message is not None:
+                pair = (min(node, partner), max(node, partner))
+                pair_cycles.setdefault(pair, []).append(self.message_cycles(message))
+                inbound[partner] = inbound.get(partner, 0) + 1
+        turns = max if self.link.duplex else sum
+        longest = max((turns(cycles) for cycles in pair_cycles.values()), default=0)
+        self.close_step(step, longest, inbound)
+
     def fold_in_extras(self, core: int) -> None:
         """Pre-step: shards beyond the power-of-two core ship to a partner."""
         if core >= self.num_pieces:
@@ -477,24 +495,7 @@ class RecursiveDoubling(ReductionSchedule):
         state.fold_in_extras(core)
         distance = 1
         while distance < core:
-            step = state.outcome.steps
-            longest = 0
-            inbound: Dict[int, int] = {}
-            pair_cycles: Dict[Tuple[int, int], int] = {}
-            for node in range(core):
-                partner = node ^ distance
-                message = state.send(step, node, partner)
-                if message is not None:
-                    cycles = state.message_cycles(message)
-                    pair = (min(node, partner), max(node, partner))
-                    if link.duplex:
-                        longest = max(longest, cycles)
-                    else:
-                        pair_cycles[pair] = pair_cycles.get(pair, 0) + cycles
-                    inbound[partner] = inbound.get(partner, 0) + 1
-            if not link.duplex and pair_cycles:
-                longest = max(pair_cycles.values())
-            state.close_step(step, longest, inbound)
+            state.exchange(distance, core)
             distance *= 2
         return state.finish()
 
@@ -517,52 +518,21 @@ class ReduceScatterAllgather(ReductionSchedule):
             # exactly the fully-combined chunk i.
             distance = core // 2
             while distance >= 1:
-                step = state.outcome.steps
-                longest = 0
-                inbound: Dict[int, int] = {}
-                pair_cycles: Dict[Tuple[int, int], int] = {}
-                for node in range(core):
-                    partner = node ^ distance
-                    to_ship = {
+                state.exchange(
+                    distance,
+                    core,
+                    lambda node, partner: {
                         query
                         for query in state.hold[node]
                         if chunk_of[query] & distance == partner & distance
-                    }
-                    message = state.send(step, node, partner, to_ship)
-                    if message is not None:
-                        cycles = state.message_cycles(message)
-                        pair = (min(node, partner), max(node, partner))
-                        if link.duplex:
-                            longest = max(longest, cycles)
-                        else:
-                            pair_cycles[pair] = pair_cycles.get(pair, 0) + cycles
-                        inbound[partner] = inbound.get(partner, 0) + 1
-                if not link.duplex and pair_cycles:
-                    longest = max(pair_cycles.values())
-                state.close_step(step, longest, inbound)
+                    },
+                )
                 distance //= 2
             # Doubling allgather: fully reduced chunks spread back out so
             # the consumer (and, symmetrically, every node) has the batch.
             distance = 1
             while distance < core:
-                step = state.outcome.steps
-                longest = 0
-                inbound = {}
-                pair_cycles = {}
-                for node in range(core):
-                    partner = node ^ distance
-                    message = state.send(step, node, partner)
-                    if message is not None:
-                        cycles = state.message_cycles(message)
-                        pair = (min(node, partner), max(node, partner))
-                        if link.duplex:
-                            longest = max(longest, cycles)
-                        else:
-                            pair_cycles[pair] = pair_cycles.get(pair, 0) + cycles
-                        inbound[partner] = inbound.get(partner, 0) + 1
-                if not link.duplex and pair_cycles:
-                    longest = max(pair_cycles.values())
-                state.close_step(step, longest, inbound)
+                state.exchange(distance, core)
                 distance *= 2
         return state.finish()
 

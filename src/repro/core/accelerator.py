@@ -22,7 +22,6 @@ import numpy as np
 from repro.core.config import FafnirConfig
 from repro.core.engine import FafnirEngine, LookupResult, VectorSource
 from repro.core.operators import ReductionOperator, get_operator
-from repro.memory.config import MemoryConfig
 
 
 class FafnirAccelerator:
@@ -32,7 +31,6 @@ class FafnirAccelerator:
         self,
         config: Optional[FafnirConfig] = None,
         operator: Union[str, ReductionOperator] = "sum",
-        memory_config: Optional[MemoryConfig] = None,
     ) -> None:
         if isinstance(operator, str):
             operator = get_operator(operator)
@@ -41,7 +39,6 @@ class FafnirAccelerator:
         self._engine = FafnirEngine(
             config=self.config,
             operator=operator,
-            memory_config=memory_config,
         )
 
     @property
@@ -128,6 +125,10 @@ def _concatenate(first: LookupResult, second: LookupResult) -> LookupResult:
         stats=merged_stats,
         plan=merged_plan,
         statuses=first.statuses + second.statuses,
+        dropped_indices=first.dropped_indices | second.dropped_indices,
+        # ``second`` ran after ``first``: its ready cycles start at that latency.
+        ready_pe_cycles=first.ready_pe_cycles
+        + [cycle + stats.latency_pe_cycles for cycle in second.ready_pe_cycles],
     )
 
 

@@ -250,11 +250,9 @@ class FafnirEngine:
         operator: ReductionOperator = SUM,
         memory_config: Optional[MemoryConfig] = None,
         tracer: Optional[Tracer] = None,
-        rank_order: Optional[Sequence[int]] = None,
         faults: Optional[FaultPlan] = None,
         fault_policy: Optional[FaultPolicy] = None,
         cache: Optional[HotTierConfig] = None,
-        placement: Optional[VectorPlacement] = None,
         timing: str = "dataflow",
     ) -> None:
         """Build one FAFNIR instance.
@@ -266,9 +264,6 @@ class FafnirEngine:
             tracer: event tracer threaded through the memory system, every
                 PE, and the engine's own host-side hooks; ``None`` installs
                 the zero-overhead :data:`~repro.obs.tracer.NULL_TRACER`.
-            rank_order: optional permutation of ``range(total_ranks)``
-                rewiring ranks to leaf PEs (boards whose physical wiring
-                does not follow the logical numbering).
             faults: seeded chaos script; ``None`` (the default) injects
                 nothing, so every batch's drop set is empty.
             fault_policy: recovery budgets and the ``fail_fast``/``degrade``
@@ -279,11 +274,6 @@ class FafnirEngine:
                 uncached build.  The tier only changes modeled latency
                 and DRAM access counts — functional results are
                 invariant.
-            placement: optional data-placement override (any
-                :class:`~repro.memory.mapping.VectorPlacement`, e.g. a
-                placement-optimizer
-                :class:`~repro.tiering.placement.PermutedRankPlacement`);
-                ``None`` uses the paper's row-major placement.
             timing: ``"dataflow"`` (the default) lets each message advance
                 the moment its operands are ready — the optimistic end of
                 the hardware.  ``"phased"`` is the store-and-forward upper
@@ -320,14 +310,10 @@ class FafnirEngine:
             fault_policy=self.fault_policy,
             cache=cache,
         )
-        self.placement: VectorPlacement = (
-            placement
-            if placement is not None
-            else RowMajorPlacement(
-                memory_config.geometry, self.config.vector_bytes
-            )
+        self.placement: VectorPlacement = RowMajorPlacement(
+            memory_config.geometry, self.config.vector_bytes
         )
-        self.tree = FafnirTree(self.config, rank_order=rank_order)
+        self.tree = FafnirTree(self.config)
 
     # ------------------------------------------------------------------
     def _fetch_from_memory(

@@ -52,16 +52,12 @@ class InteractiveEngine:
         self,
         config: Optional[FafnirConfig] = None,
         operator: ReductionOperator = SUM,
-        memory_config: Optional[MemoryConfig] = None,
     ) -> None:
         self.config = config or FafnirConfig()
         if isinstance(operator, str):
             operator = get_operator(operator)
         self.operator = operator
-        if memory_config is None:
-            memory_config = MemoryConfig().scaled_to_ranks(self.config.total_ranks)
-        if memory_config.geometry.total_ranks != self.config.total_ranks:
-            raise ValueError("memory geometry does not match the configuration")
+        memory_config = MemoryConfig().scaled_to_ranks(self.config.total_ranks)
         self.memory = MemorySystem(memory_config)
         self.placement = RowMajorPlacement(
             memory_config.geometry, self.config.vector_bytes

@@ -65,7 +65,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # sharding ← comm.reducer ← core.engine: import lazily
     from repro.comm.partition import IndexPartition
@@ -84,7 +84,6 @@ from repro.faults.plan import (
 )
 from repro.faults.policy import FaultPolicy
 from repro.hw.link import LinkModel
-from repro.memory.config import MemoryConfig
 from repro.obs.events import (
     FAULT_DETECTED,
     FAULT_INJECTED,
@@ -93,7 +92,6 @@ from repro.obs.events import (
 )
 from repro.obs.sinks import InMemorySink
 from repro.obs.tracer import Tracer
-from repro.tiering.cache import HotTierConfig
 
 Batch = Sequence[Sequence[int]]
 Shard = Sequence[Batch]
@@ -119,7 +117,6 @@ def shard_batches(batches: Sequence[Batch], shards: int) -> List[List[Batch]]:
 def _run_shard(
     config: Optional[FafnirConfig],
     operator: ReductionOperator,
-    memory_config: Optional[MemoryConfig],
     batches: Shard,
     source: VectorSource,
     deduplicate: bool,
@@ -130,7 +127,6 @@ def _run_shard(
     shard_index: int = 0,
     attempt: int = 0,
     in_process: bool = False,
-    cache: Optional[HotTierConfig] = None,
 ) -> MultiBatchResult:
     """Worker entry point: one engine, one shard (module-level: picklable).
 
@@ -159,11 +155,9 @@ def _run_shard(
     engine = FafnirEngine(
         config=config,
         operator=operator,
-        memory_config=memory_config,
         tracer=Tracer([sink]) if sink is not None else None,
         faults=faults,
         fault_policy=fault_policy,
-        cache=cache,
     )
     result = engine.run_batches(
         batches, source, deduplicate=deduplicate, pipeline=pipeline
@@ -180,7 +174,6 @@ class ShardedRunner:
         self,
         config: Optional[FafnirConfig] = None,
         operator: ReductionOperator = SUM,
-        memory_config: Optional[MemoryConfig] = None,
         max_workers: Optional[int] = None,
         trace: bool = False,
         faults: Optional[FaultPlan] = None,
@@ -189,12 +182,11 @@ class ShardedRunner:
         num_shards: Optional[int] = None,
         partition: Optional["IndexPartition"] = None,
         link: Optional[LinkModel] = None,
-        cache: Optional[HotTierConfig] = None,
         hedge: Optional["HedgePolicy"] = None,
     ) -> None:
         """Build the runner.
 
-        The last four parameters configure the opt-in cross-shard
+        The last five parameters configure the opt-in cross-shard
         reduction mode consumed by :meth:`run_reduced`:
 
         Args:
@@ -208,12 +200,6 @@ class ShardedRunner:
                 of the configured tree (the byte-exact case).
             link: inter-node link model (latency/bandwidth); defaults to
                 :class:`~repro.hw.link.LinkModel`'s PCIe-class numbers.
-            cache: opt-in per-replica hot-index tier
-                (:class:`~repro.tiering.cache.HotTierConfig`, plain
-                picklable data) — every worker engine builds its own
-                tier from this description, so cached sharded runs stay
-                byte-identical to uncached ones while each replica's
-                modeled DRAM traffic drops.
             hedge: opt-in hedged re-dispatch of straggler shards
                 (:class:`~repro.resilience.hedging.HedgePolicy`) consumed
                 by :meth:`run_reduced` when the fault plan stretches a
@@ -221,7 +207,6 @@ class ShardedRunner:
         """
         self.config = config
         self.operator = operator
-        self.memory_config = memory_config
         self.max_workers = max_workers
         self.trace = trace
         self.faults = faults
@@ -235,7 +220,6 @@ class ShardedRunner:
             )
         self.partition = partition
         self.link = link
-        self.cache = cache
         self.hedge = hedge
 
     def run(
@@ -285,7 +269,6 @@ class ShardedRunner:
                         _run_shard,
                         self.config,
                         self.operator,
-                        self.memory_config,
                         shards[index],
                         source,
                         deduplicate,
@@ -296,7 +279,6 @@ class ShardedRunner:
                         index,
                         attempts[index],
                         False,
-                        self.cache,
                     )
             except (OSError, PermissionError):
                 # Process spawning is unavailable (restricted sandbox) —
@@ -365,9 +347,6 @@ class ShardedRunner:
         self,
         batches: Sequence[Batch],
         source: VectorSource,
-        deduplicate: bool = True,
-        pipeline: bool = True,
-        schedule: Optional[Union[str, object]] = None,
     ) -> "ReducedRunResult":
         """Table-parallel execution: split, reduce locally, fold globally.
 
@@ -382,8 +361,6 @@ class ShardedRunner:
         Args:
             batches: the original (unsplit) batch stream.
             source: picklable vector source, as for :meth:`run`.
-            deduplicate / pipeline: forwarded to every shard engine.
-            schedule: override of the runner's ``reduction=`` schedule.
 
         Note: shard-crash fault plans address *active* shard positions
         (the order of ``ReducedRunResult.active_pieces``), since pieces
@@ -403,11 +380,11 @@ class ShardedRunner:
 
         if not batches:
             raise ValueError("need at least one batch")
-        name = schedule if schedule is not None else self.reduction
+        name = self.reduction
         if name is None:
             raise ValueError(
                 "no reduction schedule configured; pass reduction= to the "
-                "runner or schedule= to run_reduced"
+                "runner"
             )
         partition = self.partition
         if partition is None:
@@ -446,8 +423,6 @@ class ShardedRunner:
             shard_results = self.run(
                 streams,
                 source,
-                deduplicate=deduplicate,
-                pipeline=pipeline,
             )
         finally:
             self.operator = saved_operator
@@ -535,7 +510,6 @@ class ShardedRunner:
                 result = _run_shard(
                     self.config,
                     self.operator,
-                    self.memory_config,
                     shard,
                     source,
                     deduplicate,
@@ -546,7 +520,6 @@ class ShardedRunner:
                     index,
                     attempt,
                     True,
-                    self.cache,
                 )
                 if fault_events and result.events is not None:
                     result.events = fault_events + result.events

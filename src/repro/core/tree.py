@@ -11,7 +11,7 @@ FPGA implementations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import FafnirConfig
 from repro.memory.config import MemoryGeometry
@@ -41,27 +41,8 @@ class TreePE:
 class FafnirTree:
     """The static PE interconnect for a given configuration."""
 
-    def __init__(
-        self, config: FafnirConfig, rank_order: Optional[Sequence[int]] = None
-    ) -> None:
-        """Build the tree; ``rank_order`` optionally rewires ranks to leaves.
-
-        ``rank_order`` is a permutation of ``range(total_ranks)``: leaf PE
-        *i* is fed by ``rank_order[i*per_leaf : (i+1)*per_leaf]``.  The
-        default is the identity wiring (rank 2i and 2i+1 on leaf i, paper
-        Fig. 4a); a permuted order models boards whose physical rank wiring
-        does not follow the logical numbering.
-        """
+    def __init__(self, config: FafnirConfig) -> None:
         self.config = config
-        if rank_order is None:
-            rank_order = range(config.total_ranks)
-        order = [int(rank) for rank in rank_order]
-        if sorted(order) != list(range(config.total_ranks)):
-            raise ValueError(
-                "rank_order must be a permutation of "
-                f"range({config.total_ranks})"
-            )
-        self._rank_order = order
         self._pes: Dict[int, TreePE] = {}
         self._levels: List[List[int]] = []
         self._leaf_of_rank: Dict[int, int] = {}
@@ -72,9 +53,7 @@ class FafnirTree:
         next_id = 0
         current: List[int] = []
         for leaf in range(self.config.num_leaf_pes):
-            ranks = tuple(
-                self._rank_order[leaf * per_leaf : (leaf + 1) * per_leaf]
-            )
+            ranks = tuple(range(leaf * per_leaf, (leaf + 1) * per_leaf))
             self._pes[next_id] = TreePE(
                 pe_id=next_id, level=0, children=None, leaf_ranks=ranks
             )

@@ -50,7 +50,6 @@ from repro.faults.plan import (
     ShardFailedError,
     SimulatedWorkerCrash,
     SourceFaultError,
-    TransientSourceError,
     VectorCorruptionError,
 )
 from repro.faults.policy import (
@@ -100,7 +99,6 @@ __all__ = [
     "ShardFailedError",
     "SimulatedWorkerCrash",
     "SourceFaultError",
-    "TransientSourceError",
     "VectorCorruptionError",
     "recovery_report",
 ]

@@ -99,10 +99,6 @@ class VectorCorruptionError(FaultError):
     """A fetched vector failed its integrity check on every retry."""
 
 
-class TransientSourceError(FaultError):
-    """The injected source exception (recoverable by retrying)."""
-
-
 class SourceFaultError(FaultError):
     """The vector source kept raising after the full retry budget."""
 
@@ -142,7 +138,7 @@ class FaultPlan:
             :data:`CORRUPT_BITFLIP` (flip one mantissa bit per element of
             a random slice — silent without an integrity check).
         source_failure_probability: per-(vector, attempt) probability that
-            the vector source raises :class:`TransientSourceError`.
+            the vector source fetch fails (and the engine re-fetches).
         crash_shards: shard positions whose worker dies on early attempts.
         hang_shards: shard positions whose worker stalls on early attempts.
         crash_attempts: number of leading attempts that crash/hang before
@@ -282,12 +278,6 @@ class FaultPlan:
     @property
     def touches_links(self) -> bool:
         return bool(self.link_loss_probability or self.link_bandwidth_multipliers)
-
-    @property
-    def touches_reduction(self) -> bool:
-        return bool(
-            self.touches_links or self.straggler_multipliers or self.dead_shards
-        )
 
     def message_dropped(
         self, batch: int, step: int, src: int, dst: int, attempt: int

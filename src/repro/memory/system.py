@@ -72,8 +72,7 @@ class MemorySystem:
     fault injection still evaluates every position, and functional
     results are byte-identical with the tier on or off.  ``reset``
     deliberately does **not** flush the tier — hot lines survive across
-    batches, which is where the cross-batch popularity win lives; use
-    :meth:`reset_cache` for a cold tier.
+    batches, which is where the cross-batch popularity win lives.
     """
 
     def __init__(
@@ -111,11 +110,6 @@ class MemorySystem:
             controller.reset()
         self.trace = AccessTrace()
         self.failed_positions = set()
-
-    def reset_cache(self) -> None:
-        """Flush the hot-index tier (no-op when no tier is configured)."""
-        if self.tier is not None:
-            self.tier.reset()
 
     @property
     def cache_stats(self) -> CacheStats:
@@ -238,10 +232,6 @@ class MemorySystem:
                     ),
                 )
         return done, AccessStats.from_completions(dram)
-
-    def execute_one(self, request: ReadRequest) -> Completion:
-        completions, _ = self.execute([request])
-        return completions[0]
 
     # --- fault injection ---------------------------------------------------
     def _apply_read_faults(self, position: int, completion: Completion) -> Completion:

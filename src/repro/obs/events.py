@@ -49,9 +49,6 @@ kind                      meaning
 ``cache_miss``            the tier was consulted and missed — the read went
                           to DRAM and the line was allocated (args carry
                           ``index``)
-``placement_decided``     the placement optimizer assigned a rank its cache
-                          budget / pinned residents / physical slot (args
-                          carry the decision record)
 ``msg_dropped``           a cross-shard reduction message was lost on the
                           wire (args carry step/src/dst/bytes/attempt)
 ``msg_retransmitted``     a dropped message was re-sent — link-layer retry
@@ -60,9 +57,6 @@ kind                      meaning
 ``request_shed``          the admission controller refused a serving
                           request that could not meet its deadline (args
                           carry request/queue_depth/estimated_us)
-``breaker_opened``        the per-rank circuit breaker opened and traffic
-                          to the rank was routed to the hot-index tier
-                          (args carry rank/ratio)
 ``hedge_issued``          a straggling shard's work was hedged onto a
                           healthy replica; first result wins (args carry
                           shard/batch/issued_at/won/saved/wasted)
@@ -102,11 +96,9 @@ SHARD_MSG_SENT = "shard_msg_sent"
 SHARD_REDUCED = "shard_reduced"
 CACHE_HIT = "cache_hit"
 CACHE_MISS = "cache_miss"
-PLACEMENT_DECIDED = "placement_decided"
 MSG_DROPPED = "msg_dropped"
 MSG_RETRANSMITTED = "msg_retransmitted"
 REQUEST_SHED = "request_shed"
-BREAKER_OPENED = "breaker_opened"
 HEDGE_ISSUED = "hedge_issued"
 
 EVENT_KINDS = (
@@ -133,11 +125,9 @@ EVENT_KINDS = (
     # recorded columnar traces must keep decoding under newer vocabularies.
     CACHE_HIT,
     CACHE_MISS,
-    PLACEMENT_DECIDED,
     MSG_DROPPED,
     MSG_RETRANSMITTED,
     REQUEST_SHED,
-    BREAKER_OPENED,
     HEDGE_ISSUED,
 )
 

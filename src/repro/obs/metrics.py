@@ -20,7 +20,6 @@ import math
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.obs.events import (
-    BREAKER_OPENED,
     CACHE_HIT,
     CACHE_MISS,
     FAULT_DETECTED,
@@ -33,7 +32,6 @@ from repro.obs.events import (
     PE_FORWARD,
     PE_MERGE,
     PE_REDUCE,
-    PLACEMENT_DECIDED,
     QUERY_COMPLETE,
     QUERY_DEGRADED,
     REQUEST_SHED,
@@ -210,12 +208,10 @@ def metrics_from_events(
       plus ``comm.reduces`` merge-step counts;
     * ``cache.hits`` / ``cache.misses`` totals with per-rank
       ``cache.hits.rank<R>`` / ``cache.misses.rank<R>`` breakdowns from
-      hot-index tier runs, and ``placement.decisions`` counting
-      placement-optimizer assignments;
+      hot-index tier runs;
     * resilience counters: ``comm.drops`` / ``comm.retransmits`` (with
       ``comm.retransmits.escalated``) from lossy-link runs,
-      ``serving.shed`` from admission control, ``breaker.opens`` (with
-      per-rank ``breaker.opens.rank<R>``) from the circuit breaker, and
+      ``serving.shed`` from admission control, and
       ``hedge.issued`` / ``hedge.wins`` / ``hedge.saved_cycles`` /
       ``hedge.wasted_cycles`` from straggler hedging.
     """
@@ -275,8 +271,6 @@ def metrics_from_events(
             metrics.counter("cache.misses").inc()
             if event.rank is not None:
                 metrics.counter(f"cache.misses.rank{event.rank}").inc()
-        elif event.kind == PLACEMENT_DECIDED:
-            metrics.counter("placement.decisions").inc()
         elif event.kind == MSG_DROPPED:
             metrics.counter("comm.drops").inc()
         elif event.kind == MSG_RETRANSMITTED:
@@ -285,10 +279,6 @@ def metrics_from_events(
                 metrics.counter("comm.retransmits.escalated").inc()
         elif event.kind == REQUEST_SHED:
             metrics.counter("serving.shed").inc()
-        elif event.kind == BREAKER_OPENED:
-            metrics.counter("breaker.opens").inc()
-            if event.rank is not None:
-                metrics.counter(f"breaker.opens.rank{event.rank}").inc()
         elif event.kind == HEDGE_ISSUED:
             metrics.counter("hedge.issued").inc()
             if event.args.get("won"):

@@ -1,15 +1,12 @@
-"""End-to-end resilience: overload control, circuit breaking, hedging.
+"""End-to-end resilience: overload control and hedging.
 
-The three mechanisms this package contributes, and where they plug in:
+The two mechanisms this package contributes, and where they plug in:
 
 * :mod:`repro.resilience.admission` — deadline-aware load shedding in
   front of the serving batcher (``ServingSimulator(overload=...)``);
-* :mod:`repro.resilience.breaker` — a per-rank circuit breaker fed by
-  observed DRAM latency; open ranks are served from a boosted hot-index
-  tier (``ServingSimulator(breaker=...)``);
 * :mod:`repro.resilience.hedging` — hedged re-dispatch of straggler
   shards with first-result-wins accounting
-  (``ShardedRunner.run_reduced(hedge=...)``).
+  (``ShardedRunner(hedge=...)``, consumed by ``run_reduced``).
 
 Link-level fault injection (message loss, bandwidth degradation, dead
 shards) lives with the rest of the chaos script in
@@ -17,13 +14,6 @@ shards) lives with the rest of the chaos script in
 """
 
 from repro.resilience.admission import ADMIT, SHED, AdmissionController, OverloadPolicy
-from repro.resilience.breaker import (
-    STATE_CLOSED,
-    STATE_HALF_OPEN,
-    STATE_OPEN,
-    BreakerConfig,
-    CircuitBreaker,
-)
 from repro.resilience.hedging import (
     HedgeAccounting,
     HedgeDecision,
@@ -36,11 +26,6 @@ __all__ = [
     "SHED",
     "AdmissionController",
     "OverloadPolicy",
-    "STATE_CLOSED",
-    "STATE_HALF_OPEN",
-    "STATE_OPEN",
-    "BreakerConfig",
-    "CircuitBreaker",
     "HedgeAccounting",
     "HedgeDecision",
     "HedgePolicy",

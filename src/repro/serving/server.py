@@ -20,46 +20,33 @@ Formed batches run through the *same* :meth:`FafnirEngine.run_batch` as the
 offline path — identical formed batches produce byte-identical vectors (the
 differential test asserts exactly that).
 
-**Overload control** (opt-in, ``overload=`` / ``breaker=``): an
+**Overload control** (opt-in, ``overload=``): an
 :class:`~repro.resilience.admission.AdmissionController` sheds arriving
 requests whose completion forecast overruns their deadline (they get an
 immediate :data:`~repro.faults.policy.STATUS_SHED` record that counts as
-an SLO miss — shedding can never game attainment), and a per-rank
-:class:`~repro.resilience.breaker.CircuitBreaker` watches each batched
-dispatch's mean DRAM latency per rank; a rank that degrades past the
-threshold is routed to a boosted hot-index tier until its cooldown probe
-comes back healthy.  With neither installed — or installed but never
-triggering — the serving path is byte-identical to a build without them.
+an SLO miss — shedding can never game attainment).  Installed but never
+triggering, the serving path is byte-identical to a build without it.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence
 
 import numpy as np
 
 from repro.core.config import FafnirConfig
 from repro.core.engine import FafnirEngine, VectorSource
 from repro.core.interactive import InteractiveEngine
-from repro.faults.plan import FaultPlan
-from repro.faults.policy import (
-    STATUS_DEGRADED,
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_SHED,
-    FaultPolicy,
-)
-from repro.obs.events import BREAKER_OPENED, REQUEST_SHED, TraceEvent
+from repro.faults.policy import STATUS_OK, STATUS_SHED
+from repro.obs.events import REQUEST_SHED, TraceEvent
 from repro.obs.metrics import MetricsRegistry, nearest_rank
 from repro.resilience.admission import SHED, AdmissionController, OverloadPolicy
-from repro.resilience.breaker import BreakerConfig, CircuitBreaker
 
 from repro.serving.batcher import ContinuousBatcher
 from repro.serving.loadgen import Request
 from repro.tiering.cache import HotTierConfig
-from repro.tiering.placement import AccessProfile
 
 
 class LoadSource(Protocol):
@@ -74,8 +61,7 @@ class LoadSource(Protocol):
 class RequestRecord:
     """One served (or shed) request's full timeline.
 
-    ``status`` is one of :data:`~repro.faults.policy.REQUEST_STATUSES`:
-    ``ok``/``degraded``/``failed`` from the engine's per-query verdicts,
+    ``status`` is ``ok`` for a served request,
     or ``shed`` when admission control refused the request (then
     dispatch/complete are the arrival instant and ``batch_index`` is -1).
     """
@@ -121,9 +107,6 @@ class ServingReport:
     cache_hits: int = 0
     cache_misses: int = 0
     shed_requests: int = 0
-    degraded_requests: int = 0
-    failed_requests: int = 0
-    breaker_opens: int = 0
     events: List[TraceEvent] = field(default_factory=list)
 
     def _latencies(self) -> List[float]:
@@ -196,9 +179,6 @@ class ServingReport:
             "makespan_us": self.makespan_us,
             "cache_hit_rate": self.cache_hit_rate,
             "shed_fraction": self.shed_fraction,
-            "degraded_requests": float(self.degraded_requests),
-            "failed_requests": float(self.failed_requests),
-            "breaker_opens": float(self.breaker_opens),
         }
 
 
@@ -210,9 +190,6 @@ class ServingSimulator:
         batcher: admission + continuous batching policy.
         config: accelerator configuration; ``config.batch_size`` must admit
             the batcher's batches.
-        interactive_fallback: serve singleton batches on the compare-free
-            interactive path instead of the batch pipeline.
-        registry: metrics sink; a fresh one is created when omitted.
         cache: opt-in hot-index tier for the batch engine
             (:class:`~repro.tiering.cache.HotTierConfig`).  The tier
             stays warm across formed batches, so skewed load keeps
@@ -220,31 +197,17 @@ class ServingSimulator:
             modeled batch service time and DRAM traffic drop, which is
             where the SLO-attainment uplift comes from.  Interactive
             singleton dispatches bypass the memory system and the tier.
-        faults: opt-in chaos script for the batch engine (rank
-            degradation and friends); when installed, the interactive
-            fallback is disabled so every request sees the faulted memory
-            system, and ``fault_policy`` picks fail-fast vs degrade.
         overload: opt-in admission control
             (:class:`~repro.resilience.admission.OverloadPolicy`).
-        breaker: opt-in per-rank circuit breaker
-            (:class:`~repro.resilience.breaker.BreakerConfig`).
     """
 
     batcher: ContinuousBatcher
     config: Optional[FafnirConfig] = None
-    interactive_fallback: bool = True
-    registry: Optional[MetricsRegistry] = None
     cache: Optional[HotTierConfig] = None
-    faults: Optional[FaultPlan] = None
-    fault_policy: Optional[FaultPolicy] = None
     overload: Optional[OverloadPolicy] = None
-    breaker: Optional[BreakerConfig] = None
     _engine: FafnirEngine = field(init=False, repr=False)
-    _interactive: Optional[InteractiveEngine] = field(init=False, repr=False)
+    _interactive: InteractiveEngine = field(init=False, repr=False)
     _admission: Optional[AdmissionController] = field(init=False, repr=False)
-    _breaker: Optional[CircuitBreaker] = field(init=False, repr=False)
-    _engine_open_ranks: frozenset = field(init=False, repr=False)
-    _profile: Optional[AccessProfile] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.config = self.config or FafnirConfig()
@@ -253,16 +216,9 @@ class ServingSimulator:
                 f"batcher forms batches of {self.batcher.batch_size} but the "
                 f"engine accepts at most {self.config.batch_size}"
             )
-        self.registry = self.registry if self.registry is not None else MetricsRegistry()
-        self._engine_open_ranks = frozenset()
-        self._engine = self._build_engine(self._engine_open_ranks)
-        # InteractiveEngine has no fault model: with a plan installed a
-        # singleton must stay on the batch engine, or it bypasses the plan.
-        self._interactive = (
-            InteractiveEngine(config=self.config)
-            if self.interactive_fallback and self.faults is None
-            else None
-        )
+        self.registry = MetricsRegistry()
+        self._engine = FafnirEngine(config=self.config, cache=self.cache)
+        self._interactive = InteractiveEngine(config=self.config)
         self._admission = (
             AdmissionController(
                 self.overload,
@@ -272,135 +228,20 @@ class ServingSimulator:
             if self.overload is not None
             else None
         )
-        self._breaker = (
-            CircuitBreaker(self.breaker) if self.breaker is not None else None
-        )
-        self._profile = AccessProfile() if self.breaker is not None else None
-
-    def _build_engine(self, open_ranks: frozenset) -> FafnirEngine:
-        """The batch engine, with open ranks routed to a boosted tier."""
-        return FafnirEngine(
-            config=self.config,
-            cache=self._tier_for(open_ranks),
-            faults=self.faults,
-            fault_policy=self.fault_policy,
-        )
 
     def _pe_cycles(self, us: float) -> int:
         """A modeled serving time (µs) as a PE-clock event cycle."""
         return self.config.pe_clock.ns_to_cycles(us * 1e3)
-
-    def _tier_for(self, open_ranks: frozenset) -> Optional[HotTierConfig]:
-        """The hot-tier description serving the given open-rank set.
-
-        With the breaker closed this is exactly the configured ``cache``
-        (``None`` stays ``None`` — byte-identity with the pre-breaker
-        build).  An open rank gets at least ``cache_boost_kb`` of tier
-        with the rank's observed-hottest rows pinned as residents, so the
-        rebuilt (cold) tier absorbs the hot set immediately instead of
-        waiting out a warmup the batcher's dedup would mostly deny it.
-        """
-        if not open_ranks:
-            return self.cache
-        assert self.breaker is not None and self.config is not None
-        base = self.cache
-        boost = self.breaker.cache_boost_kb * 1024
-        line = (
-            base.line_bytes
-            if base is not None
-            else max(self.config.vector_bytes, 1)
-        )
-        per_rank = tuple(
-            max(base.rank_size_bytes(rank) if base is not None else 0, boost)
-            if rank in open_ranks
-            else (base.rank_size_bytes(rank) if base is not None else 0)
-            for rank in range(self.config.total_ranks)
-        )
-        pinned = self._pinned_for(open_ranks, per_rank, line)
-        if base is not None:
-            return HotTierConfig(
-                size_bytes=base.size_bytes,
-                line_bytes=base.line_bytes,
-                ways=base.ways,
-                policy=base.policy,
-                hit_latency_cycles=base.hit_latency_cycles,
-                per_rank_size_bytes=per_rank,
-                pinned=pinned,
-            )
-        return HotTierConfig(
-            size_bytes=0,
-            line_bytes=line,
-            per_rank_size_bytes=per_rank,
-        ) if pinned is None else HotTierConfig(
-            size_bytes=0,
-            line_bytes=line,
-            per_rank_size_bytes=per_rank,
-            pinned=pinned,
-        )
-
-    def _pinned_for(
-        self,
-        open_ranks: frozenset,
-        per_rank: Tuple[int, ...],
-        line_bytes: int,
-    ) -> Optional[Tuple[Tuple[int, ...], ...]]:
-        """Pinned residents per rank: observed-hottest rows for open ranks.
-
-        The serving loop keeps an :class:`AccessProfile` of every
-        dispatched query; when a rank opens, its share of the profile's
-        hottest ids (home rank via the engine's placement) fills the
-        boosted tier up to capacity.  Non-open ranks keep whatever the
-        base tier pinned.
-        """
-        assert self.config is not None
-        base = self.cache
-        home_rank = self._engine.placement.home_rank
-        by_heat: List[int] = (
-            self._profile.hottest_ids(len(self._profile.counts))
-            if self._profile is not None
-            else []
-        )
-        pinned: List[Tuple[int, ...]] = []
-        any_pins = False
-        for rank in range(self.config.total_ranks):
-            base_pins = base.rank_pinned(rank) if base is not None else ()
-            if rank not in open_ranks:
-                pinned.append(base_pins)
-                any_pins = any_pins or bool(base_pins)
-                continue
-            budget = max(per_rank[rank] // max(line_bytes, 1), 0)
-            chosen = list(base_pins)
-            taken = set(chosen)
-            for index in by_heat:
-                if len(chosen) >= budget:
-                    break
-                if index in taken or home_rank(index) != rank:
-                    continue
-                chosen.append(index)
-                taken.add(index)
-            pinned.append(tuple(chosen))
-            any_pins = any_pins or bool(chosen)
-        if not any_pins:
-            return None
-        return tuple(pinned)
-
-    def _sync_breaker_engine(self) -> None:
-        """Rebuild the batch engine when the breaker's open set changed."""
-        assert self._breaker is not None
-        open_ranks = self._breaker.open_ranks()
-        if open_ranks != self._engine_open_ranks:
-            self._engine_open_ranks = open_ranks
-            self._engine = self._build_engine(open_ranks)
 
     # ------------------------------------------------------------------
     def _service_batch(self, queries: Sequence[List[int]], source: VectorSource):
         """Run one formed batch on the modeled hardware.
 
         Returns (vectors, service_us, total_lookups, unique_reads,
-        used_interactive, statuses).
+        used_interactive).
         """
         assert self.config is not None
-        if len(queries) == 1 and self._interactive is not None:
+        if len(queries) == 1:
             result = self._interactive.lookup_one(queries[0], source)
             service_us = (
                 self.config.pe_clock.cycles_to_ns(result.latency_pe_cycles) / 1e3
@@ -412,7 +253,6 @@ class ServingSimulator:
                 lookups,
                 len(set(queries[0])),
                 True,
-                [STATUS_OK],
             )
         result = self._engine.run_batch(queries, source)
         service_us = (
@@ -424,39 +264,18 @@ class ServingSimulator:
             result.stats.total_lookups,
             result.stats.unique_reads,
             False,
-            result.query_statuses,
         )
-
-    def _rank_latency_samples(self) -> Dict[int, float]:
-        """Mean DRAM read latency per rank over the last batched dispatch.
-
-        The engine resets its memory system per batch, so the access
-        trace holds exactly the previous batch's completions.
-        """
-        sums: Dict[int, float] = {}
-        counts: Dict[int, int] = {}
-        for completion in self._engine.memory.trace.completions:
-            rank = completion.request.rank
-            sums[rank] = sums.get(rank, 0.0) + (
-                completion.finish_cycle - completion.start_cycle
-            )
-            counts[rank] = counts.get(rank, 0) + 1
-        return {rank: sums[rank] / counts[rank] for rank in sums}
 
     def run(self, load: LoadSource, source: VectorSource) -> ServingReport:
         """Serve one load generator's stream to completion."""
         registry = self.registry
-        assert registry is not None
         queue_hist = registry.histogram("serving.queue_us")
         latency_hist = registry.histogram("serving.latency_us")
         service_hist = registry.histogram("serving.service_us")
         batch_hist = registry.histogram("serving.batch_size")
         depth_gauge = registry.gauge("serving.queue_depth")
 
-        cache_engine = self._engine
-        cache_before = cache_engine.memory.cache_stats
-        cache_hits_acc = 0
-        cache_misses_acc = 0
+        cache_before = self._engine.memory.cache_stats
         heap: List[tuple] = []
         for request in load.initial():
             heapq.heappush(heap, (request.arrival_us, request.request_id, request))
@@ -541,42 +360,13 @@ class ServingSimulator:
                 continue
 
             queries = [list(request.indices) for request in batch]
-            vectors, service_us, lookups, unique, used_interactive, statuses = (
+            vectors, service_us, lookups, unique, used_interactive = (
                 self._service_batch(queries, source)
             )
             complete_us = now + service_us
             free_at = complete_us
             if self._admission is not None and not used_interactive:
                 self._admission.observe(service_us)
-            if self._breaker is not None and not used_interactive:
-                if self._profile is not None:
-                    self._profile.observe(queries)
-                for rank in self._breaker.poll(complete_us):
-                    registry.counter("breaker.half_opens").inc()
-                for rank in self._breaker.observe(
-                    self._rank_latency_samples(), complete_us
-                ):
-                    report.breaker_opens += 1
-                    registry.counter("serving.breaker.opens").inc()
-                    report.events.append(
-                        TraceEvent(
-                            BREAKER_OPENED,
-                            cycle=self._pe_cycles(complete_us),
-                            rank=rank,
-                            args={
-                                "rank": rank,
-                                "ratio": self._breaker.ratios()[rank],
-                            },
-                        )
-                    )
-                old_engine = self._engine
-                self._sync_breaker_engine()
-                if self._engine is not old_engine:
-                    after = old_engine.memory.cache_stats
-                    cache_hits_acc += after.hits - cache_before.hits
-                    cache_misses_acc += after.misses - cache_before.misses
-                    cache_engine = self._engine
-                    cache_before = cache_engine.memory.cache_stats
             batch_index = len(report.batches)
             report.batches.append(queries)
             report.members.append([request.request_id for request in batch])
@@ -594,7 +384,7 @@ class ServingSimulator:
             service_hist.record(service_us)
             depth_gauge.set(len(batcher))
 
-            for request, vector, status in zip(batch, vectors, statuses):
+            for request, vector in zip(batch, vectors):
                 record = RequestRecord(
                     request=request,
                     dispatch_us=now,
@@ -602,14 +392,7 @@ class ServingSimulator:
                     batch_index=batch_index,
                     batch_size=len(batch),
                     interactive=used_interactive,
-                    status=status,
                 )
-                if status == STATUS_DEGRADED:
-                    report.degraded_requests += 1
-                    registry.counter("serving.requests.degraded").inc()
-                elif status == STATUS_FAILED:
-                    report.failed_requests += 1
-                    registry.counter("serving.requests.failed").inc()
                 report.records.append(record)
                 report.vectors[request.request_id] = vector
                 queue_hist.record(record.queue_us)
@@ -624,13 +407,10 @@ class ServingSimulator:
                     )
             report.makespan_us = max(report.makespan_us, complete_us)
 
-        # This run's share of the (possibly already-warm) tier's stats,
-        # accumulated across any breaker-driven engine rebuilds.
-        cache_after = cache_engine.memory.cache_stats
-        report.cache_hits = cache_hits_acc + cache_after.hits - cache_before.hits
-        report.cache_misses = (
-            cache_misses_acc + cache_after.misses - cache_before.misses
-        )
+        # This run's share of the (possibly already-warm) tier's stats.
+        cache_after = self._engine.memory.cache_stats
+        report.cache_hits = cache_after.hits - cache_before.hits
+        report.cache_misses = cache_after.misses - cache_before.misses
         if report.cache_hits or report.cache_misses:
             registry.counter("serving.cache.hits").inc(report.cache_hits)
             registry.counter("serving.cache.misses").inc(report.cache_misses)

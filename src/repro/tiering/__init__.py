@@ -1,10 +1,4 @@
-"""Hot-index tiering: rank-level caching plus popularity-aware placement.
-
-The opt-in tier at the leaf/rank boundary (RecNMP's rank cache composed
-with FAFNIR's dedup) and the MicroRec-style placement optimizer that
-decides, before a run, how much cache each rank deserves and which
-tables live on the fast ranks.
-"""
+"""Hot-index tiering: RecNMP's uniform rank cache at the leaf/rank boundary."""
 
 from repro.tiering.cache import (
     POLICIES,
@@ -15,13 +9,6 @@ from repro.tiering.cache import (
     HotIndexTier,
     HotTierConfig,
 )
-from repro.tiering.placement import (
-    AccessProfile,
-    DecayingCountSketch,
-    PermutedRankPlacement,
-    PlacementOptimizer,
-    PlacementPlan,
-)
 
 __all__ = [
     "POLICIES",
@@ -31,9 +18,4 @@ __all__ = [
     "HotIndexCache",
     "HotIndexTier",
     "HotTierConfig",
-    "AccessProfile",
-    "DecayingCountSketch",
-    "PermutedRankPlacement",
-    "PlacementOptimizer",
-    "PlacementPlan",
 ]

@@ -13,9 +13,7 @@ This module is the single source of truth for that cache model:
 
 * :class:`CacheStats` — hit/miss accounting shared by every consumer;
 * :class:`HotIndexCache` — one set-associative cache keyed by vector id,
-  with a configurable size / line / associativity / replacement policy
-  and optional *pinned* ids (placement-optimizer-selected residents that
-  never age out);
+  with a configurable size / line / associativity / replacement policy;
 * :class:`HotTierConfig` — a frozen, picklable description of a
   per-rank tier, safe to ship to :class:`~repro.core.sharding`
   worker processes;
@@ -37,7 +35,7 @@ contract ``tests/integration/test_cache_differential.py`` enforces).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 #: Replacement policies understood by :class:`HotIndexCache`.
 POLICY_LRU = "lru"
@@ -99,10 +97,7 @@ class HotIndexCache:
     same ``id % num_ranks`` residue — indexing raw ids there would fold
     the whole rank into a single set.  ``policy`` picks the eviction
     order within a set: ``"lru"`` (hits refresh recency) or ``"fifo"``
-    (insertion order only).  ``pinned`` ids are preloaded residents held
-    outside the sets — they always hit and are never evicted, modeling
-    the placement optimizer writing its chosen residents into the rank's
-    scratchpad before the run.
+    (insertion order only).
     """
 
     def __init__(
@@ -111,7 +106,6 @@ class HotIndexCache:
         line_bytes: int = 512,
         ways: int = 8,
         policy: str = POLICY_LRU,
-        pinned: Tuple[int, ...] = (),
         set_stride: int = 1,
     ) -> None:
         if size_bytes <= 0 or line_bytes <= 0 or ways <= 0 or set_stride <= 0:
@@ -132,9 +126,6 @@ class HotIndexCache:
         self.ways = ways
         self.policy = policy
         self.set_stride = set_stride
-        self.pinned = frozenset(pinned)
-        if any(vector_id < 0 for vector_id in self.pinned):
-            raise ValueError("pinned ids must be non-negative")
         self._sets: Dict[int, List[int]] = {}
         self.stats = CacheStats()
 
@@ -146,9 +137,6 @@ class HotIndexCache:
         """Touch a vector id; returns True on hit.  Misses allocate."""
         if vector_id < 0:
             raise ValueError("vector_id must be non-negative")
-        if vector_id in self.pinned:
-            self.stats.hits += 1
-            return True
         index = (vector_id // self.set_stride) % self.num_sets
         entries = self._sets.setdefault(index, [])
         if vector_id in entries:
@@ -165,13 +153,11 @@ class HotIndexCache:
 
     def contains(self, vector_id: int) -> bool:
         """Residency probe without touching stats or recency."""
-        if vector_id in self.pinned:
-            return True
         index = (vector_id // self.set_stride) % self.num_sets
         return vector_id in self._sets.get(index, ())
 
     def reset(self) -> None:
-        """Drop all cached lines (pinned residents stay) and the stats."""
+        """Drop all cached lines and the stats."""
         self._sets.clear()
         self.stats = CacheStats()
 
@@ -187,19 +173,14 @@ class HotTierConfig:
 
     Attributes:
         size_bytes: per-rank capacity (RecNMP's reference point is
-            128 KB/rank); ranks listed in ``per_rank_size_bytes`` override
-            it, and a 0 there disables that rank's cache entirely.
+            128 KB/rank); a budget below one line disables the caches.
         line_bytes: bytes per cached line — one whole vector at the
             paper's 512 B reference.
-        ways: set associativity (clamped per rank when a small override
+        ways: set associativity (clamped when a small
             budget holds fewer lines than ways).
         policy: ``"lru"`` or ``"fifo"`` eviction within a set.
         hit_latency_cycles: modeled DRAM-clock latency of a hit — the
             near-rank SRAM lookup replacing the full DRAM access.
-        per_rank_size_bytes: optional heterogeneous per-rank budgets
-            (the placement optimizer's output), length == rank count.
-        pinned: optional per-rank tuples of preloaded resident ids,
-            length == rank count when given.
     """
 
     size_bytes: int = 128 * 1024
@@ -207,8 +188,6 @@ class HotTierConfig:
     ways: int = 8
     policy: str = POLICY_LRU
     hit_latency_cycles: int = 4
-    per_rank_size_bytes: Optional[Tuple[int, ...]] = None
-    pinned: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     def __post_init__(self) -> None:
         if self.size_bytes < 0 or self.line_bytes <= 0 or self.ways <= 0:
@@ -221,16 +200,6 @@ class HotTierConfig:
         if self.hit_latency_cycles < 0:
             raise ValueError("hit_latency_cycles must be non-negative")
 
-    def rank_size_bytes(self, rank: int) -> int:
-        if self.per_rank_size_bytes is not None:
-            return self.per_rank_size_bytes[rank]
-        return self.size_bytes
-
-    def rank_pinned(self, rank: int) -> Tuple[int, ...]:
-        if self.pinned is not None:
-            return self.pinned[rank]
-        return ()
-
 
 class HotIndexTier:
     """One :class:`HotIndexCache` per rank, built from a config.
@@ -238,8 +207,7 @@ class HotIndexTier:
     A rank whose configured budget holds zero lines carries no cache —
     its reads always go to DRAM and are not counted as tier accesses.
     Budgets smaller than ``ways`` lines clamp the associativity instead
-    of erroring, so a placement optimizer can hand out arbitrarily
-    skewed byte allocations.
+    of erroring.
 
     Per-rank caches index sets with ``set_stride = num_ranks``: the
     memory system routes ids to ranks by ``id % num_ranks``, so every id
@@ -253,35 +221,20 @@ class HotIndexTier:
     def __init__(self, config: HotTierConfig, num_ranks: int) -> None:
         if num_ranks <= 0:
             raise ValueError("num_ranks must be positive")
-        if (
-            config.per_rank_size_bytes is not None
-            and len(config.per_rank_size_bytes) != num_ranks
-        ):
-            raise ValueError(
-                f"per_rank_size_bytes has {len(config.per_rank_size_bytes)} "
-                f"entries for {num_ranks} ranks"
-            )
-        if config.pinned is not None and len(config.pinned) != num_ranks:
-            raise ValueError(
-                f"pinned has {len(config.pinned)} entries for "
-                f"{num_ranks} ranks"
-            )
         self.config = config
         self.num_ranks = num_ranks
+        lines = config.size_bytes // config.line_bytes
         self._caches: List[Optional[HotIndexCache]] = []
-        for rank in range(num_ranks):
-            size = config.rank_size_bytes(rank)
-            lines = size // config.line_bytes
+        for _ in range(num_ranks):
             if lines <= 0:
                 self._caches.append(None)
                 continue
             self._caches.append(
                 HotIndexCache(
-                    size_bytes=size,
+                    size_bytes=config.size_bytes,
                     line_bytes=config.line_bytes,
                     ways=min(config.ways, lines),
                     policy=config.policy,
-                    pinned=config.rank_pinned(rank),
                     set_stride=num_ranks,
                 )
             )

@@ -63,6 +63,22 @@ class TestFacade:
         double = accelerator.lookup(source, [[1, 2], [3, 4], [5, 6], [7, 8]])
         assert double.stats.latency_pe_cycles > single.stats.latency_pe_cycles
 
+    def test_split_batches_keep_per_query_ready_cycles(self):
+        """An oversize lookup reports one ready cycle per query, later
+        sub-batches offset by the earlier ones' latency."""
+        from repro.workloads import EmbeddingTableSet, QueryGenerator
+
+        tables = EmbeddingTableSet.random(seed=7)
+        queries = QueryGenerator.paper_calibrated(tables, seed=8).batch(40)
+        accelerator = FafnirAccelerator(config=FafnirConfig(batch_size=32))
+        result = accelerator.lookup(tables.vector, queries)
+        assert len(result.vectors) == 40
+        assert len(result.ready_pe_cycles) == len(result.vectors)
+        assert max(result.ready_pe_cycles) == result.stats.latency_pe_cycles
+        head = accelerator.lookup(tables.vector, queries[:32])
+        assert result.ready_pe_cycles[:32] == head.ready_pe_cycles
+        assert min(result.ready_pe_cycles[32:]) > head.stats.latency_pe_cycles
+
     def test_engine_property_exposed(self):
         accelerator = FafnirAccelerator()
         assert accelerator.engine.config is accelerator.config

@@ -8,7 +8,6 @@ import pytest
 from repro.core import (
     FafnirConfig,
     FafnirEngine,
-    FafnirTree,
     ShardedRunner,
     fleet_makespan_pe_cycles,
     shard_batches,
@@ -44,12 +43,6 @@ def make_engine(**kwargs):
 def vector_source(index):
     """Module-level (picklable) deterministic vector store."""
     return np.random.default_rng(80_000 + index).normal(size=ELEMENTS)
-
-
-def oracle(queries):
-    return [
-        sum(vector_source(i) for i in sorted(set(query))) for query in queries
-    ]
 
 
 def make_batches(num_batches=3, seed=0):
@@ -151,7 +144,6 @@ class TestShardedRunner:
         shards = shard_batches(make_batches(4, seed=11), 2)
         runner = ShardedRunner(
             config=make_config(),
-            memory_config=MemoryConfig().scaled_to_ranks(RANKS),
             max_workers=2,
         )
         sharded = runner.run(shards, vector_source)
@@ -170,7 +162,6 @@ class TestShardedRunner:
         shards = shard_batches(make_batches(3, seed=13), 2)
         runner = ShardedRunner(
             config=make_config(),
-            memory_config=MemoryConfig().scaled_to_ranks(RANKS),
             max_workers=1,  # serial fallback path
         )
         results = runner.run(shards, vector_source)
@@ -186,7 +177,6 @@ class TestSerialFallback:
     def _runner(self):
         return ShardedRunner(
             config=make_config(),
-            memory_config=MemoryConfig().scaled_to_ranks(RANKS),
             max_workers=2,
             trace=True,
         )
@@ -240,7 +230,6 @@ class TestSerialFallback:
         pooled = self._runner().run(shards, vector_source)
         serial = ShardedRunner(
             config=make_config(),
-            memory_config=MemoryConfig().scaled_to_ranks(RANKS),
             max_workers=1,
             trace=True,
         ).run(shards, vector_source)
@@ -266,22 +255,6 @@ class TestLeafRouting:
         assert [FafnirEngine._fifo_side(leaf, r) for r in (9, 4, 11, 2)] == [
             0, 0, 1, 1,
         ]
-
-    def test_permuted_rank_wiring_still_matches_oracle(self):
-        """A board whose physical rank order is scrambled must still gather
-        correctly — the regression the position-based routing fixes."""
-        engine = make_engine()
-        permutation = [5, 2, 7, 0, 3, 6, 1, 4]
-        engine.tree = FafnirTree(engine.config, rank_order=permutation)
-        rng = np.random.default_rng(21)
-        queries = [
-            rng.choice(40, size=int(rng.integers(2, 7)),
-                       replace=False).tolist()
-            for _ in range(6)
-        ]
-        result = engine.run_batch(queries, vector_source)
-        for got, want in zip(result.vectors, oracle(queries)):
-            assert np.allclose(got, want)
 
 
 class TestDedupAblationTiming:

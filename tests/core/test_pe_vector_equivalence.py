@@ -485,10 +485,6 @@ class TestLookupInvariant:
         for _ in range(3):
             self.run(generator.batch(32))
 
-    def test_permuted_rank_order(self):
-        order = np.random.default_rng(7).permutation(self.RANKS).tolist()
-        self.run(self.uniform_batch(11), rank_order=order)
-
     def test_degraded_run_drops_indices(self):
         result = self.run(
             self.uniform_batch(12),
@@ -502,7 +498,6 @@ class TestLookupInvariant:
         batches = [self.uniform_batch(seed, size=8) for seed in (20, 21, 22)]
         runner = ShardedRunner(
             config=self.config(batches[0]),
-            memory_config=MemoryConfig().scaled_to_ranks(self.RANKS),
             max_workers=1,
             reduction="gather",
             num_shards=4,

@@ -104,23 +104,6 @@ def test_run_reduced_requires_a_schedule():
         runner.run_reduced([[[1, 2]]], source())
 
 
-def test_run_reduced_schedule_argument_overrides_runner_default():
-    config = _config()
-    runner = ShardedRunner(
-        config=config, max_workers=1, reduction="gather", num_shards=2
-    )
-    batches = [[[0, 1, 2, 3], [4, 5]]]
-    default = runner.run_reduced(batches, source())
-    overridden = runner.run_reduced(
-        batches, source(), schedule="recursive_doubling"
-    )
-    assert default.schedule == "gather"
-    assert overridden.schedule == "recursive_doubling"
-    assert [v.tobytes() for v in default.vectors] == [
-        v.tobytes() for v in overridden.vectors
-    ]
-
-
 def test_run_reduced_single_shard_degenerates_to_single_node():
     config = _config()
     batches = [[[0, 1, 2], [3, 4]], [[5, 6, 7]]]

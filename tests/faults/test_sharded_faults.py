@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import FafnirConfig, ShardedRunner, shard_batches
 from repro.faults import FaultPlan, FaultPolicy, ShardFailedError, recovery_report
-from repro.memory import MemoryConfig
 
 RANKS = 8
 ELEMENTS = 16
@@ -30,11 +29,7 @@ def make_config():
 
 
 def make_runner(**kwargs):
-    return ShardedRunner(
-        config=make_config(),
-        memory_config=MemoryConfig().scaled_to_ranks(RANKS),
-        **kwargs,
-    )
+    return ShardedRunner(config=make_config(), **kwargs)
 
 
 def vector_source(index):

@@ -15,18 +15,14 @@ actually hit) and requires:
 * identical per-level reduce/forward/merge counts derived from traces
   (PE work seen through the event stream, not just the aggregates);
 * modeled DRAM access counts strictly non-increasing with the cache on,
-  and strictly decreasing once a skewed stream has warmed the tier;
-* byte-identity through the sharded ``run_reduced`` path, whose worker
-  replicas each build their own tier from the picklable config.
+  and strictly decreasing once a skewed stream has warmed the tier.
 """
 
 import numpy as np
 import pytest
 
-from repro.comm import LinkModel
 from repro.core.config import FafnirConfig
 from repro.core.engine import FafnirEngine
-from repro.core.sharding import ShardedRunner
 from repro.faults import FaultPlan, FaultPolicy
 from repro.faults.policy import MODE_DEGRADE
 from repro.obs import InMemorySink, Tracer, per_level_counts
@@ -40,7 +36,6 @@ from repro.obs.events import (
 from repro.tiering import HotTierConfig
 
 UNIVERSE = 96  # small on purpose: cross-batch repeats keep the tier hot
-LINK = LinkModel(latency_ns=300.0, bandwidth_gb_s=20.0)
 
 
 def random_setup(seed):
@@ -234,32 +229,6 @@ def test_warmed_zipf_stream_strictly_reduces_dram_reads():
     # id 0 re-read twice, id 2 once: three DRAM reads replaced by hits.
     assert instance.memory.cache_stats.hits == 3
     assert cached_reads == base_reads - 3
-
-
-@pytest.mark.parametrize("seed", SEEDS[:4])
-@pytest.mark.parametrize("schedule", ["gather", "recursive_doubling"])
-def test_run_reduced_is_byte_identical_with_cache(seed, schedule):
-    config, batches, cache, deduplicate = random_setup(seed)
-    source = make_source(seed, config.vector_elements)
-
-    def run(tier):
-        runner = ShardedRunner(
-            config=config,
-            operator="sum",
-            max_workers=1,
-            reduction=schedule,
-            num_shards=2,
-            link=LINK,
-            cache=tier,
-        )
-        return runner.run_reduced(batches, source, deduplicate=deduplicate)
-
-    baseline = run(None)
-    cached = run(cache)
-    assert len(baseline.vectors) == len(cached.vectors)
-    for a, b in zip(baseline.vectors, cached.vectors):
-        assert a.tobytes() == b.tobytes()
-    assert baseline.statuses == cached.statuses
 
 
 def test_uncached_system_is_untouched():

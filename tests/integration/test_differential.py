@@ -5,7 +5,7 @@ randomly drawn machines and workloads:
 
 * **functional** — the tree's per-query outputs must equal a plain NumPy
   reduction of the same table rows, whatever the tree arity, rank count,
-  rank→leaf wiring permutation, batch shape, or dedup setting;
+  batch shape, or dedup setting;
 * **behavioural** — the engine's closed-form tree sweep and the object PE
   oracle, swapped through the shared ``on_pe_paths`` fixture, must emit
   *identical* event streams (same kinds, cycles, PEs, levels, args; the
@@ -38,7 +38,7 @@ UNIVERSE = 512
 
 
 def random_setup(seed):
-    """Draw one machine + workload: (config, rank_order, queries, dedup)."""
+    """Draw one machine + workload: (config, queries, dedup)."""
     rng = np.random.default_rng(seed)
     leaves = int(rng.choice([2, 4, 8]))
     ranks_per_leaf = int(rng.choice([1, 2, 4]))
@@ -52,11 +52,6 @@ def random_setup(seed):
         max_query_len=max_query_len,
         vector_bytes=int(rng.choice([32, 64, 128])),
     )
-    rank_order = (
-        [int(r) for r in rng.permutation(total_ranks)]
-        if rng.random() < 0.5
-        else None
-    )
     num_queries = int(rng.integers(1, batch_size + 1))
     queries = [
         rng.choice(
@@ -65,7 +60,7 @@ def random_setup(seed):
         for _ in range(num_queries)
     ]
     deduplicate = bool(rng.random() < 0.7)
-    return config, rank_order, queries, deduplicate
+    return config, queries, deduplicate
 
 
 def make_table(config, seed):
@@ -87,9 +82,9 @@ SEEDS = range(12)
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fafnir_matches_cpu_reduction(seed):
-    config, rank_order, queries, deduplicate = random_setup(seed)
+    config, queries, deduplicate = random_setup(seed)
     table = make_table(config, seed)
-    engine = FafnirEngine(config=config, rank_order=rank_order)
+    engine = FafnirEngine(config=config)
     result = engine.run_batch(
         queries, table.__getitem__, deduplicate=deduplicate
     )
@@ -101,11 +96,9 @@ def test_fafnir_matches_cpu_reduction(seed):
 
 @pytest.mark.parametrize("operator", [SUM, MAX, MEAN], ids=lambda o: o.name)
 def test_fafnir_matches_cpu_reduction_all_operators(operator):
-    config, rank_order, queries, deduplicate = random_setup(99)
+    config, queries, deduplicate = random_setup(99)
     table = make_table(config, 99)
-    engine = FafnirEngine(
-        config=config, operator=operator, rank_order=rank_order
-    )
+    engine = FafnirEngine(config=config, operator=operator)
     result = engine.run_batch(
         queries, table.__getitem__, deduplicate=deduplicate
     )
@@ -129,14 +122,9 @@ def _fingerprint(result, events):
     }
 
 
-def _traced_run(config, rank_order, queries, table, deduplicate, **kwargs):
+def _traced_run(config, queries, table, deduplicate, **kwargs):
     sink = InMemorySink()
-    engine = FafnirEngine(
-        config=config,
-        rank_order=rank_order,
-        tracer=Tracer([sink]),
-        **kwargs,
-    )
+    engine = FafnirEngine(config=config, tracer=Tracer([sink]), **kwargs)
     result = engine.run_batch(
         queries, table.__getitem__, deduplicate=deduplicate
     )
@@ -149,10 +137,10 @@ def test_scalar_and_vector_kernels_emit_identical_event_streams(
 ):
     """sweep == oracle on vectors, latency, ready cycles, ``PEWork``,
     statuses and the event stream (``on_pe_paths`` asserts the equality)."""
-    config, rank_order, queries, deduplicate = random_setup(seed)
+    config, queries, deduplicate = random_setup(seed)
     table = make_table(config, seed)
     observed = on_pe_paths(
-        lambda: _traced_run(config, rank_order, queries, table, deduplicate)
+        lambda: _traced_run(config, queries, table, deduplicate)
     )
     assert len(observed["vectors"]) == len(queries)
     assert observed["events"][1], "run recorded no PE events"
@@ -163,11 +151,11 @@ def test_three_engine_paths_are_indistinguishable(seed, on_pe_paths):
     """The default engine == the sweep inside the fixture == the object
     oracle, on every observable: the fixture's patches leave the default
     path itself untouched."""
-    config, rank_order, queries, deduplicate = random_setup(seed)
+    config, queries, deduplicate = random_setup(seed)
     table = make_table(config, seed)
 
     def run():
-        return _traced_run(config, rank_order, queries, table, deduplicate)
+        return _traced_run(config, queries, table, deduplicate)
 
     assert run() == on_pe_paths(run)
 
@@ -177,7 +165,7 @@ def test_pe_paths_agree_under_faults(seed, on_pe_paths):
     """Fault injection exercises retry/timeout paths the happy-path seeds
     never reach; sweep and oracle must agree there too — same degraded
     timings, same statuses, same streams."""
-    config, rank_order, queries, deduplicate = random_setup(seed)
+    config, queries, deduplicate = random_setup(seed)
     table = make_table(config, seed)
     plan = FaultPlan(
         seed=seed,
@@ -186,7 +174,7 @@ def test_pe_paths_agree_under_faults(seed, on_pe_paths):
     )
     on_pe_paths(
         lambda: _traced_run(
-            config, rank_order, queries, table, deduplicate, faults=plan
+            config, queries, table, deduplicate, faults=plan
         )
     )
 
@@ -196,15 +184,11 @@ def test_columnar_sink_materializes_object_stream(seed):
     """The packed columnar ring buffer and the object in-memory sink are
     two encodings of one stream: recording a run through both at once
     must materialize to ``==``-equal event lists."""
-    config, rank_order, queries, deduplicate = random_setup(seed)
+    config, queries, deduplicate = random_setup(seed)
     table = make_table(config, seed)
     columnar = ColumnarSink()
     objects = InMemorySink()
-    engine = FafnirEngine(
-        config=config,
-        rank_order=rank_order,
-        tracer=Tracer([columnar, objects]),
-    )
+    engine = FafnirEngine(config=config, tracer=Tracer([columnar, objects]))
     engine.run_batch(queries, table.__getitem__, deduplicate=deduplicate)
     assert objects.events, "run recorded nothing"
     assert len(columnar) == len(objects.events)
@@ -212,33 +196,14 @@ def test_columnar_sink_materializes_object_stream(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_rank_order_permutation_is_functionally_invisible(seed):
-    """Rewiring ranks to different leaves changes timing at most — every
-    query's reduced vector must be unchanged."""
-    config, _, queries, deduplicate = random_setup(seed)
-    table = make_table(config, seed)
-    rng = np.random.default_rng(777 + seed)
-    permuted = [int(r) for r in rng.permutation(config.total_ranks)]
-
-    identity = FafnirEngine(config=config).run_batch(
-        queries, table.__getitem__, deduplicate=deduplicate
-    )
-    rewired = FafnirEngine(config=config, rank_order=permuted).run_batch(
-        queries, table.__getitem__, deduplicate=deduplicate
-    )
-    for a, b in zip(identity.vectors, rewired.vectors):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
 def test_dedup_ablation_is_functionally_invisible(seed):
     """Redundant-access elimination is a performance mechanism: outputs
     with and without it must agree on every random machine."""
-    config, rank_order, queries, _ = random_setup(seed)
+    config, queries, _ = random_setup(seed)
     table = make_table(config, seed)
 
     def run(deduplicate):
-        engine = FafnirEngine(config=config, rank_order=rank_order)
+        engine = FafnirEngine(config=config)
         return engine.run_batch(
             queries, table.__getitem__, deduplicate=deduplicate
         )

@@ -3,7 +3,7 @@
 :data:`RUNS` seeded runs, each drawn across every axis the sweep's closed
 form has to survive: 2–32 ranks with 1, 2 or 4 ranks per leaf PE (so one
 query often has several indices in one FIFO), deduplication on and off,
-repeated queries, ``rank_order`` permutations, every reduction operator, a
+repeated queries, every reduction operator, a
 small hot-index tier, fault plans that degrade and fail queries,
 ``dataflow`` and ``phased`` timing, and tracing.  The ``on_pe_paths``
 fixture runs each through the sweep and through the oracle and demands
@@ -68,8 +68,6 @@ def random_case(seed):
     if rng.random() < 0.3:
         kwargs["operator"] = get_operator(str(rng.choice(["min", "max", "mean"])))
     if rng.random() < 0.2:
-        kwargs["rank_order"] = rng.permutation(ranks).tolist()
-    if rng.random() < 0.2:
         kwargs["cache"] = HotTierConfig(size_bytes=4096, line_bytes=64, ways=2)
     if rng.random() < 0.25:
         kwargs["faults"] = FaultPlan(
@@ -122,7 +120,7 @@ def test_cases_cover_every_class():
         seen.add(("per_leaf", config.ranks_per_leaf_pe))
         if len({frozenset(query) for query in queries}) < len(queries):
             seen.add("repeated")
-    assert {"timing", "operator", "rank_order", "cache", "faults"} <= seen
+    assert {"timing", "operator", "cache", "faults"} <= seen
     assert {("dedup", True), ("dedup", False), ("traced", True), "repeated"} <= seen
     assert {("per_leaf", 1), ("per_leaf", 2), ("per_leaf", 4)} <= seen
 

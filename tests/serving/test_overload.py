@@ -1,17 +1,15 @@
-"""Integration tests: overload control and breaker routing in serving.
+"""Integration tests: overload control in serving.
 
-The two resilience hooks the serving loop grew — deadline-aware load
-shedding (``overload=``) and the per-rank circuit breaker with boosted-
-tier route-around (``breaker=``) — exercised end to end against the
-byte-identity contract: with protection installed but idle, the serving
-path must produce exactly the bytes of an unprotected run.
+Deadline-aware load shedding (``overload=``), exercised end to end
+against the byte-identity contract: with protection installed but idle,
+the serving path must produce exactly the bytes of an unprotected run.
 """
 
 import pytest
 
-from repro.faults import STATUS_SHED, FaultPlan
+from repro.faults import STATUS_SHED
 from repro.obs import metrics_from_events
-from repro.resilience import BreakerConfig, OverloadPolicy
+from repro.resilience import OverloadPolicy
 from repro.serving import (
     ContinuousBatcher,
     OpenLoopGenerator,
@@ -138,53 +136,3 @@ class TestLoadShedding:
         for request_id, vector in plain.vectors.items():
             assert guarded.vectors[request_id].tobytes() == vector.tobytes()
 
-
-class TestCircuitBreaker:
-    def _degraded(self, tables, breaker, qps=4e6, n_requests=160):
-        plan = FaultPlan(seed=0, rank_latency_multipliers={0: 8.0, 1: 8.0})
-        simulator = make_simulator(
-            faults=plan,
-            breaker=BreakerConfig(min_samples=2) if breaker else None,
-        )
-        return simulator.run(
-            open_load(tables, qps=qps, n_requests=n_requests), tables.vector
-        )
-
-    def test_opens_exactly_the_degraded_ranks(self, tables):
-        report = self._degraded(tables, breaker=True)
-        assert report.breaker_opens > 0
-        opened = {e.rank for e in report.events if e.kind == "breaker_opened"}
-        assert opened <= {0, 1}
-        for event in report.events:
-            if event.kind == "breaker_opened":
-                assert event.args["ratio"] >= 2.0
-        derived = metrics_from_events(report.events).counters()
-        assert derived["breaker.opens"] == report.breaker_opens
-        for rank in opened:
-            assert derived[f"breaker.opens.rank{rank}"] >= 1
-
-    def test_boosted_tier_absorbs_the_degraded_ranks(self, tables):
-        unprotected = self._degraded(tables, breaker=False)
-        protected = self._degraded(tables, breaker=True)
-        # Route-around serves the open ranks' hot rows from the pinned
-        # tier instead of their degraded DRAM.
-        assert protected.cache_hits > 0
-        assert protected.latency_percentile_us(99) <= (
-            unprotected.latency_percentile_us(99)
-        )
-        # Bytes must not change: the tier is a timing overlay.
-        for request_id, vector in unprotected.vectors.items():
-            assert protected.vectors[request_id].tobytes() == vector.tobytes()
-
-    def test_healthy_run_never_opens_and_stays_byte_identical(self, tables):
-        plain = make_simulator(interactive_fallback=False).run(
-            open_load(tables, qps=4e6), tables.vector
-        )
-        guarded = make_simulator(
-            interactive_fallback=False, breaker=BreakerConfig()
-        ).run(open_load(tables, qps=4e6), tables.vector)
-        assert guarded.breaker_opens == 0
-        assert guarded.cache_hits == 0 and guarded.cache_misses == 0
-        assert not [e for e in guarded.events if e.kind == "breaker_opened"]
-        for request_id, vector in plain.vectors.items():
-            assert guarded.vectors[request_id].tobytes() == vector.tobytes()

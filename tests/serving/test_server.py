@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import FafnirConfig, FafnirEngine
-from repro.faults import STATUS_OK, FaultPlan, FaultPolicy
+from repro.core import FafnirConfig, FafnirEngine, InteractiveEngine
 from repro.serving import (
     ClosedLoopGenerator,
     ContinuousBatcher,
@@ -59,17 +58,38 @@ class TestServingSimulator:
 
     def test_byte_identical_to_offline_engine(self, tables):
         """Acceptance: for identical formed batches, online results match
-        the offline FafnirEngine path byte for byte."""
-        load = open_load(tables, qps=4e6)
-        simulator = make_simulator(interactive_fallback=False)
-        report = simulator.run(load, tables.vector)
-        assert report.batches
-        offline = FafnirEngine(config=FafnirConfig())
-        for queries, member_ids in zip(report.batches, report.members):
-            result = offline.run_batch(queries, tables.vector)
+        the offline path byte for byte — batched dispatches the
+        FafnirEngine, singleton dispatches the InteractiveEngine."""
+        load = OpenLoopGenerator(
+            QueryGenerator.paper_calibrated(tables, seed=2, query_len=16),
+            [
+                RampStage(qps=2e4, duration_us=1_000.0),
+                RampStage(qps=4e6, duration_us=30.0),
+            ],
+            slo_us=25.0,
+            seed=2,
+        )
+        report = make_simulator().run(load, tables.vector)
+        config = FafnirConfig()
+        offline = FafnirEngine(config=config)
+        interactive = InteractiveEngine(config)
+        records = {record.request.request_id: record for record in report.records}
+        kinds = set()
+        for index, (queries, member_ids) in enumerate(
+            zip(report.batches, report.members)
+        ):
+            used_interactive = records[member_ids[0]].interactive
+            kinds.add(used_interactive)
+            if used_interactive:
+                (query,) = queries
+                expected = [interactive.lookup_one(query, tables.vector).vector]
+            else:
+                expected = offline.run_batch(queries, tables.vector).vectors
             for slot, request_id in enumerate(member_ids):
+                assert records[request_id].batch_index == index
                 online = report.vectors[request_id]
-                assert online.tobytes() == result.vectors[slot].tobytes()
+                assert online.tobytes() == expected[slot].tobytes()
+        assert kinds == {True, False}
 
     def test_slo_attainment_degrades_past_saturation(self, tables):
         """Capacity is ~batch_size / service_time; far past it queueing
@@ -98,24 +118,6 @@ class TestServingSimulator:
                 )
                 got = report.vectors[record.request.request_id]
                 assert np.allclose(got, want)
-
-    def test_interactive_fallback_can_be_disabled(self, tables):
-        report = make_simulator(interactive_fallback=False).run(
-            open_load(tables, qps=2e4, n_requests=30), tables.vector
-        )
-        assert report.interactive_dispatches == 0
-
-    def test_fault_plan_keeps_singletons_on_the_batch_engine(self, tables):
-        """The interactive engine has no fault model: with a plan installed,
-        a singleton must still run on the batch engine so the plan applies."""
-        plan = FaultPlan(seed=0, rank_timeout_probability={0: 1.0, 1: 1.0})
-        report = make_simulator(
-            faults=plan, fault_policy=FaultPolicy.graceful(max_read_retries=0)
-        ).run(open_load(tables, qps=2e4, n_requests=40), tables.vector)
-        singletons = [r for r in report.records if r.batch_size == 1]
-        assert singletons
-        assert report.interactive_dispatches == 0
-        assert any(r.status != STATUS_OK for r in singletons)
 
     def test_dedup_savings_reported(self, tables):
         report = make_simulator().run(open_load(tables, qps=4e6), tables.vector)

@@ -205,20 +205,6 @@ def test_set_stride_spreads_rank_residue_streams():
     assert tier.cache_for(3).set_stride == 32
 
 
-def test_pinned_ids_always_hit_and_survive_reset():
-    cache = HotIndexCache(
-        size_bytes=2 * 64, line_bytes=64, ways=2, pinned=(7, 9)
-    )
-    assert cache.access(7) is True  # pinned: hits cold
-    cache.access(1)
-    cache.access(2)
-    cache.access(3)  # evicts 1 from the 2-way set structure
-    assert cache.access(7) is True
-    cache.reset()
-    assert cache.contains(7) and cache.contains(9)
-    assert cache.stats.accesses == 0
-
-
 def test_untouched_cache_reports_zero_hit_rate():
     assert HotIndexCache().stats.hit_rate == 0.0
     assert CacheStats().hit_rate == 0.0
@@ -246,22 +232,17 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         HotTierConfig(hit_latency_cycles=-1)
     with pytest.raises(ValueError):
-        HotIndexTier(HotTierConfig(per_rank_size_bytes=(1024,)), num_ranks=2)
-    with pytest.raises(ValueError):
-        HotIndexTier(HotTierConfig(pinned=((1,),)), num_ranks=2)
+        HotIndexTier(HotTierConfig(), num_ranks=0)
 
 
 def test_zero_budget_rank_is_uncached():
-    config = HotTierConfig(
-        size_bytes=1024, line_bytes=64, per_rank_size_bytes=(0, 1024)
-    )
-    tier = HotIndexTier(config, num_ranks=2)
-    assert tier.cache_for(0) is None
+    # A budget below one line holds zero lines: every rank is uncached.
+    tier = HotIndexTier(HotTierConfig(size_bytes=32, line_bytes=64), num_ranks=2)
+    assert tier.cache_for(0) is None and tier.cache_for(1) is None
     assert tier.access(0, 5) is False
     assert tier.access(0, 5) is False  # never warms
     assert tier.stats.accesses == 0  # uncached ranks don't count
-    assert tier.access(1, 5) is False
-    assert tier.access(1, 5) is True
+    assert tier.per_rank_stats() == [CacheStats(), CacheStats()]
 
 
 def test_tiny_budget_clamps_ways():

@@ -1,9 +1,9 @@
 """Regression test: the Zipf generator's skew matches its analytics.
 
-The placement optimizer's whole premise is that the workload generators
-really produce Zipf(α) popularity — budgets, pinned residents, and the
-≥30 % DRAM-traffic claim in ``BENCH_cache.json`` all lean on the top-k
-mass being what Zipf's law predicts.  This suite pins the calibration:
+The hot-index tier's premise is that the workload generators really
+produce Zipf(α) popularity — the ≥30 % DRAM-traffic claim in
+``BENCH_cache.json`` leans on the top-k mass being what Zipf's law
+predicts.  This suite pins the calibration:
 the empirical frequency of the k hottest pool positions under
 :class:`~repro.workloads.embedding.QueryGenerator` sampling (the same
 generator :mod:`repro.serving.loadgen` wraps) must match the analytic
