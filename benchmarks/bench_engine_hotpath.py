@@ -91,7 +91,7 @@ def test_engine_hotpath_speedup(benchmark):
     config, memory, queries, vectors = _workload()
     engine = FafnirEngine(config=config, memory_config=memory)
     plan = plan_batch(queries, max_query_len=QUERY_LEN)
-    finish, _, _ = engine._fetch_from_memory(plan)
+    finish, _, _ = engine._fetch_from_memory(plan.reads)
     leaf_inputs = engine._leaf_inputs(
         plan, finish, {index: vectors[index] for index in plan.unique_indices}
     )

@@ -5,10 +5,11 @@ The evaluation benches compare engines through the common
 :class:`~repro.core.engine.LookupStats` onto a :class:`GatherTiming`.
 
 Requests larger than one hardware batch are chunked and streamed through
-:meth:`FafnirEngine.run_batches`: with ``pipeline=True`` (default) the host
-overlaps chunk *k*'s memory phase with chunk *k−1*'s tree traversal, so the
-reported in-tree time is the pipelined makespan rather than the serial sum
-(paper §IV's host/tree pipelining).
+:meth:`FafnirEngine.run_batches`, whose :class:`PipelineStats` carries both
+host models.  With ``pipeline=True`` (default) the reported in-tree time is
+the pipelined makespan — chunk *k*'s memory phase overlaps chunk *k−1*'s
+tree traversal (paper §IV's host/tree pipelining); with ``pipeline=False``
+it is the batch-at-a-time host's serial sum.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class FafnirGatherEngine(GatherEngine):
         ]
 
         multi = self.engine.run_batches(
-            chunks, source, deduplicate=self.deduplicate, pipeline=self.pipeline
+            chunks, source, deduplicate=self.deduplicate
         )
 
         bytes_to_core = 0
@@ -87,10 +88,13 @@ class FafnirGatherEngine(GatherEngine):
 
         pe_clock = self.config.pe_clock
         memory_ns = pe_clock.cycles_to_ns(memory_pe_cycles)
-        # Pipelined makespan: chunk k's reads overlap chunk k−1's tree
-        # traversal, so in-tree time is max completion, not the serial sum.
+        # The pipelined makespan overlaps chunk k's reads with chunk k−1's
+        # tree traversal; the serial sum is the batch-at-a-time host.
+        pipeline = multi.pipeline
         in_tree_ns = pe_clock.cycles_to_ns(
-            multi.pipeline.pipelined_latency_pe_cycles
+            pipeline.pipelined_latency_pe_cycles
+            if self.pipeline
+            else pipeline.serial_latency_pe_cycles
         )
         transfer_ns = self.link.transfer_ns(bytes_to_core)
         timing = GatherTiming(

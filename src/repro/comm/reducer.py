@@ -17,7 +17,7 @@ The table-parallel execution model has three phases:
 3. **Combine** (:class:`CrossShardReducer`) — per batch, the partials
    ride a pluggable :class:`~repro.comm.schedule.ReductionSchedule` over
    the modeled link for *timing*, while the *numbers* always go through
-   :func:`~repro.comm.schedule.canonical_fold` — the schedule decides
+   :func:`~repro.core.operators.canonical_fold` — the schedule decides
    cost, never bytes.  Failed partials (every index the shard owned was
    dropped by faults) are skipped by the fold exactly as an absent
    subtree forwards in hardware, and surviving-index counts are summed
@@ -51,14 +51,14 @@ import numpy as np
 
 from repro.core.config import FafnirConfig
 from repro.core.engine import MultiBatchResult
-from repro.core.operators import ReductionOperator, _identity_finalize, get_operator
-from repro.comm.partition import IndexPartition
-from repro.comm.schedule import (
-    ReductionSchedule,
-    ScheduleOutcome,
+from repro.core.operators import (
+    ReductionOperator,
+    _identity_finalize,
     canonical_fold,
-    get_schedule,
+    get_operator,
 )
+from repro.comm.partition import IndexPartition
+from repro.comm.schedule import ReductionSchedule, ScheduleOutcome, get_schedule
 from repro.faults.plan import (
     FAULT_SHARD_DEAD,
     FAULT_SHARD_STRAGGLER,

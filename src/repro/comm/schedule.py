@@ -26,7 +26,8 @@ and sit out the butterfly.
 *numeric* fold must not depend on which schedule moved the bytes.  All
 schedules therefore route *piece-tagged* partials and defer any
 numerically non-adjacent combination; the one true fold is
-:func:`canonical_fold` — a fixed tournament over piece ids — applied
+:func:`~repro.core.operators.canonical_fold` — a fixed tournament over
+piece ids, shared with the single-node interactive root — applied
 when a node holds every present piece of a query.  The message-size
 model charges for that honesty: a holding that cannot yet fold ships as
 multiple *segments* (one per maximal complete subtree of the
@@ -57,10 +58,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
-import numpy as np
-
+# ``canonical_fold`` is re-exported: this module is where the schedules'
+# numeric contract is documented and imported from.
+from repro.core.operators import _next_pow2, canonical_fold
 from repro.faults.plan import (
     FAULT_LINK_DEGRADED,
     FAULT_LINK_LOSS,
@@ -87,52 +89,11 @@ SCHEDULE_REDUCE_SCATTER = "reduce_scatter"
 SCHEDULE_RECURSIVE_DOUBLING = "recursive_doubling"
 
 
-def _next_pow2(n: int) -> int:
-    power = 1
-    while power < n:
-        power *= 2
-    return power
-
-
 def _prev_pow2(n: int) -> int:
     power = 1
     while power * 2 <= n:
         power *= 2
     return power
-
-
-def canonical_fold(
-    entries: Mapping[int, np.ndarray],
-    num_pieces: int,
-    combine: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """The one deterministic fold: a tournament over piece ids.
-
-    Pieces are combined along a fixed balanced binary tree over
-    ``[0, next_pow2(num_pieces))``; absent pieces are skipped without
-    disturbing the association of the rest.  Invariant under schedule
-    choice and shard-order permutation by construction, and — for
-    subtree-aligned partitions — bitwise equal to the single-node FAFNIR
-    root reduction.
-    """
-    if not entries:
-        raise ValueError("cannot fold zero partials")
-
-    def fold(lo: int, hi: int) -> Optional[np.ndarray]:
-        if hi - lo == 1:
-            return entries.get(lo)
-        mid = (lo + hi) // 2
-        left = fold(lo, mid)
-        right = fold(mid, hi)
-        if left is None:
-            return right
-        if right is None:
-            return left
-        return combine(left, right)
-
-    result = fold(0, _next_pow2(num_pieces))
-    assert result is not None
-    return result
 
 
 def segment_count(

@@ -317,13 +317,14 @@ class FafnirEngine:
 
     # ------------------------------------------------------------------
     def _fetch_from_memory(
-        self, plan: BatchPlan
+        self, reads: Sequence[int]
     ) -> Tuple[Dict[int, List[int]], Set[int], AccessStats]:
-        """Issue all planned reads once.
+        """Issue every read once.
 
-        Returns ``(finish, lost, stats)``.  Each entry of ``plan.reads`` is
-        one *occurrence*: a deduplicated plan has one occurrence per unique
-        index, the ablation plan one per (query, index) lookup.  ``finish``
+        Returns ``(finish, lost, stats)``.  Each entry of ``reads`` (a
+        plan's ``reads``, or one query's indices) is one *occurrence*: a
+        deduplicated plan has one occurrence per unique index, the
+        ablation plan one per (query, index) lookup.  ``finish``
         maps each index to its occurrences' finish cycles in issue order,
         where an occurrence finishes when the **last** of its split requests
         completes (a vector is usable only once every piece has arrived).
@@ -332,7 +333,7 @@ class FafnirEngine:
         """
         requests: List[ReadRequest] = []
         occurrences: List[tuple] = []
-        for index in plan.reads:
+        for index in reads:
             pieces = self.placement.requests_for(index)
             occurrences.append((index, len(requests), len(requests) + len(pieces)))
             requests.extend(pieces)
@@ -528,7 +529,7 @@ class FafnirEngine:
         plan = plan_batch(
             queries, max_query_len=self.config.max_query_len, deduplicate=deduplicate
         )
-        finish_cycles, dropped, memory_stats = self._fetch_from_memory(plan)
+        finish_cycles, dropped, memory_stats = self._fetch_from_memory(plan.reads)
         values: Dict[int, np.ndarray] = {}
         for index in plan.unique_indices:
             if index in dropped:
@@ -713,34 +714,25 @@ class FafnirEngine:
         batches: Sequence[Sequence[Sequence[int]]],
         source: VectorSource,
         deduplicate: bool = True,
-        pipeline: bool = True,
     ) -> MultiBatchResult:
         """Stream a sequence of batches through the engine (paper §IV).
 
-        With ``pipeline=True`` the host issues batch *k*'s reads the moment
-        the memory system frees up, while the tree is still draining batch
-        *k−1* — the memory is the serializing resource and batch *k*
-        completes at ``memory_start(k) + in_tree_latency(k)``.  With
-        ``pipeline=False`` each batch waits for the previous one's root
-        outputs (batch-at-a-time host), which is the serial sum.
-
-        Functional outputs are identical either way; only the
-        :class:`PipelineStats` timing differs.
+        The host issues batch *k*'s reads the moment the memory system
+        frees up, while the tree is still draining batch *k−1* — the memory
+        is the serializing resource and batch *k* completes at
+        ``memory_start(k) + in_tree_latency(k)``.  The returned
+        :class:`PipelineStats` carries that pipelined makespan and the
+        batch-at-a-time host's serial sum side by side.
         """
         if not batches:
             raise ValueError("need at least one batch")
         results: List[LookupResult] = []
         completions: List[int] = []
         memory_cursor = 0
-        serial_cursor = 0
         for position, batch in enumerate(batches):
             result = self.run_batch(batch, source, deduplicate=deduplicate)
             stats = result.stats
-            if pipeline:
-                completions.append(memory_cursor + stats.latency_pe_cycles)
-            else:
-                completions.append(serial_cursor + stats.latency_pe_cycles)
-                serial_cursor += stats.latency_pe_cycles
+            completions.append(memory_cursor + stats.latency_pe_cycles)
             if self.tracer.enabled:
                 self.tracer.emit(
                     TraceEvent(
@@ -750,7 +742,6 @@ class FafnirEngine:
                             "batch": position,
                             "queries": len(result.plan.queries),
                             "memory_start": memory_cursor,
-                            "pipelined": pipeline,
                         },
                     )
                 )

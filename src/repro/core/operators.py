@@ -5,12 +5,17 @@ The paper's reductions are element-wise summation, minimum, and average
 may combine vectors in whatever order they happen to meet; *mean* is handled
 as a sum inside the tree plus a final host-side division by the query length
 (the standard trick, since plain averaging is not associative).
+
+Associativity holds for the operators but not for floating point, so every
+place that folds more than two partials — the interactive root, the
+cross-shard combine — goes through the one fixed association,
+:func:`canonical_fold`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Mapping, Optional
 
 import numpy as np
 
@@ -76,3 +81,45 @@ def get_operator(name: str) -> ReductionOperator:
 
 def available_operators() -> list:
     return sorted(_OPERATORS)
+
+
+def _next_pow2(n: int) -> int:
+    power = 1
+    while power < n:
+        power *= 2
+    return power
+
+
+def canonical_fold(
+    entries: Mapping[int, np.ndarray],
+    num_pieces: int,
+    combine: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """The one deterministic fold: a tournament over piece ids.
+
+    Pieces are combined along a fixed balanced binary tree over
+    ``[0, next_pow2(num_pieces))``; absent pieces are skipped without
+    disturbing the association of the rest.  Invariant under schedule
+    choice and shard-order permutation by construction, and — for
+    subtree-aligned partitions — bitwise equal to the single-node FAFNIR
+    root reduction, whose internal PEs are exactly this tournament over
+    the leaves.
+    """
+    if not entries:
+        raise ValueError("cannot fold zero partials")
+
+    def fold(lo: int, hi: int) -> Optional[np.ndarray]:
+        if hi - lo == 1:
+            return entries.get(lo)
+        mid = (lo + hi) // 2
+        left = fold(lo, mid)
+        right = fold(mid, hi)
+        if left is None:
+            return right
+        if right is None:
+            return left
+        return combine(left, right)
+
+    result = fold(0, _next_pow2(num_pieces))
+    assert result is not None
+    return result

@@ -119,8 +119,6 @@ def _run_shard(
     operator: ReductionOperator,
     batches: Shard,
     source: VectorSource,
-    deduplicate: bool,
-    pipeline: bool,
     trace: bool = False,
     faults: Optional[FaultPlan] = None,
     fault_policy: Optional[FaultPolicy] = None,
@@ -159,9 +157,7 @@ def _run_shard(
         faults=faults,
         fault_policy=fault_policy,
     )
-    result = engine.run_batches(
-        batches, source, deduplicate=deduplicate, pipeline=pipeline
-    )
+    result = engine.run_batches(batches, source)
     if sink is not None:
         result.events = list(sink.events)
     return result
@@ -226,8 +222,6 @@ class ShardedRunner:
         self,
         shards: Sequence[Shard],
         source: VectorSource,
-        deduplicate: bool = True,
-        pipeline: bool = True,
     ) -> List[MultiBatchResult]:
         """Run every shard; results are ordered like ``shards``.
 
@@ -240,7 +234,7 @@ class ShardedRunner:
         workers = self.max_workers or multiprocessing.cpu_count()
         workers = min(workers, len(shards))
         if workers <= 1 or len(shards) == 1:
-            return self._run_serial(shards, source, deduplicate, pipeline)
+            return self._run_serial(shards, source)
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # platform without fork
@@ -258,7 +252,7 @@ class ShardedRunner:
                 )
             except (OSError, PermissionError):
                 return self._recover_without_processes(
-                    shards, source, deduplicate, pipeline, results, pending
+                    shards, source, results, pending
                 )
             submitted: Dict[int, object] = {}
             spawn_failed = False
@@ -271,8 +265,6 @@ class ShardedRunner:
                         self.operator,
                         shards[index],
                         source,
-                        deduplicate,
-                        pipeline,
                         self.trace,
                         self.faults,
                         policy,
@@ -304,7 +296,7 @@ class ShardedRunner:
             pool.shutdown(wait=False, cancel_futures=True)
             if spawn_failed:
                 return self._recover_without_processes(
-                    shards, source, deduplicate, pipeline, results, pending
+                    shards, source, results, pending
                 )
 
             pending = []
@@ -326,8 +318,6 @@ class ShardedRunner:
                         index,
                         attempts[index] + 1,
                         source,
-                        deduplicate,
-                        pipeline,
                     )
                 else:
                     attempts[index] += 1
@@ -420,10 +410,7 @@ class ShardedRunner:
         saved_operator = self.operator
         self.operator = partial_operator(saved_operator)
         try:
-            shard_results = self.run(
-                streams,
-                source,
-            )
+            shard_results = self.run(streams, source)
         finally:
             self.operator = saved_operator
         return reducer.combine(batches, split, shard_results, absent_pieces=dead)
@@ -475,15 +462,13 @@ class ShardedRunner:
         self,
         shards: Sequence[Shard],
         source: VectorSource,
-        deduplicate: bool,
-        pipeline: bool,
         results: List[Optional[MultiBatchResult]],
         pending: Sequence[int],
     ) -> List[MultiBatchResult]:
         """Finish ``pending`` shards in-process, keeping completed results."""
         for index in pending:
             results[index] = self._run_one_in_process(
-                shards[index], index, 0, source, deduplicate, pipeline
+                shards[index], index, 0, source
             )
         return [result for result in results if result is not None]
 
@@ -493,8 +478,6 @@ class ShardedRunner:
         index: int,
         attempt: int,
         source: VectorSource,
-        deduplicate: bool,
-        pipeline: bool,
     ) -> MultiBatchResult:
         """Run one shard in-process with the same bounded-retry loop.
 
@@ -512,8 +495,6 @@ class ShardedRunner:
                     self.operator,
                     shard,
                     source,
-                    deduplicate,
-                    pipeline,
                     self.trace,
                     self.faults,
                     policy,
@@ -540,13 +521,9 @@ class ShardedRunner:
         self,
         shards: Sequence[Shard],
         source: VectorSource,
-        deduplicate: bool,
-        pipeline: bool,
     ) -> List[MultiBatchResult]:
         return [
-            self._run_one_in_process(
-                shard, index, 0, source, deduplicate, pipeline
-            )
+            self._run_one_in_process(shard, index, 0, source)
             for index, shard in enumerate(shards)
         ]
 

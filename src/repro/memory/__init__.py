@@ -21,11 +21,10 @@ from repro.memory.mapping import (
 )
 from repro.memory.request import Completion, ReadRequest, WriteRequest
 from repro.memory.system import MemorySystem
-from repro.memory.trace import AccessStats, AccessTrace
+from repro.memory.trace import AccessStats
 
 __all__ = [
     "AccessStats",
-    "AccessTrace",
     "ColumnMajorPlacement",
     "Completion",
     "DramEnergy",

@@ -15,7 +15,7 @@ from repro.faults.policy import FaultPolicy
 from repro.memory.config import MemoryConfig
 from repro.memory.controller import ChannelController
 from repro.memory.request import Completion, ReadRequest
-from repro.memory.trace import AccessStats, AccessTrace
+from repro.memory.trace import AccessStats
 from repro.obs.events import (
     CACHE_HIT,
     CACHE_MISS,
@@ -66,8 +66,8 @@ class MemorySystem:
     controllers: vector reads (requests whose ``tag`` is the vector id)
     that hit skip DRAM entirely and complete after
     ``hit_latency_cycles``; only the misses reach a controller, the
-    access trace, the :class:`AccessStats`, and the ``mem_read_*``
-    events (so modeled DRAM traffic is strictly non-increasing).  The
+    :class:`AccessStats`, and the ``mem_read_*`` events (so modeled DRAM
+    traffic is strictly non-increasing).  The
     tier is a *timing* overlay: completions keep their batch positions,
     fault injection still evaluates every position, and functional
     results are byte-identical with the tier on or off.  ``reset``
@@ -99,16 +99,14 @@ class MemorySystem:
             if cache is not None
             else None
         )
-        self.trace = AccessTrace()
         #: positions (within the last ``execute`` batch) whose reads were
         #: lost to rank timeouts after the full retry budget (degrade mode).
         self.failed_positions: Set[int] = set()
 
     def reset(self) -> None:
-        """Clear all bank/bus state and the access trace (tier stays warm)."""
+        """Clear all bank/bus state (tier stays warm)."""
         for controller in self._controllers.values():
             controller.reset()
-        self.trace = AccessTrace()
         self.failed_positions = set()
 
     @property
@@ -126,8 +124,8 @@ class MemorySystem:
         With a hot-index tier configured, each vector read (integer
         ``tag``) consults its rank's cache first, in batch-position
         order.  Hits complete synthetically after ``hit_latency_cycles``
-        and never reach a channel controller, the access trace, the
-        stats, or the ``mem_read_*`` events; misses (and untagged
+        and never reach a channel controller, the stats, or the
+        ``mem_read_*`` events; misses (and untagged
         stream reads) take the normal DRAM path.  Positions are
         preserved throughout, so engines slice the returned list exactly
         as in an uncached run and fault injection sees every position.
@@ -206,7 +204,6 @@ class MemorySystem:
             for position, completion in enumerate(completions)
             if completion is not None and position not in hit_positions
         ]
-        self.trace.extend(dram)
         if self.tracer.enabled:
             emit_packed = self.tracer.emit_packed
             for completion in dram:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 from repro.memory.config import MemoryConfig
 from repro.memory.request import Completion
@@ -67,22 +67,3 @@ class AccessStats:
         for rank, count in other.per_rank_reads.items():
             merged.per_rank_reads[rank] = merged.per_rank_reads.get(rank, 0) + count
         return merged
-
-
-@dataclass
-class AccessTrace:
-    """Ordered record of completions, convertible to :class:`AccessStats`."""
-
-    completions: List[Completion] = field(default_factory=list)
-
-    def record(self, completion: Completion) -> None:
-        self.completions.append(completion)
-
-    def extend(self, completions: Iterable[Completion]) -> None:
-        self.completions.extend(completions)
-
-    def stats(self) -> AccessStats:
-        return AccessStats.from_completions(self.completions)
-
-    def __len__(self) -> int:
-        return len(self.completions)

@@ -26,8 +26,9 @@ kind                      meaning
 ``batch_complete``        the batch's last query completed (args carry
                           ``queries``/``unique_reads``/``dropped_indices``,
                           0 on a clean run)
-``pipeline_batch``        multi-batch streaming: one batch's pipelined vs
-                          serial completion (emitted by ``run_batches``)
+``pipeline_batch``        multi-batch streaming: one batch's pipelined
+                          completion and ``memory_start`` (emitted by
+                          ``run_batches``)
 ``fault_injected``        a :class:`~repro.faults.plan.FaultPlan` fired at an
                           injection site (args carry ``fault``: the type)
 ``fault_detected``        the owning component noticed the fault (args carry

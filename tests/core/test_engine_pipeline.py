@@ -5,6 +5,7 @@ completion timing for the dedup ablation."""
 import numpy as np
 import pytest
 
+from repro.baselines.fafnir_adapter import FafnirGatherEngine
 from repro.core import (
     FafnirConfig,
     FafnirEngine,
@@ -90,23 +91,38 @@ class TestRunBatches:
 
     def test_serial_mode_sums_batch_latencies(self):
         batches = make_batches(3, seed=7)
-        run = make_engine().run_batches(batches, vector_source,
-                                        pipeline=False)
+        run = make_engine().run_batches(batches, vector_source)
         latencies = [r.stats.latency_pe_cycles for r in run.results]
-        cursor, expected = 0, []
-        for latency in latencies:
-            expected.append(cursor + latency)
-            cursor += latency
-        assert run.pipeline.batch_completion_cycles == expected
-        assert run.pipeline.pipelined_latency_pe_cycles == sum(latencies)
+        assert run.pipeline.serial_latency_pe_cycles == sum(latencies)
 
     def test_pipeline_flag_is_timing_only(self):
-        batches = make_batches(2, seed=9)
-        overlapped = make_engine().run_batches(batches, vector_source)
-        serial = make_engine().run_batches(batches, vector_source,
-                                           pipeline=False)
+        """The adapter's ``pipeline`` flag only picks which of one run's
+        makespans it reports; the serial one is the sum of batch latencies."""
+        config = make_config()
+        queries = [query for batch in make_batches(3, seed=9) for query in batch]
+        overlapped = FafnirGatherEngine(config=config).lookup(queries, vector_source)
+        serial = FafnirGatherEngine(config=config, pipeline=False).lookup(
+            queries, vector_source
+        )
         for a, b in zip(overlapped.vectors, serial.vectors):
             assert a.tobytes() == b.tobytes()
+        size = config.batch_size
+        run = make_engine().run_batches(
+            [queries[i : i + size] for i in range(0, len(queries), size)],
+            vector_source,
+        )
+        stats = run.pipeline
+        assert stats.serial_latency_pe_cycles == sum(
+            r.stats.latency_pe_cycles for r in run.results
+        )
+        transfer = serial.timing.transfer_ns
+        assert serial.timing.total_ns == pytest.approx(
+            config.pe_clock.cycles_to_ns(stats.serial_latency_pe_cycles) + transfer
+        )
+        assert overlapped.timing.total_ns == pytest.approx(
+            config.pe_clock.cycles_to_ns(stats.pipelined_latency_pe_cycles)
+            + transfer
+        )
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
@@ -262,7 +278,7 @@ class TestDedupAblationTiming:
         engine = make_engine()
         queries = [[1, 2, 3], [1, 2, 4], [1, 5, 6]]
         plan = plan_batch(queries, deduplicate=False)
-        finish, _, _ = engine._fetch_from_memory(plan)
+        finish, _, _ = engine._fetch_from_memory(plan.reads)
         # Index 1 is read three times, index 2 twice, the rest once.
         assert len(finish[1]) == 3
         assert len(finish[2]) == 2

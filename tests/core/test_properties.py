@@ -105,7 +105,7 @@ def test_message_value_matches_indices_reduction(queries):
     query's indices."""
     engine = small_engine()
     plan = plan_batch(queries, max_query_len=8)
-    finish, _, _ = engine._fetch_from_memory(plan)
+    finish, _, _ = engine._fetch_from_memory(plan.reads)
     values = {i: deterministic_source(i) for i in plan.unique_indices}
     leaf_inputs = engine._leaf_inputs(plan, finish, values)
     root_values, _, _ = engine._run_tree(plan, leaf_inputs)
@@ -127,7 +127,7 @@ def test_subtree_completion_invariant(queries):
     """
     engine = small_engine()
     plan = plan_batch(queries, max_query_len=8)
-    finish, _, _ = engine._fetch_from_memory(plan)
+    finish, _, _ = engine._fetch_from_memory(plan.reads)
     values = {i: deterministic_source(i) for i in plan.unique_indices}
     leaf_inputs = engine._leaf_inputs(plan, finish, values)
     result = engine._sweep(plan, leaf_inputs)

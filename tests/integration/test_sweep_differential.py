@@ -137,7 +137,7 @@ class TestMessagesPerPE:
             max_query_len=engine.config.max_query_len,
             deduplicate=result.plan.deduplicated,
         )
-        finish, _, _ = engine._fetch_from_memory(plan)
+        finish, _, _ = engine._fetch_from_memory(plan.reads)
         values = {index: source(index) for index in plan.unique_indices}
         leaf_inputs = engine._leaf_inputs(plan, finish, values)
         sweep = engine._sweep(plan, leaf_inputs)

@@ -137,7 +137,6 @@ class TestMemorySystem:
         system.reset()
         cold, _ = system.execute([request])
         assert not cold[0].row_hit
-        assert len(system.trace) == 1
 
     def test_stats_row_hit_rate(self, config):
         system = MemorySystem(config)
