@@ -13,7 +13,7 @@ import pytest
 from _common import calibrated_batch, reference_tables, run_once, write_report
 from repro.analysis import Table
 from repro.core import FafnirConfig, FafnirEngine
-from repro.memory import MemoryConfig, MemorySystem, ReadRequest
+from repro.memory import MemoryConfig, MemorySystem, ReadColumns
 
 
 def test_ablation_memory_controller(benchmark):
@@ -23,13 +23,12 @@ def test_ablation_memory_controller(benchmark):
     def run():
         rows = {}
         # Scheduling: a row-interleaved torture stream on one bank.
-        stream = [
-            ReadRequest(rank=0, bank=0, row=i % 4, column=(i // 4) * 64, bytes_=64)
-            for i in range(64)
-        ]
+        stream = ReadColumns()
+        for i in range(64):
+            stream.append(rank=0, bank=0, row=i % 4, column=(i // 4) * 64, bytes_=64)
         for policy in ("fcfs", "frfcfs"):
             system = MemorySystem(MemoryConfig.small_test_system(), policy=policy)
-            _, stats = system.execute(list(stream))
+            _, stats = system.execute(stream)
             rows[f"policy={policy}"] = {
                 "finish_dram_cycles": stats.finish_cycle,
                 "row_hit_rate": stats.row_hit_rate,

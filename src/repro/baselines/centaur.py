@@ -11,7 +11,7 @@ the first place.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.baselines.base import (
     GatherEngine,
@@ -26,7 +26,6 @@ from repro.core.batch import plan_batch
 from repro.core.operators import ReductionOperator, SUM
 from repro.memory.config import MemoryConfig
 from repro.memory.mapping import RowMajorPlacement
-from repro.memory.request import ReadRequest
 from repro.memory.system import MemorySystem
 
 # The package-level reduction unit chews an arriving vector per cycle pair.
@@ -70,10 +69,7 @@ class CentaurGatherEngine(GatherEngine):
         self.memory.reset()
         plan = plan_batch(queries, deduplicate=False)
 
-        requests: List[ReadRequest] = []
-        for index in plan.reads:
-            requests.extend(self.placement.requests_for(index))
-        _, stats = self.memory.execute(requests)
+        _, stats = self.memory.execute(self.placement.reads_for(plan.reads))
         memory_ns = DRAM_CLOCK.cycles_to_ns(stats.finish_cycle)
 
         # Every raw vector crosses the (fast) link to the reduction unit.

@@ -8,7 +8,7 @@ indices are read (and shipped) once per occurrence — this engine is the
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.baselines.base import (
     CoreComputeModel,
@@ -24,7 +24,6 @@ from repro.core.batch import plan_batch
 from repro.core.operators import ReductionOperator, SUM
 from repro.memory.config import MemoryConfig
 from repro.memory.mapping import RowMajorPlacement
-from repro.memory.request import ReadRequest
 from repro.memory.system import MemorySystem
 
 
@@ -59,10 +58,7 @@ class CpuGatherEngine(GatherEngine):
         self.memory.reset()
         plan = plan_batch(queries, deduplicate=False)
 
-        requests: List[ReadRequest] = []
-        for index in plan.reads:
-            requests.extend(self.placement.requests_for(index))
-        _, stats = self.memory.execute(requests)
+        _, stats = self.memory.execute(self.placement.reads_for(plan.reads))
 
         memory_ns = DRAM_CLOCK.cycles_to_ns(stats.finish_cycle)
         bytes_to_core = plan.total_lookups * self.vector_bytes

@@ -36,7 +36,6 @@ from repro.core.batch import plan_batch
 from repro.core.operators import ReductionOperator, SUM
 from repro.memory.config import MemoryConfig
 from repro.memory.mapping import RowMajorPlacement
-from repro.memory.request import ReadRequest
 from repro.memory.system import MemorySystem
 
 # One chained gather-reduce stage of a DIMM NMP unit, in 200 MHz cycles
@@ -105,7 +104,7 @@ class RecNmpGatherEngine(GatherEngine):
         # RecNMP reads per occurrence; only the cache absorbs repeats.
         plan = plan_batch(queries, deduplicate=False)
 
-        requests: List[ReadRequest] = []
+        misses: List[int] = []
         cache_hits = 0
         for index in plan.reads:
             rank = self.placement.home_rank(index)
@@ -118,8 +117,8 @@ class RecNmpGatherEngine(GatherEngine):
                 if cache_hits + 1 <= self.max_cache_hit_rate * total:
                     cache_hits += 1
                     continue
-            requests.extend(self.placement.requests_for(index))
-        _, stats = self.memory.execute(requests)
+            misses.append(index)
+        _, stats = self.memory.execute(self.placement.reads_for(misses))
         memory_ns = DRAM_CLOCK.cycles_to_ns(stats.finish_cycle)
 
         # Spatial-locality partition: per query, per DIMM.

@@ -32,7 +32,6 @@ from repro.core.batch import plan_batch
 from repro.core.operators import ReductionOperator, SUM
 from repro.memory.config import MemoryConfig
 from repro.memory.mapping import ColumnMajorPlacement
-from repro.memory.request import ReadRequest
 from repro.memory.system import MemorySystem
 
 # One pipeline stage of the TensorDIMM NMP adder chain, in 200 MHz cycles:
@@ -90,19 +89,9 @@ class TensorDimmGatherEngine(GatherEngine):
         for position, index in enumerate(plan.reads):
             gate = position - VECTOR_PIPELINE_DEPTH
             issue = vector_finish[gate] if gate >= 0 else 0
-            requests: List[ReadRequest] = [
-                ReadRequest(
-                    rank=r.rank,
-                    bank=r.bank,
-                    row=r.row,
-                    column=r.column,
-                    bytes_=r.bytes_,
-                    issue_cycle=issue,
-                    tag=r.tag,
-                )
-                for r in self.placement.requests_for(index)
-            ]
-            _, batch_stats = self.memory.execute(requests)
+            _, batch_stats = self.memory.execute(
+                self.placement.reads_for([index], issue_cycle=issue)
+            )
             vector_finish.append(batch_stats.finish_cycle)
             stats = batch_stats if stats is None else stats.merged_with(batch_stats)
         assert stats is not None

@@ -207,9 +207,18 @@ class FafnirConfig:
     def with_ranks(
         self, total_ranks: int, ranks_per_leaf_pe: Optional[int] = None
     ) -> "FafnirConfig":
-        per_leaf = self.ranks_per_leaf_pe if ranks_per_leaf_pe is None else ranks_per_leaf_pe
-        if total_ranks % per_leaf != 0 or total_ranks < per_leaf:
-            per_leaf = 1
+        """This config on ``total_ranks`` ranks.
+
+        An explicit ``ranks_per_leaf_pe`` that does not divide
+        ``total_ranks`` raises ``ValueError``; the inherited one falls
+        back to one rank per leaf PE instead, so a rank sweep can run
+        down to a single rank.
+        """
+        per_leaf = ranks_per_leaf_pe
+        if per_leaf is None:
+            per_leaf = self.ranks_per_leaf_pe
+            if total_ranks % per_leaf != 0:
+                per_leaf = 1
         return FafnirConfig(
             batch_size=self.batch_size,
             max_query_len=self.max_query_len,

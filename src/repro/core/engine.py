@@ -57,7 +57,6 @@ from repro.faults.policy import (
 )
 from repro.memory.config import MemoryConfig
 from repro.memory.mapping import RowMajorPlacement, VectorPlacement
-from repro.memory.request import ReadRequest
 from repro.memory.system import MemorySystem
 from repro.memory.trace import AccessStats
 from repro.obs.events import (
@@ -316,6 +315,25 @@ class FafnirEngine:
         self.tree = FafnirTree(self.config)
 
     # ------------------------------------------------------------------
+    def _read_occurrences(self, reads: Sequence[int]) -> Tuple[List[int], AccessStats]:
+        """Issue one read occurrence per entry of ``reads``.
+
+        Returns each occurrence's finish cycle, in ``reads`` order, and the
+        memory system's access record.  An occurrence finishes when the
+        **last** of its placement's pieces completes (a vector is usable
+        only once every piece has arrived).
+        """
+        placement = self.placement
+        served, stats = self.memory.execute(placement.reads_for(reads))
+        finish = served.finish
+        pieces = placement.pieces_per_vector
+        if pieces != 1:
+            finish = [
+                max(finish[start : start + pieces])
+                for start in range(0, len(finish), pieces)
+            ]
+        return finish, stats
+
     def _fetch_from_memory(
         self, reads: Sequence[int]
     ) -> Tuple[Dict[int, List[int]], Set[int], AccessStats]:
@@ -325,33 +343,20 @@ class FafnirEngine:
         plan's ``reads``, or one query's indices) is one *occurrence*: a
         deduplicated plan has one occurrence per unique index, the
         ablation plan one per (query, index) lookup.  ``finish``
-        maps each index to its occurrences' finish cycles in issue order,
-        where an occurrence finishes when the **last** of its split requests
-        completes (a vector is usable only once every piece has arrived).
-        ``lost`` holds the indices a rank fault lost for good; ``stats`` is
-        the memory system's access record for the batch.
+        maps each index to its occurrences' finish cycles in issue order
+        (see :meth:`_read_occurrences`).  ``lost`` holds the indices a
+        rank fault lost for good; ``stats`` is the memory system's access
+        record for the batch.
         """
-        requests: List[ReadRequest] = []
-        occurrences: List[tuple] = []
-        for index in reads:
-            pieces = self.placement.requests_for(index)
-            occurrences.append((index, len(requests), len(requests) + len(pieces)))
-            requests.extend(pieces)
-        completions, stats = self.memory.execute(requests)
-
+        occurrence_finish, stats = self._read_occurrences(reads)
         finish: Dict[int, List[int]] = {}
-        lost: Set[int] = set()
-        lost_positions = self.memory.failed_positions
-        for index, start, stop in occurrences:
-            cycle = max(
-                completion.finish_cycle for completion in completions[start:stop]
-            )
+        for index, cycle in zip(reads, occurrence_finish):
             finish.setdefault(index, []).append(cycle)
-            if lost_positions and not lost_positions.isdisjoint(range(start, stop)):
-                # Any lost split request loses the whole vector; a vector
-                # with any lost occurrence is dropped entirely (the engine
-                # degrades per index, not per occurrence).
-                lost.add(index)
+        # Any lost piece loses the whole vector; a vector with any lost
+        # occurrence is dropped entirely (the engine degrades per index,
+        # not per occurrence).
+        pieces = self.placement.pieces_per_vector
+        lost = {reads[position // pieces] for position in self.memory.failed_positions}
         return finish, lost, stats
 
     @staticmethod

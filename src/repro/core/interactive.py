@@ -83,11 +83,10 @@ class InteractiveEngine(FafnirEngine):
                 f"maximum of {config.max_query_len}"
             )
         self.memory.reset()
-        finish, _, stats = self._fetch_from_memory(indices)
+        finish, stats = self._read_occurrences(indices)
 
         combine = self.operator.combine
         leaves: Dict[int, np.ndarray] = {}
-        ready = 0
         for index in indices:
             value = self._fetch_one_vector(source, index)
             assert value is not None  # no fault plan: every fetch succeeds
@@ -96,13 +95,12 @@ class InteractiveEngine(FafnirEngine):
             leaf = self.tree.leaf_for_rank(rank).pe_id
             partial = leaves.get(leaf)
             leaves[leaf] = value if partial is None else combine(partial, value)
-            ready = max(ready, finish[index][0])
 
         value = canonical_fold(leaves, config.num_leaf_pes, combine)
         return InteractiveResult(
             vector=self.operator.finalize(value.copy(), len(indices)),
             latency_pe_cycles=convert_cycles(
-                ready, config.dram_clock, config.pe_clock
+                max(finish), config.dram_clock, config.pe_clock
             )
             + self.stage_cycles * self.tree.num_levels,
             memory_latency_pe_cycles=convert_cycles(

@@ -19,14 +19,13 @@ from repro.memory.mapping import (
     StreamPlacement,
     VectorPlacement,
 )
-from repro.memory.request import Completion, ReadRequest, WriteRequest
+from repro.memory.reads import ReadColumns, ServedReads
 from repro.memory.system import MemorySystem
 from repro.memory.trace import AccessStats
 
 __all__ = [
     "AccessStats",
     "ColumnMajorPlacement",
-    "Completion",
     "DramEnergy",
     "DramTiming",
     "HBM2_GEOMETRY",
@@ -35,9 +34,9 @@ __all__ = [
     "MemoryConfig",
     "MemoryGeometry",
     "MemorySystem",
-    "ReadRequest",
+    "ReadColumns",
     "RowMajorPlacement",
+    "ServedReads",
     "StreamPlacement",
     "VectorPlacement",
-    "WriteRequest",
 ]

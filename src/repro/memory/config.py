@@ -29,8 +29,6 @@ class DramTiming:
         tBL:  data-bus cycles occupied by one burst (BL8 on a x64 DIMM moves
               64 bytes in 4 bus clocks at DDR).
         tRTRS: rank-to-rank switching penalty on a shared channel bus.
-        tCWL: WRITE-to-data delay (CAS write latency).
-        tWR: write recovery before the bank accepts a precharge.
         tREFI: average refresh-command interval (7.8 µs at 1200 MHz).
         tRFC: refresh cycle time — the rank is unavailable this long.
         refresh_enabled: model periodic refresh blackouts (off by default;
@@ -45,8 +43,6 @@ class DramTiming:
     tCCD: int = 4
     tBL: int = 4
     tRTRS: int = 2
-    tCWL: int = 14
-    tWR: int = 18
     tREFI: int = 9360
     tRFC: int = 420
     refresh_enabled: bool = False

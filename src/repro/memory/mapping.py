@@ -10,28 +10,31 @@ The paper's three contenders differ in *how embedding vectors are laid out*:
   a row in every rank for only a few bytes, "fundamentally breaking
   row-buffer locality" (paper §III-B).
 
-Both policies are expressed as splitting a vector id into row-aligned
-:class:`~repro.memory.request.ReadRequest` pieces.
+Both policies are expressed as splitting vector ids into row-aligned reads,
+appended to :class:`~repro.memory.reads.ReadColumns`.  Every vector of a
+placement splits into the same number of pieces (``pieces_per_vector``),
+listed vector by vector, so a vector's pieces are one contiguous run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Protocol
+from typing import Optional, Protocol, Sequence
 
 from repro.memory.config import MemoryGeometry
-from repro.memory.request import ReadRequest
+from repro.memory.reads import ReadColumns
 
 
 class VectorPlacement(Protocol):
     """Maps vector ids to the DRAM reads that fetch them."""
 
     vector_bytes: int
+    pieces_per_vector: int
 
-    def requests_for(
-        self, vector_id: int, issue_cycle: int = 0
-    ) -> List[ReadRequest]:
-        """All row-aligned reads needed to fetch one vector."""
+    def reads_for(
+        self, vector_ids: Sequence[int], issue_cycle: int = 0
+    ) -> ReadColumns:
+        """The row-aligned reads fetching each vector, vector by vector."""
         ...
 
     def home_rank(self, vector_id: int) -> Optional[int]:
@@ -81,24 +84,32 @@ class RowMajorPlacement:
             raise ValueError("vector_id must be non-negative")
         return vector_id % self.geometry.total_ranks
 
-    def requests_for(
-        self, vector_id: int, issue_cycle: int = 0
-    ) -> List[ReadRequest]:
-        rank = self.home_rank(vector_id)
-        assert rank is not None
-        slot = vector_id // self.geometry.total_ranks
-        bank, row, column = _locate_slot(self.geometry, slot, self.vector_bytes)
-        return [
-            ReadRequest(
-                rank=rank,
-                bank=bank,
-                row=row,
-                column=column,
-                bytes_=self.vector_bytes,
-                issue_cycle=issue_cycle,
-                tag=vector_id,
-            )
-        ]
+    pieces_per_vector = 1
+
+    def reads_for(
+        self, vector_ids: Sequence[int], issue_cycle: int = 0
+    ) -> ReadColumns:
+        ids = list(vector_ids)
+        if ids and min(ids) < 0:
+            raise ValueError("vector_id must be non-negative")
+        geometry = self.geometry
+        total_ranks = geometry.total_ranks
+        banks = geometry.banks_per_rank
+        vector_bytes = self.vector_bytes
+        per_row = geometry.row_bytes // vector_bytes
+        # Vector i is slot i // R of rank i % R; slots pack a row, then
+        # move to the next bank, then to the next row (see _locate_slot).
+        slots = [vector_id // total_ranks for vector_id in ids]
+        rows = [slot // per_row for slot in slots]
+        reads = ReadColumns()
+        reads.rank = [vector_id % total_ranks for vector_id in ids]
+        reads.bank = [row % banks for row in rows]
+        reads.row = [row // banks for row in rows]
+        reads.column = [slot % per_row * vector_bytes for slot in slots]
+        reads.bytes = [vector_bytes] * len(ids)
+        reads.issue = [issue_cycle] * len(ids)
+        reads.tag = ids
+        return reads
 
 
 @dataclass(frozen=True)
@@ -129,25 +140,22 @@ class ColumnMajorPlacement:
     def home_rank(self, vector_id: int) -> Optional[int]:
         return None  # striped: no single home
 
-    def requests_for(
-        self, vector_id: int, issue_cycle: int = 0
-    ) -> List[ReadRequest]:
-        if vector_id < 0:
-            raise ValueError("vector_id must be non-negative")
+    @property
+    def pieces_per_vector(self) -> int:
+        return self.geometry.total_ranks
+
+    def reads_for(
+        self, vector_ids: Sequence[int], issue_cycle: int = 0
+    ) -> ReadColumns:
         slice_bytes = self.slice_bytes
-        bank, row, column = _locate_slot(self.geometry, vector_id, slice_bytes)
-        return [
-            ReadRequest(
-                rank=rank,
-                bank=bank,
-                row=row,
-                column=column,
-                bytes_=slice_bytes,
-                issue_cycle=issue_cycle,
-                tag=vector_id,
-            )
-            for rank in range(self.geometry.total_ranks)
-        ]
+        reads = ReadColumns()
+        for vector_id in vector_ids:
+            if vector_id < 0:
+                raise ValueError("vector_id must be non-negative")
+            bank, row, column = _locate_slot(self.geometry, vector_id, slice_bytes)
+            for rank in range(self.geometry.total_ranks):
+                reads.append(rank, bank, row, column, slice_bytes, issue_cycle, vector_id)
+        return reads
 
 
 @dataclass(frozen=True)
@@ -166,32 +174,28 @@ class StreamPlacement:
         if not 0 <= self.rank < self.geometry.total_ranks:
             raise ValueError(f"rank {self.rank} out of range")
 
-    def requests_for_stream(
+    def stream_reads(
         self, start_byte: int, total_bytes: int, issue_cycle: int = 0
-    ) -> List[ReadRequest]:
+    ) -> ReadColumns:
         """Row-aligned reads covering [start_byte, start_byte + total_bytes)."""
         if start_byte < 0 or total_bytes <= 0:
             raise ValueError("invalid stream extent")
         geometry = self.geometry
-        requests: List[ReadRequest] = []
+        reads = ReadColumns()
         offset = start_byte
         remaining = total_bytes
         while remaining > 0:
             row_index, column = divmod(offset, geometry.row_bytes)
             chunk = min(remaining, geometry.row_bytes - column)
-            bank = row_index % geometry.banks_per_rank
-            row = row_index // geometry.banks_per_rank
-            requests.append(
-                ReadRequest(
-                    rank=self.rank,
-                    bank=bank,
-                    row=row,
-                    column=column,
-                    bytes_=chunk,
-                    issue_cycle=issue_cycle,
-                    tag=("stream", self.rank, offset),
-                )
+            reads.append(
+                self.rank,
+                row_index % geometry.banks_per_rank,
+                row_index // geometry.banks_per_rank,
+                column,
+                chunk,
+                issue_cycle,
+                ("stream", self.rank, offset),
             )
             offset += chunk
             remaining -= chunk
-        return requests
+        return reads

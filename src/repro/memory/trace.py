@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable
+from typing import Dict
 
 from repro.memory.config import MemoryConfig
-from repro.memory.request import Completion
 
 
 @dataclass
 class AccessStats:
-    """Aggregate statistics over a set of completions."""
+    """Aggregate statistics over a batch of DRAM reads."""
 
     reads: int = 0
     bursts: int = 0
@@ -34,24 +33,6 @@ class AccessStats:
     def energy_pj(self, config: MemoryConfig) -> float:
         """Dynamic DRAM energy of the recorded accesses."""
         return config.energy.access_energy_pj(self.bursts, self.activates)
-
-    @staticmethod
-    def from_completions(completions: Iterable[Completion]) -> "AccessStats":
-        stats = AccessStats()
-        for completion in completions:
-            stats.reads += 1
-            stats.bursts += completion.bursts
-            stats.bytes_read += completion.request.bytes_
-            if completion.row_hit:
-                stats.row_hits += 1
-            else:
-                stats.row_misses += 1
-            if completion.activated:
-                stats.activates += 1
-            stats.finish_cycle = max(stats.finish_cycle, completion.finish_cycle)
-            rank = completion.request.rank
-            stats.per_rank_reads[rank] = stats.per_rank_reads.get(rank, 0) + 1
-        return stats
 
     def merged_with(self, other: "AccessStats") -> "AccessStats":
         merged = AccessStats(

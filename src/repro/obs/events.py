@@ -12,7 +12,7 @@ kind                      meaning
 ========================  =====================================================
 ``batch_start``           host submits a batch (cycle 0 of the batch; args
                           carry ``queries``/``dedup``)
-``mem_read_issue``        a DRAM read request enters the channel controller
+``mem_read_issue``        a DRAM read is issued to the memory system
 ``mem_read_complete``     its last data beat arrived (args carry start/bytes/
                           row_hit/bursts)
 ``leaf_inject``           a fetched vector's message enters a leaf PE FIFO

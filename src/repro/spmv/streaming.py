@@ -13,7 +13,7 @@ from typing import Sequence
 
 from repro.memory.config import MemoryConfig
 from repro.memory.mapping import StreamPlacement
-from repro.memory.request import ReadRequest
+from repro.memory.reads import ReadColumns
 from repro.memory.system import MemorySystem
 
 
@@ -30,12 +30,11 @@ def stream_read_cycles(
         return 0
     geometry = memory.config.geometry
     per_rank = -(-total_bytes // geometry.total_ranks)  # ceil division
-    requests: list[ReadRequest] = []
+    reads = ReadColumns()
     for rank in range(geometry.total_ranks):
-        placement = StreamPlacement(geometry, rank)
-        requests.extend(placement.requests_for_stream(start_byte, per_rank))
+        reads.extend(StreamPlacement(geometry, rank).stream_reads(start_byte, per_rank))
     memory.reset()
-    _, stats = memory.execute(requests)
+    _, stats = memory.execute(reads)
     return stats.finish_cycle
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import FafnirConfig, FafnirEngine, InteractiveEngine, get_operator
+from repro.memory import ReadColumns
 
 
 def make_source(seed=0, elements=128):
@@ -99,6 +100,8 @@ class _SplitPlacement:
     """Wraps a placement so every vector arrives as two row-aligned pieces,
     with the *first-listed* piece finishing last (large issue delay)."""
 
+    pieces_per_vector = 2
+
     def __init__(self, inner, late_by_dram_cycles):
         self._inner = inner
         self._late = late_by_dram_cycles
@@ -107,23 +110,22 @@ class _SplitPlacement:
     def home_rank(self, vector_id):
         return self._inner.home_rank(vector_id)
 
-    def requests_for(self, vector_id, issue_cycle=0):
-        from dataclasses import replace
-
-        [request] = self._inner.requests_for(vector_id, issue_cycle)
-        half = request.bytes_ // 2
-        late_piece = replace(
-            request, bytes_=half, issue_cycle=request.issue_cycle + self._late
-        )
-        early_piece = replace(
-            request, column=request.column + half, bytes_=request.bytes_ - half
-        )
-        return [late_piece, early_piece]
+    def reads_for(self, vector_ids, issue_cycle=0):
+        whole = self._inner.reads_for(vector_ids, issue_cycle)
+        reads = ReadColumns()
+        for rank, bank, row, column, size, issue, tag in zip(
+            whole.rank, whole.bank, whole.row, whole.column, whole.bytes,
+            whole.issue, whole.tag,
+        ):
+            half = size // 2
+            reads.append(rank, bank, row, column, half, issue + self._late, tag)
+            reads.append(rank, bank, row, column + half, size - half, issue, tag)
+        return reads
 
 
 class TestMultiRequestPlacement:
     """Regression: ``finish[index]`` kept only the *last* completion, so a
-    vector split across several ReadRequests could be consumed before its
+    vector split across several reads could be consumed before its
     slowest piece had landed."""
 
     def test_latency_covers_slowest_piece(self):

@@ -124,6 +124,14 @@ class TestConfigValidation:
         assert config.total_ranks == 8
         assert config.num_leaf_pes == 4
 
+    def test_with_ranks_rejects_explicit_non_divisor(self):
+        # An explicit ranks-per-leaf is honoured or refused, never replaced.
+        with pytest.raises(ValueError, match="divide evenly"):
+            FafnirConfig().with_ranks(2, 4)
+        with pytest.raises(ValueError, match="divide evenly"):
+            FafnirConfig().with_ranks(12, 8)
+        assert FafnirConfig().with_ranks(8, 4).ranks_per_leaf_pe == 4
+
     def test_with_ranks_falls_back_to_one_per_leaf(self):
         config = FafnirConfig().with_ranks(2)
         assert config.total_ranks == 2

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.faults import FaultPlan, FaultPolicy, RankTimeoutError
-from repro.memory import MemoryConfig, MemorySystem, ReadRequest
+from repro.memory import MemoryConfig, MemorySystem, ReadColumns
 from repro.obs import InMemorySink, Tracer
 from repro.obs.events import (
     CLOCK_DRAM,
@@ -18,10 +18,17 @@ RANKS = 8
 
 
 def make_requests(count=4, rank=0):
-    return [
-        ReadRequest(rank=rank, bank=i % 4, row=i, column=0, bytes_=64)
-        for i in range(count)
-    ]
+    reads = ReadColumns()
+    for i in range(count):
+        reads.append(rank, i % 4, i, 0, 64)
+    return reads
+
+
+def join(*batches):
+    reads = ReadColumns()
+    for batch in batches:
+        reads.extend(batch)
+    return reads
 
 
 def make_system(**kwargs):
@@ -74,12 +81,9 @@ class TestRankDegradation:
         clean, _ = make_system().execute(requests)
         plan = FaultPlan(seed=0, rank_latency_multipliers={0: 3.0})
         slow, _ = make_system(faults=plan).execute(requests)
-        for fast, degraded in zip(clean, slow):
-            expected = fast.start_cycle + round(
-                (fast.finish_cycle - fast.start_cycle) * 3.0
-            )
-            assert degraded.finish_cycle == expected
-            assert degraded.start_cycle == fast.start_cycle
+        for start, finish, degraded in zip(clean.start, clean.finish, slow.finish):
+            assert degraded == start + round((finish - start) * 3.0)
+        assert slow.start == clean.start
 
     def test_other_ranks_untouched(self):
         requests = make_requests(rank=1)
@@ -110,7 +114,7 @@ class TestReadTimeouts:
         recovered, _ = system.execute(requests)
         # One timeout: the watchdog fires 100 cycles past the nominal finish
         # and the retry waits 10 more before re-issuing.
-        assert recovered[0].finish_cycle == clean[0].finish_cycle + 110
+        assert recovered.finish[0] == clean.finish[0] + 110
         assert not system.failed_positions
         retries = [e for e in sink.events if e.kind == RETRY_ISSUED]
         assert len(retries) == 1
@@ -132,7 +136,7 @@ class TestReadTimeouts:
         system = make_system(faults=TwoRetryPlan(seed=0), fault_policy=policy)
         recovered, _ = system.execute(requests)
         # (100 + 10) + (100 + 20): two deadlines, backoff doubling per attempt.
-        assert recovered[0].finish_cycle == clean[0].finish_cycle + 230
+        assert recovered.finish[0] == clean.finish[0] + 230
 
     def test_exhaustion_raises_under_fail_fast(self):
         policy = FaultPolicy(max_read_retries=1)
@@ -143,10 +147,10 @@ class TestReadTimeouts:
     def test_exhaustion_degrades_into_failed_positions(self):
         policy = FaultPolicy.graceful(max_read_retries=1)
         system = make_system(faults=always_timeout_plan(), fault_policy=policy)
-        requests = make_requests(2) + make_requests(2, rank=1)
-        completions, _ = system.execute(requests)
+        requests = join(make_requests(2), make_requests(2, rank=1))
+        served, _ = system.execute(requests)
         assert system.failed_positions == {0, 1}
-        assert len(completions) == 4
+        assert len(served.finish) == 4
 
     def test_failed_positions_reset_per_execute(self):
         policy = FaultPolicy.graceful(max_read_retries=0)

@@ -34,6 +34,8 @@ def random_case(seed):
     rng = np.random.default_rng(seed)
     ranks = int(rng.choice([2, 4, 8, 16, 32, 64]))
     per_leaf = int(rng.choice([1, 2, 4]))
+    if ranks % per_leaf:
+        per_leaf = 1  # only divisors of ranks; a non-divisor draw builds 1
     elements = int(rng.choice([8, 128]))
     operator = str(rng.choice(OPERATORS))
     split = bool(rng.random() < 0.25)

@@ -19,7 +19,6 @@ import numpy as np
 from repro.clocks import convert_cycles
 from repro.core.engine import VectorSource
 from repro.core.interactive import InteractiveEngine, InteractiveResult
-from repro.memory.request import ReadRequest
 
 
 def lookup_one(
@@ -37,19 +36,16 @@ def lookup_one(
         )
     engine.memory.reset()
 
-    requests: List[ReadRequest] = []
-    for index in indices:
-        requests.extend(engine.placement.requests_for(index))
-    completions, stats = engine.memory.execute(requests)
+    reads = engine.placement.reads_for(indices)
+    served, stats = engine.memory.execute(reads)
     # A placement may split one vector into several row-aligned reads (all
     # tagged with the same index); the vector is only usable once its
     # *last* piece lands, so keep the max finish cycle per index.
     finish: Dict[int, int] = {}
-    for completion in completions:
-        tag = completion.request.tag
+    for tag, cycle in zip(reads.tag, served.finish):
         previous = finish.get(tag)
-        if previous is None or completion.finish_cycle > previous:
-            finish[tag] = completion.finish_cycle
+        if previous is None or cycle > previous:
+            finish[tag] = cycle
 
     # Seed each leaf input side with (partial value, ready cycle).
     per_pe: Dict[int, List[Tuple[np.ndarray, int]]] = {}

@@ -1,10 +1,11 @@
-"""Unit tests for bank row-buffer behaviour and channel scheduling."""
+"""Unit tests for bank row-buffer behaviour and channel scheduling, on the
+object model in ``tests/dram_oracle.py`` (the column pass is held to it by
+``test_dram_differential.py``)."""
 
 import pytest
 
-from repro.memory import DramTiming, MemoryConfig, ReadRequest
-from repro.memory.bank import Bank
-from repro.memory.controller import ChannelController
+from repro.memory import DramTiming, MemoryConfig
+from tests.dram_oracle import Bank, ChannelController, ReadRequest
 
 
 @pytest.fixture

@@ -8,9 +8,9 @@ from repro.memory import (
     HBM2_GEOMETRY,
     MemoryConfig,
     MemorySystem,
-    ReadRequest,
     hbm2_stack,
 )
+from tests.dram_oracle import ReadRequest, to_columns
 
 
 class TestHbmPreset:
@@ -30,8 +30,8 @@ class TestHbmPreset:
             ReadRequest(rank=rank, bank=rank % 16, row=rank * 7, column=0, bytes_=512)
             for rank in range(32)
         ]
-        _, ddr4_stats = ddr4.execute(requests)
-        _, hbm_stats = hbm.execute(requests)
+        _, ddr4_stats = ddr4.execute(to_columns(requests))
+        _, hbm_stats = hbm.execute(to_columns(requests))
         assert hbm_stats.finish_cycle < ddr4_stats.finish_cycle
 
     def test_rows_are_smaller(self):

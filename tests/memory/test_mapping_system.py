@@ -6,10 +6,10 @@ from repro.memory import (
     ColumnMajorPlacement,
     MemoryConfig,
     MemorySystem,
-    ReadRequest,
     RowMajorPlacement,
     StreamPlacement,
 )
+from tests.dram_oracle import ReadRequest, to_columns, to_requests
 
 
 @pytest.fixture
@@ -20,7 +20,8 @@ def config():
 class TestRowMajorPlacement:
     def test_single_request_per_vector(self, config):
         placement = RowMajorPlacement(config.geometry, vector_bytes=512)
-        requests = placement.requests_for(7)
+        requests = to_requests(placement.reads_for([7]))
+        assert placement.pieces_per_vector == 1
         assert len(requests) == 1
         assert requests[0].bytes_ == 512
         assert requests[0].rank == 7 % config.geometry.total_ranks
@@ -35,15 +36,14 @@ class TestRowMajorPlacement:
     def test_consecutive_slots_share_rows(self, config):
         placement = RowMajorPlacement(config.geometry, vector_bytes=512)
         total = config.geometry.total_ranks
-        first = placement.requests_for(0)[0]
-        second = placement.requests_for(total)[0]  # next slot in rank 0
+        first, second = to_requests(placement.reads_for([0, total]))  # rank 0's slots 0, 1
         assert (first.bank, first.row) == (second.bank, second.row)
         assert second.column == first.column + 512
 
     def test_requests_stay_within_row(self, config):
         placement = RowMajorPlacement(config.geometry, vector_bytes=512)
         for vector_id in range(0, 4096, 37):
-            for request in placement.requests_for(vector_id):
+            for request in to_requests(placement.reads_for([vector_id])):
                 assert request.column + request.bytes_ <= config.geometry.row_bytes
 
     def test_rejects_oversized_vector(self, config):
@@ -54,13 +54,13 @@ class TestRowMajorPlacement:
 class TestColumnMajorPlacement:
     def test_touches_every_rank(self, config):
         placement = ColumnMajorPlacement(config.geometry, vector_bytes=512)
-        requests = placement.requests_for(3)
-        assert len(requests) == config.geometry.total_ranks
+        requests = to_requests(placement.reads_for([3]))
+        assert len(requests) == placement.pieces_per_vector == config.geometry.total_ranks
         assert {r.rank for r in requests} == set(range(config.geometry.total_ranks))
 
     def test_slices_sum_to_vector(self, config):
         placement = ColumnMajorPlacement(config.geometry, vector_bytes=512)
-        requests = placement.requests_for(3)
+        requests = to_requests(placement.reads_for([3]))
         assert sum(r.bytes_ for r in requests) == 512
         assert placement.slice_bytes == 512 // 32
 
@@ -77,21 +77,23 @@ class TestStreamPlacement:
     def test_stream_splits_on_row_boundaries(self, config):
         stream = StreamPlacement(config.geometry, rank=5)
         row_bytes = config.geometry.row_bytes
-        requests = stream.requests_for_stream(start_byte=row_bytes - 100, total_bytes=300)
+        requests = to_requests(
+            stream.stream_reads(start_byte=row_bytes - 100, total_bytes=300)
+        )
         assert [r.bytes_ for r in requests] == [100, 200]
         assert requests[0].row != requests[1].row or requests[0].bank != requests[1].bank
 
     def test_stream_covers_extent_exactly(self, config):
         stream = StreamPlacement(config.geometry, rank=0)
-        requests = stream.requests_for_stream(0, 3 * config.geometry.row_bytes + 17)
+        requests = to_requests(stream.stream_reads(0, 3 * config.geometry.row_bytes + 17))
         assert sum(r.bytes_ for r in requests) == 3 * config.geometry.row_bytes + 17
 
     def test_rejects_bad_extent(self, config):
         stream = StreamPlacement(config.geometry, rank=0)
         with pytest.raises(ValueError):
-            stream.requests_for_stream(-1, 10)
+            stream.stream_reads(-1, 10)
         with pytest.raises(ValueError):
-            stream.requests_for_stream(0, 0)
+            stream.stream_reads(0, 0)
 
 
 class TestMemorySystem:
@@ -103,8 +105,8 @@ class TestMemorySystem:
             ReadRequest(rank=rank, bank=0, row=0, column=0, bytes_=512)
             for rank in ranks
         ]
-        completions, stats = system.execute(requests)
-        finishes = {c.finish_cycle for c in completions}
+        served, stats = system.execute(to_columns(requests))
+        finishes = set(served.finish)
         assert len(finishes) == 1  # identical: fully parallel channels
         assert stats.reads == 4
         assert stats.ranks_touched == 4
@@ -115,8 +117,8 @@ class TestMemorySystem:
             ReadRequest(rank=0, bank=0, row=0, column=0, bytes_=512),
             ReadRequest(rank=1, bank=0, row=0, column=0, bytes_=512),
         ]
-        completions, _ = system.execute(requests)
-        assert completions[1].finish_cycle > completions[0].finish_cycle
+        served, _ = system.execute(to_columns(requests))
+        assert served.finish[1] > served.finish[0]
 
     def test_completions_in_request_order(self, config):
         system = MemorySystem(config)
@@ -124,24 +126,25 @@ class TestMemorySystem:
             ReadRequest(rank=0, bank=0, row=0, column=0, bytes_=64, issue_cycle=100, tag="late"),
             ReadRequest(rank=0, bank=1, row=0, column=0, bytes_=64, issue_cycle=0, tag="early"),
         ]
-        completions, _ = system.execute(requests)
-        assert completions[0].request.tag == "late"
-        assert completions[1].request.tag == "early"
+        served, _ = system.execute(to_columns(requests))
+        # The early read is served first, yet each column keeps batch order.
+        assert served.finish[1] < served.finish[0]
+        assert served.start[0] >= 100 > served.start[1]
 
     def test_reset_restores_cold_state(self, config):
         system = MemorySystem(config)
         request = ReadRequest(rank=0, bank=0, row=0, column=0, bytes_=64)
-        first, _ = system.execute([request])
-        again, _ = system.execute([request])
-        assert again[0].row_hit  # warm row buffer
+        first, _ = system.execute(to_columns([request]))
+        again, _ = system.execute(to_columns([request]))
+        assert again.row_hit[0]  # warm row buffer
         system.reset()
-        cold, _ = system.execute([request])
-        assert not cold[0].row_hit
+        cold, _ = system.execute(to_columns([request]))
+        assert not cold.row_hit[0]
 
     def test_stats_row_hit_rate(self, config):
         system = MemorySystem(config)
         request = ReadRequest(rank=0, bank=0, row=0, column=0, bytes_=64)
-        _, first = system.execute([request, request, request])
+        _, first = system.execute(to_columns([request, request, request]))
         assert first.row_hits == 2
         assert first.row_misses == 1
         assert first.row_hit_rate == pytest.approx(2 / 3)
@@ -149,8 +152,8 @@ class TestMemorySystem:
     def test_stats_merge(self, config):
         system = MemorySystem(config)
         request = ReadRequest(rank=0, bank=0, row=0, column=0, bytes_=64)
-        _, a = system.execute([request])
-        _, b = system.execute([request])
+        _, a = system.execute(to_columns([request]))
+        _, b = system.execute(to_columns([request]))
         merged = a.merged_with(b)
         assert merged.reads == 2
         assert merged.per_rank_reads[0] == 2
@@ -159,6 +162,6 @@ class TestMemorySystem:
     def test_energy_accounting_positive(self, config):
         system = MemorySystem(config)
         request = ReadRequest(rank=0, bank=0, row=0, column=0, bytes_=512)
-        _, stats = system.execute([request])
+        _, stats = system.execute(to_columns([request]))
         assert stats.energy_pj(config) > 0
         assert stats.bursts == 8

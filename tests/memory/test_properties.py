@@ -8,10 +8,9 @@ from repro.memory import (
     DramTiming,
     MemoryConfig,
     MemorySystem,
-    ReadRequest,
     RowMajorPlacement,
 )
-from repro.memory.bank import Bank
+from tests.dram_oracle import Bank, ReadRequest, to_columns, to_requests
 
 
 request_strategy = st.builds(
@@ -30,15 +29,15 @@ request_strategy = st.builds(
 def test_completions_causal_and_consistent(requests):
     """Every completion finishes after its issue; stats add up."""
     system = MemorySystem(MemoryConfig.small_test_system())
-    completions, stats = system.execute(requests)
-    assert len(completions) == len(requests)
-    for completion in completions:
-        assert completion.finish_cycle > completion.request.issue_cycle
-        assert completion.start_cycle >= completion.request.issue_cycle
+    served, stats = system.execute(to_columns(requests))
+    assert len(served.finish) == len(requests)
+    for request, start, finish in zip(requests, served.start, served.finish):
+        assert finish > request.issue_cycle
+        assert start >= request.issue_cycle
     assert stats.reads == len(requests)
     assert stats.row_hits + stats.row_misses == len(requests)
     assert stats.bytes_read == sum(r.bytes_ for r in requests)
-    assert stats.finish_cycle == max(c.finish_cycle for c in completions)
+    assert stats.finish_cycle == max(served.finish)
 
 
 @settings(max_examples=60, deadline=None)
@@ -46,8 +45,8 @@ def test_completions_causal_and_consistent(requests):
 def test_frfcfs_never_loses_row_hits(requests):
     """FR-FCFS can only trade equal-or-more row hits than FCFS."""
     config = MemoryConfig.small_test_system()
-    _, fcfs = MemorySystem(config, policy="fcfs").execute(requests)
-    _, frfcfs = MemorySystem(config, policy="frfcfs").execute(requests)
+    _, fcfs = MemorySystem(config, policy="fcfs").execute(to_columns(requests))
+    _, frfcfs = MemorySystem(config, policy="frfcfs").execute(to_columns(requests))
     assert frfcfs.row_hits >= fcfs.row_hits
 
 
@@ -74,7 +73,7 @@ def test_placements_cover_vector_exactly(vector_id):
         RowMajorPlacement(geometry, 512),
         ColumnMajorPlacement(geometry, 512),
     ):
-        requests = placement.requests_for(vector_id)
+        requests = to_requests(placement.reads_for([vector_id]))
         assert sum(r.bytes_ for r in requests) == 512
         for request in requests:
             assert 0 <= request.rank < geometry.total_ranks
@@ -92,6 +91,5 @@ def test_row_major_distinct_vectors_distinct_slots(vector_a, vector_b):
     placement = RowMajorPlacement(geometry, 512)
     if vector_a == vector_b:
         return
-    a = placement.requests_for(vector_a)[0]
-    b = placement.requests_for(vector_b)[0]
+    a, b = to_requests(placement.reads_for([vector_a, vector_b]))
     assert (a.rank, a.bank, a.row, a.column) != (b.rank, b.bank, b.row, b.column)

@@ -4,8 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.memory import DramTiming, MemoryConfig, MemorySystem, ReadRequest
-from repro.memory.config import MemoryGeometry
+from repro.memory import DramTiming, MemoryConfig, MemorySystem, ReadColumns
 
 
 def refresh_config():
@@ -17,6 +16,12 @@ def refresh_config():
     )
 
 
+def one_read(rank, issue_cycle=0):
+    reads = ReadColumns()
+    reads.append(rank, 0, 0, 0, 64, issue_cycle)
+    return reads
+
+
 class TestRefresh:
     def test_disabled_by_default(self):
         assert not DramTiming().refresh_enabled
@@ -25,39 +30,29 @@ class TestRefresh:
         system = MemorySystem(refresh_config())
         timing = system.config.timing
         # Rank 0's blackout starts at cycle 0 (offset 0).
-        request = ReadRequest(rank=0, bank=0, row=0, column=0, bytes_=64, issue_cycle=0)
-        completion = system.execute([request])[0][0]
-        assert completion.finish_cycle >= timing.tRFC
+        served, _ = system.execute(one_read(rank=0, issue_cycle=0))
+        assert served.finish[0] >= timing.tRFC
 
     def test_request_outside_blackout_unaffected(self):
         plain = MemorySystem(MemoryConfig.small_test_system())
         refreshing = MemorySystem(refresh_config())
         timing = plain.config.timing
         safe_cycle = timing.tRFC + 100  # past rank 0's blackout
-        request = ReadRequest(
-            rank=0, bank=0, row=0, column=0, bytes_=64, issue_cycle=safe_cycle
-        )
-        a = plain.execute([request])[0][0]
-        b = refreshing.execute([request])[0][0]
-        assert a.finish_cycle == b.finish_cycle
+        a, _ = plain.execute(one_read(rank=0, issue_cycle=safe_cycle))
+        b, _ = refreshing.execute(one_read(rank=0, issue_cycle=safe_cycle))
+        assert a.finish == b.finish
 
     def test_blackouts_staggered_across_ranks(self):
         system = MemorySystem(refresh_config())
         timing = system.config.timing
         # At cycle 0, rank 0 is refreshing but a later-offset rank is not.
-        r0 = ReadRequest(rank=0, bank=0, row=0, column=0, bytes_=64)
-        r3 = ReadRequest(rank=3, bank=0, row=0, column=0, bytes_=64)
-        c0 = system.execute([r0])[0][0]
+        c0, _ = system.execute(one_read(rank=0))
         system.reset()
-        c3 = system.execute([r3])[0][0]
-        assert c0.finish_cycle > c3.finish_cycle
+        c3, _ = system.execute(one_read(rank=3))
+        assert c0.finish[0] > c3.finish[0]
 
     def test_blackout_recurs_every_trefi(self):
         system = MemorySystem(refresh_config())
         timing = system.config.timing
-        request = ReadRequest(
-            rank=0, bank=0, row=0, column=0, bytes_=64,
-            issue_cycle=timing.tREFI + 1,
-        )
-        completion = system.execute([request])[0][0]
-        assert completion.start_cycle >= timing.tREFI + timing.tRFC
+        served, _ = system.execute(one_read(rank=0, issue_cycle=timing.tREFI + 1))
+        assert served.start[0] >= timing.tREFI + timing.tRFC

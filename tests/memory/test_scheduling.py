@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.memory import MemoryConfig, MemorySystem, ReadRequest
-from repro.memory.controller import ChannelController
+from repro.memory import MemoryConfig, MemorySystem
+from tests.dram_oracle import (
+    ChannelController,
+    ObjectMemorySystem,
+    ReadRequest,
+    served_of,
+    to_columns,
+)
 
 
 def interleaved_rows(count=16):
@@ -16,6 +22,8 @@ def interleaved_rows(count=16):
 
 class TestPolicies:
     def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError, match="unknown scheduling policy"):
+            MemorySystem(MemoryConfig.small_test_system(), policy="random")
         with pytest.raises(ValueError, match="unknown scheduling policy"):
             ChannelController(0, MemoryConfig.small_test_system(), policy="random")
         with pytest.raises(ValueError):
@@ -31,17 +39,19 @@ class TestPolicies:
         config = MemoryConfig.small_test_system()
         fcfs = MemorySystem(config, policy="fcfs")
         frfcfs = MemorySystem(config, policy="frfcfs")
-        _, fcfs_stats = fcfs.execute(interleaved_rows())
-        _, frfcfs_stats = frfcfs.execute(interleaved_rows())
+        _, fcfs_stats = fcfs.execute(to_columns(interleaved_rows()))
+        _, frfcfs_stats = frfcfs.execute(to_columns(interleaved_rows()))
         assert frfcfs_stats.row_hits > fcfs_stats.row_hits
         assert frfcfs_stats.finish_cycle < fcfs_stats.finish_cycle
 
     def test_frfcfs_returns_completions_in_request_order(self):
-        system = MemorySystem(MemoryConfig.small_test_system(), policy="frfcfs")
+        config = MemoryConfig.small_test_system()
         requests = interleaved_rows(8)
-        completions, _ = system.execute(requests)
+        completions, _ = ObjectMemorySystem(config, policy="frfcfs").execute(requests)
         for request, completion in zip(requests, completions):
             assert completion.request is request
+        served, _ = MemorySystem(config, policy="frfcfs").execute(to_columns(requests))
+        assert served == served_of(completions)
 
     def test_policies_agree_on_row_friendly_stream(self):
         """With no conflicts to dodge, FR-FCFS degenerates to FCFS."""
@@ -50,8 +60,8 @@ class TestPolicies:
             ReadRequest(rank=0, bank=0, row=0, column=i * 64, bytes_=64)
             for i in range(8)
         ]
-        _, a = MemorySystem(config, policy="fcfs").execute(stream)
-        _, b = MemorySystem(config, policy="frfcfs").execute(stream)
+        _, a = MemorySystem(config, policy="fcfs").execute(to_columns(stream))
+        _, b = MemorySystem(config, policy="frfcfs").execute(to_columns(stream))
         assert a.finish_cycle == b.finish_cycle
         assert a.row_hits == b.row_hits
 
@@ -66,7 +76,7 @@ class TestPolicies:
             for i in range(20)
         ]
         requests.append(ReadRequest(rank=0, bank=0, row=0, column=0, bytes_=64))
-        completions, _ = system.execute(requests)
+        served, _ = system.execute(to_columns(requests))
         # The row-0 request completed (no starvation) — trivially true here,
         # but its finish is bounded by the whole stream's span.
-        assert completions[-1].finish_cycle <= max(c.finish_cycle for c in completions)
+        assert served.finish[-1] <= max(served.finish)
