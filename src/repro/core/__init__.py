@@ -10,7 +10,6 @@ from repro.core.engine import (
     MultiBatchResult,
     PipelineStats,
 )
-from repro.core.header import Header, Message
 from repro.core.interactive import InteractiveEngine, InteractiveResult
 from repro.core.stats import (
     LevelUtilization,
@@ -41,7 +40,6 @@ __all__ = [
     "FafnirConfig",
     "FafnirEngine",
     "FafnirTree",
-    "Header",
     "InteractiveEngine",
     "InteractiveResult",
     "LevelUtilization",
@@ -55,7 +53,6 @@ __all__ = [
     "MAX",
     "MEAN",
     "MIN",
-    "Message",
     "PELatencies",
     "PEWork",
     "ReductionOperator",

@@ -117,7 +117,6 @@ def _concatenate(first: LookupResult, second: LookupResult) -> LookupResult:
     merged_plan = BatchPlan(
         queries=first.plan.queries + second.plan.queries,
         reads=first.plan.reads + second.plan.reads,
-        headers={**first.plan.headers, **second.plan.headers},
         deduplicated=first.plan.deduplicated and second.plan.deduplicated,
     )
     return LookupResult(

@@ -5,8 +5,9 @@ Before a batch of queries is issued to the tree, the host:
 1. normalises each query to a set of global vector indices,
 2. extracts the batch's **unique** indices — each is read from DRAM exactly
    once, however many queries share it, and
-3. builds the initial header for every unique index: its ``queries`` field
-   holds, per query using the index, the query's *other* indices.
+3. numbers the batch's distinct queries once, and lists the queries each
+   read serves — the ids behind the paper's initial header for a unique
+   index, whose ``queries`` field holds each query's *other* indices.
 
 The ``deduplicate=False`` path issues one read per (query, index) occurrence
 instead — the ablation the paper uses to separate FAFNIR's parallel-tree
@@ -17,10 +18,8 @@ speedup (Fig. 13 solid bars) from its redundant-access elimination
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
-
-from repro.core.header import Header
-
 
 Query = FrozenSet[int]
 
@@ -33,21 +32,64 @@ class BatchPlan:
         queries: normalised query index sets, in submission order.
         reads: vector indices to fetch from memory (unique, or one per
             occurrence when deduplication is disabled).
-        headers: initial header for each distinct index in ``reads``.
         deduplicated: whether redundant reads were eliminated.
+
+    The derived views below are computed on first use, so callers that
+    only count reads (the baselines, the schedulers) never pay for them.
     """
 
     queries: Tuple[Query, ...]
     reads: Tuple[int, ...]
-    headers: Dict[int, Header]
     deduplicated: bool
+
+    @cached_property
+    def distinct(self) -> Tuple[Query, ...]:
+        """The batch's distinct queries in first-appearance order; a
+        query's position here is its *query id*."""
+        return tuple(dict.fromkeys(self.queries))
+
+    @cached_property
+    def query_ids(self) -> Tuple[int, ...]:
+        """Each query's id, in submission order."""
+        position = {query: n for n, query in enumerate(self.distinct)}
+        return tuple(map(position.__getitem__, self.queries))
+
+    @cached_property
+    def serving(self) -> Dict[int, List[Tuple[int, ...]]]:
+        """Per unique index, the query ids each of its read occurrences serves.
+
+        With deduplication an index has one read, serving every distinct
+        query that contains it in canonical order: by length, then sorted
+        indices.  That is the order of the paper's initial header entries
+        ``q − {index}``, since dropping a common index from two queries
+        keeps their order.  Without deduplication ``reads`` lists the
+        occurrences query-major, so occurrence ``j`` of an index serves the
+        ``j``-th query containing it, in submission order.
+        """
+        serving: Dict[int, List[Tuple[int, ...]]] = {}
+        if not self.deduplicated:
+            for query_id, query in zip(self.query_ids, self.queries):
+                for index in query:
+                    serving.setdefault(index, []).append((query_id,))
+            return serving
+        distinct = self.distinct
+        users: Dict[int, List[int]] = {}
+        for query_id in sorted(
+            range(len(distinct)),
+            key=lambda q: (len(distinct[q]), sorted(distinct[q])),
+        ):
+            for index in distinct[query_id]:
+                users.setdefault(index, []).append(query_id)
+        for index, ids in users.items():
+            serving[index] = [tuple(ids)]
+        return serving
 
     @property
     def total_lookups(self) -> int:
         """Sum of query lengths — the naive access count."""
         return sum(len(query) for query in self.queries)
 
-    @property
+    @cached_property
     def unique_indices(self) -> Tuple[int, ...]:
         return tuple(sorted(set(self.reads)))
 
@@ -95,27 +137,10 @@ def plan_batch(
     max_query_len: Optional[int] = None,
     deduplicate: bool = True,
 ) -> BatchPlan:
-    """Build the read list and initial headers for one batch."""
+    """Build the read list for one batch."""
     queries = normalize_queries(raw_queries, max_query_len)
-
-    # One pass over the batch (Header.initial per index would rescan every
-    # query for every unique index — quadratic in batch size × query length).
-    entries_of: Dict[int, List[Query]] = {}
-    for query in queries:
-        for index in query:
-            entries_of.setdefault(index, []).append(query - {index})
-    unique = sorted(entries_of)
-    headers = {
-        index: Header.make({index}, entries_of[index]) for index in unique
-    }
-
     if deduplicate:
-        reads = tuple(unique)
+        reads = tuple(sorted(set().union(*queries)))
     else:
         reads = tuple(index for query in queries for index in sorted(query))
-    return BatchPlan(
-        queries=queries,
-        reads=reads,
-        headers=headers,
-        deduplicated=deduplicate,
-    )
+    return BatchPlan(queries=queries, reads=reads, deduplicated=deduplicate)

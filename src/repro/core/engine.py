@@ -3,7 +3,7 @@
 There is one batch path (paper §IV-A, §IV-C):
 
 1. **Host** — batch preprocessing (:mod:`repro.core.batch`) produces the
-   unique-index read list and initial headers.
+   unique-index read list and numbers the batch's distinct queries.
 2. **Memory** — reads are issued to the DDR4 model
    (:mod:`repro.memory`); each vector's message becomes ready at its DRAM
    completion time, converted into the PE clock domain.
@@ -37,9 +37,8 @@ import numpy as np
 from repro.clocks import convert_cycles
 from repro.core.batch import BatchPlan, plan_batch
 from repro.core.config import FafnirConfig
-from repro.core.header import Header, Message
 from repro.core.operators import ReductionOperator, SUM, get_operator
-from repro.core.pe import PEWork
+from repro.core.pe import PEWork, Row
 from repro.core.sweep import SweepResult, sweep_tree
 from repro.core.tree import FafnirTree, TreePE
 from repro.faults.plan import (
@@ -66,6 +65,7 @@ from repro.obs.events import (
     FAULT_INJECTED,
     FIFO_ENQUEUE,
     FIFO_STALL,
+    KIND_CODES,
     LEAF_INJECT,
     PIPELINE_BATCH,
     QUERY_COMPLETE,
@@ -313,6 +313,7 @@ class FafnirEngine:
             memory_config.geometry, self.config.vector_bytes
         )
         self.tree = FafnirTree(self.config)
+        self._routes = self._leaf_routes(self.tree.leaves())
 
     # ------------------------------------------------------------------
     def _read_occurrences(self, reads: Sequence[int]) -> Tuple[List[int], AccessStats]:
@@ -360,122 +361,105 @@ class FafnirEngine:
         return finish, lost, stats
 
     @staticmethod
-    def _fifo_side(leaf: TreePE, rank: int) -> int:
-        """Which of the leaf PE's two input FIFOs a rank feeds.
+    def _leaf_routes(leaves: Sequence[TreePE]) -> Dict[int, Tuple[TreePE, int]]:
+        """Each wired rank's leaf PE and input FIFO side.
 
-        Derived from the rank's *position* in ``leaf.leaf_ranks`` — the
-        first half of the leaf's ranks share FIFO 0, the rest FIFO 1 — so
-        the routing stays correct for non-contiguous or permuted
+        The side comes from the rank's *position* in ``leaf.leaf_ranks`` —
+        the first half of the leaf's ranks share FIFO 0, the rest FIFO 1 —
+        so the routing stays correct for non-contiguous or permuted
         rank-to-leaf wirings (arithmetic on ``rank - leaf_ranks[0]`` would
         silently misroute those).
         """
-        ranks = leaf.leaf_ranks
-        assert ranks is not None
+        routes: Dict[int, Tuple[TreePE, int]] = {}
+        for leaf in leaves:
+            ranks = leaf.leaf_ranks
+            assert ranks is not None
+            for position, rank in enumerate(ranks):
+                routes[rank] = (leaf, 0 if 2 * position < len(ranks) else 1)
+        return routes
+
+    def _route(self, index: int) -> Tuple[int, TreePE, int]:
+        """The home rank of ``index``, and the leaf PE and side it feeds."""
+        rank = self.placement.home_rank(index)
         try:
-            position = ranks.index(rank)
-        except ValueError:
+            return (rank, *self._routes[rank])
+        except KeyError:
             raise ValueError(
-                f"rank {rank} is not wired to leaf PE {leaf.pe_id} "
-                f"(ranks {ranks})"
+                f"index {index}'s rank {rank} is wired to no leaf PE"
             ) from None
-        return 0 if 2 * position < len(ranks) else 1
 
     def _leaf_inputs(
         self,
         plan: BatchPlan,
         finish_cycles: Dict[int, List[int]],
         values: Dict[int, np.ndarray],
-    ) -> Dict[int, List[List[Message]]]:
+    ) -> Dict[int, List[List[Row]]]:
         """Build each leaf PE's two input FIFOs from the fetched vectors.
 
         ``values`` maps each of ``plan``'s unique indices to its vector.
-        With deduplication each index yields one message.  The ablation
-        path instead emits one message per read occurrence, each carrying
-        the entry of the query that occurrence serves and becoming ready at
-        *its own* read's completion — the redundant reads the ablation pays
-        for are charged individually rather than all riding the earliest
-        copy (they later coalesce in the leaf FIFO, exactly as redundant
-        copies physically would).
+        Every read occurrence becomes one row, serving the query ids
+        ``plan.serving`` lists for it and ready at *its own* read's
+        completion: with deduplication one row per index, serving every
+        query that contains it; without, one per occurrence, serving one
+        query, so the redundant reads the ablation pays for are charged
+        individually rather than all riding the earliest copy (they later
+        coalesce in the leaf FIFO, exactly as redundant copies physically
+        would).  ``finish_cycles`` may come from the plan ``plan``
+        re-plans: every query holding a surviving index survives, in
+        submission order, so occurrence ``j`` still serves the ``j``-th
+        query containing the index.
         """
-        per_leaf: Dict[int, List[List[Message]]] = {
+        per_leaf: Dict[int, List[List[Row]]] = {
             leaf.pe_id: [[], []] for leaf in self.tree.leaves()
         }
-        queries_using: Dict[int, List] = {}
-        if not plan.deduplicated:
-            for query in plan.queries:
-                for index in query:
-                    queries_using.setdefault(index, []).append(query)
+        serving = plan.serving
+        dram_clock, pe_clock = self.config.dram_clock, self.config.pe_clock
+        traced = self.tracer.enabled
+        arrivals: List[Tuple[int, int, int, int, int, int]] = []
         for index in plan.unique_indices:
             value = values[index]
-            rank = self.placement.home_rank(index)
-            assert rank is not None
-            leaf = self.tree.leaf_for_rank(rank)
-            side = self._fifo_side(leaf, rank)
+            indices = frozenset((index,))
+            rank, leaf, side = self._route(index)
             fifo = per_leaf[leaf.pe_id][side]
-            cycles = finish_cycles[index]
-            if plan.deduplicated:
-                arrivals = [(plan.headers[index], cycles[0])]
-            else:
-                # plan.reads lists occurrences query-major, so occurrence j
-                # of this index belongs to the j-th query containing it.  A
-                # re-plan keeps that pairing: every query holding a
-                # surviving index survives, in submission order.
-                arrivals = [
-                    (Header.make({index}, [query - {index}]), cycle)
-                    for query, cycle in zip(queries_using[index], cycles)
-                ]
-            for header, cycle in arrivals:
-                ready = convert_cycles(
-                    cycle, self.config.dram_clock, self.config.pe_clock
-                )
-                fifo.append(Message(header=header, value=value, ready_cycle=ready))
-                if self.tracer.enabled:
-                    self._emit_inject(leaf, side, rank, index, ready, len(fifo))
+            for ids, cycle in zip(serving[index], finish_cycles[index]):
+                ready = convert_cycles(cycle, dram_clock, pe_clock)
+                fifo.append((indices, ids, value, ready))
+                if traced:
+                    arrivals.append((leaf.pe_id, rank, index, ready, side, len(fifo)))
+        if arrivals:
+            self._emit_arrivals(arrivals)
         return per_leaf
 
-    def _emit_inject(
-        self,
-        leaf: TreePE,
-        side: int,
-        rank: int,
-        index: int,
-        ready: int,
-        depth: int,
-    ) -> None:
-        """Record one vector's arrival at a leaf FIFO (tracing enabled only).
+    def _emit_arrivals(self, arrivals: List[Tuple[int, int, int, int, int, int]]) -> None:
+        """Record each (leaf PE, rank, index, ready, side, depth) arrival at a
+        leaf FIFO, in order (tracing enabled only).
 
-        Emits a ``leaf_inject`` for the message itself and a
+        Each emits a ``leaf_inject`` for the row itself and a
         ``fifo_enqueue`` carrying the FIFO's occupancy after the append;
         occupancy beyond ``config.buffer_entries`` additionally raises a
         ``fifo_stall`` — the backpressure signal a sized hardware FIFO
         would assert (the functional model itself is unbounded).
         """
-        self.tracer.emit_packed(
-            LEAF_INJECT,
-            ready,
-            pe=leaf.pe_id,
-            level=leaf.level,
-            rank=rank,
-            args=(index,),
+        pe, rank, index, ready, side, depth = np.array(arrivals, np.int64).T
+        events = 2 + (depth > self.config.buffer_entries)
+        arrival = np.repeat(np.arange(len(arrivals)), events)
+        step = np.arange(len(arrival)) - (np.cumsum(events) - events)[arrival]
+        inject = step == 0
+        args = np.c_[side[arrival], depth[arrival]]
+        args[inject, 0] = index[arrival[inject]]
+        kinds = np.array([KIND_CODES[LEAF_INJECT], KIND_CODES[FIFO_ENQUEUE],
+                          KIND_CODES[FIFO_STALL]])
+        self.tracer.emit_columns(
+            kinds[step],
+            ready[arrival],
+            args,
+            pe=pe[arrival],
+            level=0,  # every leaf PE is on level 0
+            rank=np.where(inject, rank[arrival], -1),
         )
-        self.tracer.emit_packed(
-            FIFO_ENQUEUE,
-            ready,
-            pe=leaf.pe_id,
-            level=leaf.level,
-            args=(side, depth),
-        )
-        if depth > self.config.buffer_entries:
-            self.tracer.emit_packed(
-                FIFO_STALL,
-                ready,
-                pe=leaf.pe_id,
-                level=leaf.level,
-                args=(side, depth),
-            )
 
     def _run_tree(
-        self, plan: BatchPlan, leaf_inputs: Dict[int, List[List[Message]]]
+        self, plan: BatchPlan, leaf_inputs: Dict[int, List[List[Row]]]
     ) -> Tuple[np.ndarray, List[int], Dict[int, PEWork]]:
         """Leaf FIFOs → root: each of ``plan``'s queries' root value and
         ready cycle, plus the per-PE work."""
@@ -483,12 +467,12 @@ class FafnirEngine:
         return result.values, result.ready, result.per_pe_work
 
     def _sweep(
-        self, plan: BatchPlan, leaf_inputs: Dict[int, List[List[Message]]]
+        self, plan: BatchPlan, leaf_inputs: Dict[int, List[List[Row]]]
     ) -> SweepResult:
         """The closed-form sweep over the engine's current tree, operator,
         tracer and timing model."""
         phased = self.timing == "phased"
-        return sweep_tree(plan.queries, leaf_inputs, self.config, self.tree,
+        return sweep_tree(plan, leaf_inputs, self.config, self.tree,
                           self.operator, self.tracer, phased)
 
     # ------------------------------------------------------------------
@@ -546,7 +530,7 @@ class FafnirEngine:
                 values[index] = value
 
         # A non-empty drop set re-plans the surviving queries, so every
-        # header references only vectors that will arrive and the tree's
+        # row serves only queries whose vectors will arrive and the tree's
         # completion guarantee holds for what remains.
         tree_plan = plan
         positions: Sequence[int] = range(len(plan.queries))

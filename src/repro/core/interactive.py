@@ -15,9 +15,9 @@ index order, and the internal PEs are a balanced tournament over the leaves
 in which a PE with one live input forwards it — exactly
 :func:`~repro.core.operators.canonical_fold` with one piece per leaf, the
 same fold the cross-shard reducer uses.  Reads and vectors come through the
-batch engine's own fetch path; only the plan (no headers) and the tree walk
-differ.  ``tests/interactive_oracle.py`` keeps the per-PE walk as the
-differential oracle.
+batch engine's own fetch path; only the tree walk differs.
+``tests/interactive_oracle.py`` keeps the per-PE walk as the differential
+oracle.
 
 This mode is what a latency-critical online recommendation service would
 use for one-off lookups; the batch engine amortises far better under load
@@ -90,9 +90,7 @@ class InteractiveEngine(FafnirEngine):
         for index in indices:
             value = self._fetch_one_vector(source, index)
             assert value is not None  # no fault plan: every fetch succeeds
-            rank = self.placement.home_rank(index)
-            assert rank is not None
-            leaf = self.tree.leaf_for_rank(rank).pe_id
+            leaf = self._route(index)[1].pe_id
             partial = leaves.get(leaf)
             leaves[leaf] = value if partial is None else combine(partial, value)
 

@@ -8,17 +8,27 @@ leaf FIFOs that routing has a closed form, computed level by level in
 :mod:`repro.core.sweep`.  The one sequential step is the leaf FIFO fold,
 :func:`fold_stream`, where two indices of one query homed in the same rank
 meet and arrival order decides which pairs fold.
+
+A message is a :data:`Row` ``(indices, query ids, value, ready)``: the
+indices folded into the value, and the ids of the queries it still
+serves.  That is the paper's header (§IV-B, Fig. 6) with each remainder
+``q − indices`` named by its query, the batch's distinct query ``q`` in
+:attr:`repro.core.batch.BatchPlan.distinct`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.core.header import Message, Header
+import numpy as np
+
 from repro.core.operators import ReductionOperator
-from repro.obs.events import PE_MERGE, PE_REDUCE
+from repro.obs.events import KIND_CODES, PE_MERGE, PE_REDUCE
 from repro.obs.tracer import NULL_TRACER, Tracer
+
+#: One message on a leaf FIFO: (indices, query ids, value, ready cycle).
+Row = Tuple[FrozenSet[int], Sequence[int], np.ndarray, int]
 
 
 @dataclass
@@ -58,166 +68,143 @@ class PEWork:
         )
 
 
-def _partner_of(
-    entry: FrozenSet[int],
-    covered: AbstractSet[int],
-    first_with: Dict[FrozenSet[int], int],
-) -> int:
-    """Position of the buffered row ``entry`` reduces with, or -1 for none.
-
-    ``covered`` is a superset of the buffered rows' indices and
-    ``first_with`` maps each distinct ``indices`` set to its first position.
-    A row contained in ``entry`` is contained in ``key = entry & covered``,
-    so a row equal to ``key`` is the widest match (first on ties) and an
-    empty key matches nothing.  In a stream built like a leaf FIFO (one
-    message per read index, carrying the remainders of the queries it
-    serves) the buffered row for the entry's query covers exactly ``key``;
-    any other miss means the stream is not one, and is an error.
-    """
-    key = entry & covered
-    if not key:
-        return -1
-    position = first_with.get(key)
-    if position is None:
-        raise ValueError(
-            f"no buffered row equals {sorted(key)} for entry {sorted(entry)}: "
-            "the stream was not built like a leaf FIFO"
-        )
-    return position
-
-
-def _without(
-    message: Message, removed: AbstractSet[FrozenSet[int]]
-) -> Optional[Message]:
-    """``message`` minus its ``removed`` entries; ``None`` if none remain."""
-    if not removed:
-        return message
-    remaining = tuple(entry for entry in message.entries if entry not in removed)
-    if not remaining:
-        return None
-    # A subsequence of a canonical entry tuple is still canonical.
-    header = Header(indices=message.indices, entries=remaining)
-    return Message(header, message.value, message.ready_cycle, message.hops)
-
-
 def fold_stream(
-    stream: Sequence[Message],
+    stream: Sequence[Row],
+    queries: Sequence[FrozenSet[int]],
     work: PEWork,
     operator: ReductionOperator,
     reduce_path: int,
     tracer: Tracer = NULL_TRACER,
     pe_id: Optional[int] = None,
     level: Optional[int] = None,
-) -> List[Message]:
-    """Combine messages arriving sequentially on *one* leaf input FIFO.
+) -> List[Row]:
+    """Combine the rows arriving sequentially on *one* leaf input FIFO.
 
     A general sparse-gathering workload may home two indices of one query
     in the same rank (the paper's tables are one per rank, Fig. 4b, so its
     queries never do).  Those items stream through the leaf PE's FIFO one
     after another, and the compute units compare each arrival against the
     buffered entries (Fig. 5), charging the reduce path per combination.
+    ``queries[q]`` is the index set of query id ``q``.
 
-    Combination is greedy, in FIFO arrival order: each arriving entry ``e``
-    on message ``m`` reduces with the widest buffered row ``best`` inside
-    it (first on ties), and the reduction consumes the query
-    ``q = m.indices ∪ e`` it serves (§IV-B): ``e`` leaves ``m`` and
-    ``q − best.indices`` leaves the first live ``best.indices`` row that
-    carries it.  A message left with no entries is dropped, a second
-    arrival of one ``(indices, entry)`` pair is a duplicate, and finally
-    rows with equal ``indices`` coalesce.  The result holds one entry per
-    query touching the FIFO: ``q − S`` on the message for ``S = q ∩ FIFO``.
-    Buffer rows keep their positions (a consumed row becomes ``None``), and
-    each arrival finds its match with one :func:`_partner_of` lookup; a
-    stream not built like a leaf FIFO can miss it and raises ``ValueError``.
+    Combination is greedy, in FIFO arrival order.  An arriving row with
+    indices ``I`` takes its query ids in order; query ``q`` reduces with
+    the widest buffered row ``best`` inside ``q − I`` (first on ties), and
+    the reduction consumes ``q`` (§IV-B): it leaves the arrival and the
+    first live ``best`` row that carries it, and rides on to a new row
+    ``I ∪ best``.  A row left with no ids is dropped, a second arrival of
+    one ``(I, q)`` pair is a duplicate, and finally rows with equal indices
+    coalesce, their ids in canonical order (by length, then sorted
+    indices).  The result carries each query touching the FIFO once, on
+    the row for ``S = q ∩ FIFO``.
+
+    Buffer rows keep their positions (a consumed row becomes ``None``).
+    Every row inside ``q − I`` lies inside ``key = (q − I) ∩ covered``
+    (``covered``: every buffered index), so a row equal to ``key`` is the
+    widest match, found with one dict lookup, and an empty key matches
+    nothing.  In a stream built like a leaf FIFO (one row per read,
+    serving the queries that read is for) the buffered row for ``q``
+    covers exactly ``key``; any other miss means the stream is not one,
+    and raises ``ValueError``.
     """
-    buffer: List[Optional[Message]] = []
+    buffer: List[Optional[list]] = []  # [indices, ids, value, ready]
     live = 0
-    buffered: set = set()
+    covered: set = set()
     seen: set = set()
     first_row: Dict[FrozenSet[int], int] = {}
-    rows_by_indices: Dict[FrozenSet[int], List[int]] = {}
+    rows_of: Dict[FrozenSet[int], List[int]] = {}
+    events: List[Tuple[int, int, int]] = []  # (kind code, cycle, arg)
 
-    def consume(indices: FrozenSet[int], entry: FrozenSet[int]) -> None:
+    def consume(indices: FrozenSet[int], query_id: int) -> None:
         nonlocal live
-        rows = rows_by_indices[indices]
-        for row in rows:
-            message = buffer[row]
-            if entry in message.entries:
+        positions = rows_of[indices]
+        for position in positions:
+            ids = buffer[position][1]
+            if query_id in ids:
                 work.entries_consumed += 1
-                kept = _without(message, {entry})
-                buffer[row] = kept
-                if kept is None:
+                ids.remove(query_id)
+                if not ids:
+                    buffer[position] = None
                     live -= 1
-                    rows.remove(row)
-                    if rows:
-                        first_row[indices] = rows[0]
+                    positions.remove(position)
+                    if positions:
+                        first_row[indices] = positions[0]
                     else:
-                        del rows_by_indices[indices], first_row[indices]
+                        del rows_of[indices], first_row[indices]
                 return
 
-    def insert(message: Message) -> None:
+    def insert(indices: FrozenSet[int], ids: Sequence[int], value, ready: int) -> None:
         nonlocal live
-        produced: List[Message] = []
-        removed = set()
-        for entry in message.entries:
-            if (message.indices, entry) in seen:
+        kept: List[int] = []
+        produced: List[Row] = []
+        for query_id in ids:
+            if (indices, query_id) in seen:
                 work.duplicates_removed += 1
-                removed.add(entry)
                 continue
-            seen.add((message.indices, entry))
-            if not entry:
+            seen.add((indices, query_id))
+            query = queries[query_id]
+            if len(query) == len(indices):  # the value answers the query
+                kept.append(query_id)
                 continue
             work.compares += live
-            choice = _partner_of(entry, buffered, first_row)
-            if choice < 0:
+            key = (query & covered) - indices
+            if not key:
+                kept.append(query_id)
                 continue
-            best = buffer[choice]
-            work.reduces += 1
-            ready = max(message.ready_cycle, best.ready_cycle) + reduce_path
-            if tracer.enabled:
-                tracer.emit_packed(
-                    PE_REDUCE, ready, pe=pe_id, level=level, args=(reduce_path,)
+            position = first_row.get(key)
+            if position is None:
+                raise ValueError(
+                    f"no buffered row equals {sorted(key)} for entry "
+                    f"{sorted(query - indices)}: the stream was not built "
+                    "like a leaf FIFO"
                 )
-            header = message.header.reduced_with(best.indices, entry)
-            value = operator.combine(message.value, best.value)
-            produced.append(Message(header, value, ready, max(message.hops, best.hops)))
-            removed.add(entry)
+            partner, _, partner_value, partner_ready = buffer[position]
+            work.reduces += 1
+            at = max(ready, partner_ready) + reduce_path
+            if tracer.enabled:
+                events.append((KIND_CODES[PE_REDUCE], at, reduce_path))
+            produced.append(
+                (indices | partner, [query_id], operator.combine(value, partner_value), at)
+            )
             work.entries_consumed += 1
-            consume(best.indices, (message.indices | entry) - best.indices)
-        kept = _without(message, removed)
-        if kept is not None:
-            first_row.setdefault(kept.indices, len(buffer))
-            rows_by_indices.setdefault(kept.indices, []).append(len(buffer))
-            buffered.update(kept.indices)
-            buffer.append(kept)
+            consume(partner, query_id)
+        if kept:
+            first_row.setdefault(indices, len(buffer))
+            rows_of.setdefault(indices, []).append(len(buffer))
+            covered.update(indices)
+            buffer.append([indices, kept, value, ready])
             live += 1
-        for combined in produced:
-            insert(combined)
+        for row in produced:
+            insert(*row)
 
     # FIFO arrival order — the deterministic append order built by
     # ``FafnirEngine._leaf_inputs`` — not ready-cycle order: which pairs fold
     # (and therefore the reduced values' float association) must not depend
     # on DRAM scheduling or the hot-index tier, only the ready arithmetic may.
-    for message in stream:
-        insert(message)
+    for row in stream:
+        insert(*row)
 
     # Rows with equal indices carry the same data: the merge unit coalesces
     # them without charging PE latency.
-    groups: Dict[FrozenSet[int], List[Message]] = {}
-    for message in buffer:
-        if message is not None:
-            groups.setdefault(message.indices, []).append(message)
-    coalesced: List[Message] = []
+    groups: Dict[FrozenSet[int], List[list]] = {}
+    for row in buffer:
+        if row is not None:
+            groups.setdefault(row[0], []).append(row)
+    folded: List[Row] = []
     for indices, members in groups.items():
+        _, ids, value, ready = members[0]
         if len(members) > 1:
-            ready = max(member.ready_cycle for member in members)
+            ready = max(member[3] for member in members)
             work.merges += 1
             if tracer.enabled:
-                tracer.emit_packed(
-                    PE_MERGE, ready, pe=pe_id, level=level, args=(len(members),)
-                )
-            header = Header.make(indices, [e for m in members for e in m.entries])
-            hops = max(member.hops for member in members)
-            members = [Message(header, members[0].value, ready, hops)]
-        coalesced.append(members[0])
-    return coalesced
+                events.append((KIND_CODES[PE_MERGE], ready, len(members)))
+            ids = sorted(
+                (query_id for member in members for query_id in member[1]),
+                key=lambda q: (len(queries[q]), sorted(queries[q])),
+            )
+        folded.append((indices, ids, value, ready))
+    if events:
+        kinds, cycles, args = zip(*events)
+        tracer.emit_columns(kinds, cycles, np.array(args)[:, None], pe=pe_id,
+                            level=level)
+    return folded

@@ -31,7 +31,8 @@ PE's store-and-forward start, so only it ranks.  A reduce message carries
 ``combine(left, right)``, computed once per level for all of them.
 
 The leaf FIFO fold (:func:`repro.core.pe.fold_stream`) stays the one
-sequential step; its outputs seed the table.  The result matches the
+sequential step; its rows carry the plan's query ids and go straight into
+the leaf table.  The result matches the
 per-message PE model (the test suite's differential oracle) byte for byte
 in vectors, ready cycles and work counters, and traced runs emit the same
 ``pe_reduce``/``pe_forward``/``pe_merge`` events per PE — in a different
@@ -46,16 +47,16 @@ from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.batch import BatchPlan
 from repro.core.config import FafnirConfig
-from repro.core.header import Message, sorted_tuple
 from repro.core.operators import ReductionOperator
-from repro.core.pe import PEWork, fold_stream
+from repro.core.pe import PEWork, Row, fold_stream
 from repro.core.tree import FafnirTree
-from repro.obs.events import PE_FORWARD, PE_MERGE, PE_REDUCE
+from repro.obs.events import KIND_CODES, PE_FORWARD, PE_MERGE, PE_REDUCE
 from repro.obs.tracer import Tracer
 
 Query = FrozenSet[int]
-LeafInputs = Mapping[int, Sequence[Sequence[Message]]]
+LeafInputs = Mapping[int, Sequence[Sequence[Row]]]
 _ABSENT = np.iinfo(np.int64).max
 
 
@@ -63,9 +64,9 @@ _ABSENT = np.iinfo(np.int64).max
 class SweepResult:
     """One batch through the tree.
 
-    ``values`` and ``ready`` are aligned with the queries passed to
-    :func:`sweep_tree`.  ``ids`` holds the message-id tables, one row
-    per distinct query in the order of ``queries`` and ``-1`` where the
+    ``values`` and ``ready`` are aligned with the plan's ``queries``.
+    ``ids`` holds the message-id tables, one row per query id (the plan's
+    ``distinct`` queries, copied to ``queries``) and ``-1`` where the
     query has no index below: ``ids[0]`` has a column per leaf FIFO (FIFO
     ``2k+s`` is side ``s`` of leaf ``k``), ``ids[level + 1]`` a column per
     node of that level.
@@ -79,7 +80,7 @@ class SweepResult:
 
 
 def sweep_tree(
-    queries: Sequence[Query],
+    plan: BatchPlan,
     leaf_inputs: LeafInputs,
     config: FafnirConfig,
     tree: FafnirTree,
@@ -87,23 +88,22 @@ def sweep_tree(
     tracer: Tracer,
     phased: bool,
 ) -> SweepResult:
-    """Run the PE tree over one batch's leaf FIFOs, level by level."""
+    """Run the PE tree over one batch's leaf FIFOs, level by level.
+
+    The FIFO rows carry ``plan``'s query ids (:attr:`BatchPlan.distinct`).
+    """
     units = config.compute_units
     reduce_path = config.latencies.reduce_path
     forward_path = config.latencies.forward_path
     # Level L+1's node k joins level L's nodes 2k and 2k+1.
     levels = [tree.level_ids(level) for level in range(tree.num_levels)]
-
-    query_id: Dict[Query, int] = {}
-    for query in queries:
-        query_id.setdefault(query, len(query_id))
-    distinct = tuple(query_id)
+    distinct = plan.distinct
     lengths = np.fromiter(map(len, distinct), np.int64, len(distinct))
 
     # Leaf boundary: fold each FIFO (FIFO 2k+s is side s of leaf k) and
-    # give each (query, FIFO) the id of the message carrying the query.
+    # give each (query, FIFO) the id of the row carrying the query.
     fold_work: List[PEWork] = []
-    messages: List[Tuple[Message, int]] = []
+    messages: List[Tuple[Row, int]] = []
     cells: List[Tuple[int, int, int]] = []
     for leaf, pe_id in enumerate(levels[0]):
         fold_work.append(PEWork())
@@ -111,20 +111,19 @@ def sweep_tree(
             if not stream:
                 continue
             fifo = 2 * leaf + side
-            folded = fold_stream(stream, fold_work[-1], operator, reduce_path,
-                                 tracer, pe_id, 0)
-            for message in folded:
-                for entry in message.entries:
-                    query = query_id[message.indices | entry]
-                    cells.append((query, fifo, len(messages)))
-                messages.append((message, fifo))
+            folded = fold_stream(stream, distinct, fold_work[-1], operator,
+                                 reduce_path, tracer, pe_id, 0)
+            for row in folded:
+                message = len(messages)
+                cells.extend((query, fifo, message) for query in row[1])
+                messages.append((row, fifo))
 
     table = np.full((len(distinct), 2 * len(fold_work)), -1, np.int64)
     rows, columns, ids = np.array(cells, np.int64).T
     table[rows, columns] = ids
-    value = np.stack([message.value for message, _ in messages])
-    ready = np.array([message.ready_cycle for message, _ in messages], np.int64)
-    size = np.array([len(message.indices) for message, _ in messages], np.int64)
+    value = np.stack([row[2] for row, _ in messages])
+    ready = np.array([row[3] for row, _ in messages], np.int64)
+    size = np.array([len(row[0]) for row, _ in messages], np.int64)
     position = np.array([fifo for _, fifo in messages], np.int64)
     issue_order = _IssueOrder(distinct, lengths, messages)
 
@@ -220,7 +219,7 @@ def sweep_tree(
             f"tree failed to complete query {sorted(distinct[incomplete[0]])} "
             "— FAFNIR's completion guarantee was violated; this is a bug"
         )
-    message = root[[query_id[query] for query in queries]]
+    message = root[list(plan.query_ids)]
     return SweepResult(
         value[message], ready[message].tolist(), per_pe_work, distinct, tables
     )
@@ -228,21 +227,23 @@ def sweep_tree(
 
 def _emit(tracer, reduce_path, forward_path, level, pe_ids, node, group,
           g_node, both, raw, raw_rows) -> None:
-    """One level's PE events, exactly as the per-message PEs count them."""
-    emit = tracer.emit_packed
-    cycle, pair = raw.tolist(), both.tolist()
-    for k, g in zip(node.tolist(), group.tolist()):
-        if pair[g]:
-            for _ in range(2):
-                emit(PE_REDUCE, cycle[g], pe=pe_ids[k], level=level,
-                     args=(reduce_path,))
-        else:
-            emit(PE_FORWARD, cycle[g], pe=pe_ids[k], level=level,
-                 args=(forward_path,))
-    node_of, rows = g_node.tolist(), raw_rows.tolist()
-    for g in np.flatnonzero(raw_rows > 1).tolist():
-        emit(PE_MERGE, cycle[g], pe=pe_ids[node_of[g]], level=level,
-             args=(rows[g],))
+    """One level's PE events, exactly as the per-message PEs count them:
+    per (node, query) row in order two ``pe_reduce`` if two-sided, else
+    one ``pe_forward``; then a ``pe_merge`` per merged message."""
+    two_sided = both[group]
+    row = np.repeat(np.arange(len(group)), np.where(two_sided, 2, 1))
+    reduced = two_sided[row]
+    merged = np.flatnonzero(raw_rows > 1)
+    pe_ids = np.asarray(pe_ids)
+    tracer.emit_columns(
+        np.r_[np.where(reduced, KIND_CODES[PE_REDUCE], KIND_CODES[PE_FORWARD]),
+              np.full(len(merged), KIND_CODES[PE_MERGE])],
+        np.r_[raw[group[row]], raw[merged]],
+        np.r_[np.where(reduced, reduce_path, forward_path),
+              raw_rows[merged]][:, None],
+        pe=np.r_[pe_ids[node[row]], pe_ids[g_node[merged]]],
+        level=level,
+    )
 
 
 class _IssueOrder:
@@ -260,13 +261,13 @@ class _IssueOrder:
 
     def _index_table(self) -> Tuple[np.ndarray, np.ndarray]:
         queries, lengths, messages = self._source
-        leaf_of = {i: fifo >> 1 for message, fifo in messages for i in message.indices}
+        leaf_of = {i: fifo >> 1 for row, fifo in messages for i in row[0]}
         known = np.array(sorted(leaf_of), np.int64)
         leaves = np.array([leaf_of[i] for i in known.tolist()], np.int64)
         filled = np.arange(int(lengths.max())) < lengths[:, None]
         indices = np.full(filled.shape, -1, np.int64)
         indices[filled] = np.fromiter(
-            chain.from_iterable(map(sorted_tuple, queries)), np.int64, filled.sum()
+            chain.from_iterable(map(sorted, queries)), np.int64, filled.sum()
         )
         leaf = np.full(filled.shape, -1, np.int64)
         leaf[filled] = leaves[np.searchsorted(known, indices[filled])]

@@ -47,16 +47,6 @@ class DramTiming:
     tRFC: int = 420
     refresh_enabled: bool = False
 
-    @property
-    def row_miss_penalty(self) -> int:
-        """Extra cycles a row-buffer conflict costs over a row hit."""
-        return self.tRP + self.tRCD
-
-    @property
-    def row_closed_penalty(self) -> int:
-        """Extra cycles an access to a closed (precharged) row costs."""
-        return self.tRCD
-
 
 @dataclass(frozen=True)
 class MemoryGeometry:
@@ -85,26 +75,9 @@ class MemoryGeometry:
     def total_ranks(self) -> int:
         return self.channels * self.ranks_per_channel
 
-    @cached_property
-    def total_banks(self) -> int:
-        return self.total_ranks * self.banks_per_rank
-
-    def rank_of(self, channel: int, dimm: int, rank_in_dimm: int) -> int:
-        """Flatten (channel, dimm, rank-in-dimm) into a global rank id."""
-        if not 0 <= channel < self.channels:
-            raise ValueError(f"channel {channel} out of range")
-        if not 0 <= dimm < self.dimms_per_channel:
-            raise ValueError(f"dimm {dimm} out of range")
-        if not 0 <= rank_in_dimm < self.ranks_per_dimm:
-            raise ValueError(f"rank {rank_in_dimm} out of range")
-        return (
-            channel * self.ranks_per_channel
-            + dimm * self.ranks_per_dimm
-            + rank_in_dimm
-        )
-
     def locate(self, global_rank: int) -> tuple[int, int, int]:
-        """Inverse of :meth:`rank_of`: global rank id → (channel, dimm, rank)."""
+        """Global rank id → (channel, dimm, rank-in-dimm): channels hold
+        contiguous blocks of ranks, DIMMs contiguous runs within them."""
         if not 0 <= global_rank < self.total_ranks:
             raise ValueError(f"rank {global_rank} out of range")
         channel, rest = divmod(global_rank, self.ranks_per_channel)

@@ -14,6 +14,8 @@ from __future__ import annotations
 from operator import add, itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.faults.plan import (
     FAULT_RANK_DEGRADED,
     FAULT_RANK_TIMEOUT,
@@ -30,6 +32,7 @@ from repro.obs.events import (
     CLOCK_DRAM,
     FAULT_DETECTED,
     FAULT_INJECTED,
+    KIND_CODES,
     MEM_READ_COMPLETE,
     MEM_READ_ISSUE,
     RETRY_ISSUED,
@@ -378,31 +381,26 @@ class MemorySystem:
     ) -> None:
         """One ``mem_read_issue``/``mem_read_complete`` pair per DRAM read,
         in batch order."""
-        emit_packed = self.tracer.emit_packed
-        for position in dram:
-            rank = reads.rank[position]
-            bank = reads.bank[position]
-            size = reads.bytes[position]
-            emit_packed(
-                MEM_READ_ISSUE,
-                reads.issue[position],
-                clock=CLOCK_DRAM,
-                rank=rank,
-                args=(bank, size),
-            )
-            emit_packed(
-                MEM_READ_COMPLETE,
-                served.finish[position],
-                clock=CLOCK_DRAM,
-                rank=rank,
-                args=(
-                    bank,
-                    size,
-                    served.start[position],
-                    served.row_hit[position],
-                    served.bursts[position],
-                ),
-            )
+        if not dram:
+            return
+        positions = np.asarray(dram, np.intp)
+
+        def picked(column):
+            return np.asarray(column, np.int64)[positions]
+
+        bank, size = picked(reads.bank), picked(reads.bytes)
+        args = np.zeros((2 * len(positions), 5), np.int64)
+        args[0::2, :2] = np.c_[bank, size]
+        args[1::2] = np.c_[bank, size, picked(served.start),
+                           picked(served.row_hit), picked(served.bursts)]
+        self.tracer.emit_columns(
+            np.tile([KIND_CODES[MEM_READ_ISSUE], KIND_CODES[MEM_READ_COMPLETE]],
+                    len(positions)),
+            np.c_[picked(reads.issue), picked(served.finish)].ravel(),
+            args,
+            clock=CLOCK_DRAM,
+            rank=np.repeat(picked(reads.rank), 2),
+        )
 
     # --- fault injection ---------------------------------------------------
     def _apply_read_faults(self, position: int, rank: int, start: int, finish: int) -> int:

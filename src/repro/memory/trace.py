@@ -1,11 +1,9 @@
-"""Access accounting: row-buffer behaviour, bandwidth, and energy."""
+"""Access accounting: row-buffer behaviour and bandwidth."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict
-
-from repro.memory.config import MemoryConfig
 
 
 @dataclass
@@ -29,10 +27,6 @@ class AccessStats:
     @property
     def ranks_touched(self) -> int:
         return len(self.per_rank_reads)
-
-    def energy_pj(self, config: MemoryConfig) -> float:
-        """Dynamic DRAM energy of the recorded accesses."""
-        return config.energy.access_energy_pj(self.bursts, self.activates)
 
     def merged_with(self, other: "AccessStats") -> "AccessStats":
         merged = AccessStats(

@@ -42,6 +42,12 @@ from repro.obs.events import (
 )
 
 
+#: Each kind code's packed schema width (0 for kinds without one).
+_SCHEMA_WIDTHS = np.array(
+    [len(PACKED_SCHEMAS.get(kind, ())) for kind in EVENT_KINDS], dtype=np.int8
+)
+
+
 class Sink:
     """Interface every sink implements; base methods are no-ops."""
 
@@ -149,6 +155,40 @@ class ColumnarSink(Sink):
             self._args[slot, 0] = args[0]
         elif n:
             self._args[slot, :n] = args
+
+    def record_columns(self, kinds, cycles, args, clock, pe, level, rank) -> None:
+        """A run of packed events as columns (``Tracer.emit_columns``),
+        written as slices.  When the run is longer than the ring only its
+        newest ``capacity`` events are kept, as one-by-one recording would."""
+        count = len(cycles)
+        if not count:
+            return
+        columns = [
+            np.broadcast_to(self._UNSET if values is None else values, (count,))
+            for values in (pe, level, rank)
+        ]
+        kinds, cycles, args = np.asarray(kinds), np.asarray(cycles), np.asarray(args)
+        skip = max(0, count - self.capacity)
+        start = self._total + skip
+        first = start % self.capacity
+        if first + count - skip <= self.capacity:
+            slots = slice(first, first + count - skip)
+        else:
+            slots = np.arange(start, self._total + count) % self.capacity
+        if self._objects and self._total + count > self.capacity:
+            positions = np.arange(start, self._total + count)
+            reused = positions[positions >= self.capacity] % self.capacity
+            for slot in reused[self._nargs[reused] == self._OBJECT].tolist():
+                self._objects.pop(int(self._args[slot, 0]), None)
+        self._total += count
+        self._kind[slots] = kinds[skip:]
+        self._cycle[slots] = cycles[skip:]
+        self._dram[slots] = clock == CLOCK_DRAM
+        self._pe[slots], self._level[slots], self._rank[slots] = (
+            column[skip:] for column in columns
+        )
+        self._nargs[slots] = _SCHEMA_WIDTHS[kinds[skip:]]
+        self._args[slots, : args.shape[1]] = args[skip:]
 
     def _claim(self) -> int:
         slot = self._total % self.capacity

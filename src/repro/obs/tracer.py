@@ -20,14 +20,21 @@ attached sink is packed-capable (``supports_packed``, e.g.
 typed columns and no :class:`TraceEvent` or args dict is ever built;
 otherwise the tracer materializes the event once and dispatches it
 through :meth:`emit`, so object sinks observe exactly the same stream.
+Sites that already hold their events as arrays (the tree sweep's levels,
+the DRAM pass, the leaf FIFOs) hand a whole run of them to
+:meth:`Tracer.emit_columns`, which a packed-capable sink writes as slices.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, List, Optional
+
+import numpy as np
 
 from repro.obs.events import (
     CLOCK_PE,
+    EVENT_KINDS,
     PACKED_SCHEMAS,
     TraceEvent,
 )
@@ -91,6 +98,44 @@ class Tracer:
         )
         for sink in self.sinks:
             sink.record(event)
+
+    def emit_columns(
+        self,
+        kinds,
+        cycles,
+        args,
+        clock: str = CLOCK_PE,
+        pe=None,
+        level=None,
+        rank=None,
+    ) -> None:
+        """Events given as columns, in order: one :meth:`emit_packed` per row.
+
+        ``kinds`` holds each event's :data:`~repro.obs.events.KIND_CODES`
+        code and ``cycles`` its cycle.  ``pe``, ``level`` and ``rank`` are
+        each ``None``, one int for every event, or an int per event with
+        ``-1`` for unset.  ``args`` is a 2-D int array with a row per
+        event, of which each event takes its kind's full schema.
+        """
+        if self.all_packed:
+            for sink in self.sinks:
+                sink.record_columns(kinds, cycles, args, clock, pe, level, rank)
+            return
+        count = len(cycles)
+
+        def column(values):
+            if values is None or np.ndim(values) == 0:
+                return repeat(values if values is None else int(values), count)
+            return (None if v < 0 else v for v in np.asarray(values).tolist())
+
+        for code, cycle, at_pe, at_level, at_rank, row in zip(
+            np.asarray(kinds).tolist(), np.asarray(cycles).tolist(),
+            column(pe), column(level), column(rank), np.asarray(args).tolist(),
+        ):
+            kind = EVENT_KINDS[code]
+            width = len(PACKED_SCHEMAS[kind])
+            self.emit_packed(kind, cycle, clock, at_pe, at_level, at_rank,
+                             tuple(row[:width]))
 
     def close(self) -> None:
         """Flush and close every sink (file-backed sinks write here)."""

@@ -47,29 +47,29 @@ def pe_law_violations(pe, input_a, input_b, outputs) -> List[str]:
     return problems
 
 
-def fold_law_violations(name, stream, outputs) -> List[str]:
+def fold_law_violations(name, stream, outputs, queries) -> List[str]:
     """Breaches of the leaf fold's projection law by one ``fold_stream`` call.
 
-    Every query ``q`` the stream serves leaves the fold on exactly one
-    message: the one for ``S = q ∩ FIFO``, carrying ``q − S``.
+    ``stream`` and ``outputs`` are ``(indices, query ids, value, ready)``
+    rows over ``queries``.  Every query ``q`` the stream serves leaves the
+    fold on exactly one row: the one for ``S = q ∩ FIFO``, which carries
+    the remainder ``q − S``.
     """
-    fifo = frozenset().union(*(message.indices for message in stream))
-    expected = set()
-    for message in stream:
-        for entry in message.entries:
-            query = message.indices | entry
-            projection = query & fifo
-            expected.add((projection, query - projection))
-    carried = {
-        (message.indices, entry) for message in outputs for entry in message.entries
-    }
+    fifo = frozenset().union(*(indices for indices, *_ in stream))
+    expected = {(queries[q] & fifo, q) for _, ids, *_ in stream for q in ids}
+    carried = {(indices, q) for indices, ids, *_ in outputs for q in ids}
+
+    def pairs(found):
+        for indices, q in sorted(found, key=str):
+            yield sorted(indices), sorted(queries[q] - indices)
+
     return [
-        f"{name}: fold carries {sorted(indices)} -> {sorted(entry)}, "
+        f"{name}: fold carries {indices} -> {entry}, "
         f"not the projection of its query"
-        for indices, entry in sorted(carried - expected, key=str)
+        for indices, entry in pairs(carried - expected)
     ] + [
-        f"{name}: fold lost {sorted(indices)} -> {sorted(entry)}"
-        for indices, entry in sorted(expected - carried, key=str)
+        f"{name}: fold lost {indices} -> {entry}"
+        for indices, entry in pairs(expected - carried)
     ]
 
 
@@ -94,11 +94,12 @@ def tree_event_fingerprint(events):
 def _checked_fold(fold):
     """``fold`` plus :func:`fold_law_violations` on every engine leaf fold."""
 
-    def run(stream, work, operator, reduce_path, tracer=NULL_TRACER,
+    def run(stream, queries, work, operator, reduce_path, tracer=NULL_TRACER,
             pe_id=None, level=None):
-        outputs = fold(stream, work, operator, reduce_path, tracer, pe_id, level)
+        outputs = fold(stream, queries, work, operator, reduce_path, tracer,
+                       pe_id, level)
         if pe_id is not None:
-            problems = fold_law_violations(f"PE{pe_id}", stream, outputs)
+            problems = fold_law_violations(f"PE{pe_id}", stream, outputs, queries)
             assert not problems, "\n".join(problems)
         return outputs
 
@@ -113,20 +114,21 @@ def on_pe_paths():
     :data:`PE_PATHS` and returns the common result.  On the ``oracle`` path
     every engine's tree stage (``FafnirEngine._run_tree``) is the object
     sweep of :func:`tests.pe_oracle.run_tree`, merge-unit value check on,
-    and ``repro.core.pe.fold_stream`` is the oracle's scalar fold.  Thunks
+    and ``repro.core.pe.fold_stream`` is the oracle's scalar fold over
+    rows, :func:`tests.pe_oracle.fold_rows`.  Thunks
     return plain comparable data — vector bytes, ready cycles, ``PEWork``
     counters, statuses, :func:`tree_event_fingerprint` of a trace — so the
     equality covers every observable they capture.
 
     Every engine leaf fold on either path is checked against
     :func:`fold_law_violations`, and every object PE invocation (a PE built
-    with a ``pe_id``) against :func:`pe_law_violations`.  Hand-built
-    messages in unit tests need not describe a real batch, so folds and PEs
-    without a ``pe_id`` are left unchecked.
+    with a ``pe_id``) against :func:`pe_law_violations`.  Hand-built rows
+    and messages in unit tests need not describe a real batch, so folds and
+    PEs without a ``pe_id`` are left unchecked.
     """
     process = pe_oracle.ProcessingElement.process
     sweep_fold = _checked_fold(pe_module.fold_stream)
-    oracle_fold = _checked_fold(pe_oracle.fold_stream)
+    oracle_fold = _checked_fold(pe_oracle.fold_rows)
 
     def checked_process(self, input_a, input_b):
         result = process(self, input_a, input_b)
@@ -147,7 +149,7 @@ def on_pe_paths():
                     patch.setattr(sweep_module, "fold_stream", sweep_fold)
                     patch.setattr(pe_module, "fold_stream", sweep_fold)
                 else:
-                    patch.setattr(pe_oracle, "fold_stream", oracle_fold)
+                    patch.setattr(pe_oracle, "fold_rows", oracle_fold)
                     patch.setattr(pe_module, "fold_stream", oracle_fold)
                     patch.setattr(FafnirEngine, "_run_tree", oracle_tree)
                 results[name] = thunk()

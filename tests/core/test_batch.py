@@ -51,19 +51,27 @@ class TestPlanBatch:
         assert plan.unique_fraction == pytest.approx(0.5)
 
     def test_paper_example_header_for_index_11(self):
+        """Fig. 6b: index 11's header lists queries a and c; its one read
+        serves them in canonical order — c's (11, 26, 50, 94) before a's
+        (11, 32, 77, 83)."""
         plan = plan_batch(PAPER_QUERIES)
-        header = plan.headers[11]
-        assert set(header.entries) == {
-            frozenset({32, 83, 77}),
+        assert plan.serving[11] == [(2, 0)]
+        assert [plan.distinct[q] - {11} for q in plan.serving[11][0]] == [
             frozenset({50, 94, 26}),
-        }
+            frozenset({32, 83, 77}),
+        ]
 
     def test_no_dedup_reads_every_occurrence(self):
         plan = plan_batch(PAPER_QUERIES, deduplicate=False)
         assert len(plan.reads) == 14
         assert plan.accesses_saved == 0
-        # Headers still exist per unique index for the tree.
-        assert set(plan.headers) == set(plan.unique_indices)
+        # Each read occurrence serves one query, in submission order.
+        assert set(plan.serving) == set(plan.unique_indices)
+        for index in plan.unique_indices:
+            assert plan.serving[index] == [
+                (q,) for q, query in enumerate(plan.queries) if index in query
+            ]
+            assert len(plan.serving[index]) == plan.reads.count(index)
 
     def test_disjoint_batch_has_unit_fraction(self):
         plan = plan_batch([[0, 1], [2, 3]])
@@ -76,7 +84,16 @@ class TestPlanBatch:
         assert plan.unique_fraction == pytest.approx(2 / 16)
 
     def test_header_built_for_every_unique_index(self):
-        plan = plan_batch(PAPER_QUERIES)
-        assert set(plan.headers) == set(plan.unique_indices)
-        for index, header in plan.headers.items():
-            assert header.indices == frozenset({index})
+        """Each unique index's one row serves exactly the distinct queries
+        containing it, by length and then sorted indices."""
+        queries = PAPER_QUERIES + [{83, 94, 50}, {7}]  # a repeat and a singleton
+        plan = plan_batch(queries)
+        assert plan.distinct == tuple(map(frozenset, PAPER_QUERIES + [{7}]))
+        assert plan.query_ids == (0, 1, 2, 3, 1, 4)
+        assert set(plan.serving) == set(plan.unique_indices)
+        for index in plan.unique_indices:
+            (ids,) = plan.serving[index]
+            users = [q for q in plan.distinct if index in q]
+            assert [plan.distinct[q] for q in ids] == sorted(
+                users, key=lambda q: (len(q), sorted(q))
+            )

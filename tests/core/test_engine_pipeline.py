@@ -259,18 +259,24 @@ class TestLeafRouting:
         """Non-contiguous leaf wiring: side comes from the rank's position
         in ``leaf_ranks``, not from arithmetic on the first rank's id."""
         leaf = TreePE(pe_id=0, level=0, children=None, leaf_ranks=(6, 1))
-        assert FafnirEngine._fifo_side(leaf, 6) == 0
-        assert FafnirEngine._fifo_side(leaf, 1) == 1
-        with pytest.raises(ValueError):
-            FafnirEngine._fifo_side(leaf, 3)
+        assert FafnirEngine._leaf_routes([leaf]) == {6: (leaf, 0), 1: (leaf, 1)}
 
     def test_fifo_side_splits_wider_leaves_in_half(self):
         leaf = TreePE(
             pe_id=0, level=0, children=None, leaf_ranks=(9, 4, 11, 2)
         )
-        assert [FafnirEngine._fifo_side(leaf, r) for r in (9, 4, 11, 2)] == [
-            0, 0, 1, 1,
-        ]
+        routes = FafnirEngine._leaf_routes([leaf])
+        assert [routes[r][1] for r in (9, 4, 11, 2)] == [0, 0, 1, 1]
+
+    def test_unwired_rank_is_rejected(self):
+        engine = make_engine()
+        leaf = engine.tree.leaves()[0]
+        engine._routes = FafnirEngine._leaf_routes(
+            [TreePE(pe_id=leaf.pe_id, level=0, children=None, leaf_ranks=(0,))]
+        )
+        assert engine._route(0)[1:] == (engine._routes[0][0], 0)
+        with pytest.raises(ValueError, match="wired to no leaf PE"):
+            engine.run_batch([[0, 1]], vector_source)
 
 
 class TestDedupAblationTiming:

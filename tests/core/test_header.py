@@ -1,9 +1,10 @@
-"""Tests for the header algebra (paper §IV-B/C)."""
+"""Tests for the header algebra (paper §IV-B/C), the PE oracle's message
+model (``tests/pe_oracle.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.core import Header, Message
+from tests.pe_oracle import Header, Message
 
 
 def fs(*items):
@@ -113,11 +114,3 @@ class TestMessage:
     def test_negative_ready_cycle_rejected(self):
         with pytest.raises(ValueError):
             Message(Header.make({1}, [set()]), [1.0], ready_cycle=-1)
-
-    def test_clone_for_entry_increments_hops(self):
-        message = Message(Header.make({1}, [{2}, {3}]), [1.0], ready_cycle=5, hops=2)
-        clone = message.clone_for_entry(frozenset({2}), ready_cycle=9)
-        assert clone.header.entries == (fs(2),)
-        assert clone.hops == 3
-        assert clone.ready_cycle == 9
-        assert np.shares_memory(clone.value, message.value)

@@ -1,17 +1,19 @@
 """Property-based tests (hypothesis) for the header algebra.
 
-``Header`` implements the paper's (indices, queries) bookkeeping as set
-algebra over frozensets; Python's ``set`` semantics are the oracle.  The
-canonical entry ordering is load-bearing — the scalar and vector PE
-kernels iterate entries in header order, so two headers built from the
-same sets in different orders must be ``==``-equal or the differential
-event-stream tests could never pass.
+The PE oracle's ``Header`` implements the paper's (indices, queries)
+bookkeeping as set algebra over frozensets; Python's ``set`` semantics are
+the oracle.  The canonical entry ordering is load-bearing — the leaf folds
+iterate entries in header order, so two headers built from the same sets in
+different orders must be ``==``-equal or the differential event-stream
+tests could never pass.  The engine orders a row's query ids by the
+queries themselves (:func:`test_query_order_is_entry_order`).
 """
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.core.header import Header, entry_sort_key, sorted_tuple
+from repro.core import plan_batch
+from tests.pe_oracle import Header, entry_sort_key, sorted_tuple
 
 index_strategy = st.integers(min_value=0, max_value=200)
 indices_strategy = st.frozensets(index_strategy, min_size=1, max_size=8)
@@ -127,8 +129,39 @@ def test_initial_header_entries_are_query_remainders(queries):
 @given(indices=indices_strategy)
 def test_sorted_tuple_matches_sorted(indices):
     assert sorted_tuple(indices) == tuple(sorted(indices))
-    # Cached second call returns the same answer.
-    assert sorted_tuple(indices) == tuple(sorted(indices))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    common=st.frozensets(index_strategy, min_size=1, max_size=4),
+    queries=st.lists(indices_strategy, min_size=1, max_size=8),
+)
+def test_query_order_is_entry_order(common, queries):
+    """Dropping the indices a header already holds keeps the canonical order.
+
+    For queries that all contain ``common``, sorting them by
+    ``(len(q), sorted(q))`` sorts their entries ``q − common`` by
+    :func:`entry_sort_key`: the common part shifts every length alike and
+    never decides a comparison.  So the engine sorts a batch's queries once
+    and every leaf-FIFO row and fold merge lists its query ids in header
+    order.
+    """
+    queries = list({query | common for query in queries})
+    by_query = sorted(queries, key=lambda q: (len(q), sorted(q)))
+    by_entry = sorted(queries, key=lambda q: entry_sort_key(q - common))
+    assert by_query == by_entry
+
+
+@settings(max_examples=100, deadline=None)
+@given(queries=st.lists(indices_strategy, min_size=1, max_size=8))
+def test_plan_rows_follow_initial_headers(queries):
+    """A deduplicated plan's row for each unique index serves exactly the
+    queries of its initial header, in the header's entry order."""
+    plan = plan_batch(queries)
+    for index in plan.unique_indices:
+        (ids,) = plan.serving[index]
+        header = Header.initial(index, queries)
+        assert [plan.distinct[q] - {index} for q in ids] == list(header.entries)
 
 
 class TestHeaderValidation:

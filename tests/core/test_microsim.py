@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import FafnirConfig, Header, Message, SUM
+from repro.core import FafnirConfig, SUM
 from tests.pe_microsim import PEMicrosim
-from tests.pe_oracle import ProcessingElement
+from tests.pe_oracle import Header, Message, ProcessingElement
 
 
 def fs(*items):

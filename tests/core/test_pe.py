@@ -8,9 +8,9 @@ suites.
 import numpy as np
 import pytest
 
-from repro.core import FafnirConfig, FafnirEngine, Header, Message, SUM
+from repro.core import FafnirConfig, FafnirEngine, SUM
 from repro.core.pe import PEWork
-from tests.pe_oracle import ProcessingElement
+from tests.pe_oracle import Header, Message, ProcessingElement
 
 
 def fs(*items):

@@ -4,13 +4,15 @@ The object PE model in ``tests/pe_oracle.py`` is the executable
 specification; the engine's closed-form level sweep (``repro.core.sweep``)
 and its exact-match leaf fold (``repro.core.pe.fold_stream``) must
 reproduce it *byte for byte* — same output values, same ready cycles, same
-:class:`PEWork` counters (and, for the fold, the same canonical headers and
-hop counts).  The shared ``on_pe_paths`` fixture runs each thunk on both and
-compares everything exactly, over randomized PE inputs, fold streams and
-whole-engine runs.
-"""
+:class:`PEWork` counters (and, for the fold, the same rows with their query
+ids in canonical header order).  The shared ``on_pe_paths`` fixture runs
+each thunk on both and compares everything exactly, over randomized PE
+inputs, fold streams and whole-engine runs.
 
-from types import SimpleNamespace
+Hand-built inputs are written as the oracle's messages and handed to the
+engine as rows through :func:`tests.pe_oracle.to_rows`, their queries
+numbered in first-appearance order.
+"""
 
 import numpy as np
 import pytest
@@ -19,28 +21,45 @@ import repro.core.pe as pe_module
 from repro.core import (
     FafnirConfig,
     FafnirEngine,
-    Header,
-    Message,
     SUM,
     ShardedRunner,
     get_operator,
+    plan_batch,
 )
 from repro.core.pe import PEWork
 from repro.faults import FaultPlan, FaultPolicy, STATUS_DEGRADED, STATUS_OK
 from repro.memory import MemoryConfig
+from repro.obs import InMemorySink, Tracer
 from repro.workloads import EmbeddingTableSet, QueryGenerator
-from tests.pe_oracle import ProcessingElement
+from tests.pe_oracle import Header, Message, ProcessingElement, to_rows
 
 REDUCE_PATH = FafnirConfig().latencies.reduce_path
 
 
-def message_fingerprint(message):
+def queries_of(messages):
+    """The queries a hand-built stream serves, in first-appearance order."""
+    return tuple(
+        dict.fromkeys(m.indices | entry for m in messages for entry in m.entries)
+    )
+
+
+def engine_fold(stream, **kwargs):
+    """``repro.core.pe.fold_stream`` over hand-built messages, as rows."""
+    queries = queries_of(stream)
+    rows = to_rows(stream, queries)
+    outputs = pe_module.fold_stream(rows, queries, PEWork(), SUM, REDUCE_PATH,
+                                    **kwargs)
+    return outputs, queries
+
+
+def row_fingerprint(row, queries):
+    """A folded row as (indices, entries in id order, value bytes, ready)."""
+    indices, ids, value, ready = row
     return (
-        message.header.indices,
-        message.header.entries,
-        message.value.tobytes(),
-        message.ready_cycle,
-        message.hops,
+        indices,
+        tuple(queries[q] - indices for q in ids),
+        value.tobytes(),
+        ready,
     )
 
 
@@ -127,7 +146,8 @@ def process_on_paths(on_pe_paths, a, b, operator=SUM):
         {m.indices | entry for m in [*a, *b] for entry in m.entries}, key=sorted
     )
     config = FafnirConfig(batch_size=64, total_ranks=2, ranks_per_leaf_pe=2)
-    plan = SimpleNamespace(queries=tuple(queries))
+    plan = plan_batch(queries)
+    rows = [to_rows(side, plan.distinct) for side in (a, b)]
 
     def run():
         engine = FafnirEngine(
@@ -135,21 +155,27 @@ def process_on_paths(on_pe_paths, a, b, operator=SUM):
             operator=operator,
             memory_config=MemoryConfig().scaled_to_ranks(2),
         )
-        values, ready, work = engine._run_tree(plan, {0: [list(a), list(b)]})
+        values, ready, work = engine._run_tree(plan, {0: rows})
         return [value.tobytes() for value in values], ready, work
 
     return on_pe_paths(run)
 
 
 def fold_on_paths(on_pe_paths, stream):
-    """``fold_stream(stream)`` on both paths; the fixture asserts they agree."""
+    """``fold_stream(stream)`` on both paths; the fixture asserts they agree
+    on the folded rows, the work and the traced events in order."""
+
+    queries = queries_of(stream)
+    rows = to_rows(stream, queries)
 
     def run():
-        work = PEWork()
-        outputs = pe_module.fold_stream(list(stream), work, SUM, REDUCE_PATH)
-        return [message_fingerprint(m) for m in outputs], work
+        work, sink = PEWork(), InMemorySink()
+        outputs = pe_module.fold_stream(rows, queries, work, SUM, REDUCE_PATH,
+                                        Tracer([sink]))
+        return [row_fingerprint(row, queries) for row in outputs], work, sink.events
 
-    return on_pe_paths(run)
+    outputs, work, _ = on_pe_paths(run)
+    return outputs, work
 
 
 class TestProcessEquivalence:
@@ -388,9 +414,7 @@ class TestPELawChecks:
         return ProcessingElement(config, SUM, pe_id=0, level=0)
 
     def engine_fold(self, stream):
-        return pe_module.fold_stream(
-            stream, PEWork(), SUM, REDUCE_PATH, pe_id=0, level=0
-        )
+        return engine_fold(stream, pe_id=0, level=0)
 
     # {1, 2} already folded query {1, 2, 3}, yet {1} still carries it.
     STALE = [
@@ -423,7 +447,7 @@ class TestLookupMiss:
             Message(Header.make({9}, [{1, 2, 3}]), value),
         ]
         with pytest.raises(ValueError, match=r"no buffered row equals \[1, 2\]"):
-            pe_module.fold_stream(stream, PEWork(), SUM, REDUCE_PATH)
+            engine_fold(stream)
 
 
 def _invariant_source(index):

@@ -11,14 +11,12 @@ from hypothesis import given, settings, strategies as st
 from repro.core import (
     FafnirConfig,
     FafnirEngine,
-    Header,
-    Message,
     SUM,
     get_operator,
     plan_batch,
 )
 from repro.memory import MemoryConfig
-from tests.pe_oracle import ProcessingElement
+from tests.pe_oracle import Header, Message, ProcessingElement
 
 ELEMENTS = 16
 

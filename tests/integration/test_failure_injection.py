@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    FafnirConfig,
-    FafnirEngine,
-    Header,
-    Message,
-    SUM,
-)
+from repro.core import FafnirConfig, FafnirEngine, SUM
 from repro.faults import (
     FaultError,
     FaultPlan,
@@ -20,7 +14,7 @@ from repro.faults import (
     STATUSES,
 )
 from repro.memory import MemoryConfig
-from tests.pe_oracle import ProcessingElement
+from tests.pe_oracle import Header, Message, ProcessingElement
 
 
 def good_source(index):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.memory import DramEnergy, DramTiming, MemoryConfig, MemoryGeometry
+from repro.memory import DramEnergy, MemoryConfig, MemoryGeometry
 
 
 class TestMemoryGeometry:
@@ -12,20 +12,18 @@ class TestMemoryGeometry:
         assert geometry.ranks_per_channel == 8
         assert geometry.total_ranks == 32
 
-    def test_rank_of_round_trips_with_locate(self):
+    def test_locate_layout(self):
+        """Channels take contiguous blocks of 8 ranks, DIMMs pairs."""
         geometry = MemoryGeometry()
-        for global_rank in range(geometry.total_ranks):
-            channel, dimm, rank = geometry.locate(global_rank)
-            assert geometry.rank_of(channel, dimm, rank) == global_rank
-
-    def test_rank_of_rejects_out_of_range(self):
-        geometry = MemoryGeometry()
-        with pytest.raises(ValueError):
-            geometry.rank_of(4, 0, 0)
-        with pytest.raises(ValueError):
-            geometry.rank_of(0, 4, 0)
-        with pytest.raises(ValueError):
-            geometry.rank_of(0, 0, 2)
+        assert geometry.locate(0) == (0, 0, 0)
+        assert geometry.locate(1) == (0, 0, 1)
+        assert geometry.locate(2) == (0, 1, 0)
+        assert geometry.locate(7) == (0, 3, 1)
+        assert geometry.locate(8) == (1, 0, 0)
+        assert geometry.locate(29) == (3, 2, 1)
+        assert [geometry.locate(r) for r in range(geometry.total_ranks)] == [
+            (c, d, r) for c in range(4) for d in range(4) for r in range(2)
+        ]
 
     def test_locate_rejects_out_of_range(self):
         geometry = MemoryGeometry()
@@ -45,17 +43,6 @@ class TestMemoryGeometry:
         assert geometry.channel_of(7) == 0
         assert geometry.channel_of(8) == 1
         assert geometry.channel_of(31) == 3
-
-    def test_total_banks(self):
-        geometry = MemoryGeometry()
-        assert geometry.total_banks == 32 * 16
-
-
-class TestDramTiming:
-    def test_row_miss_penalty_exceeds_closed_penalty(self):
-        timing = DramTiming()
-        assert timing.row_miss_penalty > timing.row_closed_penalty
-        assert timing.row_miss_penalty == timing.tRP + timing.tRCD
 
 
 class TestDramEnergy:

@@ -163,5 +163,4 @@ class TestMemorySystem:
         system = MemorySystem(config)
         request = ReadRequest(rank=0, bank=0, row=0, column=0, bytes_=512)
         _, stats = system.execute(to_columns([request]))
-        assert stats.energy_pj(config) > 0
         assert stats.bursts == 8

@@ -23,7 +23,13 @@ from repro.obs import (
     TraceEvent,
     Tracer,
 )
-from repro.obs.events import PE_FORWARD
+from repro.obs.events import (
+    EVENT_KINDS,
+    FIFO_ENQUEUE,
+    KIND_CODES,
+    LEAF_INJECT,
+    PE_FORWARD,
+)
 
 UNIVERSE = 128
 
@@ -137,6 +143,44 @@ class TestRingSemantics:
         # The object slot was overwritten; no leak, and the window reads.
         assert not sink._objects
         assert [e.cycle for e in sink.to_events()] == [3, 4, 5]
+
+    def test_column_runs_wrap_and_evict_like_single_events(self):
+        """``emit_columns`` runs, one longer than the ring, read back as the
+        same window as one ``emit_packed`` per event."""
+        kinds = np.array([KIND_CODES[PE_REDUCE], KIND_CODES[PE_FORWARD]] * 3)
+        runs = [(kinds[:2], [1, 2]), (kinds, [3, 4, 5, 6, 7, 8]), (kinds[:3], [9, 10, 11])]
+        by_column, by_row = ColumnarSink(capacity=4), ColumnarSink(capacity=4)
+        for sink in (by_column, by_row):
+            Tracer([sink]).emit(TraceEvent("batch_start", cycle=0))
+        for run_kinds, cycles in runs:
+            args = np.array(cycles)[:, None] * 10
+            Tracer([by_column]).emit_columns(
+                run_kinds, cycles, args, pe=np.arange(len(cycles)), level=2
+            )
+            for code, cycle, pe, row in zip(run_kinds.tolist(), cycles,
+                                            range(len(cycles)), args.tolist()):
+                Tracer([by_row]).emit_packed(
+                    EVENT_KINDS[code], cycle, pe=pe, level=2, args=tuple(row)
+                )
+        assert by_column.recorded == by_row.recorded == 12
+        assert not by_column._objects
+        assert by_column.to_events() == by_row.to_events()
+        assert [e.cycle for e in by_column.to_events()] == [8, 9, 10, 11]
+
+    def test_column_runs_reach_object_sinks_as_events(self):
+        """Without a packed sink, ``emit_columns`` emits one event per row:
+        ``-1`` is an unset field and each kind takes its schema's args."""
+        sink = InMemorySink()
+        Tracer([sink]).emit_columns(
+            [KIND_CODES[LEAF_INJECT], KIND_CODES[FIFO_ENQUEUE]], [5, 5],
+            [[42, 0], [1, 2]], pe=3, level=0, rank=[7, -1],
+        )
+        assert sink.events == [
+            TraceEvent(LEAF_INJECT, cycle=5, pe=3, level=0, rank=7,
+                       args={"index": 42}),
+            TraceEvent(FIFO_ENQUEUE, cycle=5, pe=3, level=0,
+                       args={"fifo": 1, "depth": 2}),
+        ]
 
     def test_clear_resets(self):
         sink = ColumnarSink(capacity=8)

@@ -26,6 +26,7 @@ from repro.obs import (
     PE_REDUCE,
     PIPELINE_BATCH,
     QUERY_COMPLETE,
+    TraceEvent,
     Tracer,
     chrome_trace_json,
     per_level_counts,
@@ -108,6 +109,23 @@ class TestStatsCrossCheck:
         assert len(injects) == result.stats.unique_reads
         enqueues = [e for e in events if e.kind == FIFO_ENQUEUE]
         assert len(enqueues) == len(injects)
+
+    def test_leaf_arrival_event_fields(self, traced_run):
+        """Each arrival is a ``leaf_inject`` at the index's home rank, then
+        a ``fifo_enqueue`` (no rank) with the FIFO's depth after it."""
+        engine, _, events, _ = traced_run
+        arrivals = [e for e in events if e.kind in (LEAF_INJECT, FIFO_ENQUEUE)]
+        depth = {}
+        for inject, enqueue in zip(arrivals[0::2], arrivals[1::2]):
+            rank, leaf, side = engine._route(inject.args["index"])
+            assert (inject.kind, inject.rank, inject.pe, inject.level) == (
+                LEAF_INJECT, rank, leaf.pe_id, 0
+            )
+            depth[leaf.pe_id, side] = depth.get((leaf.pe_id, side), 0) + 1
+            assert enqueue == TraceEvent(
+                FIFO_ENQUEUE, cycle=inject.cycle, pe=leaf.pe_id, level=0,
+                args={"fifo": side, "depth": depth[leaf.pe_id, side]},
+            )
 
     def test_no_dedup_injects_every_occurrence(self, config):
         table = _table(config)

@@ -29,8 +29,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import FafnirConfig
-from repro.core.header import Header, Message
 from repro.core.operators import ReductionOperator, SUM
+from tests.pe_oracle import Header, Message
 
 
 @dataclass
@@ -91,8 +91,8 @@ class PEMicrosim:
         unit_free = [0] * units
         unit_busy = [0] * units
         comparisons = 0
-        results: List[Tuple[int, FrozenSet[int], FrozenSet[int], np.ndarray, int]] = []
-        # (ready_cycle, indices, entry, value, hops)
+        results: List[Tuple[int, FrozenSet[int], FrozenSet[int], np.ndarray]] = []
+        # (ready_cycle, indices, entry, value)
 
         for position, task in enumerate(tasks):
             unit = position % units
@@ -121,7 +121,6 @@ class PEMicrosim:
                         task.message.indices | best.indices,
                         task.entry - best.indices,
                         self.operator.combine(task.message.value, best.value),
-                        max(task.message.hops, best.hops) + 1,
                     )
                 )
             else:
@@ -132,7 +131,6 @@ class PEMicrosim:
                         task.message.indices,
                         task.entry,
                         task.message.value,
-                        task.message.hops + 1,
                     )
                 )
 
@@ -143,7 +141,6 @@ class PEMicrosim:
                     message.indices,
                     entry,
                     message.value,
-                    message.hops + 1,
                 )
             )
 
@@ -153,25 +150,23 @@ class PEMicrosim:
         merge_retires = 0
         grouped: Dict[FrozenSet[int], Dict[str, object]] = {}
         finish = 0
-        for ready, indices, entry, value, hops in results:
+        for ready, indices, entry, value in results:
             retire = max(ready, merge_free) + 1
             merge_free = retire
             merge_retires += 1
             finish = max(finish, retire)
             slot = grouped.setdefault(
                 indices,
-                {"entries": set(), "value": value, "ready": 0, "hops": 0},
+                {"entries": set(), "value": value, "ready": 0},
             )
             slot["entries"].add(entry)
             slot["ready"] = max(slot["ready"], retire)  # type: ignore[arg-type]
-            slot["hops"] = max(slot["hops"], hops)  # type: ignore[arg-type]
 
         outputs = [
             Message(
                 header=Header.make(indices, sorted(slot["entries"], key=sorted)),
                 value=slot["value"],
                 ready_cycle=slot["ready"],
-                hops=slot["hops"],
             )
             for indices, slot in grouped.items()
         ]

@@ -1,8 +1,14 @@
 """The object PE model: the executable specification the tree sweep must match.
 
-``repro.core.sweep`` computes every PE of a tree level in closed form.  This
-module keeps the per-message model it replaced, as the differential oracle:
+``repro.core.sweep`` computes every PE of a tree level in closed form, and
+the engine carries messages as ``(indices, query ids, value, ready)`` rows
+(``repro.core.pe.Row``).  This module keeps the per-message model they
+replaced, as the differential oracle:
 
+* :class:`Header` and :class:`Message` — the paper's header algebra
+  (§IV-B, Fig. 4/6): the ``indices`` folded into a value and one
+  remaining-index *entry* per query still needing it.  :func:`to_messages`
+  and :func:`to_rows` translate between rows and messages.
 * :class:`ProcessingElement` — one PE (paper Fig. 5).  For every *entry*
   (outstanding query remainder) of every input message its compute units
   either **reduce** with the widest partner message on the other input whose
@@ -11,8 +17,8 @@ module keeps the per-message model it replaced, as the differential oracle:
   reduction is found twice; the **merge unit** groups the raw outputs by
   ``indices`` set, dropping exact duplicates (paper Fig. 6d).  Finite compute
   units add a one-output-per-unit-per-cycle issue limit.
-* :func:`fold_stream` — the scalar leaf FIFO fold, the reference for
-  ``repro.core.pe.fold_stream``'s lookup fold (same signature).
+* :func:`fold_stream` — the scalar leaf FIFO fold over messages;
+  :func:`fold_rows` runs it with ``repro.core.pe.fold_stream``'s signature.
 * :func:`run_tree` — the object sweep leaves→root, a drop-in replacement for
   ``FafnirEngine._run_tree``.
 
@@ -24,16 +30,181 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import FafnirConfig
-from repro.core.header import Header, Message, entry_sort_key, sorted_tuple
 from repro.core.operators import ReductionOperator
-from repro.core.pe import PEWork, _without
+from repro.core.pe import PEWork, Row
 from repro.obs.events import PE_FORWARD, PE_MERGE, PE_REDUCE
 from repro.obs.tracer import NULL_TRACER, Tracer
+
+Indices = FrozenSet[int]
+
+
+def sorted_tuple(indices: Indices) -> Tuple[int, ...]:
+    """Ascending tuple of an index set."""
+    return tuple(sorted(indices))
+
+
+def entry_sort_key(entry: Indices) -> Tuple[int, Tuple[int, ...]]:
+    """Canonical ordering key for header entries."""
+    return (len(entry), tuple(sorted(entry)))
+
+
+@dataclass(frozen=True)
+class Header:
+    """The (indices, queries) pair attached to every in-tree value.
+
+    ``indices`` is the set of embedding-vector indices already folded into
+    the carried value.  ``entries`` (the paper's *queries* field) holds one
+    remaining-index set per query that still needs the value; an empty
+    entry means the value *is* that query's answer.  The paper's example: a
+    value ``v50 ⊕ v11`` with one query still needing 94 and 26 has header
+    ``[indices: {50, 11} | queries: {94, 26}]``.
+    """
+
+    indices: Indices
+    entries: Tuple[Indices, ...]
+
+    def __post_init__(self) -> None:
+        if not self.indices:
+            raise ValueError("a header must cover at least one index")
+        for entry in self.entries:
+            if entry and not entry.isdisjoint(self.indices):
+                raise ValueError(
+                    f"entry {sorted(entry)} overlaps indices {sorted(self.indices)}"
+                )
+
+    @staticmethod
+    def make(indices: Iterable[int], entries: Iterable[Iterable[int]]) -> "Header":
+        """A canonical header: entries deduplicated (two queries needing the
+        same remainder on the same value are served alike, the merge
+        unit's dedup) and sorted by :func:`entry_sort_key`."""
+        unique = {frozenset(entry) for entry in entries}
+        return Header(frozenset(indices), tuple(sorted(unique, key=entry_sort_key)))
+
+    @staticmethod
+    def initial(unique_index: int, queries: Sequence[Iterable[int]]) -> "Header":
+        """Host-side header for one unique index of a batch (§IV-C, Fig. 6b):
+        per query containing the index, the query's other indices."""
+        entries = [
+            frozenset(query) - {unique_index}
+            for query in queries
+            if unique_index in frozenset(query)
+        ]
+        if not entries:
+            raise ValueError(
+                f"index {unique_index} does not appear in any query of the batch"
+            )
+        return Header.make({unique_index}, entries)
+
+    @property
+    def complete_entries(self) -> Tuple[Indices, ...]:
+        """Entries already satisfied: the carried value answers those queries."""
+        return tuple(entry for entry in self.entries if not entry)
+
+    @property
+    def pending_entries(self) -> Tuple[Indices, ...]:
+        """Entries still waiting for more indices to be folded in."""
+        return tuple(entry for entry in self.entries if entry)
+
+    def completed_queries(self) -> Tuple[Indices, ...]:
+        """Full index sets of the queries this message fully answers (at
+        most one: entries are deduplicated)."""
+        return (self.indices,) if self.complete_entries else ()
+
+    def reduced_with(self, other_indices: Indices, entry: Indices) -> "Header":
+        """Header of the reduction of this value (via ``entry``) with a partner.
+
+        ``entry`` must be one of ours and contain the partner's indices —
+        the paper's match condition "B[x].queries[j] contains all elements
+        of A[i].indices".
+        """
+        if entry not in self.entries:
+            raise ValueError("entry does not belong to this header")
+        if not other_indices <= entry:
+            raise ValueError("partner indices are not contained in the entry")
+        return Header(self.indices | other_indices, (entry - other_indices,))
+
+    def forwarded(self, entry: Indices) -> "Header":
+        """Header carrying just one of our entries onward unchanged."""
+        if entry not in self.entries:
+            raise ValueError("entry does not belong to this header")
+        return Header(self.indices, (entry,))
+
+    def merged_with(self, other: "Header") -> "Header":
+        """Merge two headers for the *same* data (equal ``indices`` sets)."""
+        if self.indices != other.indices:
+            raise ValueError("only headers with equal indices may merge")
+        return Header.make(self.indices, self.entries + other.entries)
+
+    def header_bits(self, index_bits: int, max_query_len: int) -> int:
+        """Wire size in bits: ``q`` index slots of ``index_bits`` each (10 B
+        for q=16 with 5-bit ids, Table I discussion)."""
+        if index_bits <= 0 or max_query_len <= 0:
+            raise ValueError("index_bits and max_query_len must be positive")
+        return index_bits * max_query_len
+
+    def __repr__(self) -> str:
+        inx = ",".join(str(i) for i in sorted(self.indices))
+        parts = ["|".join(str(i) for i in sorted(e)) or "∅" for e in self.entries]
+        return f"[indices:{inx} queries:{'; '.join(parts)}]"
+
+
+@dataclass
+class Message:
+    """A value in flight through the tree, with its header and the PE-clock
+    cycle at which it is available to the consuming PE."""
+
+    header: Header
+    value: np.ndarray
+    ready_cycle: int = 0
+
+    def __post_init__(self) -> None:
+        self.value = np.asarray(self.value, dtype=np.float64)
+        if self.ready_cycle < 0:
+            raise ValueError("ready_cycle must be non-negative")
+
+    @property
+    def indices(self) -> Indices:
+        return self.header.indices
+
+    @property
+    def entries(self) -> Tuple[Indices, ...]:
+        return self.header.entries
+
+
+def to_messages(rows: Sequence[Row], queries: Sequence[Indices]) -> List[Message]:
+    """Engine rows as messages: query id ``q`` becomes the entry
+    ``queries[q] − indices``."""
+    return [
+        Message(Header.make(indices, [queries[q] - indices for q in ids]), value, ready)
+        for indices, ids, value, ready in rows
+    ]
+
+
+def to_rows(messages: Sequence[Message], queries: Sequence[Indices]) -> List[Row]:
+    """Messages as engine rows: entry ``e`` becomes the id of the query
+    ``indices ∪ e`` in ``queries``, in entry order."""
+    query_id = {query: n for n, query in enumerate(queries)}
+    return [
+        (m.indices, [query_id[m.indices | entry] for entry in m.entries],
+         m.value, m.ready_cycle)
+        for m in messages
+    ]
+
+
+def _without(message: Message, removed: AbstractSet[Indices]) -> Optional[Message]:
+    """``message`` minus its ``removed`` entries; ``None`` if none remain."""
+    if not removed:
+        return message
+    remaining = tuple(entry for entry in message.entries if entry not in removed)
+    if not remaining:
+        return None
+    # A subsequence of a canonical entry tuple is still canonical.
+    return Message(Header(message.indices, remaining), message.value, message.ready_cycle)
 
 
 @dataclass
@@ -50,7 +221,6 @@ class _RawOutput:
     entry: FrozenSet[int]
     value: np.ndarray
     ready_cycle: int
-    hops: int
 
 
 class ProcessingElement:
@@ -131,7 +301,6 @@ class ProcessingElement:
                             entry=entry - best.indices,
                             value=self.operator.combine(message.value, best.value),
                             ready_cycle=ready,
-                            hops=max(message.hops, best.hops) + 1,
                         )
                     )
                 else:
@@ -146,7 +315,6 @@ class ProcessingElement:
                             entry=entry,
                             value=message.value,
                             ready_cycle=ready,
-                            hops=message.hops + 1,
                         )
                     )
 
@@ -164,7 +332,6 @@ class ProcessingElement:
             seen_entries = set()
             entries: List[FrozenSet[int]] = []
             ready = 0
-            hops = 0
             for member in members:
                 if member.entry in seen_entries:
                     work.duplicates_removed += 1
@@ -172,7 +339,6 @@ class ProcessingElement:
                     seen_entries.add(member.entry)
                     entries.append(member.entry)
                 ready = max(ready, member.ready_cycle)
-                hops = max(hops, member.hops)
             if len(members) > 1:
                 work.merges += 1
                 if self.tracer.enabled:
@@ -196,7 +362,6 @@ class ProcessingElement:
                     ),
                     value=members[0].value,
                     ready_cycle=ready,
-                    hops=hops,
                 )
             )
         return merged
@@ -261,8 +426,8 @@ def fold_stream(
 ) -> List[Message]:
     """Combine messages arriving sequentially on *one* leaf input FIFO.
 
-    The specification of ``repro.core.pe.fold_stream`` (same signature),
-    by a scan of the whole buffer per arriving entry.  Each arriving entry
+    The specification of ``repro.core.pe.fold_stream`` (see
+    :func:`fold_rows`), by a scan of the whole buffer per arriving entry.  Each arriving entry
     reduces with the widest already-buffered match (first on ties).  The
     reduction consumes the query it serves: entry ``e`` leaves its message
     and ``q − best.indices`` leaves the first buffered ``best.indices`` row
@@ -315,7 +480,6 @@ def fold_stream(
                     header=message.header.reduced_with(best.indices, entry),
                     value=operator.combine(message.value, best.value),
                     ready_cycle=ready,
-                    hops=max(message.hops, best.hops),
                 )
             )
             removed.add(entry)
@@ -337,17 +501,33 @@ def fold_stream(
     for members in groups.values():
         base = members[0]
         if len(members) > 1:
-            header, ready, hops = base.header, base.ready_cycle, base.hops
+            header, ready = base.header, base.ready_cycle
             for member in members[1:]:
                 header = header.merged_with(member.header)
                 ready = max(ready, member.ready_cycle)
-                hops = max(hops, member.hops)
             work.merges += 1
             if tracer.enabled:
                 emit(PE_MERGE, ready, len(members))
-            base = Message(header=header, value=base.value, ready_cycle=ready, hops=hops)
+            base = Message(header=header, value=base.value, ready_cycle=ready)
         coalesced.append(base)
     return coalesced
+
+
+def fold_rows(
+    stream: Sequence[Row],
+    queries: Sequence[Indices],
+    work: PEWork,
+    operator: ReductionOperator,
+    reduce_path: int,
+    tracer: Tracer = NULL_TRACER,
+    pe_id: Optional[int] = None,
+    level: Optional[int] = None,
+) -> List[Row]:
+    """:func:`fold_stream` with ``repro.core.pe.fold_stream``'s signature:
+    rows in, rows out, through :func:`to_messages` and :func:`to_rows`."""
+    messages = to_messages(stream, queries)
+    folded = fold_stream(messages, work, operator, reduce_path, tracer, pe_id, level)
+    return to_rows(folded, queries)
 
 
 def retime_phased(
@@ -377,6 +557,7 @@ def run_tree(
 ) -> Tuple[np.ndarray, List[int], Dict[int, PEWork]]:
     """``FafnirEngine._run_tree`` by object PEs: one ``process`` per PE.
 
+    Each leaf FIFO's rows go through :func:`fold_rows` and become messages.
     Returns each of ``plan``'s queries' root value and ready cycle, and the
     per-PE work, exactly as the engine's sweep does.
     """
@@ -396,9 +577,15 @@ def run_tree(
         )
         fold_work = PEWork()
         if node.is_leaf:
-            raw_a, raw_b = leaf_inputs[pe_id]
-            input_a = pe.fold_stream(raw_a, fold_work)
-            input_b = pe.fold_stream(raw_b, fold_work)
+            input_a, input_b = (
+                to_messages(
+                    fold_rows(rows, plan.distinct, fold_work, engine.operator,
+                              engine.config.latencies.reduce_path,
+                              engine.tracer, pe_id, node.level),
+                    plan.distinct,
+                )
+                for rows in leaf_inputs[pe_id]
+            )
         else:
             left, right = node.children
             input_a, input_b = outputs[left], outputs[right]
