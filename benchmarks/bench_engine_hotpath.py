@@ -18,6 +18,7 @@ append to the repo-root ``BENCH_hotpath.json`` / ``BENCH_tracing.json``
 trajectories.
 """
 
+import gc
 import os
 import statistics
 import sys
@@ -155,7 +156,11 @@ def test_tracing_disabled_no_overhead(benchmark):
     contestant run is also *bracketed* by null runs and scored as a ratio
     against the mean of its neighbours, so drift within the process biases
     every contestant alike; the best ratio across rounds carries the
-    assertion.  The object
+    assertion.  No recorded sink outlives its run, and the heap is
+    collected before every timed run, so a run pays for the garbage it
+    makes and not for earlier runs': a retained in-memory sink (~70k
+    events) made every later run's full collections dearer (collector CPU
+    0.07 → 0.11–0.13 s of a ~0.35 s run).  The object
     in-memory sink is reported for information only; the columnar sink
     carries the tracked overhead bound.
     """
@@ -176,9 +181,10 @@ def test_tracing_disabled_no_overhead(benchmark):
     cpu = {name: [] for name, _ in contestants}
     null_cpu = []
     results = {}
-    last_tracer = {}
 
-    def timed(tracer=None):
+    def timed(factory=None):
+        gc.collect()  # the previous run's garbage is not this run's cost
+        tracer = factory() if factory is not None else None
         return _run(config, memory, queries, vectors, tracer)
 
     def bracketed_rounds():
@@ -190,9 +196,7 @@ def test_tracing_disabled_no_overhead(benchmark):
             null_s, results["null"] = timed()
             null_cpu.append(null_s)
             for name, factory in contestants:
-                tracer = factory()
-                seconds, results[name] = timed(tracer)
-                last_tracer[name] = tracer
+                seconds, results[name] = timed(factory)
                 cpu[name].append(seconds)
                 after_s, _unused = timed()
                 null_cpu.append(after_s)
@@ -247,8 +251,9 @@ def test_tracing_disabled_no_overhead(benchmark):
             results["null"].stats.latency_pe_cycles
             == results[name].stats.latency_pe_cycles
         )
-    columnar_sink = last_tracer["columnar"].sinks[0]
-    object_sink = last_tracer["in-memory"].sinks[0]
+    columnar_sink, object_sink = ColumnarSink(), InMemorySink()
+    for sink in (columnar_sink, object_sink):
+        _run(config, memory, queries, vectors, Tracer([sink]))
     assert len(columnar_sink) and object_sink.events, "tracers recorded nothing"
     assert columnar_sink.to_events() == object_sink.events
 

@@ -22,7 +22,9 @@ The table-parallel execution model has three phases:
    dropped by faults) are skipped by the fold exactly as an absent
    subtree forwards in hardware, and surviving-index counts are summed
    across shards so ok/degraded/failed statuses match the single-node
-   verdicts.
+   verdicts.  A batch's comm phase starts once its contributing partials
+   are done and the link is free; the reducer and the schedule emit the
+   phase into the runner's tracer at those absolute cycles.
 
 With a subtree-aligned partition the whole three-phase pipeline is
 **byte-identical** to running the batches on one node — the property the
@@ -77,6 +79,7 @@ from repro.obs.events import (
     HEDGE_ISSUED,
     TraceEvent,
 )
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.resilience.hedging import HedgeAccounting, HedgePolicy, plan_hedges
 
 Batch = Sequence[Sequence[int]]
@@ -168,12 +171,7 @@ class ReducedBatchResult:
 
 @dataclass
 class ReducedRunResult:
-    """A whole batch stream executed table-parallel and reduced.
-
-    ``events`` are the comm-phase trace events (``shard_msg_sent`` /
-    ``shard_reduced``) re-based onto absolute PE cycles; shard-local
-    streams stay on ``shard_results[i].events`` when tracing was on.
-    """
+    """A whole batch stream executed table-parallel and reduced."""
 
     batches: List[ReducedBatchResult]
     schedule: str
@@ -181,7 +179,6 @@ class ReducedRunResult:
     link: LinkModel
     shard_results: List[MultiBatchResult] = field(default_factory=list)
     active_pieces: List[int] = field(default_factory=list)
-    events: List[TraceEvent] = field(default_factory=list)
     local_makespan_pe_cycles: int = 0
     comm_pe_cycles: int = 0
     makespan_pe_cycles: int = 0
@@ -251,6 +248,7 @@ class CrossShardReducer:
         split: ShardSplit,
         shard_results: Sequence[MultiBatchResult],
         absent_pieces: FrozenSet[int] = frozenset(),
+        tracer: Tracer = NULL_TRACER,
     ) -> ReducedRunResult:
         """Fold ``shard_results`` (ordered like ``split.active_pieces``).
 
@@ -259,6 +257,13 @@ class CrossShardReducer:
         ``absent_pieces`` are active pieces whose partials never arrived
         (dead shards the runner routed around); ``shard_results`` must be
         ordered like the active pieces *minus* the absent ones.
+
+        ``tracer`` receives the comm phase at absolute PE cycles: the
+        dead-shard events first, then per batch its straggler and hedge
+        events and the schedule's steps.  A batch's comm phase starts once
+        its contributing shards (stretched by stragglers, cut by hedges)
+        are done and the previous batch has left the link, so it is known
+        before the schedule runs.
         """
         present_pieces = [
             piece for piece in split.active_pieces if piece not in absent_pieces
@@ -277,23 +282,15 @@ class CrossShardReducer:
         )
         vector_elements = self.config.vector_elements
         reduced: List[ReducedBatchResult] = []
-        events: List[TraceEvent] = []
+        tracing = tracer.enabled
         hedges = HedgeAccounting()
-        for piece in sorted(absent_pieces):
-            events.append(
-                TraceEvent(
-                    FAULT_INJECTED,
-                    cycle=0,
-                    args={"fault": FAULT_SHARD_DEAD, "shard": piece},
+        if tracing:
+            for piece in sorted(absent_pieces):
+                args = {"fault": FAULT_SHARD_DEAD, "shard": piece}
+                tracer.emit(TraceEvent(FAULT_INJECTED, cycle=0, args=args))
+                tracer.emit(
+                    TraceEvent(FAULT_DETECTED, cycle=0, args=dict(args, fatal=True))
                 )
-            )
-            events.append(
-                TraceEvent(
-                    FAULT_DETECTED,
-                    cycle=0,
-                    args={"fault": FAULT_SHARD_DEAD, "shard": piece, "fatal": True},
-                )
-            )
         comm_cursor = 0
         for batch_pos, batch in enumerate(batches):
             slots = split.contributors[batch_pos]
@@ -344,15 +341,6 @@ class CrossShardReducer:
                 else:
                     statuses.append(STATUS_FAILED)
 
-            outcome = self.schedule.run(
-                touched,
-                self.partition.num_pieces,
-                self.config.vector_bytes,
-                self.link,
-                faults=faults,
-                policy=self.policy,
-                batch=batch_pos,
-            )
             # The batch's comm phase starts once every contributing shard
             # has drained the batch locally, and batches share the link.
             piece_done: Dict[int, int] = {}
@@ -371,8 +359,8 @@ class CrossShardReducer:
                     for piece, done in piece_done.items()
                 }
                 for piece in sorted(slowed):
-                    if slowed[piece] > piece_done[piece]:
-                        events.append(
+                    if tracing and slowed[piece] > piece_done[piece]:
+                        tracer.emit(
                             TraceEvent(
                                 FAULT_INJECTED,
                                 cycle=slowed[piece],
@@ -392,20 +380,21 @@ class CrossShardReducer:
                     for decision in decisions:
                         hedges.absorb(decision)
                         hedged_pieces.append(decision.piece)
-                        events.append(
-                            TraceEvent(
-                                HEDGE_ISSUED,
-                                cycle=decision.issued_at,
-                                args={
-                                    "shard": decision.piece,
-                                    "batch": batch_pos,
-                                    "issued_at": decision.issued_at,
-                                    "won": decision.won,
-                                    "saved": decision.saved_cycles,
-                                    "wasted": decision.wasted_cycles,
-                                },
+                        if tracing:
+                            tracer.emit(
+                                TraceEvent(
+                                    HEDGE_ISSUED,
+                                    cycle=decision.issued_at,
+                                    args={
+                                        "shard": decision.piece,
+                                        "batch": batch_pos,
+                                        "issued_at": decision.issued_at,
+                                        "won": decision.won,
+                                        "saved": decision.saved_cycles,
+                                        "wasted": decision.wasted_cycles,
+                                    },
+                                )
                             )
-                        )
                 partials_done = max(effective.values(), default=0)
                 # Per-query readies stretch with their piece, capped by the
                 # post-race effective completion when a hedge cut the tail.
@@ -429,15 +418,18 @@ class CrossShardReducer:
             else:
                 partials_done = max(piece_done.values(), default=0)
             comm_start = max(partials_done, comm_cursor)
+            outcome = self.schedule.run(
+                touched,
+                self.partition.num_pieces,
+                self.config.vector_bytes,
+                self.link,
+                faults=faults,
+                policy=self.policy,
+                batch=batch_pos,
+                tracer=tracer,
+                start=comm_start,
+            )
             comm_cursor = comm_start + outcome.comm_pe_cycles
-            for event in outcome.events:
-                events.append(
-                    TraceEvent(
-                        event.kind,
-                        cycle=event.cycle + comm_start,
-                        args=dict(event.args, batch=batch_pos),
-                    )
-                )
             reduced.append(
                 ReducedBatchResult(
                     vectors=vectors,
@@ -461,7 +453,6 @@ class CrossShardReducer:
             link=self.link,
             shard_results=list(shard_results),
             active_pieces=list(split.active_pieces),
-            events=events,
             local_makespan_pe_cycles=local_makespan,
             comm_pe_cycles=sum(b.outcome.comm_pe_cycles for b in reduced),
             makespan_pe_cycles=max(local_makespan, comm_cursor),

@@ -52,6 +52,12 @@ that always delivers — so link faults inflate modeled cycles without ever
 changing which bytes arrive: the canonical fold, and therefore the
 numeric answer, is untouched.  Fail-fast mode raises
 :class:`~repro.faults.plan.LinkFailedError` on exhaustion instead.
+
+**Tracing.**  :meth:`ReductionSchedule.run` takes the run's
+:class:`~repro.obs.tracer.Tracer` and the batch's absolute comm start
+cycle; each closed step emits its ``shard_msg_sent``/``shard_reduced``
+and link-fault events at the step's end, tagged with the batch.  An
+untraced schedule builds no event.
 """
 
 from __future__ import annotations
@@ -80,6 +86,7 @@ from repro.obs.events import (
     SHARD_REDUCED,
     TraceEvent,
 )
+from repro.obs.tracer import NULL_TRACER, Tracer
 
 #: Wire overhead per shipped segment: piece-range tag + query id + length.
 SEGMENT_HEADER_BYTES = 8
@@ -139,9 +146,7 @@ class CommMessage:
 class ScheduleOutcome:
     """Cost and routing results of one schedule over one batch's partials.
 
-    ``comm_pe_cycles`` is the makespan of the synchronous step sequence;
-    ``events`` carry relative cycles (step end, starting at 0) that the
-    reducer re-bases onto the shards' local completion time.
+    ``comm_pe_cycles`` is the makespan of the synchronous step sequence.
     """
 
     schedule: str
@@ -151,7 +156,6 @@ class ScheduleOutcome:
     step_cycles: List[int] = field(default_factory=list)
     comm_pe_cycles: int = 0
     total_bytes: int = 0
-    events: List[TraceEvent] = field(default_factory=list)
 
     @property
     def message_count(self) -> int:
@@ -171,6 +175,8 @@ class _RoutingState:
         faults: Optional[FaultPlan] = None,
         policy: Optional[FaultPolicy] = None,
         batch: int = 0,
+        tracer: Tracer = NULL_TRACER,
+        start: int = 0,
     ) -> None:
         self.num_pieces = num_pieces
         self.vector_bytes = vector_bytes
@@ -178,6 +184,8 @@ class _RoutingState:
         self.faults = faults if faults is not None and faults.touches_links else None
         self.policy = policy if policy is not None else FaultPolicy()
         self.batch = batch
+        self.tracer = tracer
+        self.start = start
         self._pending_faults: List[Tuple[str, Dict[str, Any]]] = []
         # present[q]: pieces contributing to query q (global sparsity map;
         # a real deployment learns this from the query headers it already
@@ -306,44 +314,43 @@ class _RoutingState:
         return total
 
     def close_step(self, step: int, cycles: int, inbound: Dict[int, int]) -> None:
-        """Account one synchronous step: duration, events, reduce marks."""
+        """Account one synchronous step: duration, events, reduce marks.
+
+        A traced step emits its messages, reduce marks and link faults at
+        the step's end, ``start`` plus the steps so far, tagged with the
+        batch.
+        """
         self._cursor += cycles
         self.outcome.step_cycles.append(cycles)
         self.outcome.steps += 1
+        pending, self._pending_faults = self._pending_faults, []
+        if not self.tracer.enabled:
+            return
+        cycle = self.start + self._cursor
+
+        def emit(kind: str, args: Dict[str, Any]) -> None:
+            args = dict(args, batch=self.batch)
+            self.tracer.emit(TraceEvent(kind, cycle=cycle, args=args))
+
         for message in self.outcome.messages:
             if message.step == step:
-                self.outcome.events.append(
-                    TraceEvent(
-                        SHARD_MSG_SENT,
-                        cycle=self._cursor,
-                        args={
-                            "step": step,
-                            "src": message.src,
-                            "dst": message.dst,
-                            "bytes": message.payload_bytes,
-                            "queries": message.queries,
-                            "segments": message.segments,
-                        },
-                    )
-                )
+                emit(SHARD_MSG_SENT, {
+                    "step": step,
+                    "src": message.src,
+                    "dst": message.dst,
+                    "bytes": message.payload_bytes,
+                    "queries": message.queries,
+                    "segments": message.segments,
+                })
         for node in sorted(inbound):
-            self.outcome.events.append(
-                TraceEvent(
-                    SHARD_REDUCED,
-                    cycle=self._cursor,
-                    args={
-                        "step": step,
-                        "node": node,
-                        "messages": inbound[node],
-                        "queries": len(self.hold[node]),
-                    },
-                )
-            )
-        for kind, args in self._pending_faults:
-            self.outcome.events.append(
-                TraceEvent(kind, cycle=self._cursor, args=args)
-            )
-        self._pending_faults = []
+            emit(SHARD_REDUCED, {
+                "step": step,
+                "node": node,
+                "messages": inbound[node],
+                "queries": len(self.hold[node]),
+            })
+        for kind, args in pending:
+            emit(kind, args)
 
     def finish(self, consumer: int = 0) -> ScheduleOutcome:
         """Close the outcome, asserting the consumer holds every partial."""
@@ -406,6 +413,8 @@ class ReductionSchedule:
         faults: Optional[FaultPlan] = None,
         policy: Optional[FaultPolicy] = None,
         batch: int = 0,
+        tracer: Tracer = NULL_TRACER,
+        start: int = 0,
     ) -> ScheduleOutcome:
         """Model one batch's cross-shard reduction.
 
@@ -417,8 +426,20 @@ class ReductionSchedule:
             link: inter-node link model.
             faults: optional chaos script — only its link faults apply here.
             policy: retransmit budget / timeout; defaults to fail-fast.
-            batch: batch position, keying the seeded per-message decisions.
+            batch: batch position, keying the seeded per-message decisions
+                and tagging the emitted events.
+            tracer: receives each step's ``shard_msg_sent``,
+                ``shard_reduced`` and link-fault events.
+            start: absolute PE cycle the batch's comm phase starts at; the
+                events carry ``start`` plus the steps' cumulative cycles.
         """
+        state = _RoutingState(touched, num_pieces, vector_bytes, link, self.name,
+                              faults, policy, batch, tracer, start)
+        self.route(state)
+        return state.finish()
+
+    def route(self, state: _RoutingState) -> None:
+        """Move every partial to the consumer through ``state``'s steps."""
         raise NotImplementedError
 
 
@@ -427,20 +448,16 @@ class GatherToRoot(ReductionSchedule):
 
     name = SCHEDULE_GATHER
 
-    def run(self, touched, num_pieces, vector_bytes, link, faults=None, policy=None, batch=0):
-        state = _RoutingState(
-            touched, num_pieces, vector_bytes, link, self.name, faults, policy, batch
-        )
-        if num_pieces > 1:
+    def route(self, state: _RoutingState) -> None:
+        if state.num_pieces > 1:
             cycles = 0
             inbound: Dict[int, int] = {}
-            for src in range(1, num_pieces):
+            for src in range(1, state.num_pieces):
                 message = state.send(0, src, 0)
                 if message is not None:
                     cycles += state.message_cycles(message)
                     inbound[0] = inbound.get(0, 0) + 1
             state.close_step(0, cycles, inbound)
-        return state.finish()
 
 
 class RecursiveDoubling(ReductionSchedule):
@@ -448,17 +465,13 @@ class RecursiveDoubling(ReductionSchedule):
 
     name = SCHEDULE_RECURSIVE_DOUBLING
 
-    def run(self, touched, num_pieces, vector_bytes, link, faults=None, policy=None, batch=0):
-        state = _RoutingState(
-            touched, num_pieces, vector_bytes, link, self.name, faults, policy, batch
-        )
-        core = _prev_pow2(num_pieces)
+    def route(self, state: _RoutingState) -> None:
+        core = _prev_pow2(state.num_pieces)
         state.fold_in_extras(core)
         distance = 1
         while distance < core:
             state.exchange(distance, core)
             distance *= 2
-        return state.finish()
 
 
 class ReduceScatterAllgather(ReductionSchedule):
@@ -466,11 +479,8 @@ class ReduceScatterAllgather(ReductionSchedule):
 
     name = SCHEDULE_REDUCE_SCATTER
 
-    def run(self, touched, num_pieces, vector_bytes, link, faults=None, policy=None, batch=0):
-        state = _RoutingState(
-            touched, num_pieces, vector_bytes, link, self.name, faults, policy, batch
-        )
-        core = _prev_pow2(num_pieces)
+    def route(self, state: _RoutingState) -> None:
+        core = _prev_pow2(state.num_pieces)
         state.fold_in_extras(core)
         if core > 1:
             chunk_of = {query: query % core for query in state.present}
@@ -495,7 +505,6 @@ class ReduceScatterAllgather(ReductionSchedule):
             while distance < core:
                 state.exchange(distance, core)
                 distance *= 2
-        return state.finish()
 
 
 SCHEDULES: Dict[str, ReductionSchedule] = {

@@ -214,7 +214,6 @@ class MultiBatchResult:
 
     results: List[LookupResult]
     pipeline: PipelineStats
-    events: Optional[List[TraceEvent]] = None
 
     @property
     def vectors(self) -> List[np.ndarray]:

@@ -18,22 +18,33 @@ engine, config, and operator objects transfer by inheritance or pickling);
 ``source`` must be picklable — a module-level function, ``functools.partial``
 of one, or a bound method of a picklable object.
 
-Failure handling distinguishes two regimes:
+**One dispatch loop.**  Every shard attempt, pooled or in-process, runs
+through :meth:`ShardedRunner.run`'s one loop, which keeps one result and
+one attempt count per shard:
 
-* **cannot spawn processes at all** (restricted sandboxes, missing
-  semaphores) — detected at pool creation / first submission, before any
-  shard has produced a result: the runner falls back to in-process
-  execution with identical results and (with ``trace=True``) identical
-  event streams;
-* **a worker died or hung mid-run** (``BrokenProcessPool``, a shard
-  exceeding the policy's wall-clock timeout, or an injected
-  :class:`~repro.faults.plan.SimulatedWorkerCrash`) — completed shards
-  are **kept**, and only the failed shards are re-dispatched onto a fresh
-  pool of healthy workers, up to ``FaultPolicy.max_shard_retries`` times;
-  a shard that exhausts its budget is run in-process as the last healthy
-  "worker" (``degrade``) or raises :class:`ShardFailedError`
-  (``fail_fast``).  Each re-dispatch is recorded as a
-  ``shard_redispatched`` trace event on the recovered shard's stream.
+* a failed attempt — a worker that died (``BrokenProcessPool`` or an
+  injected :class:`~repro.faults.plan.SimulatedWorkerCrash`) or hung past
+  the policy's wall-clock timeout — is re-dispatched at the next attempt,
+  up to ``FaultPolicy.max_shard_retries`` times; completed shards are
+  kept;
+* a shard that exhausts its budget raises :class:`ShardFailedError` under
+  ``fail_fast``; under ``degrade`` it gets one last attempt in-process
+  (the parent is the one worker guaranteed healthy), and raises if that
+  fails too;
+* with one worker, or once processes cannot be spawned at all
+  (restricted sandboxes, missing semaphores — seen at pool creation or
+  submission), the loop runs the pending shards in-process, each from its
+  recorded attempt.
+
+So a shard's outcome and its attempt numbering do not depend on which
+execution path it ran on.
+
+**One event stream.**  A traced runner (``tracer=``, as for the engine)
+records each worker's replica into an in-memory sink — a tracer with file
+sinks cannot be pickled — and replays the streams into its tracer in
+shard order once every shard has finished, each preceded by that shard's
+inject → detect → ``shard_redispatched`` events.  Workers die before they
+can record anything, so the parent synthesizes those.
 
 A :class:`~repro.faults.plan.FaultPlan` passed to the runner ships to
 every worker (it is plain picklable data), so rank degradation and
@@ -48,13 +59,13 @@ slice of the index space it owns, and the partials ride a second-level
 reduction schedule (``reduction=`` names it) over a modeled inter-node
 link back to one answer per query — byte-identical to a single-node
 engine for subtree-aligned partitions.  The shard sub-streams run
-through the same :meth:`run` machinery, so crash/hang faults on a shard
+through the same :meth:`run` loop, so crash/hang faults on a shard
 are detected and its partials re-dispatched before the reduction tree
 completes, and index-keyed fault plans degrade queries to the exact
-vectors and statuses the single-node engine reports.  The comm-phase
-trace events (``shard_msg_sent``/``shard_reduced``) are synthesized in
-the parent from the deterministic partials, so serial-fallback and
-process-pool runs ship identical reduction event streams.
+vectors and statuses the single-node engine reports.  The comm phase
+(``shard_msg_sent``/``shard_reduced``, link faults, stragglers, hedges,
+dead shards) is modeled in the parent from the deterministic partials and
+emits into the same tracer after the shard streams, at absolute PE cycles.
 """
 
 from __future__ import annotations
@@ -70,6 +81,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 if TYPE_CHECKING:  # sharding ← comm.reducer ← core.engine: import lazily
     from repro.comm.partition import IndexPartition
     from repro.comm.reducer import ReducedRunResult
+    from repro.resilience.hedging import HedgePolicy
 
 from repro.core.config import FafnirConfig
 from repro.core.engine import FafnirEngine, MultiBatchResult, VectorSource
@@ -77,7 +89,6 @@ from repro.core.operators import ReductionOperator, SUM
 from repro.faults.plan import (
     FAULT_WORKER_CRASH,
     FAULT_WORKER_HANG,
-    FaultError,
     FaultPlan,
     ShardFailedError,
     SimulatedWorkerCrash,
@@ -91,10 +102,12 @@ from repro.obs.events import (
     TraceEvent,
 )
 from repro.obs.sinks import InMemorySink
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 
 Batch = Sequence[Sequence[int]]
 Shard = Sequence[Batch]
+#: One finished shard attempt: its result and, when traced, its events.
+ShardOutcome = Tuple[MultiBatchResult, Optional[List[TraceEvent]]]
 
 
 def shard_batches(batches: Sequence[Batch], shards: int) -> List[List[Batch]]:
@@ -119,17 +132,17 @@ def _run_shard(
     operator: ReductionOperator,
     batches: Shard,
     source: VectorSource,
-    trace: bool = False,
-    faults: Optional[FaultPlan] = None,
-    fault_policy: Optional[FaultPolicy] = None,
-    shard_index: int = 0,
-    attempt: int = 0,
-    in_process: bool = False,
-) -> MultiBatchResult:
+    trace: bool,
+    faults: Optional[FaultPlan],
+    fault_policy: FaultPolicy,
+    shard_index: int,
+    attempt: int,
+    in_process: bool,
+) -> ShardOutcome:
     """Worker entry point: one engine, one shard (module-level: picklable).
 
-    With ``trace=True`` the worker records its replica's events into an
-    in-process sink and ships them back on ``MultiBatchResult.events`` —
+    With ``trace`` the worker records its replica's events into an
+    in-process sink and returns them beside the result —
     :class:`~repro.obs.events.TraceEvent` is plain picklable data, so the
     stream crosses the process boundary with the rest of the result.
 
@@ -158,9 +171,7 @@ def _run_shard(
         fault_policy=fault_policy,
     )
     result = engine.run_batches(batches, source)
-    if sink is not None:
-        result.events = list(sink.events)
-    return result
+    return result, sink.events if sink is not None else None
 
 
 class ShardedRunner:
@@ -171,7 +182,7 @@ class ShardedRunner:
         config: Optional[FafnirConfig] = None,
         operator: ReductionOperator = SUM,
         max_workers: Optional[int] = None,
-        trace: bool = False,
+        tracer: Optional[Tracer] = None,
         faults: Optional[FaultPlan] = None,
         fault_policy: Optional[FaultPolicy] = None,
         reduction: Optional[str] = None,
@@ -181,6 +192,10 @@ class ShardedRunner:
         hedge: Optional["HedgePolicy"] = None,
     ) -> None:
         """Build the runner.
+
+        ``tracer`` receives every shard's replica events and the comm
+        phase's, in one stream (see the module docstring); the default is
+        the zero-overhead :data:`~repro.obs.tracer.NULL_TRACER`.
 
         The last five parameters configure the opt-in cross-shard
         reduction mode consumed by :meth:`run_reduced`:
@@ -204,7 +219,7 @@ class ShardedRunner:
         self.config = config
         self.operator = operator
         self.max_workers = max_workers
-        self.trace = trace
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.faults = faults
         self.fault_policy = fault_policy if fault_policy is not None else FaultPolicy()
         self.reduction = reduction
@@ -227,110 +242,66 @@ class ShardedRunner:
 
         An empty shard list (an empty batch stream) returns an empty
         result list.  Worker failures are recovered per the runner's
-        :class:`FaultPolicy` — see the module docstring for the regimes.
+        :class:`FaultPolicy` — see the module docstring for the rule.
         """
         if not shards:
             return []
-        workers = self.max_workers or multiprocessing.cpu_count()
-        workers = min(workers, len(shards))
-        if workers <= 1 or len(shards) == 1:
-            return self._run_serial(shards, source)
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # platform without fork
-            context = multiprocessing.get_context()
-
         policy = self.fault_policy
-        results: List[Optional[MultiBatchResult]] = [None] * len(shards)
+        budget = policy.max_shard_retries
+        tracer = self.tracer
+        outcomes: List[Optional[ShardOutcome]] = [None] * len(shards)
         attempts = [0] * len(shards)
-        redispatch_events: Dict[int, List[TraceEvent]] = {}
+        lifecycle: List[List[TraceEvent]] = [[] for _ in shards]
+        workers = min(self.max_workers or multiprocessing.cpu_count(), len(shards))
+        use_pool = workers > 1
         pending = list(range(len(shards)))
-        while pending:
-            try:
-                pool = ProcessPoolExecutor(
-                    max_workers=min(workers, len(pending)), mp_context=context
-                )
-            except (OSError, PermissionError):
-                return self._recover_without_processes(
-                    shards, source, results, pending
-                )
-            submitted: Dict[int, object] = {}
-            spawn_failed = False
-            broken_on_submit: List[int] = []
-            try:
+        try:
+            while pending:
+                # A shard past its budget takes its last attempt in-process.
+                pooled = [i for i in pending if use_pool and attempts[i] <= budget]
+                failed: List[Tuple[int, str]] = []
+                if pooled:
+                    round_ = self._pool_round(shards, source, pooled, attempts, workers)
+                    if round_ is None:  # cannot spawn processes: go in-process
+                        use_pool = False
+                        continue
+                    finished, failed = round_
+                    for index, outcome in finished.items():
+                        outcomes[index] = outcome
                 for index in pending:
-                    submitted[index] = pool.submit(
-                        _run_shard,
-                        self.config,
-                        self.operator,
-                        shards[index],
-                        source,
-                        self.trace,
-                        self.faults,
-                        policy,
-                        index,
-                        attempts[index],
-                        False,
-                    )
-            except (OSError, PermissionError):
-                # Process spawning is unavailable (restricted sandbox) —
-                # not a worker death; recover in-process without re-running
-                # any shard that already completed.
-                spawn_failed = True
-            except BrokenProcessPool:
-                # A worker died fast enough to break the pool mid-submission;
-                # the unsubmitted shards are worker deaths, not spawn failures.
-                broken_on_submit = [i for i in pending if i not in submitted]
-            failed: List[Tuple[int, str]] = []
-            failed.extend((i, FAULT_WORKER_CRASH) for i in broken_on_submit)
-            if not spawn_failed:
-                for index, future in submitted.items():
+                    if index in pooled:
+                        continue
+                    args = self._shard_args(shards, source, index, attempts[index], True)
                     try:
-                        results[index] = future.result(  # type: ignore[attr-defined]
-                            timeout=policy.shard_timeout_s
-                        )
-                    except FuturesTimeoutError:
-                        failed.append((index, FAULT_WORKER_HANG))
-                    except (BrokenProcessPool, SimulatedWorkerCrash):
+                        outcomes[index] = _run_shard(*args)
+                    except SimulatedWorkerCrash:
                         failed.append((index, FAULT_WORKER_CRASH))
-            pool.shutdown(wait=False, cancel_futures=True)
-            if spawn_failed:
-                return self._recover_without_processes(
-                    shards, source, results, pending
-                )
 
-            pending = []
-            for index, reason in failed:
-                redispatch_events.setdefault(index, []).extend(
-                    self._shard_fault_events(index, attempts[index], reason)
-                )
-                if attempts[index] >= policy.max_shard_retries:
-                    if policy.fail_fast:
-                        raise ShardFailedError(
-                            f"shard {index} failed ({reason}) and exhausted "
-                            f"its re-dispatch budget "
-                            f"({policy.max_shard_retries} retries)"
+                pending = []
+                for index, reason in sorted(failed):
+                    attempt = attempts[index]
+                    fatal = attempt > budget or (attempt == budget and policy.fail_fast)
+                    if tracer.enabled:
+                        lifecycle[index] += self._shard_fault_events(
+                            index, attempt, reason, fatal
                         )
-                    # Last resort: the parent process is the one worker
-                    # guaranteed healthy.
-                    results[index] = self._run_one_in_process(
-                        shards[index],
-                        index,
-                        attempts[index] + 1,
-                        source,
-                    )
-                else:
+                    if fatal:
+                        raise ShardFailedError(
+                            f"shard {index} failed ({reason}) and exhausted its "
+                            f"re-dispatch budget ({budget} retries)"
+                        )
                     attempts[index] += 1
                     pending.append(index)
-
-        final: List[MultiBatchResult] = []
-        for index, result in enumerate(results):
-            assert result is not None
-            extra = redispatch_events.get(index)
-            if extra and self.trace and result.events is not None:
-                result.events = extra + result.events
-            final.append(result)
-        return final
+        finally:
+            # Shard order, each stream after its lifecycle; a failed run
+            # still traces every lifecycle and the finished shards' streams.
+            if tracer.enabled:
+                for events, outcome in zip(lifecycle, outcomes):
+                    if outcome is not None and outcome[1] is not None:
+                        events = events + outcome[1]
+                    for event in events:
+                        tracer.emit(event)
+        return [outcome[0] for outcome in outcomes if outcome is not None]
 
     # --- cross-shard reduction ----------------------------------------
     def run_reduced(
@@ -366,7 +337,6 @@ class ShardedRunner:
             ShardSplit,
             partial_operator,
         )
-        from repro.faults.plan import ShardFailedError
 
         if not batches:
             raise ValueError("need at least one batch")
@@ -413,119 +383,116 @@ class ShardedRunner:
             shard_results = self.run(streams, source)
         finally:
             self.operator = saved_operator
-        return reducer.combine(batches, split, shard_results, absent_pieces=dead)
+        return reducer.combine(
+            batches, split, shard_results, absent_pieces=dead, tracer=self.tracer
+        )
 
     # ------------------------------------------------------------------
-    def _shard_fault_events(
-        self, index: int, attempt: int, reason: str
-    ) -> List[TraceEvent]:
-        """The detect→re-dispatch events of one shard failure.
+    def _shard_args(
+        self,
+        shards: Sequence[Shard],
+        source: VectorSource,
+        index: int,
+        attempt: int,
+        in_process: bool,
+    ) -> tuple:
+        """:func:`_run_shard`'s arguments for one attempt at one shard."""
+        return (
+            self.config,
+            self.operator,
+            shards[index],
+            source,
+            self.tracer.enabled,
+            self.faults,
+            self.fault_policy,
+            index,
+            attempt,
+            in_process,
+        )
 
-        Workers die before they can record anything, so the surviving side
-        (the parent, or the in-process retry loop) is the only place this
-        part of the lifecycle can be observed from.  The injection event is
-        synthesized only when the installed plan really scheduled the
-        fault — a genuine (non-injected) worker death still gets its
-        detection and re-dispatch on the record.
+    def _pool_round(
+        self,
+        shards: Sequence[Shard],
+        source: VectorSource,
+        indices: Sequence[int],
+        attempts: Sequence[int],
+        workers: int,
+    ) -> Optional[Tuple[Dict[int, ShardOutcome], List[Tuple[int, str]]]]:
+        """One process-pool attempt at each shard of ``indices``.
+
+        Returns the finished outcomes and the failed ``(index, reason)``
+        pairs, or ``None`` when processes cannot be spawned: an
+        ``OSError`` at pool creation or submission is a restricted host,
+        not a worker death, and costs no attempt.
         """
-        if not self.trace:
-            return []
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:  # platform without fork
+            context = multiprocessing.get_context()
+        try:
+            pool = ProcessPoolExecutor(
+                max_workers=min(workers, len(indices)), mp_context=context
+            )
+        except OSError:
+            return None
+        finished: Dict[int, ShardOutcome] = {}
+        failed: List[Tuple[int, str]] = []
+        futures = {}
+        try:
+            try:
+                for index in indices:
+                    futures[index] = pool.submit(
+                        _run_shard,
+                        *self._shard_args(shards, source, index, attempts[index], False),
+                    )
+            except OSError:
+                return None
+            except BrokenProcessPool:
+                # A worker died fast enough to break the pool mid-submission;
+                # the unsubmitted shards are worker deaths, not spawn failures.
+                failed.extend(
+                    (index, FAULT_WORKER_CRASH) for index in indices if index not in futures
+                )
+            for index, future in futures.items():
+                try:
+                    finished[index] = future.result(
+                        timeout=self.fault_policy.shard_timeout_s
+                    )
+                except FuturesTimeoutError:
+                    failed.append((index, FAULT_WORKER_HANG))
+                except BrokenProcessPool:
+                    failed.append((index, FAULT_WORKER_CRASH))
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+        return finished, failed
+
+    def _shard_fault_events(
+        self, index: int, attempt: int, reason: str, fatal: bool
+    ) -> List[TraceEvent]:
+        """The inject→detect→re-dispatch events of one failed attempt.
+
+        Workers die before they can record anything, so the parent is the
+        only place this part of the lifecycle can be observed from.  The
+        injection event is synthesized only when the installed plan really
+        scheduled the fault — a genuine (non-injected) worker death still
+        gets its detection on the record.  A ``fatal`` failure (the budget
+        is spent) is detected with ``fatal: true`` and not re-dispatched.
+        """
+        args = {"fault": reason, "shard": index, "attempt": attempt}
         events: List[TraceEvent] = []
         if self.faults is not None and (
             (reason == FAULT_WORKER_CRASH and self.faults.shard_crashes(index, attempt))
             or (reason == FAULT_WORKER_HANG and self.faults.shard_hangs(index, attempt))
         ):
-            events.append(
-                TraceEvent(
-                    FAULT_INJECTED,
-                    cycle=0,
-                    args={"fault": reason, "shard": index, "attempt": attempt},
-                )
-            )
+            events.append(TraceEvent(FAULT_INJECTED, cycle=0, args=dict(args)))
+        if fatal:
+            events.append(TraceEvent(FAULT_DETECTED, cycle=0, args=dict(args, fatal=True)))
+            return events
+        events.append(TraceEvent(FAULT_DETECTED, cycle=0, args=dict(args)))
         events.append(
-            TraceEvent(
-                FAULT_DETECTED,
-                cycle=0,
-                args={"fault": reason, "shard": index, "attempt": attempt},
-            )
-        )
-        events.append(
-            TraceEvent(
-                SHARD_REDISPATCHED,
-                cycle=0,
-                args={"fault": reason, "shard": index, "attempt": attempt + 1},
-            )
+            TraceEvent(SHARD_REDISPATCHED, cycle=0, args=dict(args, attempt=attempt + 1))
         )
         return events
-
-    def _recover_without_processes(
-        self,
-        shards: Sequence[Shard],
-        source: VectorSource,
-        results: List[Optional[MultiBatchResult]],
-        pending: Sequence[int],
-    ) -> List[MultiBatchResult]:
-        """Finish ``pending`` shards in-process, keeping completed results."""
-        for index in pending:
-            results[index] = self._run_one_in_process(
-                shards[index], index, 0, source
-            )
-        return [result for result in results if result is not None]
-
-    def _run_one_in_process(
-        self,
-        shard: Shard,
-        index: int,
-        attempt: int,
-        source: VectorSource,
-    ) -> MultiBatchResult:
-        """Run one shard in-process with the same bounded-retry loop.
-
-        Injected crashes raise :class:`SimulatedWorkerCrash` here instead
-        of killing the caller; each recovery records the same
-        detect→re-dispatch events the process-pool path synthesizes, so a
-        traced serial run and a traced parallel run tell the same story.
-        """
-        policy = self.fault_policy
-        fault_events: List[TraceEvent] = []
-        while True:
-            try:
-                result = _run_shard(
-                    self.config,
-                    self.operator,
-                    shard,
-                    source,
-                    self.trace,
-                    self.faults,
-                    policy,
-                    index,
-                    attempt,
-                    True,
-                )
-                if fault_events and result.events is not None:
-                    result.events = fault_events + result.events
-                return result
-            except SimulatedWorkerCrash:
-                fault_events.extend(
-                    self._shard_fault_events(index, attempt, FAULT_WORKER_CRASH)
-                )
-                if attempt >= policy.max_shard_retries:
-                    raise ShardFailedError(
-                        f"shard {index} crashed in-process and exhausted its "
-                        f"re-dispatch budget ({policy.max_shard_retries} "
-                        "retries)"
-                    )
-                attempt += 1
-
-    def _run_serial(
-        self,
-        shards: Sequence[Shard],
-        source: VectorSource,
-    ) -> List[MultiBatchResult]:
-        return [
-            self._run_one_in_process(shard, index, 0, source)
-            for index, shard in enumerate(shards)
-        ]
 
 
 def fleet_makespan_pe_cycles(results: Sequence[MultiBatchResult]) -> int:

@@ -30,7 +30,7 @@ from repro.faults import (
     ShardFailedError,
     recovery_report,
 )
-from repro.obs import metrics_from_events, nearest_rank
+from repro.obs import InMemorySink, Tracer, metrics_from_events, nearest_rank
 from repro.resilience import HedgePolicy, OverloadPolicy
 from repro.serving import (
     ClosedLoopGenerator,
@@ -107,7 +107,8 @@ def chaos(seed: int = 0, quick: bool = False) -> ExperimentResult:
     shard_streams = shard_batches(stream, shards)
     total = sum(len(batch) for batch in stream)
 
-    clean = ShardedRunner(trace=True).run(shard_streams, tables.vector)
+    clean_sink, chaos_sink = InMemorySink(), InMemorySink()
+    clean = ShardedRunner(tracer=Tracer([clean_sink])).run(shard_streams, tables.vector)
     plan = FaultPlan(
         seed=seed,
         rank_latency_multipliers={0: 4.0, 1: 4.0},
@@ -117,23 +118,22 @@ def chaos(seed: int = 0, quick: bool = False) -> ExperimentResult:
         crash_attempts=1,
     )
     policy = FaultPolicy.graceful(shard_timeout_s=60.0)
-    results = ShardedRunner(trace=True, faults=plan, fault_policy=policy).run(
-        shard_streams, tables.vector
-    )
-    events = [event for result in results for event in (result.events or [])]
+    results = ShardedRunner(
+        tracer=Tracer([chaos_sink]), faults=plan, fault_policy=policy
+    ).run(shard_streams, tables.vector)
+    events = chaos_sink.events
     statuses = [status for result in results for status in result.statuses]
     counts = {status: statuses.count(status) for status in STATUSES}
     accounted = sum(counts.values())
 
-    def p99(runs) -> float:
-        run_events = [event for run in runs for event in (run.events or [])]
+    def p99(sink: InMemorySink) -> float:
         return (
-            metrics_from_events(run_events)
+            metrics_from_events(sink.events)
             .histogram("query.latency_pe_cycles")
             .percentile(99)
         )
 
-    clean_p99, chaos_p99 = p99(clean), p99(results)
+    clean_p99, chaos_p99 = p99(clean_sink), p99(chaos_sink)
     table = Table(["quantity", "clean", "chaos"])
     table.add_row(
         ["p99 query latency (PE cycles)", f"{clean_p99:.0f}", f"{chaos_p99:.0f}"]
@@ -457,7 +457,7 @@ def resilience(
         if not condition:
             failures.append(label)
 
-    def reduced(plan=None, policy=None, hedge=None):
+    def reduced(plan=None, policy=None, hedge=None, tracer=None):
         if plan is not None and policy is None:
             policy = FaultPolicy.graceful()
         runner = ShardedRunner(
@@ -469,6 +469,7 @@ def resilience(
             faults=plan,
             fault_policy=policy,
             hedge=hedge,
+            tracer=tracer,
         )
         return runner.run_reduced(stream, tables.vector)
 
@@ -498,8 +499,10 @@ def resilience(
     # none).
     lossy = {}
     for probability in (LINK_LOSS, 0.5):
-        result = reduced(FaultPlan(seed=seed, link_loss_probability=probability))
-        drops = recovery_report(result.events).injected.get("link_loss", 0)
+        sink = InMemorySink()
+        result = reduced(FaultPlan(seed=seed, link_loss_probability=probability),
+                         tracer=Tracer([sink]))
+        drops = recovery_report(sink.events).injected.get("link_loss", 0)
         timing_cell(f"link loss {probability:.0%}", f"{drops} drops", result)
         lossy[probability] = (result, drops)
     stressed, stress_drops = lossy[0.5]

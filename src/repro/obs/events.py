@@ -36,15 +36,17 @@ kind                      meaning
 ``retry_issued``          a recovery retry was issued (read re-issue with
                           backoff, source re-fetch, vector re-read)
 ``shard_redispatched``    a crashed/hung shard was re-dispatched onto a
-                          healthy worker by ``ShardedRunner``
+                          healthy worker by ``ShardedRunner`` (args carry
+                          fault/shard/attempt; emitted before the shard's
+                          own stream)
 ``query_degraded``        a query lost vectors and completed with
                           ``degraded``/``failed`` status (graceful mode)
 ``shard_msg_sent``        cross-shard reduction: one modeled inter-node
-                          message (args carry step/src/dst/bytes/queries/
-                          segments)
+                          message, at its step's absolute end cycle (args
+                          carry step/src/dst/bytes/queries/segments/batch)
 ``shard_reduced``         cross-shard reduction: a node merged inbound
                           partials at the end of a schedule step (args carry
-                          step/node/messages/queries)
+                          step/node/messages/queries/batch)
 ``cache_hit``             the rank's hot-index tier served a vector read
                           without touching DRAM (args carry ``index``)
 ``cache_miss``            the tier was consulted and missed — the read went

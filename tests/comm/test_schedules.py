@@ -16,6 +16,7 @@ from repro.comm.schedule import (
     segment_count,
 )
 from repro.hw.link import LinkModel
+from repro.obs import InMemorySink, Tracer
 from repro.obs.events import SHARD_MSG_SENT, SHARD_REDUCED
 
 LINK = LinkModel(latency_ns=100.0, bandwidth_gb_s=10.0)
@@ -157,15 +158,22 @@ def test_every_schedule_delivers_all_pieces_to_the_consumer(name, pieces):
     touched = {
         p: frozenset(q for q in range(6) if (q + p) % 3) for p in range(pieces)
     }
-    outcome = get_schedule(name).run(touched, pieces, VEC, LINK)
+    sink = InMemorySink()
+    outcome = get_schedule(name).run(
+        touched, pieces, VEC, LINK, batch=3, tracer=Tracer([sink]), start=100
+    )
     # finish() asserted coverage internally; cross-check the books.
     assert outcome.total_bytes == sum(m.payload_bytes for m in outcome.messages)
     assert outcome.comm_pe_cycles == sum(outcome.step_cycles)
     assert len(outcome.step_cycles) == outcome.steps
-    kinds = {event.kind for event in outcome.events}
+    kinds = {event.kind for event in sink.events}
     assert kinds <= {SHARD_MSG_SENT, SHARD_REDUCED}
-    sent = [e for e in outcome.events if e.kind == SHARD_MSG_SENT]
+    sent = [e for e in sink.events if e.kind == SHARD_MSG_SENT]
     assert len(sent) == outcome.message_count
+    # Events sit at each step's end after ``start``, tagged with the batch.
+    step_ends = [100 + sum(outcome.step_cycles[: step + 1]) for step in range(outcome.steps)]
+    assert all(e.cycle == step_ends[e.args["step"]] for e in sink.events)
+    assert all(e.args["batch"] == 3 for e in sink.events)
     for message in outcome.messages:
         assert message.payload_bytes == message.segments * (
             VEC + SEGMENT_HEADER_BYTES

@@ -16,6 +16,7 @@ from repro.core import (
 from repro.core.batch import plan_batch
 from repro.core.tree import TreePE
 from repro.memory import MemoryConfig
+from repro.obs import InMemorySink, Tracer
 from repro.workloads import EmbeddingTableSet, QueryGenerator
 
 RANKS = 8
@@ -188,18 +189,22 @@ class TestShardedRunner:
 
 class TestSerialFallback:
     """Process spawning being unavailable must be invisible to callers:
-    identical results and (with ``trace=True``) identical event streams."""
+    identical results and (traced) identical event streams."""
 
-    def _runner(self):
-        return ShardedRunner(
+    def _runner(self, max_workers=2):
+        """A traced runner and the sink its one stream lands in."""
+        sink = InMemorySink()
+        runner = ShardedRunner(
             config=make_config(),
-            max_workers=2,
-            trace=True,
+            max_workers=max_workers,
+            tracer=Tracer([sink]),
         )
+        return runner, sink
 
     def test_pool_creation_failure_falls_back_in_process(self, monkeypatch):
         shards = shard_batches(make_batches(3, seed=17), 2)
-        expected = self._runner().run(shards, vector_source)
+        runner, expected_sink = self._runner()
+        expected = runner.run(shards, vector_source)
 
         def no_processes(*args, **kwargs):
             raise OSError("process spawning unavailable")
@@ -207,12 +212,13 @@ class TestSerialFallback:
         monkeypatch.setattr(
             "repro.core.sharding.ProcessPoolExecutor", no_processes
         )
-        fallback = self._runner().run(shards, vector_source)
+        runner, fallback_sink = self._runner()
+        fallback = runner.run(shards, vector_source)
         assert len(fallback) == len(expected)
         for a, b in zip(expected, fallback):
             for va, vb in zip(a.vectors, b.vectors):
                 assert va.tobytes() == vb.tobytes()
-            assert a.events == b.events
+        assert expected_sink.events == fallback_sink.events
 
     def test_submit_failure_falls_back_in_process(self, monkeypatch):
         """OSError at submission (not pool creation) is still cannot-spawn,
@@ -229,29 +235,28 @@ class TestSerialFallback:
                 pass
 
         shards = shard_batches(make_batches(2, seed=19), 2)
-        expected = self._runner().run(shards, vector_source)
+        runner, expected_sink = self._runner()
+        expected = runner.run(shards, vector_source)
         monkeypatch.setattr(
             "repro.core.sharding.ProcessPoolExecutor", BrokenSubmitPool
         )
-        fallback = self._runner().run(shards, vector_source)
+        runner, fallback_sink = self._runner()
+        fallback = runner.run(shards, vector_source)
         for a, b in zip(expected, fallback):
             for va, vb in zip(a.vectors, b.vectors):
                 assert va.tobytes() == vb.tobytes()
-            assert a.events == b.events
+        assert expected_sink.events == fallback_sink.events
 
     def test_traced_events_ship_across_processes(self):
         """A traced multi-process run returns the same per-shard event
         streams an in-process run records."""
         shards = shard_batches(make_batches(2, seed=29), 2)
-        pooled = self._runner().run(shards, vector_source)
-        serial = ShardedRunner(
-            config=make_config(),
-            max_workers=1,
-            trace=True,
-        ).run(shards, vector_source)
-        for a, b in zip(pooled, serial):
-            assert a.events is not None
-            assert a.events == b.events
+        runner, pooled_sink = self._runner()
+        runner.run(shards, vector_source)
+        runner, serial_sink = self._runner(max_workers=1)
+        runner.run(shards, vector_source)
+        assert pooled_sink.events
+        assert pooled_sink.events == serial_sink.events
 
 
 class TestLeafRouting:

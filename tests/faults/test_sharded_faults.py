@@ -1,10 +1,21 @@
 """Fault-tolerant sharded serving: crash/hang detection and re-dispatch."""
 
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
 from repro.core import FafnirConfig, ShardedRunner, shard_batches
 from repro.faults import FaultPlan, FaultPolicy, ShardFailedError, recovery_report
+from repro.obs import InMemorySink, Tracer
+from repro.obs.events import (
+    BATCH_START,
+    FAULT_DETECTED,
+    FAULT_INJECTED,
+    SHARD_REDISPATCHED,
+    TraceEvent,
+)
+from repro.resilience import HedgePolicy
 
 RANKS = 8
 ELEMENTS = 16
@@ -37,8 +48,10 @@ def vector_source(index):
     return np.random.default_rng(70_000 + index).normal(size=ELEMENTS)
 
 
-def all_events(results):
-    return [event for result in results for event in (result.events or [])]
+def traced_runner(**kwargs):
+    """A runner tracing into a fresh in-memory sink: (runner, sink)."""
+    sink = InMemorySink()
+    return make_runner(tracer=Tracer([sink]), **kwargs), sink
 
 
 def assert_same_vectors(expected, actual):
@@ -56,7 +69,8 @@ def shards():
 
 @pytest.fixture(scope="module")
 def clean(shards):
-    return make_runner(trace=True, max_workers=4).run(shards, vector_source)
+    runner, _ = traced_runner(max_workers=4)
+    return runner.run(shards, vector_source)
 
 
 class TestEmptyStream:
@@ -72,33 +86,35 @@ class TestCrashRecovery:
         self, shards, clean
     ):
         plan = FaultPlan(seed=0, crash_shards=frozenset({0}), crash_attempts=1)
-        runner = make_runner(
-            trace=True,
+        runner, sink = traced_runner(
             max_workers=4,
             faults=plan,
             fault_policy=FaultPolicy.graceful(shard_timeout_s=60.0),
         )
         results = runner.run(shards, vector_source)
         assert_same_vectors(clean, results)
-        report = recovery_report(all_events(results))
+        report = recovery_report(sink.events)
         assert report.injected.get("worker_crash") == 1
         assert report.redispatches >= 1
         assert report.recovered == report.total_detected
 
     def test_serial_crash_recovery_records_same_lifecycle(self, shards, clean):
         plan = FaultPlan(seed=0, crash_shards=frozenset({0}), crash_attempts=1)
-        runner = make_runner(
-            trace=True,
+        runner, sink = traced_runner(
             max_workers=1,
             faults=plan,
             fault_policy=FaultPolicy.graceful(),
         )
         results = runner.run(shards, vector_source)
         assert_same_vectors(clean, results)
-        report = recovery_report(all_events(results))
+        report = recovery_report(sink.events)
         assert report.injected.get("worker_crash") == 1
         assert report.detected.get("worker_crash") == 1
         assert report.redispatches == 1
+        # Shard 0's lifecycle precedes its stream, which opens the run's.
+        assert [event.kind for event in sink.events[:4]] == [
+            FAULT_INJECTED, FAULT_DETECTED, SHARD_REDISPATCHED, BATCH_START
+        ]
 
     def test_persistent_crash_exhausts_budget_under_fail_fast(self, shards):
         plan = FaultPlan(seed=0, crash_shards=frozenset({0}), crash_attempts=10)
@@ -143,15 +159,14 @@ class TestHangRecovery:
             crash_attempts=1,
             hang_seconds=3.0,
         )
-        runner = make_runner(
-            trace=True,
+        runner, sink = traced_runner(
             max_workers=4,
             faults=plan,
             fault_policy=FaultPolicy.graceful(shard_timeout_s=0.5),
         )
         results = runner.run(shards, vector_source)
         assert_same_vectors(clean, results)
-        report = recovery_report(all_events(results))
+        report = recovery_report(sink.events)
         assert report.detected.get("worker_hang", 0) >= 1
         assert report.redispatches >= 1
 
@@ -164,8 +179,8 @@ class TestHangRecovery:
             crash_attempts=1,
             hang_seconds=30.0,
         )
-        runner = make_runner(trace=True, max_workers=1, faults=plan,
-                             fault_policy=FaultPolicy.graceful())
+        runner, _ = traced_runner(max_workers=1, faults=plan,
+                                  fault_policy=FaultPolicy.graceful())
         results = runner.run(shards, vector_source)  # returns promptly
         assert_same_vectors(clean, results)
 
@@ -175,14 +190,123 @@ class TestFaultPlanShipsToWorkers:
         """A corruption plan must produce fault events from inside the
         worker replicas — the plan travels with the engine config."""
         plan = FaultPlan(seed=3, vector_corruption_probability=0.3)
-        runner = make_runner(
-            trace=True,
+        runner, sink = traced_runner(
             max_workers=4,
             faults=plan,
             fault_policy=FaultPolicy.graceful(shard_timeout_s=60.0),
         )
         results = runner.run(shards, vector_source)
         assert_same_vectors(clean, results)
-        report = recovery_report(all_events(results))
+        report = recovery_report(sink.events)
         assert report.injected.get("vector_corruption", 0) >= 1
         assert report.recovered == report.total_detected
+
+
+def _pool_lost_after_first_round(monkeypatch):
+    """Processes spawn for the first pool only; later pools raise OSError."""
+    calls = []
+
+    def pool(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 1:
+            raise OSError("process spawning unavailable")
+        return ProcessPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr("repro.core.sharding.ProcessPoolExecutor", pool)
+
+
+class TestOneRetryRule:
+    """A shard crash ends the same way whichever path the shard ran on:
+    a pool that stays up, a pool lost after its first round (the rest runs
+    in-process from each shard's recorded attempt), or one worker."""
+
+    @pytest.mark.parametrize("graceful", [False, True], ids=["fail_fast", "graceful"])
+    @pytest.mark.parametrize("budget", [0, 1, 2])
+    @pytest.mark.parametrize("crash_attempts", [1, 2, 10])
+    def test_crash_outcome_is_path_independent(
+        self, shards, clean, monkeypatch, crash_attempts, budget, graceful
+    ):
+        policy = (
+            FaultPolicy.graceful(max_shard_retries=budget)
+            if graceful
+            else FaultPolicy(max_shard_retries=budget)
+        )
+        plan = FaultPlan(
+            seed=0, crash_shards=frozenset({0}), crash_attempts=crash_attempts
+        )
+        outcomes = {}
+        for path in ("pool", "pool lost", "one worker"):
+            if path == "pool lost":
+                _pool_lost_after_first_round(monkeypatch)
+            runner, sink = traced_runner(
+                max_workers=1 if path == "one worker" else 2,
+                faults=plan,
+                fault_policy=policy,
+            )
+            try:
+                outcomes[path] = runner.run(shards, vector_source)
+            except ShardFailedError:
+                outcomes[path] = None
+            monkeypatch.undo()
+            detected = [
+                (event.args["shard"], event.args["attempt"])
+                for event in sink.events
+                if event.kind == FAULT_DETECTED and "attempt" in event.args
+            ]
+            assert len(detected) == len(set(detected)), (path, detected)
+            assert (0, 0) in detected, path
+
+        # Degrade grants one last in-process attempt past the budget.
+        recovers = crash_attempts <= budget + graceful
+        for path, results in outcomes.items():
+            assert (results is not None) == recovers, path
+            if results is not None:
+                assert_same_vectors(clean, results)
+
+
+class TestUntracedRunBuildsNoEvents:
+    def test_untraced_reduced_run_builds_no_trace_event(self, monkeypatch):
+        """Without a tracer no part of a sharded run — shard lifecycle,
+        link faults, stragglers, hedges, dead shards, schedule steps —
+        constructs a single event."""
+        built = []
+        post_init = TraceEvent.__post_init__
+
+        def counting(event):
+            built.append(event.kind)
+            post_init(event)
+
+        monkeypatch.setattr(TraceEvent, "__post_init__", counting)
+        plan = FaultPlan(
+            seed=0,
+            link_loss_probability=0.5,
+            straggler_multipliers={1: 4.0},
+            dead_shards=frozenset({3}),
+            crash_shards=frozenset({0}),
+            crash_attempts=1,
+        )
+
+        def run(**kwargs):
+            return make_runner(
+                max_workers=1,
+                reduction="gather",
+                num_shards=4,
+                faults=plan,
+                fault_policy=FaultPolicy.graceful(),
+                hedge=HedgePolicy(),
+                **kwargs,
+            ).run_reduced(BATCHES, vector_source)
+
+        untraced = run()
+        assert built == []
+        assert untraced.hedges.issued == 1
+        assert untraced.absent_pieces == [3]
+
+        sink = InMemorySink()
+        traced = run(tracer=Tracer([sink]))
+        kinds = set(built)
+        assert {"msg_dropped", "hedge_issued", "shard_redispatched"} <= kinds
+        assert len(built) == len(sink.events)
+        assert [v.tobytes() for v in traced.vectors] == [
+            v.tobytes() for v in untraced.vectors
+        ]

@@ -28,7 +28,7 @@ from repro.core.config import FafnirConfig
 from repro.core.engine import FafnirEngine
 from repro.core.sharding import ShardedRunner
 from repro.faults import FaultPlan, FaultPolicy
-from repro.obs import SHARD_MSG_SENT, SHARD_REDUCED
+from repro.obs import SHARD_MSG_SENT, SHARD_REDUCED, InMemorySink, Tracer
 
 UNIVERSE = 512
 LINK = LinkModel(latency_ns=300.0, bandwidth_gb_s=20.0)
@@ -195,11 +195,12 @@ def test_crashed_shard_is_redispatched_before_the_tree_completes(seed):
     source = make_source(seed, config.vector_elements)
 
     clean = run_sharded(config, batches, source, "recursive_doubling", 4)
+    sink = InMemorySink()
     crashed = ShardedRunner(
         config=config,
         operator="sum",
         max_workers=1,
-        trace=True,
+        tracer=Tracer([sink]),
         reduction="recursive_doubling",
         num_shards=4,
         link=LINK,
@@ -213,11 +214,7 @@ def test_crashed_shard_is_redispatched_before_the_tree_completes(seed):
     ]
     assert crashed.statuses == clean.statuses
     redispatches = [
-        event
-        for result in crashed.shard_results
-        if result.events
-        for event in result.events
-        if event.kind == "shard_redispatched"
+        event for event in sink.events if event.kind == "shard_redispatched"
     ]
     assert redispatches, "crash never surfaced in the trace"
 
@@ -232,32 +229,39 @@ def test_serial_and_process_paths_ship_identical_reduction_events(seed):
     source = make_source(seed, config.vector_elements)
 
     def run(workers):
+        sink = InMemorySink()
         runner = ShardedRunner(
             config=config,
             operator="sum",
             max_workers=workers,
-            trace=True,
+            tracer=Tracer([sink]),
             reduction="reduce_scatter",
             num_shards=4,
             link=LINK,
         )
-        return runner.run_reduced(batches, source)
+        return runner.run_reduced(batches, source), sink.events
 
-    serial = run(1)
-    pooled = run(2)
+    serial, serial_events = run(1)
+    pooled, pooled_events = run(2)
 
     assert [v.tobytes() for v in serial.vectors] == [
         v.tobytes() for v in pooled.vectors
     ]
-    assert serial.events == pooled.events
-    assert serial.events, "reduction emitted no comm events"
-    kinds = {event.kind for event in serial.events}
+    # One stream: the shard-local streams in shard order, then the comm
+    # phase.  Same sub-batches, same engine, same physics, regardless of
+    # which process hosted them.
+    assert serial_events == pooled_events
+    comm = [event for event in serial_events if "step" in event.args]
+    assert comm, "reduction emitted no comm events"
+    kinds = {event.kind for event in comm}
     assert kinds == {SHARD_MSG_SENT, SHARD_REDUCED}
-    # Shard-local streams must match too: same sub-batches, same engine,
-    # same physics, regardless of which process hosted them.
+    assert serial_events[-len(comm):] == comm
+    # Each comm event sits at its step's end within its batch's comm phase.
+    for event in comm:
+        batch = serial.batches[event.args["batch"]]
+        steps = batch.outcome.step_cycles[: event.args["step"] + 1]
+        assert event.cycle == batch.comm_start_pe_cycles + sum(steps)
     assert len(serial.shard_results) == len(pooled.shard_results)
-    for a, b in zip(serial.shard_results, pooled.shard_results):
-        assert a.events == b.events
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -257,12 +257,21 @@ class TestMultiBatchTracing:
         table = _table(config)
         batches = [_queries(4, 4, seed=s) for s in range(4)]
         shards = shard_batches(batches, 2)
-        runner = ShardedRunner(config=config, max_workers=2, trace=True)
+        sink = InMemorySink()
+        runner = ShardedRunner(config=config, max_workers=2, tracer=Tracer([sink]))
         results = runner.run(shards, table.__getitem__)
         assert len(results) == len(shards)
-        for result in results:
-            assert result.events
-            kinds = {e.kind for e in result.events}
+        # The runner's one stream is each replica's stream, in shard order.
+        streams = []
+        for shard in shards:
+            shard_sink = InMemorySink()
+            engine = FafnirEngine(config=config, tracer=Tracer([shard_sink]))
+            engine.run_batches(shard, table.__getitem__)
+            streams.append(shard_sink.events)
+        assert sink.events == [event for events in streams for event in events]
+        for events in streams:
+            assert events
+            kinds = {e.kind for e in events}
             assert QUERY_COMPLETE in kinds
             assert MEM_READ_COMPLETE in kinds
 
@@ -271,4 +280,5 @@ class TestMultiBatchTracing:
         batches = [_queries(4, 4, seed=s) for s in range(2)]
         runner = ShardedRunner(config=config, max_workers=1)
         results = runner.run(shard_batches(batches, 2), table.__getitem__)
-        assert all(result.events is None for result in results)
+        assert runner.tracer is NULL_TRACER
+        assert all(not hasattr(result, "events") for result in results)
