@@ -4,11 +4,14 @@ The engine computes every PE of a tree level in a handful of array ops
 (``repro.core.sweep``).  Its executable specification is the object PE
 model kept in the test suite (``tests/pe_oracle.py``): one pure-Python
 ``O(entries × partners)`` scan and merge per PE, plus the scalar leaf fold.
-This bench runs the tree stage of one 256-query, 64-rank batch — the same
-leaf FIFOs → root — through both, proves the vectors, per-PE work and
-ready cycles byte-identical, and asserts the tracked speedup floor, so the
-speedup is tracked like any other reproduced figure and a regression
-(someone re-introducing a per-message Python loop) fails CI.
+This bench runs the tree stage of two batches — the same leaf FIFOs →
+root — through both and proves the vectors, per-PE work and ready cycles
+byte-identical.  The 256-query, 64-rank uniform batch folds on every leaf
+FIFO; it carries the tracked speedup floor, so the speedup is tracked
+like any other reproduced figure and a regression (someone re-introducing
+a per-message Python loop) fails CI.  The paper-configured 32×16 Zipf
+batch over 32 ranks (one table per rank, so no FIFO can fold) times the
+leaf boundary's fold-free path; its speedup is recorded beside the first.
 
 The oracle runs once; the sweep is timed repeatedly and the best run is
 used.  The tracing guard below times whole batches in process CPU time,
@@ -26,7 +29,14 @@ import time
 
 import numpy as np
 
-from _common import REPO_ROOT, append_trajectory, run_once, write_report
+from _common import (
+    REPO_ROOT,
+    append_trajectory,
+    calibrated_batch,
+    reference_tables,
+    run_once,
+    write_report,
+)
 from repro.analysis import Table
 from repro.core import FafnirConfig, FafnirEngine, plan_batch
 from repro.memory import MemoryConfig
@@ -47,6 +57,9 @@ REQUIRED_SPEEDUP = float(os.environ.get("FAFNIR_HOTPATH_MIN_SPEEDUP", "3.0"))
 # Acceptance bound for in-memory tracing through the packed columnar sink.
 TRACING_MAX_OVERHEAD = float(os.environ.get("FAFNIR_TRACING_MAX_OVERHEAD", "1.15"))
 SWEEP_REPEATS = 3
+# The paper's configuration: one 32-query Zipf batch, q = 16, 32 ranks.
+ZIPF_QUERIES = 32
+ZIPF_REPEATS = 20
 
 
 def _workload():
@@ -89,10 +102,24 @@ def _timed(tree_stage):
     return time.perf_counter() - start, result
 
 
-def test_engine_hotpath_speedup(benchmark):
-    config, memory, queries, vectors = _workload()
+def _zipf_workload():
+    config = FafnirConfig()
+    queries = calibrated_batch(reference_tables(), ZIPF_QUERIES)
+    vectors = {
+        index: np.random.default_rng(20_000 + index).normal(
+            size=config.vector_elements
+        )
+        for index in sorted({index for query in queries for index in query})
+    }
+    return config, MemoryConfig().scaled_to_ranks(config.total_ranks), queries, vectors
+
+
+def _tree_stages(config, memory, queries, vectors, repeats, benchmark=None):
+    """One batch's tree stage on the object oracle (once) and the sweep
+    (best of ``repeats``); asserts both give identical physics and returns
+    ``(oracle_s, sweep_s)``."""
     engine = FafnirEngine(config=config, memory_config=memory)
-    plan = plan_batch(queries, max_query_len=QUERY_LEN)
+    plan = plan_batch(queries, max_query_len=config.max_query_len)
     finish, _, _ = engine._fetch_from_memory(plan.reads)
     leaf_inputs = engine._leaf_inputs(
         plan, finish, {index: vectors[index] for index in plan.unique_indices}
@@ -102,30 +129,47 @@ def test_engine_hotpath_speedup(benchmark):
         return _timed(lambda: engine._run_tree(plan, leaf_inputs))
 
     oracle_s, oracle = _timed(lambda: pe_oracle.run_tree(engine, plan, leaf_inputs))
-    sweep_s, sweep = run_once(benchmark, sweep_run)
-    for _ in range(SWEEP_REPEATS - 1):
+    sweep_s, sweep = run_once(benchmark, sweep_run) if benchmark else sweep_run()
+    for _ in range(repeats - 1):
         sweep_s = min(sweep_s, sweep_run()[0])
-    speedup = oracle_s / sweep_s
-
-    table = Table(["tree stage", "wall_s", "speedup"])
-    table.add_row(["object PE oracle", f"{oracle_s:.3f}", "1.00×"])
-    table.add_row(["closed-form sweep", f"{sweep_s:.3f}", f"{speedup:.2f}×"])
-    record = {
-        "config": _config_record(config),
-        "oracle_tree_s": round(oracle_s, 4),
-        "sweep_tree_s": round(sweep_s, 4),
-        "speedup": round(speedup, 3),
-    }
-    write_report("engine_hotpath", table, record=record)
-    append_trajectory("hotpath", record)
 
     # Identical physics: same vectors (bit for bit), same timing, same work.
     sweep_values, sweep_ready, sweep_work = sweep
     oracle_values, oracle_ready, oracle_work = oracle
-    assert len(sweep_values) == len(oracle_values) == QUERIES
+    assert len(sweep_values) == len(oracle_values) == len(queries)
     assert sweep_values.tobytes() == oracle_values.tobytes()
     assert sweep_ready == oracle_ready
     assert sweep_work == oracle_work
+    return oracle_s, sweep_s
+
+
+def test_engine_hotpath_speedup(benchmark):
+    workload = _workload()
+    oracle_s, sweep_s = _tree_stages(*workload, SWEEP_REPEATS, benchmark)
+    speedup = oracle_s / sweep_s
+    zipf_oracle_s, zipf_sweep_s = _tree_stages(*_zipf_workload(), ZIPF_REPEATS)
+    zipf_speedup = zipf_oracle_s / zipf_sweep_s
+
+    table = Table(["batch", "tree stage", "wall_s", "speedup"])
+    table.add_row(["uniform 256×64", "object PE oracle", f"{oracle_s:.3f}", "1.00×"])
+    table.add_row(["uniform 256×64", "closed-form sweep", f"{sweep_s:.3f}",
+                   f"{speedup:.2f}×"])
+    table.add_row(["zipf 32×16", "object PE oracle", f"{zipf_oracle_s:.4f}", "1.00×"])
+    table.add_row(["zipf 32×16", "closed-form sweep", f"{zipf_sweep_s:.4f}",
+                   f"{zipf_speedup:.2f}×"])
+    record = {
+        "config": _config_record(workload[0]),
+        "oracle_tree_s": round(oracle_s, 4),
+        "sweep_tree_s": round(sweep_s, 4),
+        "speedup": round(speedup, 3),
+        "zipf_config": {"batch_size": ZIPF_QUERIES, "query_len": 16, "ranks": 32,
+                        "vector_elements": FafnirConfig().vector_elements},
+        "zipf_oracle_tree_s": round(zipf_oracle_s, 5),
+        "zipf_sweep_tree_s": round(zipf_sweep_s, 5),
+        "zipf_speedup": round(zipf_speedup, 3),
+    }
+    write_report("engine_hotpath", table, record=record)
+    append_trajectory("hotpath", record)
 
     assert speedup >= REQUIRED_SPEEDUP, (
         f"tree sweep only {speedup:.2f}× faster than the object oracle "

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Clock:
@@ -46,3 +48,16 @@ CPU_CLOCK = Clock(freq_mhz=3000.0)
 def convert_cycles(cycles: float, source: Clock, target: Clock) -> int:
     """Re-express a cycle count from one clock domain in another."""
     return target.ns_to_cycles(source.cycles_to_ns(cycles))
+
+
+def convert_cycles_array(cycles, source: Clock, target: Clock) -> np.ndarray:
+    """:func:`convert_cycles` over an array of cycle counts, as int64.
+
+    The same float arithmetic in the same order, so every element equals
+    the scalar conversion of its count.
+    """
+    cycles = np.asarray(cycles, dtype=np.float64)
+    if (cycles < 0).any():
+        raise ValueError("cycles must be non-negative")
+    ns = cycles * source.period_ns
+    return np.ceil(ns / target.period_ns - 1e-9).astype(np.int64)

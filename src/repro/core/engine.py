@@ -7,15 +7,16 @@ There is one batch path (paper §IV-A, §IV-C):
 2. **Memory** — reads are issued to the DDR4 model
    (:mod:`repro.memory`); each vector's message becomes ready at its DRAM
    completion time, converted into the PE clock domain.
-3. **Leaf boundary** — each unique vector is fetched from the source once,
-   through the source- and corruption-fault gauntlet.
-4. **Tree** — each leaf FIFO folds its stream
-   (:func:`~repro.core.pe.fold_stream`), then
-   :func:`~repro.core.sweep.sweep_tree` computes every PE of a level at
-   once, leaves→root.  Per-message ready cycles model the paper's
-   conflict-free pipelining of distinct queries through distinct tree
-   routes (``timing="dataflow"``), or the store-and-forward upper bound
-   (``timing="phased"``).
+3. **Leaf boundary** — each unique vector is fetched from the source once
+   (through the source- and corruption-fault gauntlet when a fault plan
+   is installed), and the read occurrences become the leaf FIFOs'
+   columns (:class:`~repro.core.sweep.LeafColumns`).
+4. **Tree** — :func:`~repro.core.sweep.sweep_tree` folds the leaf FIFOs
+   that can fold (:func:`~repro.core.pe.fold_stream`), passes the rest
+   through, then computes every PE of a level at once, leaves→root.
+   Per-message ready cycles model the paper's conflict-free pipelining of
+   distinct queries through distinct tree routes (``timing="dataflow"``),
+   or the store-and-forward upper bound (``timing="phased"``).
 
 Faults are data on that path, not a second engine.  Lost reads and
 exhausted fetches form the batch's *drop set*; a fault-free run is the
@@ -30,16 +31,19 @@ The result is one reduced vector per query, a status per query, and a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import (
+    Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
-from repro.clocks import convert_cycles
+from repro.clocks import convert_cycles, convert_cycles_array
 from repro.core.batch import BatchPlan, plan_batch
 from repro.core.config import FafnirConfig
 from repro.core.operators import ReductionOperator, SUM, get_operator
-from repro.core.pe import PEWork, Row
-from repro.core.sweep import SweepResult, sweep_tree
+from repro.core.pe import PEWork
+from repro.core.sweep import LeafColumns, SweepResult, fifo_positions, sweep_tree
 from repro.core.tree import FafnirTree, TreePE
 from repro.faults.plan import (
     FAULT_SOURCE_ERROR,
@@ -377,6 +381,20 @@ class FafnirEngine:
                 routes[rank] = (leaf, 0 if 2 * position < len(ranks) else 1)
         return routes
 
+    @property
+    def _routes(self) -> Dict[int, Tuple[TreePE, int]]:
+        return self._wiring
+
+    @_routes.setter
+    def _routes(self, routes: Dict[int, Tuple[TreePE, int]]) -> None:
+        """Install a wiring and its rank → FIFO table (FIFO ``2·leaf +
+        side``; leaf PEs are numbered first, so a leaf's id is its leaf
+        number)."""
+        self._wiring = routes
+        self._rank_fifo = {
+            rank: 2 * leaf.pe_id + side for rank, (leaf, side) in routes.items()
+        }
+
     def _route(self, index: int) -> Tuple[int, TreePE, int]:
         """The home rank of ``index``, and the leaf PE and side it feeds."""
         rank = self.placement.home_rank(index)
@@ -387,20 +405,31 @@ class FafnirEngine:
                 f"index {index}'s rank {rank} is wired to no leaf PE"
             ) from None
 
+    def _leaf_fifos(self, indices: Sequence[int]) -> Tuple[list, list]:
+        """Each index's home rank and the leaf FIFO it feeds."""
+        ranks = list(map(self.placement.home_rank, indices))
+        fifos = list(map(self._rank_fifo.get, ranks))
+        if None in fifos:
+            bad = fifos.index(None)
+            raise ValueError(
+                f"index {indices[bad]}'s rank {ranks[bad]} is wired to no leaf PE"
+            )
+        return ranks, fifos
+
     def _leaf_inputs(
         self,
         plan: BatchPlan,
         finish_cycles: Dict[int, List[int]],
-        values: Dict[int, np.ndarray],
-    ) -> Dict[int, List[List[Row]]]:
-        """Build each leaf PE's two input FIFOs from the fetched vectors.
+        values: Mapping[int, np.ndarray],
+    ) -> LeafColumns:
+        """Build the leaf FIFOs, as columns, from the fetched vectors.
 
         ``values`` maps each of ``plan``'s unique indices to its vector.
-        Every read occurrence becomes one row, serving the query ids
+        Every read occurrence is one entry, serving the query ids
         ``plan.serving`` lists for it and ready at *its own* read's
-        completion: with deduplication one row per index, serving every
-        query that contains it; without, one per occurrence, serving one
-        query, so the redundant reads the ablation pays for are charged
+        completion: with deduplication one per index, serving every query
+        that contains it; without, one per occurrence, serving one query,
+        so the redundant reads the ablation pays for are charged
         individually rather than all riding the earliest copy (they later
         coalesce in the leaf FIFO, exactly as redundant copies physically
         would).  ``finish_cycles`` may come from the plan ``plan``
@@ -408,40 +437,50 @@ class FafnirEngine:
         submission order, so occurrence ``j`` still serves the ``j``-th
         query containing the index.
         """
-        per_leaf: Dict[int, List[List[Row]]] = {
-            leaf.pe_id: [[], []] for leaf in self.tree.leaves()
-        }
-        serving = plan.serving
-        dram_clock, pe_clock = self.config.dram_clock, self.config.pe_clock
-        traced = self.tracer.enabled
-        arrivals: List[Tuple[int, int, int, int, int, int]] = []
-        for index in plan.unique_indices:
-            value = values[index]
-            indices = frozenset((index,))
-            rank, leaf, side = self._route(index)
-            fifo = per_leaf[leaf.pe_id][side]
-            for ids, cycle in zip(serving[index], finish_cycles[index]):
-                ready = convert_cycles(cycle, dram_clock, pe_clock)
-                fifo.append((indices, ids, value, ready))
-                if traced:
-                    arrivals.append((leaf.pe_id, rank, index, ready, side, len(fifo)))
-        if arrivals:
-            self._emit_arrivals(arrivals)
-        return per_leaf
+        unique = plan.unique_indices
+        ranks, fifos = self._leaf_fifos(unique)
+        serving = list(map(plan.serving.__getitem__, unique))
+        counts = np.fromiter(map(len, serving), np.int64, len(unique))
+        occurrences = int(counts.sum())
+        cycles = chain.from_iterable(
+            finish_cycles[index][:n] for index, n in zip(unique, counts.tolist())
+        )
+        ready = convert_cycles_array(
+            np.fromiter(cycles, np.float64, occurrences),
+            self.config.dram_clock,
+            self.config.pe_clock,
+        )
+        vectors = list(map(values.__getitem__, unique))
+        if occurrences != len(unique):  # the ablation reads an index per query
+            vectors = [v for v, n in zip(vectors, counts.tolist()) for _ in range(n)]
+        index = np.repeat(np.array(unique, np.int64), counts)
+        fifo = np.repeat(np.array(fifos, np.int64), counts)
+        if self.tracer.enabled:
+            self._emit_arrivals(np.repeat(np.array(ranks, np.int64), counts),
+                                index, ready, fifo)
+        return LeafColumns(
+            index=index,
+            fifo=fifo,
+            ready=ready,
+            ids=list(chain.from_iterable(serving)),
+            values=vectors,
+            fifos=2 * len(self.tree.leaves()),
+        )
 
-    def _emit_arrivals(self, arrivals: List[Tuple[int, int, int, int, int, int]]) -> None:
-        """Record each (leaf PE, rank, index, ready, side, depth) arrival at a
-        leaf FIFO, in order (tracing enabled only).
+    def _emit_arrivals(self, rank: np.ndarray, index: np.ndarray,
+                       ready: np.ndarray, fifo: np.ndarray) -> None:
+        """Record each occurrence's arrival at its leaf FIFO, in arrival
+        order (tracing enabled only).
 
-        Each emits a ``leaf_inject`` for the row itself and a
+        Each emits a ``leaf_inject`` for the read itself and a
         ``fifo_enqueue`` carrying the FIFO's occupancy after the append;
         occupancy beyond ``config.buffer_entries`` additionally raises a
         ``fifo_stall`` — the backpressure signal a sized hardware FIFO
         would assert (the functional model itself is unbounded).
         """
-        pe, rank, index, ready, side, depth = np.array(arrivals, np.int64).T
+        pe, side, depth = fifo >> 1, fifo & 1, fifo_positions(fifo)[1] + 1
         events = 2 + (depth > self.config.buffer_entries)
-        arrival = np.repeat(np.arange(len(arrivals)), events)
+        arrival = np.repeat(np.arange(len(fifo)), events)
         step = np.arange(len(arrival)) - (np.cumsum(events) - events)[arrival]
         inject = step == 0
         args = np.c_[side[arrival], depth[arrival]]
@@ -458,16 +497,14 @@ class FafnirEngine:
         )
 
     def _run_tree(
-        self, plan: BatchPlan, leaf_inputs: Dict[int, List[List[Row]]]
+        self, plan: BatchPlan, leaf_inputs: LeafColumns
     ) -> Tuple[np.ndarray, List[int], Dict[int, PEWork]]:
         """Leaf FIFOs → root: each of ``plan``'s queries' root value and
         ready cycle, plus the per-PE work."""
         result = self._sweep(plan, leaf_inputs)
         return result.values, result.ready, result.per_pe_work
 
-    def _sweep(
-        self, plan: BatchPlan, leaf_inputs: Dict[int, List[List[Row]]]
-    ) -> SweepResult:
+    def _sweep(self, plan: BatchPlan, leaf_inputs: LeafColumns) -> SweepResult:
         """The closed-form sweep over the engine's current tree, operator,
         tracer and timing model."""
         phased = self.timing == "phased"
@@ -518,15 +555,19 @@ class FafnirEngine:
             queries, max_query_len=self.config.max_query_len, deduplicate=deduplicate
         )
         finish_cycles, dropped, memory_stats = self._fetch_from_memory(plan.reads)
-        values: Dict[int, np.ndarray] = {}
-        for index in plan.unique_indices:
-            if index in dropped:
-                continue
-            value = self._fetch_one_vector(source, index)
-            if value is None:
-                dropped.add(index)
-            else:
-                values[index] = value
+        unique = plan.unique_indices
+        if self.faults is None:  # nothing can fail: one pass, no gauntlet
+            values = dict(zip(unique, self._fetch_vectors(source, unique)))
+        else:
+            values = {}
+            for index in unique:
+                if index in dropped:
+                    continue
+                value = self._fetch_one_vector(source, index)
+                if value is None:
+                    dropped.add(index)
+                else:
+                    values[index] = value
 
         # A non-empty drop set re-plans the surviving queries, so every
         # row serves only queries whose vectors will arrive and the tree's
@@ -616,41 +657,48 @@ class FafnirEngine:
             ready_pe_cycles=ready_cycles,
         )
 
+    def _fetch_vectors(
+        self, source: VectorSource, indices: Sequence[int]
+    ) -> List[np.ndarray]:
+        """``source(index)`` as float64 for each of ``indices``; raises
+        ``ValueError`` naming the first vector of the wrong shape."""
+        vectors = [np.asarray(source(index), dtype=np.float64) for index in indices]
+        shape = (self.config.vector_elements,)
+        if {vector.shape for vector in vectors} - {shape}:
+            bad = next(n for n, vector in enumerate(vectors) if vector.shape != shape)
+            raise ValueError(
+                f"vector {indices[bad]} has shape {vectors[bad].shape}; "
+                f"expected {shape}"
+            )
+        return vectors
+
     def _fetch_one_vector(
         self, source: VectorSource, index: int
     ) -> Optional[np.ndarray]:
-        """Fetch one vector through the source- and corruption-fault gauntlet.
+        """Fetch one vector through the fault plan's leaf-boundary gauntlet.
 
-        With no fault plan installed this is ``source(index)`` as float64.
-        Otherwise it models two leaf-boundary hazards: a flaky source (the
-        fetch attempt raises; retried up to ``max_source_retries``) and
-        in-flight corruption (the vector arrives bit-flipped or
-        NaN-poisoned; the leaf's modelled end-to-end integrity check catches
-        it and the vector is re-read up to ``max_corruption_retries``).
-        Returns the clean vector, ``None`` when the budget is exhausted
-        under ``degrade``, or raises under ``fail_fast``.
+        It models two hazards: a flaky source (the fetch attempt raises;
+        retried up to ``max_source_retries``) and in-flight corruption (the
+        vector arrives bit-flipped or NaN-poisoned; the leaf's modelled
+        end-to-end integrity check catches it and the vector is re-read up
+        to ``max_corruption_retries``).  Returns the clean vector, ``None``
+        when the budget is exhausted under ``degrade``, or raises under
+        ``fail_fast``.
         """
         faults = self.faults
+        assert faults is not None  # a run without a plan fetches in one pass
         policy = self.fault_policy
         attempt = 0
-        while faults is not None and faults.source_raises(index, attempt):
+        while faults.source_raises(index, attempt):
             if not self._leaf_fault(
                 FAULT_SOURCE_ERROR, index, attempt, policy.max_source_retries
             ):
                 return None
             attempt += 1
 
-        value = np.asarray(source(index), dtype=np.float64)
-        if value.shape != (self.config.vector_elements,):
-            raise ValueError(
-                f"vector {index} has shape {value.shape}; expected "
-                f"({self.config.vector_elements},)"
-            )
+        (value,) = self._fetch_vectors(source, (index,))
         attempt = 0
-        while (
-            faults is not None
-            and faults.corrupt_vector(index, attempt, value) is not None
-        ):
+        while faults.corrupt_vector(index, attempt, value) is not None:
             if not self._leaf_fault(
                 FAULT_VECTOR_CORRUPTION, index, attempt, policy.max_corruption_retries
             ):

@@ -87,12 +87,10 @@ class InteractiveEngine(FafnirEngine):
 
         combine = self.operator.combine
         leaves: Dict[int, np.ndarray] = {}
-        for index in indices:
-            value = self._fetch_one_vector(source, index)
-            assert value is not None  # no fault plan: every fetch succeeds
-            leaf = self._route(index)[1].pe_id
-            partial = leaves.get(leaf)
-            leaves[leaf] = value if partial is None else combine(partial, value)
+        _, fifos = self._leaf_fifos(indices)
+        for fifo, value in zip(fifos, self._fetch_vectors(source, indices)):
+            partial = leaves.get(fifo >> 1)
+            leaves[fifo >> 1] = value if partial is None else combine(partial, value)
 
         value = canonical_fold(leaves, config.num_leaf_pes, combine)
         return InteractiveResult(

@@ -7,7 +7,10 @@ unit** then groups the outputs by ``indices`` (paper Fig. 6d).  Above the
 leaf FIFOs that routing has a closed form, computed level by level in
 :mod:`repro.core.sweep`.  The one sequential step is the leaf FIFO fold,
 :func:`fold_stream`, where two indices of one query homed in the same rank
-meet and arrival order decides which pairs fold.
+meet and arrival order decides which pairs fold.  It runs only on the
+FIFOs that can fold: on a FIFO where no query and no index arrives twice
+it is the identity, which the sweep's leaf boundary computes in closed
+form.
 
 A message is a :data:`Row` ``(indices, query ids, value, ready)``: the
 indices folded into the value, and the ids of the queries it still
@@ -177,7 +180,7 @@ def fold_stream(
         for row in produced:
             insert(*row)
 
-    # FIFO arrival order — the deterministic append order built by
+    # FIFO arrival order — the deterministic order of the occurrences in
     # ``FafnirEngine._leaf_inputs`` — not ready-cycle order: which pairs fold
     # (and therefore the reduced values' float association) must not depend
     # on DRAM scheduling or the hot-index tier, only the ready arithmetic may.

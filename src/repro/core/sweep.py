@@ -30,20 +30,26 @@ is always zero.  Phased timing emits the message ``r`` cycles after the
 PE's store-and-forward start, so only it ranks.  A reduce message carries
 ``combine(left, right)``, computed once per level for all of them.
 
-The leaf FIFO fold (:func:`repro.core.pe.fold_stream`) stays the one
-sequential step; its rows carry the plan's query ids and go straight into
-the leaf table.  The result matches the
-per-message PE model (the test suite's differential oracle) byte for byte
-in vectors, ready cycles and work counters, and traced runs emit the same
-``pe_reduce``/``pe_forward``/``pe_merge`` events per PE — in a different
-order within a level.
+The leaf boundary takes the batch's read occurrences as columns
+(:class:`LeafColumns`).  A FIFO can fold exactly when one of its queries
+or one of its indices arrives twice (paper §IV-B: two indices of one
+query homed in the same rank; or, without deduplication, two reads of one
+index).  Only those FIFOs go through the one sequential step, the leaf
+FIFO fold (:func:`repro.core.pe.fold_stream`).  On every other FIFO the
+fold is the identity: each read stays one message, and the only work is
+the compares, ``Σ position × #(ids whose query has more than one
+index)``.  Those cells go into the leaf table in one scatter.  The result
+matches the per-message PE model (the test suite's differential oracle)
+byte for byte in vectors, ready cycles and work counters, and traced runs
+emit the same ``pe_reduce``/``pe_forward``/``pe_merge`` events per PE — in
+a different order within a level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,8 +62,145 @@ from repro.obs.events import KIND_CODES, PE_FORWARD, PE_MERGE, PE_REDUCE
 from repro.obs.tracer import Tracer
 
 Query = FrozenSet[int]
-LeafInputs = Mapping[int, Sequence[Sequence[Row]]]
 _ABSENT = np.iinfo(np.int64).max
+
+
+@dataclass
+class LeafColumns:
+    """One batch's leaf FIFOs as columns, one entry per read occurrence in
+    arrival order: its vector ``index``, its ``fifo`` (FIFO ``2k+s`` is side
+    ``s`` of leaf ``k``), its ``ready`` PE cycle, the query ``ids`` it serves
+    (:attr:`~repro.core.batch.BatchPlan.serving`) and its vector
+    (``values``).  ``fifos`` is the tree's FIFO count."""
+
+    index: np.ndarray
+    fifo: np.ndarray
+    ready: np.ndarray
+    ids: Sequence[Tuple[int, ...]]
+    values: Sequence[np.ndarray]
+    fifos: int
+
+    def rows(self, selected: Optional[np.ndarray] = None) -> List[List[Row]]:
+        """Each FIFO's stream of single-index rows in arrival order, as
+        :func:`~repro.core.pe.fold_stream` takes it.  Given a boolean mask
+        over FIFOs, ``selected``, only those FIFOs are filled."""
+        streams: List[List[Row]] = [[] for _ in range(self.fifos)]
+        index, fifo, ready = (
+            column.tolist() for column in (self.index, self.fifo, self.ready)
+        )
+        taken = range(len(index)) if selected is None else (
+            np.flatnonzero(selected[self.fifo]).tolist()
+        )
+        for n in taken:
+            streams[fifo[n]].append(
+                (frozenset((index[n],)), self.ids[n], self.values[n], ready[n])
+            )
+        return streams
+
+
+@dataclass
+class LeafMessages:
+    """The leaf FIFOs' messages, numbered FIFO-major, then in folded order
+    (arrival order on a FIFO that cannot fold).
+
+    ``value``, ``ready``, ``size`` (indices folded in) and ``fifo`` hold one
+    entry per message; ``table`` is the (query id × FIFO) table of message
+    ids, ``-1`` where the query has no index on the FIFO; ``work`` is each
+    leaf PE's fold work.
+    """
+
+    table: np.ndarray
+    value: np.ndarray
+    ready: np.ndarray
+    size: np.ndarray
+    fifo: np.ndarray
+    work: List[PEWork]
+
+
+def fifo_positions(fifo: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The FIFO-major arrival order of the occurrences on ``fifo``, and each
+    occurrence's 0-based position in its FIFO."""
+    order = np.argsort(fifo, kind="stable")
+    ordered = fifo[order]
+    position = np.empty(len(fifo), np.int64)
+    position[order] = np.arange(len(fifo)) - np.searchsorted(ordered, ordered)
+    return order, position
+
+
+def leaf_messages(
+    queries: Sequence[Query],
+    leaf: LeafColumns,
+    operator: ReductionOperator,
+    reduce_path: int,
+    tracer: Tracer,
+) -> LeafMessages:
+    """Fold the FIFOs that can fold; pass every other FIFO through as is.
+
+    ``queries[q]`` is the index set of query id ``q``.
+    """
+    fifo, occurrences = leaf.fifo, len(leaf.fifo)
+    counts = np.fromiter(map(len, leaf.ids), np.int64, occurrences)
+    query = np.fromiter(chain.from_iterable(leaf.ids), np.int64, int(counts.sum()))
+    carrier = np.repeat(np.arange(occurrences), counts)  # each id's occurrence
+
+    # A FIFO can fold iff a (FIFO, query id) or a (FIFO, index) pair repeats.
+    folds = np.zeros(leaf.fifos, bool)
+    pair = np.sort(fifo[carrier] * len(queries) + query)
+    folds[pair[1:][pair[1:] == pair[:-1]] // len(queries)] = True
+    by_index = np.argsort(leaf.index, kind="stable")
+    folds[fifo[by_index[1:][np.diff(leaf.index[by_index]) == 0]]] = True
+    free = ~folds[fifo]
+
+    # The identity fold's compares: a query of more than one index scans
+    # every row buffered before its own.
+    order, position = fifo_positions(fifo)
+    lengths = np.fromiter(map(len, queries), np.int64, len(queries))
+    multi = np.bincount(carrier, lengths[query] > 1, minlength=occurrences)
+    compares = np.bincount(fifo[free] >> 1, (position * multi)[free],
+                           minlength=leaf.fifos // 2)
+    work = [PEWork(compares=c) for c in compares.astype(np.int64).tolist()]
+
+    streams = leaf.rows(folds) if folds.any() else []
+    folded = {
+        f: fold_stream(streams[f], queries, work[f >> 1], operator, reduce_path,
+                       tracer, f >> 1, 0)
+        for f in np.flatnonzero(folds).tolist()
+    }
+
+    # Number the messages FIFO-major; a free occurrence keeps its position.
+    per_fifo = np.bincount(fifo, minlength=leaf.fifos)
+    for f, fifo_rows in folded.items():
+        per_fifo[f] = len(fifo_rows)
+    offset = np.cumsum(per_fifo) - per_fifo
+    message = offset[fifo] + position
+    total = int(per_fifo.sum())
+    message_fifo = np.repeat(np.arange(leaf.fifos), per_fifo)
+    table = np.full((len(queries), leaf.fifos), -1, np.int64)
+    kept = free[carrier]
+    table[query[kept], fifo[carrier[kept]]] = message[carrier[kept]]
+    ready = np.empty(total, np.int64)
+    ready[message[free]] = leaf.ready[free]
+    size = np.ones(total, np.int64)
+    values = list(map(leaf.values.__getitem__, order.tolist()))
+    if folded:
+        rows = [row for fifo_rows in folded.values() for row in fifo_rows]
+        at = np.concatenate([offset[f] + np.arange(len(fifo_rows))
+                             for f, fifo_rows in folded.items()])
+        ids = [row[1] for row in rows]
+        carried = np.fromiter(map(len, ids), np.int64, len(rows))
+        table[np.fromiter(chain.from_iterable(ids), np.int64, int(carried.sum())),
+              np.repeat(message_fifo[at], carried)] = np.repeat(at, carried)
+        ready[at] = [row[3] for row in rows]
+        size[at] = [len(row[0]) for row in rows]
+        # Splice each folded FIFO's values over its arrivals.
+        bounds = np.searchsorted(fifo[order], np.arange(leaf.fifos + 1)).tolist()
+        spliced, cursor = [], 0
+        for f, fifo_rows in folded.items():
+            spliced += values[cursor : bounds[f]]
+            spliced += [row[2] for row in fifo_rows]
+            cursor = bounds[f + 1]
+        values = spliced + values[cursor:]
+    return LeafMessages(table, np.stack(values), ready, size, message_fifo, work)
 
 
 @dataclass
@@ -81,7 +224,7 @@ class SweepResult:
 
 def sweep_tree(
     plan: BatchPlan,
-    leaf_inputs: LeafInputs,
+    leaf_inputs: LeafColumns,
     config: FafnirConfig,
     tree: FafnirTree,
     operator: ReductionOperator,
@@ -90,7 +233,7 @@ def sweep_tree(
 ) -> SweepResult:
     """Run the PE tree over one batch's leaf FIFOs, level by level.
 
-    The FIFO rows carry ``plan``'s query ids (:attr:`BatchPlan.distinct`).
+    The occurrences serve ``plan``'s query ids (:attr:`BatchPlan.distinct`).
     """
     units = config.compute_units
     reduce_path = config.latencies.reduce_path
@@ -100,32 +243,14 @@ def sweep_tree(
     distinct = plan.distinct
     lengths = np.fromiter(map(len, distinct), np.int64, len(distinct))
 
-    # Leaf boundary: fold each FIFO (FIFO 2k+s is side s of leaf k) and
-    # give each (query, FIFO) the id of the row carrying the query.
-    fold_work: List[PEWork] = []
-    messages: List[Tuple[Row, int]] = []
-    cells: List[Tuple[int, int, int]] = []
-    for leaf, pe_id in enumerate(levels[0]):
-        fold_work.append(PEWork())
-        for side, stream in enumerate(leaf_inputs[pe_id]):
-            if not stream:
-                continue
-            fifo = 2 * leaf + side
-            folded = fold_stream(stream, distinct, fold_work[-1], operator,
-                                 reduce_path, tracer, pe_id, 0)
-            for row in folded:
-                message = len(messages)
-                cells.extend((query, fifo, message) for query in row[1])
-                messages.append((row, fifo))
-
-    table = np.full((len(distinct), 2 * len(fold_work)), -1, np.int64)
-    rows, columns, ids = np.array(cells, np.int64).T
-    table[rows, columns] = ids
-    value = np.stack([row[2] for row, _ in messages])
-    ready = np.array([row[3] for row, _ in messages], np.int64)
-    size = np.array([len(row[0]) for row, _ in messages], np.int64)
-    position = np.array([fifo for _, fifo in messages], np.int64)
-    issue_order = _IssueOrder(distinct, lengths, messages)
+    # Leaf boundary: each (query, FIFO) gets the id of the message carrying
+    # the query, FIFO 2k+s being side s of leaf k.
+    boundary = leaf_messages(distinct, leaf_inputs, operator, reduce_path, tracer)
+    table, value, ready, size, position = (
+        boundary.table, boundary.value, boundary.ready, boundary.size,
+        boundary.fifo,
+    )
+    issue_order = _IssueOrder(distinct, lengths, leaf_inputs)
 
     # Structure: every level's messages, sizes and values, and the rows its
     # work counters count, with PEs numbered level by level from the leaves.
@@ -184,8 +309,8 @@ def sweep_tree(
         np.maximum(size_a, size_b),  # peak_input_occupancy
     ]
     works = [PEWork(*row) for row in zip(*(c.tolist() for c in counters))]
-    for leaf, fold in enumerate(fold_work):
-        works[leaf] = works[leaf].merged_with(fold)
+    for n, fold in enumerate(boundary.work):
+        works[n] = works[n].merged_with(fold)
     per_pe_work = dict(zip(chain.from_iterable(levels), works))
     compares = np.array([work.compares for work in works], np.int64)
 
@@ -256,14 +381,13 @@ class _IssueOrder:
     the batch's first tie.
     """
 
-    def __init__(self, queries, lengths, messages) -> None:
-        self._source, self._table = (queries, lengths, messages), None
+    def __init__(self, queries, lengths, leaf: LeafColumns) -> None:
+        self._source, self._table = (queries, lengths, leaf), None
 
     def _index_table(self) -> Tuple[np.ndarray, np.ndarray]:
-        queries, lengths, messages = self._source
-        leaf_of = {i: fifo >> 1 for row, fifo in messages for i in row[0]}
-        known = np.array(sorted(leaf_of), np.int64)
-        leaves = np.array([leaf_of[i] for i in known.tolist()], np.int64)
+        queries, lengths, leaf = self._source
+        known, first = np.unique(leaf.index, return_index=True)
+        leaves = leaf.fifo[first] >> 1
         filled = np.arange(int(lengths.max())) < lengths[:, None]
         indices = np.full(filled.shape, -1, np.int64)
         indices[filled] = np.fromiter(

@@ -3,6 +3,7 @@
 from collections import Counter
 from typing import List
 
+import numpy as np
 import pytest
 
 import repro.core.pe as pe_module
@@ -73,6 +74,45 @@ def fold_law_violations(name, stream, outputs, queries) -> List[str]:
     ]
 
 
+def leaf_outputs(messages, fifo, stream, queries):
+    """FIFO ``fifo``'s output rows as the sweep's leaf boundary names them.
+
+    ``messages`` is a :class:`repro.core.sweep.LeafMessages`.  Each message
+    on the FIFO carries the query ids its table column names; its indices
+    are taken as the FIFO's part of its first query, which its recorded
+    ``size`` must match (``ValueError`` otherwise).
+    """
+    homed = frozenset().union(*(indices for indices, *_ in stream))
+    column = messages.table[:, fifo]
+    rows = []
+    for message in np.unique(column[column >= 0]).tolist():
+        ids = np.flatnonzero(column == message).tolist()
+        indices = queries[ids[0]] & homed
+        if (messages.size[message], messages.fifo[message]) != (len(indices), fifo):
+            raise ValueError(
+                f"FIFO{fifo}: message {message} has size "
+                f"{messages.size[message]} on FIFO {messages.fifo[message]}, "
+                f"but carries {sorted(indices)}"
+            )
+        rows.append((indices, ids, messages.value[message], messages.ready[message]))
+    return rows
+
+
+def leaf_kind(leaf) -> str:
+    """Whether no FIFO (``"fold-free"``), every FIFO in use (``"folding"``)
+    or some of them (``"mixed"``) can fold in the leaf columns ``leaf``: a
+    FIFO can iff a (FIFO, query id) or a (FIFO, index) pair repeats on it."""
+    seen, folds = set(), set()
+    for index, fifo, ids in zip(leaf.index.tolist(), leaf.fifo.tolist(), leaf.ids):
+        for key in [(fifo, "index", index), *((fifo, "query", q) for q in ids)]:
+            if key in seen:
+                folds.add(fifo)
+            seen.add(key)
+    if not folds:
+        return "fold-free"
+    return "folding" if folds == set(leaf.fifo.tolist()) else "mixed"
+
+
 def tree_event_fingerprint(events):
     """An event stream as ``==``-comparable data for the differential tests.
 
@@ -106,6 +146,23 @@ def _checked_fold(fold):
     return run
 
 
+def _checked_boundary(boundary):
+    """``boundary`` plus :func:`fold_law_violations` on every leaf FIFO,
+    those it passes through without a fold included."""
+
+    def run(queries, leaf, operator, reduce_path, tracer=NULL_TRACER):
+        messages = boundary(queries, leaf, operator, reduce_path, tracer)
+        problems = []
+        for fifo, stream in enumerate(leaf.rows()):
+            if stream:
+                outputs = leaf_outputs(messages, fifo, stream, queries)
+                problems += fold_law_violations(f"FIFO{fifo}", stream, outputs, queries)
+        assert not problems, "\n".join(problems)
+        return messages
+
+    return run
+
+
 @pytest.fixture
 def on_pe_paths():
     """Run a thunk on the tree sweep and on the object oracle; assert ``==``.
@@ -121,13 +178,16 @@ def on_pe_paths():
     equality covers every observable they capture.
 
     Every engine leaf fold on either path is checked against
-    :func:`fold_law_violations`, and every object PE invocation (a PE built
-    with a ``pe_id``) against :func:`pe_law_violations`.  Hand-built rows
+    :func:`fold_law_violations`; on the sweep path so is every leaf FIFO
+    the boundary passes through without a fold.  Every object PE
+    invocation (a PE built with a ``pe_id``) is checked against
+    :func:`pe_law_violations`.  Hand-built rows
     and messages in unit tests need not describe a real batch, so folds and
     PEs without a ``pe_id`` are left unchecked.
     """
     process = pe_oracle.ProcessingElement.process
     sweep_fold = _checked_fold(pe_module.fold_stream)
+    sweep_boundary = _checked_boundary(sweep_module.leaf_messages)
     oracle_fold = _checked_fold(pe_oracle.fold_rows)
 
     def checked_process(self, input_a, input_b):
@@ -147,6 +207,7 @@ def on_pe_paths():
                 patch.setattr(pe_oracle.ProcessingElement, "process", checked_process)
                 if name == "sweep":
                     patch.setattr(sweep_module, "fold_stream", sweep_fold)
+                    patch.setattr(sweep_module, "leaf_messages", sweep_boundary)
                     patch.setattr(pe_module, "fold_stream", sweep_fold)
                 else:
                     patch.setattr(pe_oracle, "fold_rows", oracle_fold)

@@ -9,9 +9,10 @@ ids in canonical header order).  The shared ``on_pe_paths`` fixture runs
 each thunk on both and compares everything exactly, over randomized PE
 inputs, fold streams and whole-engine runs.
 
-Hand-built inputs are written as the oracle's messages and handed to the
-engine as rows through :func:`tests.pe_oracle.to_rows`, their queries
-numbered in first-appearance order.
+Hand-built inputs are written as the oracle's messages.  A fold stream is
+handed to the engine as rows through :func:`tests.pe_oracle.to_rows`, its
+queries numbered in first-appearance order; a PE's two inputs arrive as
+leaf columns of stand-in reads (:func:`process_on_paths`).
 """
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.core import (
     plan_batch,
 )
 from repro.core.pe import PEWork
+from repro.core.sweep import LeafColumns
 from repro.faults import FaultPlan, FaultPolicy, STATUS_DEGRADED, STATUS_OK
 from repro.memory import MemoryConfig
 from repro.obs import InMemorySink, Tracer
@@ -138,16 +140,36 @@ def process_on_paths(on_pe_paths, a, b, operator=SUM):
     """One PE's ``(a, b)`` through both paths; the fixture asserts they agree.
 
     A two-rank machine has a single leaf PE, which is also the root, so the
-    tree stage is exactly that PE's leaf fold (an identity on these inputs)
-    and ``process``.  Returns each query's value bytes and ready cycle, and
-    the PE's work.
+    tree stage is exactly that PE's leaf fold and ``process``.  Leaf FIFOs
+    carry single-index reads, so message ``n`` of side ``s`` arrives as one
+    read of the stand-in index ``2n + s`` (homed on rank ``s``) and each
+    query as the stand-ins of the messages carrying it: the PE sees the same
+    messages, values and ready cycles, and the leaf fold is an identity.
+    Returns each query's value bytes and ready cycle, and the PE's work.
     """
     queries = sorted(
         {m.indices | entry for m in [*a, *b] for entry in m.entries}, key=sorted
     )
+    stand_ins = {query: set() for query in queries}
+    for side, messages in enumerate((a, b)):
+        for n, message in enumerate(messages):
+            for entry in message.entries:
+                stand_ins[message.indices | entry].add(2 * n + side)
     config = FafnirConfig(batch_size=64, total_ranks=2, ranks_per_leaf_pe=2)
-    plan = plan_batch(queries)
-    rows = [to_rows(side, plan.distinct) for side in (a, b)]
+    plan = plan_batch([stand_ins[query] for query in queries])
+    query_id = {query: n for n, query in enumerate(queries)}
+    reads = [(2 * n + side, side, message)
+             for side, messages in enumerate((a, b))
+             for n, message in enumerate(messages)]
+    columns = LeafColumns(
+        index=np.array([index for index, _, _ in reads], np.int64),
+        fifo=np.array([side for _, side, _ in reads], np.int64),
+        ready=np.array([m.ready_cycle for _, _, m in reads], np.int64),
+        ids=[tuple(query_id[m.indices | entry] for entry in m.entries)
+             for _, _, m in reads],
+        values=[m.value for _, _, m in reads],
+        fifos=2,
+    )
 
     def run():
         engine = FafnirEngine(
@@ -155,7 +177,7 @@ def process_on_paths(on_pe_paths, a, b, operator=SUM):
             operator=operator,
             memory_config=MemoryConfig().scaled_to_ranks(2),
         )
-        values, ready, work = engine._run_tree(plan, {0: rows})
+        values, ready, work = engine._run_tree(plan, columns)
         return [value.tobytes() for value in values], ready, work
 
     return on_pe_paths(run)

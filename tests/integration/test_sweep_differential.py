@@ -5,17 +5,20 @@ form has to survive: 2–32 ranks with 1, 2 or 4 ranks per leaf PE (so one
 query often has several indices in one FIFO), deduplication on and off,
 repeated queries, every reduction operator, a
 small hot-index tier, fault plans that degrade and fail queries,
-``dataflow`` and ``phased`` timing, and tracing.  The ``on_pe_paths``
-fixture runs each through the sweep and through the oracle and demands
-equal vector bytes, per-query ready cycles, per-PE work, statuses, drop
-set and batch latency, and for traced runs the same event stream (PE
-events as one multiset per PE).
+``dataflow`` and ``phased`` timing, and tracing; at least 100 of them
+each have no FIFO, every FIFO and only some FIFOs that can fold.  The
+``on_pe_paths`` fixture runs each through the sweep and through the
+oracle and demands equal vector bytes, per-query ready cycles, per-PE
+work, statuses, drop set and batch latency, and for traced runs the same
+event stream (PE events as one multiset per PE).
 
 :class:`TestMessagesPerPE` goes below the observables: it rebuilds every
 PE's output messages from the sweep's id tables — each message's index set
 and the query remainders it carries — and compares them with the messages
 the oracle's PEs emit.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from repro.obs import InMemorySink, Tracer
 from repro.tiering.cache import HotTierConfig
 from repro.workloads import EmbeddingTableSet, QueryGenerator
 from tests import pe_oracle
-from tests.conftest import tree_event_fingerprint
+from tests.conftest import leaf_kind, tree_event_fingerprint
 
 RUNS = 1000
 CHUNKS = 20
@@ -109,11 +112,25 @@ def test_sweep_matches_oracle(chunk, on_pe_paths):
         on_pe_paths(lambda: run_case(case))
 
 
+def batch_kind(config, kwargs, queries, deduplicate):
+    """:func:`tests.conftest.leaf_kind` of a case's fault-free leaf FIFOs."""
+    engine = FafnirEngine(config=config, memory_config=kwargs["memory_config"])
+    plan = plan_batch(queries, max_query_len=config.max_query_len,
+                      deduplicate=deduplicate)
+    finish, _, _ = engine._fetch_from_memory(plan.reads)
+    values = {index: source(index) for index in plan.unique_indices}
+    return leaf_kind(engine._leaf_inputs(plan, finish, values))
+
+
 def test_cases_cover_every_class():
-    """The seeded draw reaches every class the sweep must get right."""
+    """The seeded draw reaches every class the sweep must get right,
+    and each batch kind (no FIFO, every FIFO or some FIFOs can fold) at
+    least 100 times."""
     seen = set()
+    kinds = Counter()
     for seed in range(RUNS):
         config, kwargs, queries, deduplicate, traced = random_case(seed)
+        kinds[batch_kind(config, kwargs, queries, deduplicate)] += 1
         seen.update(key for key in kwargs if key != "memory_config")
         seen.add(("dedup", deduplicate))
         seen.add(("traced", traced))
@@ -123,6 +140,7 @@ def test_cases_cover_every_class():
     assert {"timing", "operator", "cache", "faults"} <= seen
     assert {("dedup", True), ("dedup", False), ("traced", True), "repeated"} <= seen
     assert {("per_leaf", 1), ("per_leaf", 2), ("per_leaf", 4)} <= seen
+    assert all(kinds[kind] >= 100 for kind in ("fold-free", "folding", "mixed")), kinds
 
 
 class TestMessagesPerPE:

@@ -557,11 +557,13 @@ def run_tree(
 ) -> Tuple[np.ndarray, List[int], Dict[int, PEWork]]:
     """``FafnirEngine._run_tree`` by object PEs: one ``process`` per PE.
 
-    Each leaf FIFO's rows go through :func:`fold_rows` and become messages.
-    Returns each of ``plan``'s queries' root value and ready cycle, and the
-    per-PE work, exactly as the engine's sweep does.
+    ``leaf_inputs`` is the engine's ``LeafColumns``; every leaf FIFO's
+    rows (its ``rows()`` view) go through :func:`fold_rows` and become
+    messages.  Returns each of ``plan``'s queries' root value and ready
+    cycle, and the per-PE work, exactly as the engine's sweep does.
     """
     tree = engine.tree
+    streams = leaf_inputs.rows()
     outputs: Dict[int, List[Message]] = {}
     per_pe_work: Dict[int, PEWork] = {}
     for pe_id in tree.bottom_up_ids():
@@ -584,7 +586,7 @@ def run_tree(
                               engine.tracer, pe_id, node.level),
                     plan.distinct,
                 )
-                for rows in leaf_inputs[pe_id]
+                for rows in streams[2 * pe_id : 2 * pe_id + 2]  # leaves come first
             )
         else:
             left, right = node.children

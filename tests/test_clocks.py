@@ -1,8 +1,16 @@
 """Tests for clock-domain conversion."""
 
+import numpy as np
 import pytest
 
-from repro.clocks import CPU_CLOCK, Clock, DRAM_CLOCK, PE_CLOCK, convert_cycles
+from repro.clocks import (
+    CPU_CLOCK,
+    Clock,
+    DRAM_CLOCK,
+    PE_CLOCK,
+    convert_cycles,
+    convert_cycles_array,
+)
 
 
 class TestClock:
@@ -44,3 +52,34 @@ class TestConvertCycles:
 
     def test_identity(self):
         assert convert_cycles(42, CPU_CLOCK, CPU_CLOCK) == 42
+
+
+class TestConvertCyclesArray:
+    """The array form equals the scalar conversion element for element."""
+
+    @pytest.mark.parametrize(
+        "source, target",
+        [(DRAM_CLOCK, PE_CLOCK), (Clock(933.0), PE_CLOCK)],
+        ids=["default", "933-to-200MHz"],
+    )
+    def test_every_dram_cycle_matches_scalar(self, source, target):
+        cycles = range(2_000_001)
+        scalar = [convert_cycles(cycle, source, target) for cycle in cycles]
+        converted = convert_cycles_array(np.arange(2_000_001), source, target)
+        assert converted.dtype == np.int64
+        assert converted.tolist() == scalar
+
+    def test_exact_multiples_do_not_round_up(self):
+        """The ``- 1e-9`` edge: a whole number of target cycles stays whole."""
+        multiples = np.arange(0, 2_000_001, 6)
+        converted = convert_cycles_array(multiples, DRAM_CLOCK, PE_CLOCK)
+        assert converted.tolist() == (multiples // 6).tolist()
+
+    def test_negative_cycles_raise(self):
+        with pytest.raises(ValueError):
+            convert_cycles_array(np.array([3, -1]), DRAM_CLOCK, PE_CLOCK)
+        with pytest.raises(ValueError):
+            convert_cycles_array([-5], Clock(933.0), PE_CLOCK)
+
+    def test_empty(self):
+        assert convert_cycles_array([], DRAM_CLOCK, PE_CLOCK).tolist() == []
