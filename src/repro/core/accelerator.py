@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from repro.core.config import FafnirConfig
 from repro.core.engine import FafnirEngine, LookupResult, VectorSource
 from repro.core.operators import ReductionOperator, get_operator
@@ -69,22 +67,6 @@ class FafnirAccelerator:
             merged = result if merged is None else _concatenate(merged, result)
         assert merged is not None
         return merged
-
-    def verify_against_oracle(
-        self,
-        source: VectorSource,
-        queries: Sequence[Sequence[int]],
-        rtol: float = 1e-9,
-    ) -> bool:
-        """Check a lookup against a direct NumPy reduction (for testing)."""
-        result = self.lookup(source, queries)
-        for query, produced in zip(result.plan.queries, result.vectors):
-            expected = self.operator.reduce_many(
-                [np.asarray(source(i), dtype=np.float64) for i in sorted(query)]
-            )
-            if not np.allclose(produced, expected, rtol=rtol):
-                return False
-        return True
 
 
 def _concatenate(first: LookupResult, second: LookupResult) -> LookupResult:

@@ -11,9 +11,10 @@ There is one batch path (paper §IV-A, §IV-C):
    (through the source- and corruption-fault gauntlet when a fault plan
    is installed), and the read occurrences become the leaf FIFOs'
    columns (:class:`~repro.core.sweep.LeafColumns`).
-4. **Tree** — :func:`~repro.core.sweep.sweep_tree` folds the leaf FIFOs
-   that can fold (:func:`~repro.core.pe.fold_stream`), passes the rest
-   through, then computes every PE of a level at once, leaves→root.
+4. **Tree** — :func:`~repro.core.sweep.sweep_tree` folds every leaf FIFO
+   that can fold at once, in closed form over each (FIFO, query) pair's
+   chain of reads, passes the rest through (a per-FIFO ``folds`` mask
+   picks which), then computes every PE of a level at once, leaves→root.
    Per-message ready cycles model the paper's conflict-free pipelining of
    distinct queries through distinct tree routes (``timing="dataflow"``),
    or the store-and-forward upper bound (``timing="phased"``).
@@ -316,7 +317,7 @@ class FafnirEngine:
             memory_config.geometry, self.config.vector_bytes
         )
         self.tree = FafnirTree(self.config)
-        self._routes = self._leaf_routes(self.tree.leaves())
+        self._rank_fifo = self._leaf_routes(self.tree.leaves())
 
     # ------------------------------------------------------------------
     def _read_occurrences(self, reads: Sequence[int]) -> Tuple[List[int], AccessStats]:
@@ -364,8 +365,9 @@ class FafnirEngine:
         return finish, lost, stats
 
     @staticmethod
-    def _leaf_routes(leaves: Sequence[TreePE]) -> Dict[int, Tuple[TreePE, int]]:
-        """Each wired rank's leaf PE and input FIFO side.
+    def _leaf_routes(leaves: Sequence[TreePE]) -> Dict[int, int]:
+        """Each wired rank's leaf FIFO, ``2·leaf + side`` (leaf PEs are
+        numbered first, so a leaf's id is its leaf number).
 
         The side comes from the rank's *position* in ``leaf.leaf_ranks`` —
         the first half of the leaf's ranks share FIFO 0, the rest FIFO 1 —
@@ -373,37 +375,13 @@ class FafnirEngine:
         rank-to-leaf wirings (arithmetic on ``rank - leaf_ranks[0]`` would
         silently misroute those).
         """
-        routes: Dict[int, Tuple[TreePE, int]] = {}
+        routes: Dict[int, int] = {}
         for leaf in leaves:
             ranks = leaf.leaf_ranks
             assert ranks is not None
             for position, rank in enumerate(ranks):
-                routes[rank] = (leaf, 0 if 2 * position < len(ranks) else 1)
+                routes[rank] = 2 * leaf.pe_id + (0 if 2 * position < len(ranks) else 1)
         return routes
-
-    @property
-    def _routes(self) -> Dict[int, Tuple[TreePE, int]]:
-        return self._wiring
-
-    @_routes.setter
-    def _routes(self, routes: Dict[int, Tuple[TreePE, int]]) -> None:
-        """Install a wiring and its rank → FIFO table (FIFO ``2·leaf +
-        side``; leaf PEs are numbered first, so a leaf's id is its leaf
-        number)."""
-        self._wiring = routes
-        self._rank_fifo = {
-            rank: 2 * leaf.pe_id + side for rank, (leaf, side) in routes.items()
-        }
-
-    def _route(self, index: int) -> Tuple[int, TreePE, int]:
-        """The home rank of ``index``, and the leaf PE and side it feeds."""
-        rank = self.placement.home_rank(index)
-        try:
-            return (rank, *self._routes[rank])
-        except KeyError:
-            raise ValueError(
-                f"index {index}'s rank {rank} is wired to no leaf PE"
-            ) from None
 
     def _leaf_fifos(self, indices: Sequence[int]) -> Tuple[list, list]:
         """Each index's home rank and the leaf FIFO it feeds."""
@@ -478,7 +456,7 @@ class FafnirEngine:
         ``fifo_stall`` — the backpressure signal a sized hardware FIFO
         would assert (the functional model itself is unbounded).
         """
-        pe, side, depth = fifo >> 1, fifo & 1, fifo_positions(fifo)[1] + 1
+        pe, side, depth = fifo >> 1, fifo & 1, fifo_positions(fifo) + 1
         events = 2 + (depth > self.config.buffer_entries)
         arrival = np.repeat(np.arange(len(fifo)), events)
         step = np.arange(len(arrival)) - (np.cumsum(events) - events)[arrival]

@@ -47,10 +47,6 @@ class InteractiveResult:
     memory_latency_pe_cycles: int
     memory: AccessStats
 
-    @property
-    def tree_latency_pe_cycles(self) -> int:
-        return self.latency_pe_cycles - self.memory_latency_pe_cycles
-
 
 class InteractiveEngine(FafnirEngine):
     """Single-query lookups with compare-free PEs, on the batch engine's

@@ -9,7 +9,7 @@ checks the same aggregation against a run's event stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List
 
 from repro.core.engine import FafnirEngine, LookupResult, LookupStats
@@ -28,10 +28,6 @@ class LevelUtilization:
     pes: int
     work: PEWork
 
-    @property
-    def reduces_per_pe(self) -> float:
-        return self.work.reduces / self.pes if self.pes else 0.0
-
 
 @dataclass
 class TreeUtilization:
@@ -46,17 +42,6 @@ class TreeUtilization:
         for level in self.levels:
             total = total.merged_with(level.work)
         return total
-
-    @property
-    def channel_node_share(self) -> float:
-        """Fraction of all reductions performed by the channel node —
-        the reductions RecNMP would have forwarded to the cores."""
-        channel = self.per_chip.get("channel_node", PEWork()).reduces
-        total = self.total.reduces
-        return channel / total if total else 0.0
-
-    def busiest_level(self) -> LevelUtilization:
-        return max(self.levels, key=lambda entry: entry.work.reduces)
 
 
 def tree_utilization(

@@ -34,29 +34,38 @@ The leaf boundary takes the batch's read occurrences as columns
 (:class:`LeafColumns`).  A FIFO can fold exactly when one of its queries
 or one of its indices arrives twice (paper §IV-B: two indices of one
 query homed in the same rank; or, without deduplication, two reads of one
-index).  Only those FIFOs go through the one sequential step, the leaf
-FIFO fold (:func:`repro.core.pe.fold_stream`).  On every other FIFO the
-fold is the identity: each read stays one message, and the only work is
-the compares, ``Σ position × #(ids whose query has more than one
-index)``.  Those cells go into the leaf table in one scatter.  The result
-matches the per-message PE model (the test suite's differential oracle)
-byte for byte in vectors, ready cycles and work counters, and traced runs
-emit the same ``pe_reduce``/``pe_forward``/``pe_merge`` events per PE — in
-a different order within a level.
+index).  A per-FIFO ``folds`` mask picks between two closed forms.  On a
+FIFO that cannot fold the fold is the identity: each read stays one
+message, and the only work is the compares, ``Σ position × #(ids whose
+query has more than one index)``.  Every FIFO that can fold is folded at
+once, with loops over chain steps only.  A chain is one (FIFO, query)
+pair's non-duplicate reads in arrival order, ``s_1..s_k`` with ``S_m =
+{s_1..s_m}``: its value is ``V_m = combine(v(s_m), V_{m-1})`` and its
+ready cycle ``R_m = max(r_m, R(partner)) + reduce_path``, the partner
+being the first-created row with index set ``S_{m-1}`` still live at that
+step (with deduplication every such row is ready at ``R_{m-1}``; without,
+it can be another query's copy of the read).  Rows with equal index sets
+left at the end merge into one message.
+
+The result matches the per-message PE model and its sequential leaf fold
+(the test suite's differential oracle) byte for byte in vectors, ready
+cycles and work counters, and traced runs emit the same
+``pe_reduce``/``pe_forward``/``pe_merge`` events per PE — in a different
+order within a level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.batch import BatchPlan
 from repro.core.config import FafnirConfig
 from repro.core.operators import ReductionOperator
-from repro.core.pe import PEWork, Row, fold_stream
+from repro.core.pe import PEWork
 from repro.core.tree import FafnirTree
 from repro.obs.events import KIND_CODES, PE_FORWARD, PE_MERGE, PE_REDUCE
 from repro.obs.tracer import Tracer
@@ -71,7 +80,8 @@ class LeafColumns:
     arrival order: its vector ``index``, its ``fifo`` (FIFO ``2k+s`` is side
     ``s`` of leaf ``k``), its ``ready`` PE cycle, the query ``ids`` it serves
     (:attr:`~repro.core.batch.BatchPlan.serving`) and its vector
-    (``values``).  ``fifos`` is the tree's FIFO count."""
+    (``values``).  ``fifos`` is the tree's FIFO count.  All copies of one
+    index arrive together."""
 
     index: np.ndarray
     fifo: np.ndarray
@@ -79,23 +89,6 @@ class LeafColumns:
     ids: Sequence[Tuple[int, ...]]
     values: Sequence[np.ndarray]
     fifos: int
-
-    def rows(self, selected: Optional[np.ndarray] = None) -> List[List[Row]]:
-        """Each FIFO's stream of single-index rows in arrival order, as
-        :func:`~repro.core.pe.fold_stream` takes it.  Given a boolean mask
-        over FIFOs, ``selected``, only those FIFOs are filled."""
-        streams: List[List[Row]] = [[] for _ in range(self.fifos)]
-        index, fifo, ready = (
-            column.tolist() for column in (self.index, self.fifo, self.ready)
-        )
-        taken = range(len(index)) if selected is None else (
-            np.flatnonzero(selected[self.fifo]).tolist()
-        )
-        for n in taken:
-            streams[fifo[n]].append(
-                (frozenset((index[n],)), self.ids[n], self.values[n], ready[n])
-            )
-        return streams
 
 
 @dataclass
@@ -117,14 +110,13 @@ class LeafMessages:
     work: List[PEWork]
 
 
-def fifo_positions(fifo: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The FIFO-major arrival order of the occurrences on ``fifo``, and each
-    occurrence's 0-based position in its FIFO."""
+def fifo_positions(fifo: np.ndarray) -> np.ndarray:
+    """Each occurrence's 0-based arrival position in its FIFO ``fifo``."""
     order = np.argsort(fifo, kind="stable")
     ordered = fifo[order]
     position = np.empty(len(fifo), np.int64)
     position[order] = np.arange(len(fifo)) - np.searchsorted(ordered, ordered)
-    return order, position
+    return position
 
 
 def leaf_messages(
@@ -153,54 +145,196 @@ def leaf_messages(
 
     # The identity fold's compares: a query of more than one index scans
     # every row buffered before its own.
-    order, position = fifo_positions(fifo)
+    position = fifo_positions(fifo)
     lengths = np.fromiter(map(len, queries), np.int64, len(queries))
     multi = np.bincount(carrier, lengths[query] > 1, minlength=occurrences)
-    compares = np.bincount(fifo[free] >> 1, (position * multi)[free],
-                           minlength=leaf.fifos // 2)
-    work = [PEWork(compares=c) for c in compares.astype(np.int64).tolist()]
-
-    streams = leaf.rows(folds) if folds.any() else []
-    folded = {
-        f: fold_stream(streams[f], queries, work[f >> 1], operator, reduce_path,
-                       tracer, f >> 1, 0)
-        for f in np.flatnonzero(folds).tolist()
-    }
+    counters = np.zeros((6, leaf.fifos // 2), np.int64)  # PEWork's, per leaf PE
+    counters[0] = np.bincount(fifo[free] >> 1, (position * multi)[free],
+                              minlength=leaf.fifos // 2)
+    folded = (_fold(lengths, leaf, query, carrier, counts, folds, operator,
+                    reduce_path, tracer, counters)
+              if folds.any() else None)
 
     # Number the messages FIFO-major; a free occurrence keeps its position.
-    per_fifo = np.bincount(fifo, minlength=leaf.fifos)
-    for f, fifo_rows in folded.items():
-        per_fifo[f] = len(fifo_rows)
+    per_fifo = np.bincount(fifo[free], minlength=leaf.fifos)
+    if folded is not None:
+        per_fifo += np.bincount(folded.fifo, minlength=leaf.fifos)
     offset = np.cumsum(per_fifo) - per_fifo
     message = offset[fifo] + position
     total = int(per_fifo.sum())
-    message_fifo = np.repeat(np.arange(leaf.fifos), per_fifo)
     table = np.full((len(queries), leaf.fifos), -1, np.int64)
     kept = free[carrier]
     table[query[kept], fifo[carrier[kept]]] = message[carrier[kept]]
     ready = np.empty(total, np.int64)
     ready[message[free]] = leaf.ready[free]
     size = np.ones(total, np.int64)
-    values = list(map(leaf.values.__getitem__, order.tolist()))
-    if folded:
-        rows = [row for fifo_rows in folded.values() for row in fifo_rows]
-        at = np.concatenate([offset[f] + np.arange(len(fifo_rows))
-                             for f, fifo_rows in folded.items()])
-        ids = [row[1] for row in rows]
-        carried = np.fromiter(map(len, ids), np.int64, len(rows))
-        table[np.fromiter(chain.from_iterable(ids), np.int64, int(carried.sum())),
-              np.repeat(message_fifo[at], carried)] = np.repeat(at, carried)
-        ready[at] = [row[3] for row in rows]
-        size[at] = [len(row[0]) for row in rows]
-        # Splice each folded FIFO's values over its arrivals.
-        bounds = np.searchsorted(fifo[order], np.arange(leaf.fifos + 1)).tolist()
-        spliced, cursor = [], 0
-        for f, fifo_rows in folded.items():
-            spliced += values[cursor : bounds[f]]
-            spliced += [row[2] for row in fifo_rows]
-            cursor = bounds[f + 1]
-        values = spliced + values[cursor:]
-    return LeafMessages(table, np.stack(values), ready, size, message_fifo, work)
+    # Each message's vector: its occurrence's, or (after the occurrences)
+    # its folded message's.
+    source = leaf.values
+    vector = np.empty(total, np.int64)
+    vector[message[free]] = np.flatnonzero(free)
+    if folded is not None:
+        at = offset[folded.fifo] + np.arange(len(folded.fifo)) - np.searchsorted(
+            folded.fifo, folded.fifo)
+        cells = folded.table >= 0
+        table[cells] = at[folded.table[cells]]
+        ready[at], size[at] = folded.ready, folded.size
+        source = [*source, *folded.value]
+        vector[at] = occurrences + np.arange(len(at))
+    value = np.stack(list(map(source.__getitem__, vector.tolist())))
+    work = [PEWork(*row) for row in zip(*counters.tolist())]
+    message_fifo = np.repeat(np.arange(leaf.fifos), per_fifo)
+    return LeafMessages(table, value, ready, size, message_fifo, work)
+
+
+def _fold(lengths, leaf, query, carrier, counts, folds, operator, reduce_path,
+          tracer, counters) -> LeafMessages:
+    """The FIFOs in ``folds`` through the leaf fold, all at once.
+
+    Adds the fold's work to ``counters`` (a row per :class:`PEWork`
+    field, from ``compares`` to ``entries_consumed``; a column per leaf PE)
+    and returns the folded FIFOs' messages, numbered FIFO-major from 0
+    (``table`` holds those numbers and ``work`` is empty).  The loops run
+    over chain steps only.
+    """
+    pick = np.flatnonzero(folds[leaf.fifo[carrier]])
+    n, q = carrier[pick], query[pick]
+    index = leaf.index[n]
+    # A second (index, query id) pair is a duplicate: it never enters a chain.
+    by = np.lexsort((q, index))
+    again = (index[by[1:]] == index[by[:-1]]) & (q[by[1:]] == q[by[:-1]])
+    duplicate = np.zeros(len(pick), bool)
+    duplicate[by[1:][again]] = True
+    pes = leaf.fifos // 2
+    counters[4] += np.bincount(leaf.fifo[n[duplicate]] >> 1, minlength=pes)
+    pick, n, q, index = pick[~duplicate], n[~duplicate], q[~duplicate], index[~duplicate]
+    f = leaf.fifo[n]
+
+    # Keys of the fold's steps, in its order: arrival, then phase — 0 for
+    # each id's step (reduce and consume), 1 for the arrival's own row, 2
+    # for each produced row — then the id's position in the arrival.
+    width = int(counts.max())
+    step = 3 * width * n + pick - (np.cumsum(counts) - counts)[n]
+    made = step + 2 * width
+    never = 3 * width * len(leaf.fifo)  # after every step
+    span = never + 1
+
+    # Chains: each (FIFO, query id)'s reads in arrival order; m is the step.
+    c = np.lexsort((q, f))
+    new = np.r_[True, (f[c[1:]] != f[c[:-1]]) | (q[c[1:]] != q[c[:-1]])]
+    head = np.maximum.accumulate(np.where(new, np.arange(len(c)), 0))
+    m = np.empty(len(c), np.int64)
+    m[c] = np.arange(len(c)) - head + 1
+    prev, nxt = np.full(len(c), -1), np.full(len(c), -1)
+    linked = ~new[1:]
+    prev[c[1:][linked]] = c[:-1][linked]
+    nxt[c[:-1][linked]] = c[1:][linked]
+    last = c[np.r_[new[1:], True]]
+    gone = np.where(nxt >= 0, step[nxt], never)  # when the pair's row loses it
+
+    # Index sets: {index} at step 1; step m's set names (step m-1's set,
+    # index), so equal names are equal sets.
+    known, first, dense = np.unique(index, return_index=True, return_inverse=True)
+    set_of = dense.copy()
+    steps = int(m.max())
+    by_step = np.argsort(m, kind="stable")
+    bounds = np.searchsorted(m[by_step], np.arange(1, steps + 2))
+    at_step = [by_step[bounds[s - 1] : bounds[s]] for s in range(2, steps + 1)]
+    founders, sizes = [], [np.ones(len(known), np.int64)]
+    base = len(known)
+    for s, at in enumerate(at_step, start=2):
+        name = set_of[prev[at]] * len(known) + dense[at]
+        _, founder, inverse = np.unique(name, return_index=True, return_inverse=True)
+        set_of[at] = base + inverse
+        founders.append(at[founder])
+        sizes.append(np.full(len(founder), s))
+        base += len(founder)
+
+    # Rows: one per arrival keeping an id (the step-1 ids), one per
+    # produced pair (step ≥ 2).  A row is live from its creation until the
+    # step that consumes its last query.
+    starts = np.flatnonzero(m == 1)
+    opens = np.r_[True, n[starts[1:]] != n[starts[:-1]]]
+    arrival = starts[opens]
+    produced = np.flatnonzero(m >= 2)
+    row_set = np.r_[set_of[arrival], set_of[produced]]
+    created = np.r_[3 * width * n[arrival] + width, made[produced]]
+    emptied = np.r_[np.maximum.reduceat(gone[starts], np.flatnonzero(opens)),
+                    gone[produced]]
+    row_fifo = np.r_[f[arrival], f[produced]]
+    row_of = np.empty(len(c), np.int64)
+    row_of[produced] = len(arrival) + np.arange(len(produced))
+
+    # A step's partner is the first-created row with the chain's previous
+    # set still live at that step: the first, in creation order, whose
+    # emptied key — or an earlier row's — reaches it.
+    by_set = np.lexsort((created, row_set))
+    reach = np.maximum.accumulate(row_set[by_set] * span + emptied[by_set])
+    partner = np.empty(len(c), np.int64)
+    partner[produced] = by_set[np.searchsorted(
+        reach, set_of[prev[produced]] * span + step[produced])]
+
+    ready = np.empty(len(row_set), np.int64)
+    ready[: len(arrival)] = leaf.ready[n[arrival]]
+    # Set values; a step-1 set's id is its index's dense id.
+    vector = leaf.values[0]
+    value = np.empty((base, *vector.shape), vector.dtype)
+    np.stack(list(map(leaf.values.__getitem__, n[first].tolist())),
+             out=value[: len(known)])
+    for at, founder in zip(at_step, founders):
+        ready[row_of[at]] = np.maximum(leaf.ready[n[at]], ready[partner[at]]) + reduce_path
+        value[set_of[founder]] = operator.combine(value[dense[founder]],
+                                                  value[set_of[prev[founder]]])
+    size = np.concatenate(sizes)
+
+    # Compares: the rows live at each charged step, on its FIFO — every
+    # id step of a multi-index query, and every produced row whose query
+    # is still incomplete.
+    incomplete = produced[m[produced] < lengths[q[produced]]]
+    charged = np.r_[step[lengths[q] > 1], made[incomplete]]
+    charged_fifo = np.r_[f[lengths[q] > 1], f[incomplete]]
+    low, key = charged_fifo * span, charged_fifo * span + charged
+    opened = np.sort(row_fifo * span + created)
+    closed = np.sort(row_fifo * span + emptied)
+    live = (np.searchsorted(opened, key) - np.searchsorted(opened, low)
+            - np.searchsorted(closed, key) + np.searchsorted(closed, low))
+    counters[0] += np.bincount(charged_fifo >> 1, live, minlength=pes).astype(np.int64)
+    reduces = np.bincount(f[produced] >> 1, minlength=pes)
+    counters[1] += reduces
+    counters[5] += 2 * reduces  # each consumes its entry and its partner's
+
+    # Messages: the sets of the rows live at the end, FIFO-major, each in
+    # the order of its first live row; two or more rows of a set merge.
+    final = np.flatnonzero(emptied == never)
+    grouped = final[np.lexsort((created[final], row_set[final]))]
+    opens = np.r_[True, row_set[grouped[1:]] != row_set[grouped[:-1]]]
+    runs = np.flatnonzero(opens)
+    lead = grouped[opens]
+    members = np.diff(np.r_[runs, len(grouped)])
+    message_ready = np.maximum.reduceat(ready[grouped], runs)
+    order = np.lexsort((created[lead], row_fifo[lead]))
+    lead, members, message_ready = lead[order], members[order], message_ready[order]
+    message_set, message_fifo = row_set[lead], row_fifo[lead]
+    merged = np.flatnonzero(members > 1)
+    counters[3] += np.bincount(message_fifo[merged] >> 1, minlength=pes)
+    message_of = np.empty(base, np.int64)
+    message_of[message_set] = np.arange(len(lead))
+    table = np.full((len(lengths), leaf.fifos), -1, np.int64)
+    table[q[last], f[last]] = message_of[set_of[last]]
+
+    if tracer.enabled:  # per FIFO: its reduces in arrival order, then merges
+        merge = np.r_[np.zeros(len(produced), bool), np.ones(len(merged), bool)]
+        at_fifo = np.r_[f[produced], message_fifo[merged]]
+        order = np.lexsort((merge, at_fifo))
+        tracer.emit_columns(
+            np.where(merge, KIND_CODES[PE_MERGE], KIND_CODES[PE_REDUCE])[order],
+            np.r_[ready[len(arrival):], message_ready[merged]][order],
+            np.r_[np.full(len(produced), reduce_path), members[merged]][order, None],
+            pe=at_fifo[order] >> 1,
+            level=0,
+        )
+    return LeafMessages(table, value[message_set], message_ready,
+                        size[message_set], message_fifo, [])
 
 
 @dataclass

@@ -45,7 +45,6 @@ class FafnirTree:
         self.config = config
         self._pes: Dict[int, TreePE] = {}
         self._levels: List[List[int]] = []
-        self._leaf_of_rank: Dict[int, int] = {}
         self._build()
 
     def _build(self) -> None:
@@ -57,8 +56,6 @@ class FafnirTree:
             self._pes[next_id] = TreePE(
                 pe_id=next_id, level=0, children=None, leaf_ranks=ranks
             )
-            for rank in ranks:
-                self._leaf_of_rank[rank] = next_id
             current.append(next_id)
             next_id += 1
         self._levels.append(list(current))
@@ -88,10 +85,6 @@ class FafnirTree:
     def num_levels(self) -> int:
         return len(self._levels)
 
-    @property
-    def root_id(self) -> int:
-        return self._levels[-1][0]
-
     def pe(self, pe_id: int) -> TreePE:
         return self._pes[pe_id]
 
@@ -100,16 +93,6 @@ class FafnirTree:
 
     def leaves(self) -> List[TreePE]:
         return [self._pes[i] for i in self._levels[0]]
-
-    def bottom_up_ids(self) -> List[int]:
-        """All PE ids ordered leaves-first, root last."""
-        return [pe_id for level in self._levels for pe_id in level]
-
-    def leaf_for_rank(self, rank: int) -> TreePE:
-        """The leaf PE whose FIFO a given rank feeds."""
-        if not 0 <= rank < self.config.total_ranks:
-            raise ValueError(f"rank {rank} out of range")
-        return self._pes[self._leaf_of_rank[rank]]
 
     def covered_ranks(self, pe_id: int) -> Tuple[int, ...]:
         """All memory ranks in the subtree rooted at ``pe_id``."""
@@ -139,12 +122,3 @@ class FafnirTree:
             else:
                 grouping[pe_id] = "channel_node"
         return grouping
-
-    def connection_count(self) -> int:
-        """Internal tree links: one per non-root PE (2m − 2 for m leaves...).
-
-        The paper's §IV-A counts ``2m − 2`` connections inside the tree for
-        ``m`` memory devices plus ``c`` links from the root to the cores.
-        Here we count the PE-to-PE links (child→parent edges).
-        """
-        return self.num_pes - 1

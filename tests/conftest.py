@@ -6,7 +6,6 @@ from typing import List
 import numpy as np
 import pytest
 
-import repro.core.pe as pe_module
 import repro.core.sweep as sweep_module
 from repro.core.engine import FafnirEngine
 from repro.obs.events import PE_FORWARD, PE_MERGE, PE_REDUCE
@@ -14,8 +13,8 @@ from repro.obs.tracer import NULL_TRACER
 from tests import pe_oracle
 
 #: The two tree implementations the differential tests compare: the
-#: closed-form level sweep every engine runs, and the object PE oracle
-#: (``tests/pe_oracle.py``) with its scalar leaf fold.
+#: closed-form sweep every engine runs, leaf fold included, and the object
+#: PE oracle (``tests/pe_oracle.py``) with its sequential leaf fold.
 PE_PATHS = ("sweep", "oracle")
 
 _PE_EVENTS = (PE_REDUCE, PE_FORWARD, PE_MERGE)
@@ -49,7 +48,7 @@ def pe_law_violations(pe, input_a, input_b, outputs) -> List[str]:
 
 
 def fold_law_violations(name, stream, outputs, queries) -> List[str]:
-    """Breaches of the leaf fold's projection law by one ``fold_stream`` call.
+    """Breaches of the leaf fold's projection law by one FIFO's fold.
 
     ``stream`` and ``outputs`` are ``(indices, query ids, value, ready)``
     rows over ``queries``.  Every query ``q`` the stream serves leaves the
@@ -132,7 +131,8 @@ def tree_event_fingerprint(events):
 
 
 def _checked_fold(fold):
-    """``fold`` plus :func:`fold_law_violations` on every engine leaf fold."""
+    """``fold`` plus :func:`fold_law_violations` on every fold of a PE's
+    FIFO (a fold given a ``pe_id``)."""
 
     def run(stream, queries, work, operator, reduce_path, tracer=NULL_TRACER,
             pe_id=None, level=None):
@@ -153,7 +153,7 @@ def _checked_boundary(boundary):
     def run(queries, leaf, operator, reduce_path, tracer=NULL_TRACER):
         messages = boundary(queries, leaf, operator, reduce_path, tracer)
         problems = []
-        for fifo, stream in enumerate(leaf.rows()):
+        for fifo, stream in enumerate(pe_oracle.leaf_rows(leaf)):
             if stream:
                 outputs = leaf_outputs(messages, fifo, stream, queries)
                 problems += fold_law_violations(f"FIFO{fifo}", stream, outputs, queries)
@@ -171,23 +171,23 @@ def on_pe_paths():
     :data:`PE_PATHS` and returns the common result.  On the ``oracle`` path
     every engine's tree stage (``FafnirEngine._run_tree``) is the object
     sweep of :func:`tests.pe_oracle.run_tree`, merge-unit value check on,
-    and ``repro.core.pe.fold_stream`` is the oracle's scalar fold over
-    rows, :func:`tests.pe_oracle.fold_rows`.  Thunks
+    and ``repro.core.sweep.leaf_messages`` is the oracle's sequential fold
+    on every FIFO, :func:`tests.pe_oracle.fold_every_fifo`.  Thunks
     return plain comparable data — vector bytes, ready cycles, ``PEWork``
     counters, statuses, :func:`tree_event_fingerprint` of a trace — so the
     equality covers every observable they capture.
 
-    Every engine leaf fold on either path is checked against
-    :func:`fold_law_violations`; on the sweep path so is every leaf FIFO
-    the boundary passes through without a fold.  Every object PE
+    On both paths every oracle fold of a PE's FIFO and every leaf FIFO of
+    the sweep's boundary, those it passes through without a fold included,
+    is checked against :func:`fold_law_violations`.  Every object PE
     invocation (a PE built with a ``pe_id``) is checked against
-    :func:`pe_law_violations`.  Hand-built rows
-    and messages in unit tests need not describe a real batch, so folds and
-    PEs without a ``pe_id`` are left unchecked.
+    :func:`pe_law_violations`.  Hand-built messages in unit tests need not
+    describe a real batch, so folds and PEs without a ``pe_id`` are left
+    unchecked.
     """
     process = pe_oracle.ProcessingElement.process
-    sweep_fold = _checked_fold(pe_module.fold_stream)
     sweep_boundary = _checked_boundary(sweep_module.leaf_messages)
+    oracle_boundary = _checked_boundary(pe_oracle.fold_every_fifo)
     oracle_fold = _checked_fold(pe_oracle.fold_rows)
 
     def checked_process(self, input_a, input_b):
@@ -205,13 +205,11 @@ def on_pe_paths():
         for name in PE_PATHS:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(pe_oracle.ProcessingElement, "process", checked_process)
+                patch.setattr(pe_oracle, "fold_rows", oracle_fold)
                 if name == "sweep":
-                    patch.setattr(sweep_module, "fold_stream", sweep_fold)
                     patch.setattr(sweep_module, "leaf_messages", sweep_boundary)
-                    patch.setattr(pe_module, "fold_stream", sweep_fold)
                 else:
-                    patch.setattr(pe_oracle, "fold_rows", oracle_fold)
-                    patch.setattr(pe_module, "fold_stream", oracle_fold)
+                    patch.setattr(sweep_module, "leaf_messages", oracle_boundary)
                     patch.setattr(FafnirEngine, "_run_tree", oracle_tree)
                 results[name] = thunk()
         assert results["sweep"] == results["oracle"], "tree sweep diverged from the oracle"

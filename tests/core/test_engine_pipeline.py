@@ -263,23 +263,23 @@ class TestLeafRouting:
     def test_fifo_side_uses_rank_position(self):
         """Non-contiguous leaf wiring: side comes from the rank's position
         in ``leaf_ranks``, not from arithmetic on the first rank's id."""
-        leaf = TreePE(pe_id=0, level=0, children=None, leaf_ranks=(6, 1))
-        assert FafnirEngine._leaf_routes([leaf]) == {6: (leaf, 0), 1: (leaf, 1)}
+        leaf = TreePE(pe_id=3, level=0, children=None, leaf_ranks=(6, 1))
+        assert FafnirEngine._leaf_routes([leaf]) == {6: 6, 1: 7}
 
     def test_fifo_side_splits_wider_leaves_in_half(self):
         leaf = TreePE(
             pe_id=0, level=0, children=None, leaf_ranks=(9, 4, 11, 2)
         )
         routes = FafnirEngine._leaf_routes([leaf])
-        assert [routes[r][1] for r in (9, 4, 11, 2)] == [0, 0, 1, 1]
+        assert [routes[r] for r in (9, 4, 11, 2)] == [0, 0, 1, 1]
 
     def test_unwired_rank_is_rejected(self):
         engine = make_engine()
         leaf = engine.tree.leaves()[0]
-        engine._routes = FafnirEngine._leaf_routes(
+        engine._rank_fifo = FafnirEngine._leaf_routes(
             [TreePE(pe_id=leaf.pe_id, level=0, children=None, leaf_ranks=(0,))]
         )
-        assert engine._route(0)[1:] == (engine._routes[0][0], 0)
+        assert engine._leaf_fifos([0]) == ([0], [2 * leaf.pe_id])
         with pytest.raises(ValueError, match="wired to no leaf PE"):
             engine.run_batch([[0, 1]], vector_source)
 

@@ -1,24 +1,26 @@
-"""Differential proof that the tree sweep and the lookup fold match the oracle.
+"""Differential proof that the tree sweep and its leaf fold match the oracle.
 
 The object PE model in ``tests/pe_oracle.py`` is the executable
-specification; the engine's closed-form level sweep (``repro.core.sweep``)
-and its exact-match leaf fold (``repro.core.pe.fold_stream``) must
-reproduce it *byte for byte* — same output values, same ready cycles, same
-:class:`PEWork` counters (and, for the fold, the same rows with their query
-ids in canonical header order).  The shared ``on_pe_paths`` fixture runs
-each thunk on both and compares everything exactly, over randomized PE
-inputs, fold streams and whole-engine runs.
+specification; the engine's closed-form sweep (``repro.core.sweep``), its
+leaf boundary (``leaf_messages``) included, must reproduce it *byte for
+byte* — same output values, same ready cycles, same :class:`PEWork`
+counters (and, for the fold, the same messages carrying the same queries
+in the same order).  The shared ``on_pe_paths`` fixture runs each thunk on
+both and compares everything exactly, over randomized PE inputs, fold
+streams and whole-engine runs.
 
-Hand-built inputs are written as the oracle's messages.  A fold stream is
-handed to the engine as rows through :func:`tests.pe_oracle.to_rows`, its
-queries numbered in first-appearance order; a PE's two inputs arrive as
-leaf columns of stand-in reads (:func:`process_on_paths`).
+Hand-built inputs are written as the oracle's messages.  A leaf FIFO's
+stream of single-index messages is handed to the leaf boundary as leaf
+columns (:func:`leaf_columns_of`), its queries numbered in
+first-appearance order; a PE's two inputs arrive as leaf columns of
+stand-in reads (:func:`process_on_paths`).  A stream the engine cannot
+build, with a multi-index message, goes to the oracle's fold alone.
 """
 
 import numpy as np
 import pytest
 
-import repro.core.pe as pe_module
+import repro.core.sweep as sweep_module
 from repro.core import (
     FafnirConfig,
     FafnirEngine,
@@ -33,6 +35,8 @@ from repro.faults import FaultPlan, FaultPolicy, STATUS_DEGRADED, STATUS_OK
 from repro.memory import MemoryConfig
 from repro.obs import InMemorySink, Tracer
 from repro.workloads import EmbeddingTableSet, QueryGenerator
+from tests import pe_oracle
+from tests.conftest import leaf_outputs
 from tests.pe_oracle import Header, Message, ProcessingElement, to_rows
 
 REDUCE_PATH = FafnirConfig().latencies.reduce_path
@@ -45,13 +49,20 @@ def queries_of(messages):
     )
 
 
-def engine_fold(stream, **kwargs):
-    """``repro.core.pe.fold_stream`` over hand-built messages, as rows."""
+def leaf_columns_of(stream):
+    """A leaf FIFO's stream of single-index messages as the leaf columns of
+    FIFO 0 of a one-leaf tree, and the queries it serves."""
     queries = queries_of(stream)
     rows = to_rows(stream, queries)
-    outputs = pe_module.fold_stream(rows, queries, PEWork(), SUM, REDUCE_PATH,
-                                    **kwargs)
-    return outputs, queries
+    columns = LeafColumns(
+        index=np.array([min(indices) for indices, *_ in rows], np.int64),
+        fifo=np.zeros(len(rows), np.int64),
+        ready=np.array([ready for *_, ready in rows], np.int64),
+        ids=[tuple(ids) for _, ids, _, _ in rows],
+        values=[value for _, _, value, _ in rows],
+        fifos=2,
+    )
+    return columns, rows, queries
 
 
 def row_fingerprint(row, queries):
@@ -184,17 +195,18 @@ def process_on_paths(on_pe_paths, a, b, operator=SUM):
 
 
 def fold_on_paths(on_pe_paths, stream):
-    """``fold_stream(stream)`` on both paths; the fixture asserts they agree
-    on the folded rows, the work and the traced events in order."""
-
-    queries = queries_of(stream)
-    rows = to_rows(stream, queries)
+    """A leaf FIFO's ``stream`` through the leaf boundary on both paths; the
+    fixture asserts they agree on the folded rows, the work and the traced
+    events in order.  Returns the rows' fingerprints and the work."""
+    columns, rows, queries = leaf_columns_of(stream)
 
     def run():
-        work, sink = PEWork(), InMemorySink()
-        outputs = pe_module.fold_stream(rows, queries, work, SUM, REDUCE_PATH,
-                                        Tracer([sink]))
-        return [row_fingerprint(row, queries) for row in outputs], work, sink.events
+        sink = InMemorySink()
+        messages = sweep_module.leaf_messages(queries, columns, SUM, REDUCE_PATH,
+                                              Tracer([sink]))
+        outputs = leaf_outputs(messages, 0, rows, queries)
+        return ([row_fingerprint(row, queries) for row in outputs],
+                messages.work[0], sink.events)
 
     outputs, work, _ = on_pe_paths(run)
     return outputs, work
@@ -435,9 +447,6 @@ class TestPELawChecks:
         config = FafnirConfig(batch_size=64, total_ranks=8, ranks_per_leaf_pe=2)
         return ProcessingElement(config, SUM, pe_id=0, level=0)
 
-    def engine_fold(self, stream):
-        return engine_fold(stream, pe_id=0, level=0)
-
     # {1, 2} already folded query {1, 2, 3}, yet {1} still carries it.
     STALE = [
         Message(Header.make({1}, [{2, 3}]), np.ones(4)),
@@ -445,8 +454,13 @@ class TestPELawChecks:
     ]
 
     def test_fold_check_catches_a_stale_stream(self, on_pe_paths):
+        """The leaf columns cannot carry a multi-index row: the stream goes
+        to the oracle's fold, which the fixture checks on both paths."""
+        queries = queries_of(self.STALE)
+        rows = to_rows(self.STALE, queries)
         with pytest.raises(AssertionError, match=r"fold carries \[1\] -> \[2, 3\]"):
-            on_pe_paths(lambda: self.engine_fold(self.STALE))
+            on_pe_paths(lambda: pe_oracle.fold_rows(
+                rows, queries, PEWork(), SUM, REDUCE_PATH, pe_id=0, level=0))
 
     def test_process_check_catches_a_stale_input(self, on_pe_paths):
         pe = self.engine_pe()
@@ -455,35 +469,13 @@ class TestPELawChecks:
             on_pe_paths(lambda: pe.process(self.STALE, partner))
 
 
-class TestLookupMiss:
-    """A stream where no buffered row equals ``entry ∩ covered`` was not
-    built like a leaf FIFO: the lookup fold rejects it instead of guessing."""
-
-    def test_fold_without_exact_buffered_row(self):
-        value = np.arange(4.0)
-        # {1} and {2} serve other queries ({1, 5} and {2, 6}), so no row
-        # carries the {1, 2, 3, 9} query's projection {1, 2}.
-        stream = [
-            Message(Header.make({1}, [{5}]), value * 10),
-            Message(Header.make({2}, [{6}]), value * 100),
-            Message(Header.make({9}, [{1, 2, 3}]), value),
-        ]
-        with pytest.raises(ValueError, match=r"no buffered row equals \[1, 2\]"):
-            engine_fold(stream)
-
-
 def _invariant_source(index):
     """Module-level (picklable) vector store for the sharded run."""
     return np.random.default_rng(60_000 + index).normal(size=16)
 
 
 class TestLookupInvariant:
-    """On engine-built streams every leaf-fold lookup is an exact hit.
-
-    The buffered row for an entry's query covers exactly the entry's
-    indices in that FIFO; a miss raises, so these runs fail if the engine
-    ever hands the fold a stream that is not leaf-FIFO shaped.
-    """
+    """Engine runs whose leaf FIFOs fold give each query its oracle value."""
 
     RANKS = 8
 

@@ -49,16 +49,5 @@ class TestTreeUtilization:
         utilization = tree_utilization(
             engine.tree, result.stats, engine.memory.config.geometry
         )
-        assert utilization.per_chip["channel_node"].reduces > 0
-        assert 0.0 < utilization.channel_node_share < 1.0
-
-    def test_busiest_level(self, lookup):
-        engine, result = lookup
-        utilization = tree_utilization(
-            engine.tree, result.stats, engine.memory.config.geometry
-        )
-        busiest = utilization.busiest_level()
-        assert busiest.work.reduces == max(
-            level.work.reduces for level in utilization.levels
-        )
-        assert busiest.reduces_per_pe > 0
+        channel = utilization.per_chip["channel_node"].reduces
+        assert 0 < channel < utilization.total.reduces

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import FafnirConfig, FafnirTree
+from repro.core import FafnirConfig, FafnirEngine, FafnirTree
 from repro.memory import MemoryConfig
 
 
@@ -26,25 +26,29 @@ class TestTopology:
         assert seen == set(range(32))
 
     def test_root_covers_every_rank(self, reference_tree):
-        assert set(reference_tree.covered_ranks(reference_tree.root_id)) == set(
-            range(32)
-        )
+        (root,) = reference_tree.level_ids(reference_tree.num_levels - 1)
+        assert set(reference_tree.covered_ranks(root)) == set(range(32))
 
     def test_bottom_up_order_children_before_parents(self, reference_tree):
-        order = {pe_id: pos for pos, pe_id in enumerate(reference_tree.bottom_up_ids())}
-        for pe_id in reference_tree.bottom_up_ids():
+        """PE ids run leaves first, level by level, so a parent's id is
+        above its children's."""
+        levels = [reference_tree.level_ids(level)
+                  for level in range(reference_tree.num_levels)]
+        order = [pe_id for level in levels for pe_id in level]
+        assert order == list(range(reference_tree.num_pes))
+        for pe_id in order:
             node = reference_tree.pe(pe_id)
             if node.children:
                 left, right = node.children
-                assert order[left] < order[pe_id]
-                assert order[right] < order[pe_id]
+                assert left < pe_id and right < pe_id
 
     def test_leaf_for_rank(self, reference_tree):
-        assert reference_tree.leaf_for_rank(0).leaf_ranks == (0, 1)
-        assert reference_tree.leaf_for_rank(1).leaf_ranks == (0, 1)
-        assert reference_tree.leaf_for_rank(31).leaf_ranks == (30, 31)
-        with pytest.raises(ValueError):
-            reference_tree.leaf_for_rank(32)
+        """Each rank pair feeds one leaf, first rank on FIFO 0, second on
+        FIFO 1 (the engine's rank → FIFO table, FIFO ``2·leaf + side``)."""
+        routes = FafnirEngine._leaf_routes(reference_tree.leaves())
+        assert (routes[0], routes[1], routes[31]) == (0, 1, 31)
+        assert reference_tree.pe(routes[31] // 2).leaf_ranks == (30, 31)
+        assert 32 not in routes
 
     def test_one_pe_per_rank_configuration(self):
         tree = FafnirTree(FafnirConfig(ranks_per_leaf_pe=1))
@@ -80,7 +84,8 @@ class TestNodeGrouping:
     def test_root_belongs_to_channel_node(self, reference_tree):
         geometry = MemoryConfig.ddr4_2400_quad_channel().geometry
         grouping = reference_tree.node_grouping(geometry)
-        assert grouping[reference_tree.root_id] == "channel_node"
+        (root,) = reference_tree.level_ids(reference_tree.num_levels - 1)
+        assert grouping[root] == "channel_node"
 
     def test_leaves_belong_to_dimm_nodes(self, reference_tree):
         geometry = MemoryConfig.ddr4_2400_quad_channel().geometry
@@ -91,7 +96,9 @@ class TestNodeGrouping:
 
 class TestConnections:
     def test_tree_link_count(self, reference_tree):
-        assert reference_tree.connection_count() == 30  # 31 PEs − 1
+        links = [child for pe_id in range(reference_tree.num_pes)
+                 for child in reference_tree.pe(pe_id).children or ()]
+        assert sorted(links) == list(range(30))  # every PE but the root, once
 
 
 class TestConfigValidation:

@@ -1,27 +1,35 @@
-"""The columnar leaf boundary against folding every FIFO, at scale.
+"""The closed-form leaf boundary against the oracle fold, at scale.
 
-``repro.core.sweep.leaf_messages`` sends only the FIFOs where a query or
-an index arrives twice through ``fold_stream`` and passes every other FIFO
-through in closed form.  Its reference here folds every FIFO through
-``fold_stream`` and numbers the messages FIFO-major in folded order.
-:data:`RUNS` seeded batches must agree with it on the leaf table, the
-message order, values, ready cycles and index counts, each leaf PE's work
-and the traced fold events.  The batches cover 1, 2 and 4 ranks per FIFO,
-deduplication on and off, repeated queries, every reduction operator, and
-batches in which no FIFO, every FIFO or only some FIFOs can fold.
+``repro.core.sweep.leaf_messages`` folds the FIFOs where a query or an
+index arrives twice in closed form and passes every other FIFO through.
+Its reference here is the object oracle's sequential fold on every FIFO
+(``tests.pe_oracle.fold_every_fifo``).  :data:`RUNS` seeded batches and
+:data:`LONG_RUNS` long-chain batches must agree with it on the leaf table,
+the message order, values, ready cycles and index counts, each leaf PE's
+work and the traced fold events, both as the engine builds the leaf
+columns and with the index groups in a permuted arrival order.
+
+The batches cover 1, 2 and 4 ranks per FIFO, deduplication on and off,
+repeated queries, every reduction operator, and batches in which no FIFO,
+every FIFO or only some FIFOs can fold.  The long-chain batches draw each
+query from a pool of 2–6 indices per FIFO, so chains reach 3–6 steps and
+share prefixes; without deduplication a step's first live partner is then
+often another query's copy of the read, with another ready cycle.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import FafnirConfig, FafnirEngine, get_operator, plan_batch
-from repro.core.pe import PEWork, fold_stream
-from repro.core.sweep import LeafMessages, leaf_messages
+from repro.core.pe import PEWork
+from repro.core.sweep import LeafColumns, leaf_messages
 from repro.memory import MemoryConfig
 from repro.obs import InMemorySink, Tracer
 from tests.conftest import leaf_kind
+from tests.pe_oracle import fold_every_fifo, fold_rows, leaf_rows
 
 RUNS = 1200
+LONG_RUNS = 600
 CHUNKS = 12
 ELEMENTS = 4
 KINDS = ("fold-free", "folding", "mixed")  # see tests.conftest.leaf_kind
@@ -44,26 +52,6 @@ def index_only_folds(leaf):
 
 def source(index):
     return np.random.default_rng(60_000 + index).normal(size=ELEMENTS)
-
-
-def reference_boundary(queries, leaf, operator, reduce_path, tracer):
-    """Every FIFO through ``fold_stream``; messages FIFO-major."""
-    work = [PEWork() for _ in range(leaf.fifos // 2)]
-    cells, messages = [], []
-    for fifo, stream in enumerate(leaf.rows()):
-        if not stream:
-            continue
-        folded = fold_stream(stream, queries, work[fifo >> 1], operator,
-                             reduce_path, tracer, fifo >> 1, 0)
-        for indices, ids, value, ready in folded:
-            cells += [(query, fifo, len(messages)) for query in ids]
-            messages.append((len(indices), fifo, value, ready))
-    table = np.full((len(queries), leaf.fifos), -1, np.int64)
-    rows, columns, ids = np.array(cells, np.int64).T
-    table[rows, columns] = ids
-    size, fifo, value, ready = zip(*messages)
-    return LeafMessages(table, np.stack(value), np.array(ready, np.int64),
-                        np.array(size, np.int64), np.array(fifo, np.int64), work)
 
 
 class Machine:
@@ -147,6 +135,75 @@ def draw(seed):
     return machine, queries, deduplicate, operator, kind
 
 
+def long_draw(seed):
+    """A long-chain batch: each query takes a random part of the index pool
+    of one or more FIFOs, so chains run up to the pool's 2–6 indices and
+    share prefixes."""
+    rng = np.random.default_rng(seed)
+    deduplicate = bool(rng.random() < 0.5)
+    machine = Machine(rng, (1, 2, 4)[seed % 3])
+    operator = get_operator(str(rng.choice(["sum", "sum", "min", "max", "mean"])))
+    fifos = rng.choice(machine.fifos, size=min(machine.fifos, int(rng.integers(1, 4))),
+                       replace=False).tolist()
+    pools = {
+        fifo: [machine.index(rng, fifo, row) for row in
+               rng.choice(machine.rows, size=int(rng.integers(2, 7)), replace=False)]
+        for fifo in fifos
+    }
+    queries = []
+    for _ in range(int(rng.integers(2, 10))):
+        query = []
+        for fifo in rng.choice(fifos, size=int(rng.integers(1, len(fifos) + 1)),
+                               replace=False).tolist():
+            pool = pools[fifo]
+            query += rng.choice(pool, size=int(rng.integers(1, len(pool) + 1)),
+                                replace=False).tolist()
+        queries.append(query)
+    if rng.random() < 0.3:
+        queries += queries[: int(rng.integers(1, 3))]
+    return machine, queries, deduplicate, operator, "long"
+
+
+def case_of(seed):
+    return draw(seed) if seed < RUNS else long_draw(seed)
+
+
+def permuted(leaf, seed):
+    """``leaf`` with its index groups (all copies of one index) in a random
+    arrival order."""
+    starts = np.flatnonzero(np.r_[True, np.diff(leaf.index) != 0])
+    bounds = np.r_[starts, len(leaf.index)]
+    order = np.concatenate([
+        np.arange(bounds[g], bounds[g + 1])
+        for g in np.random.default_rng(seed).permutation(len(starts))
+    ])
+    return LeafColumns(
+        index=leaf.index[order], fifo=leaf.fifo[order], ready=leaf.ready[order],
+        ids=[leaf.ids[n] for n in order], values=[leaf.values[n] for n in order],
+        fifos=leaf.fifos,
+    )
+
+
+def longest_chain(leaf):
+    """The most indices one query has on one FIFO."""
+    chains = {}
+    for fifo, index, ids in zip(leaf.fifo.tolist(), leaf.index.tolist(), leaf.ids):
+        for query in ids:
+            chains.setdefault((fifo, query), set()).add(index)
+    return max(map(len, chains.values()))
+
+
+def foreign_partner(engine, plan, leaf):
+    """Whether some oracle fold step's partner is another query's row with
+    another ready cycle than the row that loses the entry."""
+    partners = []
+    for stream in leaf_rows(leaf):
+        fold_rows(stream, plan.distinct, PEWork(), engine.operator,
+                  engine.config.latencies.reduce_path, partners=partners)
+    return any(best is not owner and best.ready_cycle != owner.ready_cycle
+               for best, owner in partners)
+
+
 def leaf_columns(case):
     """An engine for a drawn case, its plan and its leaf columns."""
     machine, queries, deduplicate, operator, _ = case
@@ -186,22 +243,29 @@ def boundary_record(boundary, engine, plan, leaf):
 
 @pytest.mark.parametrize("chunk", range(CHUNKS))
 def test_columnar_boundary_matches_folding_every_fifo(chunk):
-    per_chunk = RUNS // CHUNKS
-    for seed in range(chunk * per_chunk, (chunk + 1) * per_chunk):
-        engine, plan, leaf = leaf_columns(draw(seed))
-        got = boundary_record(leaf_messages, engine, plan, leaf)
-        want = boundary_record(reference_boundary, engine, plan, leaf)
-        assert got == want, f"seed {seed}: leaf boundary diverged"
+    seeds = range(chunk, RUNS + LONG_RUNS, CHUNKS)
+    for seed in seeds:
+        engine, plan, leaf = leaf_columns(case_of(seed))
+        for arrival, columns in (("engine", leaf),
+                                 ("permuted", permuted(leaf, 90_000 + seed))):
+            got = boundary_record(leaf_messages, engine, plan, columns)
+            want = boundary_record(fold_every_fifo, engine, plan, columns)
+            assert got == want, f"seed {seed} ({arrival} order): leaf boundary diverged"
 
 
 def test_draws_cover_every_class():
     """Each seed draws the batch kind it aims for, and the draws reach
     every axis the boundary must get right."""
     seen, kinds = set(), dict.fromkeys(KINDS, 0)
-    for seed in range(RUNS):
-        case = draw(seed)
+    foreign = 0
+    for seed in range(RUNS + LONG_RUNS):
+        case = case_of(seed)
         machine, queries, deduplicate, operator, kind = case
-        _, _, leaf = leaf_columns(case)
+        engine, plan, leaf = leaf_columns(case)
+        if kind == "long":
+            seen.add(("chain", deduplicate, min(longest_chain(leaf), 6)))
+            foreign += foreign_partner(engine, plan, leaf)
+            continue
         assert leaf_kind(leaf) == kind, f"seed {seed} drew a {leaf_kind(leaf)} batch"
         kinds[kind] += 1
         seen.add(("per_fifo", machine.per_fifo))
@@ -217,3 +281,6 @@ def test_draws_cover_every_class():
     assert {("repeated", True), ("repeated", False)} <= seen
     assert {("operator", name) for name in ("sum", "min", "max", "mean")} <= seen
     assert "index-only" in seen
+    assert {("chain", dedup, steps) for dedup in (True, False)
+            for steps in range(3, 7)} <= seen
+    assert foreign >= 50, foreign

@@ -48,6 +48,8 @@ def lookup_one(
             finish[tag] = cycle
 
     # Seed each leaf input side with (partial value, ready cycle).
+    tree = engine.tree
+    leaf_of = {rank: leaf.pe_id for leaf in tree.leaves() for rank in leaf.leaf_ranks}
     per_pe: Dict[int, List[Tuple[np.ndarray, int]]] = {}
     for index in indices:
         value = np.asarray(source(index), dtype=np.float64)
@@ -58,14 +60,14 @@ def lookup_one(
             )
         rank = engine.placement.home_rank(index)
         assert rank is not None
-        leaf = engine.tree.leaf_for_rank(rank)
         ready = convert_cycles(finish[index], config.dram_clock, config.pe_clock)
-        per_pe.setdefault(leaf.pe_id, []).append((value, ready))
+        per_pe.setdefault(leaf_of[rank], []).append((value, ready))
 
     stage = engine.stage_cycles
     outputs: Dict[int, Optional[Tuple[np.ndarray, int]]] = {}
-    for pe_id in engine.tree.bottom_up_ids():
-        node = engine.tree.pe(pe_id)
+    levels = [tree.level_ids(level) for level in range(tree.num_levels)]
+    for pe_id in (pe_id for level in levels for pe_id in level):
+        node = tree.pe(pe_id)
         if node.is_leaf:
             items = per_pe.get(pe_id, [])
         else:
@@ -85,7 +87,7 @@ def lookup_one(
             ready = max(ready, other_ready)
         outputs[pe_id] = (value, ready + stage)
 
-    root = outputs[engine.tree.root_id]
+    root = outputs[levels[-1][0]]
     assert root is not None
     value, ready = root
     return InteractiveResult(

@@ -117,14 +117,15 @@ class TestStatsCrossCheck:
         arrivals = [e for e in events if e.kind in (LEAF_INJECT, FIFO_ENQUEUE)]
         depth = {}
         for inject, enqueue in zip(arrivals[0::2], arrivals[1::2]):
-            rank, leaf, side = engine._route(inject.args["index"])
+            (rank,), (fifo,) = engine._leaf_fifos([inject.args["index"]])
+            leaf, side = divmod(fifo, 2)
             assert (inject.kind, inject.rank, inject.pe, inject.level) == (
-                LEAF_INJECT, rank, leaf.pe_id, 0
+                LEAF_INJECT, rank, leaf, 0
             )
-            depth[leaf.pe_id, side] = depth.get((leaf.pe_id, side), 0) + 1
+            depth[fifo] = depth.get(fifo, 0) + 1
             assert enqueue == TraceEvent(
-                FIFO_ENQUEUE, cycle=inject.cycle, pe=leaf.pe_id, level=0,
-                args={"fifo": side, "depth": depth[leaf.pe_id, side]},
+                FIFO_ENQUEUE, cycle=inject.cycle, pe=leaf, level=0,
+                args={"fifo": side, "depth": depth[fifo]},
             )
 
     def test_no_dedup_injects_every_occurrence(self, config):

@@ -1,14 +1,16 @@
 """The object PE model: the executable specification the tree sweep must match.
 
-``repro.core.sweep`` computes every PE of a tree level in closed form, and
-the engine carries messages as ``(indices, query ids, value, ready)`` rows
-(``repro.core.pe.Row``).  This module keeps the per-message model they
-replaced, as the differential oracle:
+``repro.core.sweep`` computes every PE of a tree level, and every leaf FIFO
+fold, in closed form from the batch's read occurrences as columns
+(``repro.core.sweep.LeafColumns``).  This module keeps the per-message
+model they replaced, as the differential oracle:
 
 * :class:`Header` and :class:`Message` — the paper's header algebra
   (§IV-B, Fig. 4/6): the ``indices`` folded into a value and one
-  remaining-index *entry* per query still needing it.  :func:`to_messages`
-  and :func:`to_rows` translate between rows and messages.
+  remaining-index *entry* per query still needing it.  A :data:`Row`
+  ``(indices, query ids, value, ready)`` names each entry's query by its
+  id instead; :func:`to_messages` and :func:`to_rows` translate, and
+  :func:`leaf_rows` views leaf columns as each FIFO's stream of rows.
 * :class:`ProcessingElement` — one PE (paper Fig. 5).  For every *entry*
   (outstanding query remainder) of every input message its compute units
   either **reduce** with the widest partner message on the other input whose
@@ -17,8 +19,11 @@ replaced, as the differential oracle:
   reduction is found twice; the **merge unit** groups the raw outputs by
   ``indices`` set, dropping exact duplicates (paper Fig. 6d).  Finite compute
   units add a one-output-per-unit-per-cycle issue limit.
-* :func:`fold_stream` — the scalar leaf FIFO fold over messages;
-  :func:`fold_rows` runs it with ``repro.core.pe.fold_stream``'s signature.
+* :func:`fold_stream` — the leaf FIFO fold, one arrival at a time: the only
+  sequential fold, and the reference for the sweep's closed form
+  (``repro.core.sweep.leaf_messages``).  :func:`fold_rows` runs it over
+  rows, and :func:`fold_every_fifo` over every FIFO of leaf columns, with
+  ``leaf_messages``' signature and result.
 * :func:`run_tree` — the object sweep leaves→root, a drop-in replacement for
   ``FafnirEngine._run_tree``.
 
@@ -30,17 +35,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import (
+    AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
 from repro.core.config import FafnirConfig
 from repro.core.operators import ReductionOperator
-from repro.core.pe import PEWork, Row
+from repro.core.pe import PEWork
+from repro.core.sweep import LeafColumns, LeafMessages
 from repro.obs.events import PE_FORWARD, PE_MERGE, PE_REDUCE
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 Indices = FrozenSet[int]
+
+#: One message on a leaf FIFO: (indices, query ids, value, ready cycle).
+Row = Tuple[Indices, Sequence[int], np.ndarray, int]
 
 
 def sorted_tuple(indices: Indices) -> Tuple[int, ...]:
@@ -194,6 +206,17 @@ def to_rows(messages: Sequence[Message], queries: Sequence[Indices]) -> List[Row
          m.value, m.ready_cycle)
         for m in messages
     ]
+
+
+def leaf_rows(leaf: LeafColumns) -> List[List[Row]]:
+    """Each FIFO's stream of single-index rows, in arrival order."""
+    streams: List[List[Row]] = [[] for _ in range(leaf.fifos)]
+    for index, fifo, ids, value, ready in zip(
+        leaf.index.tolist(), leaf.fifo.tolist(), leaf.ids, leaf.values,
+        leaf.ready.tolist(),
+    ):
+        streams[fifo].append((frozenset((index,)), ids, value, ready))
+    return streams
 
 
 def _without(message: Message, removed: AbstractSet[Indices]) -> Optional[Message]:
@@ -423,17 +446,29 @@ def fold_stream(
     tracer: Tracer = NULL_TRACER,
     pe_id: Optional[int] = None,
     level: Optional[int] = None,
+    partners: Optional[List[Tuple[Message, Message]]] = None,
 ) -> List[Message]:
     """Combine messages arriving sequentially on *one* leaf input FIFO.
 
-    The specification of ``repro.core.pe.fold_stream`` (see
-    :func:`fold_rows`), by a scan of the whole buffer per arriving entry.  Each arriving entry
-    reduces with the widest already-buffered match (first on ties).  The
-    reduction consumes the query it serves: entry ``e`` leaves its message
-    and ``q − best.indices`` leaves the first buffered ``best.indices`` row
-    carrying it, where ``q = indices ∪ e``.  A second arrival of one
+    A general sparse-gathering workload may home two indices of one query
+    in the same rank (the paper's tables are one per rank, Fig. 4b, so its
+    queries never do).  Those items stream through the leaf PE's FIFO one
+    after another, and the compute units compare each arriving entry
+    against every buffered row (Fig. 5), charging the reduce path per
+    combination.
+
+    Each arriving entry reduces with the widest already-buffered match,
+    first on ties.  The reduction consumes the query it serves: entry ``e``
+    leaves its message, and ``q − best.indices`` leaves the first buffered
+    ``best.indices`` row carrying it, where ``q = indices ∪ e``.  The
+    reduced message then arrives in turn.  A second arrival of one
     ``(indices, entry)`` pair is a duplicate and is dropped.  Finally
-    same-``indices`` rows coalesce.
+    same-``indices`` rows coalesce, ready at the latest of them.
+
+    ``best`` need not be the row that loses the entry: without
+    deduplication it can be another query's copy of the same read, with
+    another ready cycle.  Given a list, ``partners`` receives each
+    reduction's ``(best, row that lost the entry)``.
     """
     buffer: List[Message] = []
     seen: set = set()
@@ -441,7 +476,7 @@ def fold_stream(
     def emit(kind: str, cycle: int, arg: int) -> None:
         tracer.emit_packed(kind, cycle, pe=pe_id, level=level, args=(arg,))
 
-    def consume(indices: FrozenSet[int], entry: FrozenSet[int]) -> None:
+    def consume(indices: FrozenSet[int], entry: FrozenSet[int]) -> Optional[Message]:
         for position, row in enumerate(buffer):
             if row.indices == indices and entry in row.entries:
                 work.entries_consumed += 1
@@ -450,7 +485,8 @@ def fold_stream(
                     del buffer[position]
                 else:
                     buffer[position] = kept
-                return
+                return row
+        return None
 
     def insert(message: Message) -> None:
         produced: List[Message] = []
@@ -484,7 +520,9 @@ def fold_stream(
             )
             removed.add(entry)
             work.entries_consumed += 1
-            consume(best.indices, (message.indices | entry) - best.indices)
+            owner = consume(best.indices, (message.indices | entry) - best.indices)
+            if partners is not None:
+                partners.append((best, owner))
         kept = _without(message, removed)
         if kept is not None:
             buffer.append(kept)
@@ -522,12 +560,35 @@ def fold_rows(
     tracer: Tracer = NULL_TRACER,
     pe_id: Optional[int] = None,
     level: Optional[int] = None,
+    partners: Optional[List[Tuple[Message, Message]]] = None,
 ) -> List[Row]:
-    """:func:`fold_stream` with ``repro.core.pe.fold_stream``'s signature:
-    rows in, rows out, through :func:`to_messages` and :func:`to_rows`."""
+    """:func:`fold_stream` over rows: rows in, rows out, through
+    :func:`to_messages` and :func:`to_rows`."""
     messages = to_messages(stream, queries)
-    folded = fold_stream(messages, work, operator, reduce_path, tracer, pe_id, level)
+    folded = fold_stream(messages, work, operator, reduce_path, tracer, pe_id,
+                         level, partners)
     return to_rows(folded, queries)
+
+
+def fold_every_fifo(queries, leaf, operator, reduce_path, tracer=NULL_TRACER):
+    """``repro.core.sweep.leaf_messages`` by :func:`fold_rows` on every FIFO:
+    messages numbered FIFO-major in folded order."""
+    work = [PEWork() for _ in range(leaf.fifos // 2)]
+    cells, messages = [], []
+    for fifo, stream in enumerate(leaf_rows(leaf)):
+        if not stream:
+            continue
+        folded = fold_rows(stream, queries, work[fifo >> 1], operator,
+                           reduce_path, tracer, fifo >> 1, 0)
+        for indices, ids, value, ready in folded:
+            cells += [(query, fifo, len(messages)) for query in ids]
+            messages.append((len(indices), fifo, value, ready))
+    table = np.full((len(queries), leaf.fifos), -1, np.int64)
+    rows, columns, ids = np.array(cells, np.int64).T
+    table[rows, columns] = ids
+    size, fifo, value, ready = zip(*messages)
+    return LeafMessages(table, np.stack(value), np.array(ready, np.int64),
+                        np.array(size, np.int64), np.array(fifo, np.int64), work)
 
 
 def retime_phased(
@@ -558,15 +619,16 @@ def run_tree(
     """``FafnirEngine._run_tree`` by object PEs: one ``process`` per PE.
 
     ``leaf_inputs`` is the engine's ``LeafColumns``; every leaf FIFO's
-    rows (its ``rows()`` view) go through :func:`fold_rows` and become
+    rows (:func:`leaf_rows`) go through :func:`fold_rows` and become
     messages.  Returns each of ``plan``'s queries' root value and ready
     cycle, and the per-PE work, exactly as the engine's sweep does.
     """
     tree = engine.tree
-    streams = leaf_inputs.rows()
+    streams = leaf_rows(leaf_inputs)
+    levels = [tree.level_ids(level) for level in range(tree.num_levels)]
     outputs: Dict[int, List[Message]] = {}
     per_pe_work: Dict[int, PEWork] = {}
-    for pe_id in tree.bottom_up_ids():
+    for pe_id in chain.from_iterable(levels):
         node = tree.pe(pe_id)
         pe = ProcessingElement(
             engine.config,
@@ -600,7 +662,7 @@ def run_tree(
 
     by_indices = {
         message.indices: message
-        for message in outputs[tree.root_id]
+        for message in outputs[levels[-1][0]]
         if message.header.complete_entries
     }
     values, ready = [], []

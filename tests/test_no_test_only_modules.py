@@ -7,6 +7,10 @@ by a bench, an example or another used ``src`` module.  Re-exports in
 ``__init__`` files do not count: they would make every module look used.
 The check is by name, so it errs towards "used".  It is run to a fixed
 point, so a module reached only from test-only modules is test-only too.
+
+Within ``repro.core`` the same holds for each public function, class and
+method: its name must be referenced somewhere in ``src``, a bench or an
+example.
 """
 
 import ast
@@ -82,3 +86,40 @@ def test_no_test_only_modules():
             break
         unused |= newly
     assert not unused, f"modules reached only by tests (move to tests/ or delete): {sorted(unused)}"
+
+
+def _referenced_names(tree: ast.AST) -> set:
+    """Every name a module reads, attribute or imported name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def test_no_test_only_core_names():
+    callers = [
+        *SRC.rglob("*.py"),
+        *REPO_ROOT.joinpath("benchmarks").rglob("*.py"),
+        *REPO_ROOT.joinpath("examples").glob("*.py"),
+    ]
+    referenced = set()
+    for path in callers:
+        referenced |= _referenced_names(ast.parse(path.read_text()))
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined = []  # (qualified name, name)
+    for path in sorted(SRC.joinpath("repro", "core").glob("*.py")):
+        module = _module_name(path)
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (*functions, ast.ClassDef)):
+                defined.append((f"{module}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}.{item.name}", item.name)
+                            for item in node.body if isinstance(item, functions)]
+    unused = [qualified for qualified, name in defined
+              if not name.startswith("_") and name not in referenced]
+    assert not unused, f"repro.core names reached only by tests: {unused}"
