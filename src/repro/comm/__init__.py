@@ -26,6 +26,7 @@ from repro.comm.reducer import (
 from repro.comm.schedule import (
     CommMessage,
     GatherToRoot,
+    MAX_PIECES,
     RecursiveDoubling,
     ReduceScatterAllgather,
     ReductionSchedule,
@@ -37,7 +38,6 @@ from repro.comm.schedule import (
     ScheduleOutcome,
     canonical_fold,
     get_schedule,
-    segment_count,
 )
 from repro.hw.link import LinkModel
 
@@ -47,6 +47,7 @@ __all__ = [
     "GatherToRoot",
     "IndexPartition",
     "LinkModel",
+    "MAX_PIECES",
     "MODE_CONTIGUOUS",
     "MODE_EXPLICIT",
     "MODE_HOME_RANK",
@@ -65,5 +66,4 @@ __all__ = [
     "canonical_fold",
     "get_schedule",
     "partial_operator",
-    "segment_count",
 ]
