@@ -32,7 +32,6 @@ The result is one reduced vector per query, a status per query, and a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import (
     Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple,
 )
@@ -341,22 +340,23 @@ class FafnirEngine:
 
     def _fetch_from_memory(
         self, reads: Sequence[int]
-    ) -> Tuple[Dict[int, List[int]], Set[int], AccessStats]:
+    ) -> Tuple[Tuple[np.ndarray, np.ndarray], Set[int], AccessStats]:
         """Issue every read once.
 
         Returns ``(finish, lost, stats)``.  Each entry of ``reads`` (a
         plan's ``reads``, or one query's indices) is one *occurrence*: a
         deduplicated plan has one occurrence per unique index, the
-        ablation plan one per (query, index) lookup.  ``finish``
-        maps each index to its occurrences' finish cycles in issue order
-        (see :meth:`_read_occurrences`).  ``lost`` holds the indices a
-        rank fault lost for good; ``stats`` is the memory system's access
-        record for the batch.
+        ablation plan one per (query, index) lookup.  ``finish`` is the
+        column pair ``(index, cycle)``: every occurrence's index and finish
+        cycle (see :meth:`_read_occurrences`), stably sorted by index, so
+        an index's occurrences sit together in issue order.  ``lost``
+        holds the indices a rank fault lost for good; ``stats`` is the
+        memory system's access record for the batch.
         """
         occurrence_finish, stats = self._read_occurrences(reads)
-        finish: Dict[int, List[int]] = {}
-        for index, cycle in zip(reads, occurrence_finish):
-            finish.setdefault(index, []).append(cycle)
+        index = np.asarray(reads, np.int64)
+        order = np.argsort(index, kind="stable")
+        finish = (index[order], np.asarray(occurrence_finish, np.int64)[order])
         # Any lost piece loses the whole vector; a vector with any lost
         # occurrence is dropped entirely (the engine degrades per index,
         # not per occurrence).
@@ -397,7 +397,7 @@ class FafnirEngine:
     def _leaf_inputs(
         self,
         plan: BatchPlan,
-        finish_cycles: Dict[int, List[int]],
+        finish: Tuple[np.ndarray, np.ndarray],
         values: Mapping[int, np.ndarray],
     ) -> LeafColumns:
         """Build the leaf FIFOs, as columns, from the fetched vectors.
@@ -410,23 +410,22 @@ class FafnirEngine:
         so the redundant reads the ablation pays for are charged
         individually rather than all riding the earliest copy (they later
         coalesce in the leaf FIFO, exactly as redundant copies physically
-        would).  ``finish_cycles`` may come from the plan ``plan``
-        re-plans: every query holding a surviving index survives, in
-        submission order, so occurrence ``j`` still serves the ``j``-th
-        query containing the index.
+        would).  ``finish`` (see :meth:`_fetch_from_memory`) may come from
+        the plan ``plan`` re-plans: every query holding a surviving index
+        survives, in submission order, so occurrence ``j`` still serves the
+        ``j``-th query containing the index, and takes the ``j``-th finish
+        cycle of its index.
         """
         unique = plan.unique_indices
         ranks, fifos = self._leaf_fifos(unique)
-        serving = list(map(plan.serving.__getitem__, unique))
-        counts = np.fromiter(map(len, serving), np.int64, len(unique))
-        occurrences = int(counts.sum())
-        cycles = chain.from_iterable(
-            finish_cycles[index][:n] for index, n in zip(unique, counts.tolist())
-        )
+        serving = plan.serving
+        counts = serving.reads
+        occurrences = len(serving.counts)
+        read_index, read_cycle = finish
+        first = np.searchsorted(read_index, unique) - (np.cumsum(counts) - counts)
+        cycles = read_cycle[np.repeat(first, counts) + np.arange(occurrences)]
         ready = convert_cycles_array(
-            np.fromiter(cycles, np.float64, occurrences),
-            self.config.dram_clock,
-            self.config.pe_clock,
+            cycles.astype(np.float64), self.config.dram_clock, self.config.pe_clock
         )
         vectors = list(map(values.__getitem__, unique))
         if occurrences != len(unique):  # the ablation reads an index per query
@@ -440,7 +439,8 @@ class FafnirEngine:
             index=index,
             fifo=fifo,
             ready=ready,
-            ids=list(chain.from_iterable(serving)),
+            id_counts=serving.counts,
+            ids=serving.ids,
             values=vectors,
             fifos=2 * len(self.tree.leaves()),
         )

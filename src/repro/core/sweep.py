@@ -78,15 +78,17 @@ _ABSENT = np.iinfo(np.int64).max
 class LeafColumns:
     """One batch's leaf FIFOs as columns, one entry per read occurrence in
     arrival order: its vector ``index``, its ``fifo`` (FIFO ``2k+s`` is side
-    ``s`` of leaf ``k``), its ``ready`` PE cycle, the query ``ids`` it serves
-    (:attr:`~repro.core.batch.BatchPlan.serving`) and its vector
-    (``values``).  ``fifos`` is the tree's FIFO count.  All copies of one
-    index arrive together."""
+    ``s`` of leaf ``k``), its ``ready`` PE cycle, the number of query ids it
+    serves (``id_counts``) and its vector (``values``); ``ids`` holds the
+    served query ids, occurrence-major
+    (:attr:`~repro.core.batch.BatchPlan.serving`).  ``fifos`` is the tree's
+    FIFO count.  All copies of one index arrive together."""
 
     index: np.ndarray
     fifo: np.ndarray
     ready: np.ndarray
-    ids: Sequence[Tuple[int, ...]]
+    id_counts: np.ndarray
+    ids: np.ndarray
     values: Sequence[np.ndarray]
     fifos: int
 
@@ -131,8 +133,7 @@ def leaf_messages(
     ``queries[q]`` is the index set of query id ``q``.
     """
     fifo, occurrences = leaf.fifo, len(leaf.fifo)
-    counts = np.fromiter(map(len, leaf.ids), np.int64, occurrences)
-    query = np.fromiter(chain.from_iterable(leaf.ids), np.int64, int(counts.sum()))
+    counts, query = leaf.id_counts, leaf.ids
     carrier = np.repeat(np.arange(occurrences), counts)  # each id's occurrence
 
     # A FIFO can fold iff a (FIFO, query id) or a (FIFO, index) pair repeats.

@@ -102,7 +102,8 @@ def leaf_kind(leaf) -> str:
     or some of them (``"mixed"``) can fold in the leaf columns ``leaf``: a
     FIFO can iff a (FIFO, query id) or a (FIFO, index) pair repeats on it."""
     seen, folds = set(), set()
-    for index, fifo, ids in zip(leaf.index.tolist(), leaf.fifo.tolist(), leaf.ids):
+    for index, fifo, ids in zip(leaf.index.tolist(), leaf.fifo.tolist(),
+                                pe_oracle.id_tuples(leaf)):
         for key in [(fifo, "index", index), *((fifo, "query", q) for q in ids)]:
             if key in seen:
                 folds.add(fifo)

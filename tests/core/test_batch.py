@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import plan_batch, normalize_queries
+from tests.pe_oracle import serving_lists
 
 
 PAPER_QUERIES = [
@@ -55,8 +56,8 @@ class TestPlanBatch:
         serves them in canonical order — c's (11, 26, 50, 94) before a's
         (11, 32, 77, 83)."""
         plan = plan_batch(PAPER_QUERIES)
-        assert plan.serving[11] == [(2, 0)]
-        assert [plan.distinct[q] - {11} for q in plan.serving[11][0]] == [
+        assert serving_lists(plan)[11] == [(2, 0)]
+        assert [plan.distinct[q] - {11} for q in serving_lists(plan)[11][0]] == [
             frozenset({50, 94, 26}),
             frozenset({32, 83, 77}),
         ]
@@ -66,12 +67,12 @@ class TestPlanBatch:
         assert len(plan.reads) == 14
         assert plan.accesses_saved == 0
         # Each read occurrence serves one query, in submission order.
-        assert set(plan.serving) == set(plan.unique_indices)
+        assert set(serving_lists(plan)) == set(plan.unique_indices)
         for index in plan.unique_indices:
-            assert plan.serving[index] == [
+            assert serving_lists(plan)[index] == [
                 (q,) for q, query in enumerate(plan.queries) if index in query
             ]
-            assert len(plan.serving[index]) == plan.reads.count(index)
+            assert len(serving_lists(plan)[index]) == plan.reads.count(index)
 
     def test_disjoint_batch_has_unit_fraction(self):
         plan = plan_batch([[0, 1], [2, 3]])
@@ -90,9 +91,9 @@ class TestPlanBatch:
         plan = plan_batch(queries)
         assert plan.distinct == tuple(map(frozenset, PAPER_QUERIES + [{7}]))
         assert plan.query_ids == (0, 1, 2, 3, 1, 4)
-        assert set(plan.serving) == set(plan.unique_indices)
+        assert set(serving_lists(plan)) == set(plan.unique_indices)
         for index in plan.unique_indices:
-            (ids,) = plan.serving[index]
+            (ids,) = serving_lists(plan)[index]
             users = [q for q in plan.distinct if index in q]
             assert [plan.distinct[q] for q in ids] == sorted(
                 users, key=lambda q: (len(q), sorted(q))

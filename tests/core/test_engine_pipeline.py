@@ -289,14 +289,13 @@ class TestDedupAblationTiming:
         engine = make_engine()
         queries = [[1, 2, 3], [1, 2, 4], [1, 5, 6]]
         plan = plan_batch(queries, deduplicate=False)
-        finish, _, _ = engine._fetch_from_memory(plan.reads)
-        # Index 1 is read three times, index 2 twice, the rest once.
-        assert len(finish[1]) == 3
-        assert len(finish[2]) == 2
-        for index in (3, 4, 5, 6):
-            assert len(finish[index]) == 1
+        (index, cycles), _, _ = engine._fetch_from_memory(plan.reads)
+        # Sorted by index: index 1 is read three times, index 2 twice, the
+        # rest once.
+        assert index.tolist() == [1, 1, 1, 2, 2, 3, 4, 5, 6]
         # Later occurrences of the same index never finish earlier.
-        assert finish[1] == sorted(finish[1])
+        ones = cycles[index == 1].tolist()
+        assert ones == sorted(ones)
 
     def test_ablation_latency_not_below_dedup(self):
         queries = [[1, 2, 3], [1, 2, 4], [1, 5, 6], [2, 3, 7]]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import plan_batch
-from tests.pe_oracle import Header, entry_sort_key, sorted_tuple
+from tests.pe_oracle import Header, entry_sort_key, serving_lists, sorted_tuple
 
 index_strategy = st.integers(min_value=0, max_value=200)
 indices_strategy = st.frozensets(index_strategy, min_size=1, max_size=8)
@@ -159,7 +159,7 @@ def test_plan_rows_follow_initial_headers(queries):
     queries of its initial header, in the header's entry order."""
     plan = plan_batch(queries)
     for index in plan.unique_indices:
-        (ids,) = plan.serving[index]
+        (ids,) = serving_lists(plan)[index]
         header = Header.initial(index, queries)
         assert [plan.distinct[q] - {index} for q in ids] == list(header.entries)
 

@@ -58,7 +58,7 @@ def leaf_columns_of(stream):
         index=np.array([min(indices) for indices, *_ in rows], np.int64),
         fifo=np.zeros(len(rows), np.int64),
         ready=np.array([ready for *_, ready in rows], np.int64),
-        ids=[tuple(ids) for _, ids, _, _ in rows],
+        **pe_oracle.id_columns([ids for _, ids, _, _ in rows]),
         values=[value for _, _, value, _ in rows],
         fifos=2,
     )
@@ -176,8 +176,8 @@ def process_on_paths(on_pe_paths, a, b, operator=SUM):
         index=np.array([index for index, _, _ in reads], np.int64),
         fifo=np.array([side for _, side, _ in reads], np.int64),
         ready=np.array([m.ready_cycle for _, _, m in reads], np.int64),
-        ids=[tuple(query_id[m.indices | entry] for entry in m.entries)
-             for _, _, m in reads],
+        **pe_oracle.id_columns([[query_id[m.indices | entry] for entry in m.entries]
+                                for _, _, m in reads]),
         values=[m.value for _, _, m in reads],
         fifos=2,
     )

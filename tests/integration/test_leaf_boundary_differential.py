@@ -26,7 +26,9 @@ from repro.core.sweep import LeafColumns, leaf_messages
 from repro.memory import MemoryConfig
 from repro.obs import InMemorySink, Tracer
 from tests.conftest import leaf_kind
-from tests.pe_oracle import fold_every_fifo, fold_rows, leaf_rows
+from tests.pe_oracle import (
+    fold_every_fifo, fold_rows, id_columns, id_tuples, leaf_rows,
+)
 
 RUNS = 1200
 LONG_RUNS = 600
@@ -39,7 +41,7 @@ def index_only_folds(leaf):
     """FIFOs that fold only because an index arrives twice (the dedup-off
     ablation's redundant reads), no query arriving twice."""
     by_query, by_index, seen = set(), set(), set()
-    for index, fifo, ids in zip(leaf.index.tolist(), leaf.fifo.tolist(), leaf.ids):
+    for index, fifo, ids in zip(leaf.index.tolist(), leaf.fifo.tolist(), id_tuples(leaf)):
         if (fifo, "index", index) in seen:
             by_index.add(fifo)
         seen.add((fifo, "index", index))
@@ -179,7 +181,8 @@ def permuted(leaf, seed):
     ])
     return LeafColumns(
         index=leaf.index[order], fifo=leaf.fifo[order], ready=leaf.ready[order],
-        ids=[leaf.ids[n] for n in order], values=[leaf.values[n] for n in order],
+        **id_columns([id_tuples(leaf)[n] for n in order]),
+        values=[leaf.values[n] for n in order],
         fifos=leaf.fifos,
     )
 
@@ -187,7 +190,7 @@ def permuted(leaf, seed):
 def longest_chain(leaf):
     """The most indices one query has on one FIFO."""
     chains = {}
-    for fifo, index, ids in zip(leaf.fifo.tolist(), leaf.index.tolist(), leaf.ids):
+    for fifo, index, ids in zip(leaf.fifo.tolist(), leaf.index.tolist(), id_tuples(leaf)):
         for query in ids:
             chains.setdefault((fifo, query), set()).add(index)
     return max(map(len, chains.values()))

@@ -208,11 +208,43 @@ def to_rows(messages: Sequence[Message], queries: Sequence[Indices]) -> List[Row
     ]
 
 
+def serving_lists(plan) -> Dict[int, List[Tuple[int, ...]]]:
+    """``plan.serving`` as a dict: per unique index, one id tuple per read
+    occurrence."""
+    serving = plan.serving
+    ends = np.cumsum(serving.counts).tolist()
+    ids = serving.ids.tolist()
+    tuples = [tuple(ids[end - count:end])
+              for end, count in zip(ends, serving.counts.tolist())]
+    lists, start = {}, 0
+    for index, reads in zip(plan.unique_indices, serving.reads.tolist()):
+        lists[index] = tuples[start:start + reads]
+        start += reads
+    return lists
+
+
+def id_tuples(leaf: LeafColumns) -> List[Tuple[int, ...]]:
+    """The query ids each occurrence of ``leaf`` serves, one tuple each."""
+    ends = np.cumsum(leaf.id_counts).tolist()
+    ids = leaf.ids.tolist()
+    return [tuple(ids[end - count:end])
+            for end, count in zip(ends, leaf.id_counts.tolist())]
+
+
+def id_columns(tuples: Sequence[Sequence[int]]) -> Dict[str, np.ndarray]:
+    """Per-occurrence id tuples as :class:`LeafColumns`' ``id_counts`` and
+    ``ids`` keyword arguments."""
+    return {
+        "id_counts": np.array([len(ids) for ids in tuples], np.int64),
+        "ids": np.array([q for ids in tuples for q in ids], np.int64),
+    }
+
+
 def leaf_rows(leaf: LeafColumns) -> List[List[Row]]:
     """Each FIFO's stream of single-index rows, in arrival order."""
     streams: List[List[Row]] = [[] for _ in range(leaf.fifos)]
     for index, fifo, ids, value, ready in zip(
-        leaf.index.tolist(), leaf.fifo.tolist(), leaf.ids, leaf.values,
+        leaf.index.tolist(), leaf.fifo.tolist(), id_tuples(leaf), leaf.values,
         leaf.ready.tolist(),
     ):
         streams[fifo].append((frozenset((index,)), ids, value, ready))
