@@ -7,19 +7,17 @@ names that ownership: ``owner(index)`` → *piece* id (the shard holding
 the index), plus the query-splitting helper the cross-shard reducer
 needs.
 
-Two constructors matter in practice:
-
-* :meth:`IndexPartition.by_home_rank` — pieces are contiguous rank
-  ranges of the single-node row-major placement (vector ``i`` lives in
-  rank ``i mod R``).  When the piece count is a power of two dividing
-  the leaf count, every piece is exactly an aligned subtree of the
-  single-node reduction tree, so a shard's partial over its piece equals
-  that subtree's value **bit for bit** and the canonical pairwise fold
-  over pieces reproduces the single-node root association exactly — the
-  property the reduction differential matrix asserts.
-* :meth:`IndexPartition.contiguous` — equal index ranges over a known
-  universe, the layout a range-sharded parameter server uses.  Useful in
-  the property tests precisely because it is *not* subtree-aligned.
+:meth:`IndexPartition.by_home_rank` builds the partition the runner
+uses: pieces are contiguous rank ranges of the single-node row-major
+placement (vector ``i`` lives in rank ``i mod R``).  When the piece count
+is a power of two dividing the leaf count, every piece is exactly an
+aligned subtree of the single-node reduction tree, so a shard's partial
+over its piece equals that subtree's value **bit for bit** and the
+canonical pairwise fold over pieces reproduces the single-node root
+association exactly — the property the reduction differential matrix
+asserts.  Range-sharded (``contiguous``) and literal (``explicit``)
+partitions are *not* subtree-aligned; the property tests use them for
+exactly that.
 
 Partitions are plain picklable data so they ship to worker processes
 alongside the engine configuration.
@@ -42,12 +40,13 @@ MODE_EXPLICIT = "explicit"
 class IndexPartition:
     """Ownership of the global index space by ``num_pieces`` shards.
 
-    Construct through the classmethods; the raw fields describe one of
-    three modes:
+    :meth:`by_home_rank` builds the partition the runner uses; the raw
+    fields describe one of three modes:
 
     * ``home_rank`` — ``rank_owner[index % total_ranks]`` decides.
-    * ``contiguous`` — ``index // piece_span`` over a fixed universe.
-    * ``explicit`` — a literal index → piece map (property tests).
+    * ``contiguous`` — ``index // piece_span``, indices past the last
+      piece's range clamping to it (range sharding).
+    * ``explicit`` — a literal index → piece map.
     """
 
     num_pieces: int
@@ -55,7 +54,6 @@ class IndexPartition:
     rank_owner: Tuple[int, ...] = ()
     total_ranks: int = 32
     piece_span: int = 0
-    universe: int = 0
     explicit_owner: Dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -68,6 +66,14 @@ class IndexPartition:
                 f"rank_owner covers {len(self.rank_owner)} ranks, "
                 f"expected {self.total_ranks}"
             )
+        if self.mode == MODE_CONTIGUOUS and self.piece_span < 1:
+            raise ValueError("piece_span must be positive")
+        for index, piece in self.explicit_owner.items():
+            if not 0 <= piece < self.num_pieces:
+                raise ValueError(
+                    f"index {index} assigned to piece {piece} outside "
+                    f"[0, {self.num_pieces})"
+                )
 
     # --- constructors ------------------------------------------------------
     @classmethod
@@ -103,34 +109,6 @@ class IndexPartition:
             total_ranks=config.total_ranks,
         )
 
-    @classmethod
-    def contiguous(cls, universe: int, pieces: int) -> "IndexPartition":
-        """Equal index ranges over ``[0, universe)`` (range sharding)."""
-        if universe < 1:
-            raise ValueError("universe must be positive")
-        span = max(1, -(-universe // pieces))
-        return cls(
-            num_pieces=pieces,
-            mode=MODE_CONTIGUOUS,
-            piece_span=span,
-            universe=universe,
-        )
-
-    @classmethod
-    def explicit(cls, owner_of: Dict[int, int], pieces: int) -> "IndexPartition":
-        """A literal index → piece map (arbitrary partitions, tests)."""
-        for index, piece in owner_of.items():
-            if not 0 <= piece < pieces:
-                raise ValueError(
-                    f"index {index} assigned to piece {piece} outside "
-                    f"[0, {pieces})"
-                )
-        return cls(
-            num_pieces=pieces,
-            mode=MODE_EXPLICIT,
-            explicit_owner=dict(owner_of),
-        )
-
     # --- ownership ---------------------------------------------------------
     def owner(self, index: int) -> int:
         """The piece holding ``index``."""
@@ -155,20 +133,3 @@ class IndexPartition:
         for index in query:
             pieces.setdefault(self.owner(int(index)), []).append(int(index))
         return pieces
-
-    def subtree_aligned(self, config: FafnirConfig) -> bool:
-        """Whether every piece is an aligned subtree of ``config``'s tree
-        (the precondition for bit-exact single-node composition)."""
-        if self.mode != MODE_HOME_RANK or config.total_ranks != self.total_ranks:
-            return False
-        pieces = self.num_pieces
-        if pieces & (pieces - 1):
-            return False
-        leaves = config.num_leaf_pes
-        if pieces > leaves or leaves % pieces:
-            return False
-        span = config.total_ranks // pieces
-        return all(
-            self.rank_owner[rank] == rank // span
-            for rank in range(config.total_ranks)
-        )

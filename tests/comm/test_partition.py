@@ -4,6 +4,7 @@ import pytest
 
 from repro.comm.partition import IndexPartition
 from repro.core.config import FafnirConfig
+from tests.comm.partitions import contiguous, explicit, subtree_aligned
 
 
 def _config(ranks=16, per_leaf=2):
@@ -40,7 +41,7 @@ def test_by_home_rank_rejects_more_pieces_than_ranks():
 
 
 def test_contiguous_ranges():
-    partition = IndexPartition.contiguous(universe=100, pieces=4)
+    partition = contiguous(universe=100, pieces=4)
     assert partition.owner(0) == 0
     assert partition.owner(24) == 0
     assert partition.owner(25) == 1
@@ -50,13 +51,13 @@ def test_contiguous_ranges():
 
 
 def test_explicit_mapping_and_errors():
-    partition = IndexPartition.explicit({0: 1, 5: 0, 9: 1}, pieces=2)
+    partition = explicit({0: 1, 5: 0, 9: 1}, pieces=2)
     assert partition.owner(5) == 0
     assert partition.owner(9) == 1
     with pytest.raises(KeyError):
         partition.owner(3)
     with pytest.raises(ValueError, match="outside"):
-        IndexPartition.explicit({1: 7}, pieces=2)
+        explicit({1: 7}, pieces=2)
 
 
 def test_split_query_preserves_order_and_omits_untouched_pieces():
@@ -82,15 +83,15 @@ def test_split_query_partitions_without_loss():
 
 def test_subtree_alignment():
     config = _config(16, 2)
-    assert IndexPartition.by_home_rank(config, 4).subtree_aligned(config)
-    assert IndexPartition.by_home_rank(config, 8).subtree_aligned(config)
+    assert subtree_aligned(IndexPartition.by_home_rank(config, 4), config)
+    assert subtree_aligned(IndexPartition.by_home_rank(config, 8), config)
     # Non-power-of-two piece counts are not aligned subtrees.
-    assert not IndexPartition.by_home_rank(config, 3).subtree_aligned(config)
+    assert not subtree_aligned(IndexPartition.by_home_rank(config, 3), config)
     # Range sharding ignores the tree entirely.
-    assert not IndexPartition.contiguous(100, 4).subtree_aligned(config)
+    assert not subtree_aligned(contiguous(100, 4), config)
     # A different machine shape breaks the alignment claim.
     other = _config(32, 2)
-    assert not IndexPartition.by_home_rank(config, 4).subtree_aligned(other)
+    assert not subtree_aligned(IndexPartition.by_home_rank(config, 4), other)
 
 
 def test_validation():
@@ -101,4 +102,4 @@ def test_validation():
     with pytest.raises(ValueError, match="covers"):
         IndexPartition(num_pieces=2, rank_owner=(0, 1), total_ranks=4)
     with pytest.raises(ValueError, match="non-negative"):
-        IndexPartition.contiguous(16, 2).owner(-1)
+        contiguous(16, 2).owner(-1)

@@ -17,6 +17,7 @@ from repro.comm.schedule import SCHEDULES, canonical_fold
 from repro.core import FafnirConfig, FafnirEngine
 from repro.core.sharding import ShardedRunner
 from repro.hw.link import LinkModel
+from tests.comm.partitions import explicit
 
 ELEMENTS = 16
 UNIVERSE = 64
@@ -122,7 +123,7 @@ def test_arbitrary_explicit_partitions_agree_across_schedules(batches, owners):
     """Any partition of the index space — even one that ignores the tree —
     still reduces to the same bytes under every schedule."""
     pieces = max(owners) + 1
-    partition = IndexPartition.explicit(
+    partition = explicit(
         {index: owner for index, owner in enumerate(owners)}, pieces=pieces
     )
     config = _config()

@@ -134,7 +134,11 @@ def test_local_latencies_are_schedule_independent(seed, on_pe_paths):
     on_pe_paths(lambda: run_single(config, batches, source)[2])
 
     sharded = {
-        name: run_sharded(config, batches, source, name, 4).local_latencies
+        name: [
+            cycles
+            for batch in run_sharded(config, batches, source, name, 4).batches
+            for cycles in batch.local_ready_pe_cycles
+        ]
         for name in sorted(SCHEDULES)
     }
     assert len({tuple(lat) for lat in sharded.values()}) == 1
