@@ -76,15 +76,23 @@ def fold_law_violations(name, stream, outputs, queries) -> List[str]:
 def leaf_outputs(messages, fifo, stream, queries):
     """FIFO ``fifo``'s output rows as the sweep's leaf boundary names them.
 
-    ``messages`` is a :class:`repro.core.sweep.LeafMessages`.  Each message
-    on the FIFO carries the query ids its table column names; its indices
-    are taken as the FIFO's part of its first query, which its recorded
-    ``size`` must match (``ValueError`` otherwise).
+    ``messages`` is a :class:`repro.core.sweep.LeafMessages` or a
+    :class:`tests.pe_oracle.Boundary`, and ``fifo`` a FIFO key ``batch·fifos
+    + fifo`` (the FIFO itself for one batch).  Each message on the FIFO
+    carries the query ids its table column names; its indices are taken as
+    the FIFO's part of its first query, which its recorded ``size`` must
+    match (``ValueError`` otherwise).  A row's value is the message's, or
+    ``None`` for leaf messages, whose values are rows of their combine
+    program.
     """
     homed = frozenset().union(*(indices for indices, *_ in stream))
-    column = messages.table[:, fifo]
+    fifos = messages.table.shape[1]
+    column = messages.table[:, fifo % fifos]
+    value = getattr(messages, "value", None)
     rows = []
     for message in np.unique(column[column >= 0]).tolist():
+        if messages.fifo[message] // fifos != fifo // fifos:
+            continue  # another batch's message
         ids = np.flatnonzero(column == message).tolist()
         indices = queries[ids[0]] & homed
         if (messages.size[message], messages.fifo[message]) != (len(indices), fifo):
@@ -93,7 +101,8 @@ def leaf_outputs(messages, fifo, stream, queries):
                 f"{messages.size[message]} on FIFO {messages.fifo[message]}, "
                 f"but carries {sorted(indices)}"
             )
-        rows.append((indices, ids, messages.value[message], messages.ready[message]))
+        rows.append((indices, ids, None if value is None else value[message],
+                     messages.ready[message]))
     return rows
 
 
@@ -148,11 +157,13 @@ def _checked_fold(fold):
 
 
 def _checked_boundary(boundary):
-    """``boundary`` plus :func:`fold_law_violations` on every leaf FIFO,
-    those it passes through without a fold included."""
+    """``boundary`` plus :func:`fold_law_violations` on every leaf FIFO of
+    every batch, those it passes through without a fold included.
+    ``boundary`` is ``repro.core.sweep.leaf_messages`` or, with the oracle
+    fold's signature, :func:`tests.pe_oracle.fold_every_fifo`."""
 
-    def run(queries, leaf, operator, reduce_path, tracer=NULL_TRACER):
-        messages = boundary(queries, leaf, operator, reduce_path, tracer)
+    def run(queries, leaf, *args):
+        messages = boundary(queries, leaf, *args)
         problems = []
         for fifo, stream in enumerate(pe_oracle.leaf_rows(leaf)):
             if stream:
@@ -170,9 +181,10 @@ def on_pe_paths():
 
     ``on_pe_paths(thunk)`` calls ``thunk()`` once per entry of
     :data:`PE_PATHS` and returns the common result.  On the ``oracle`` path
-    every engine's tree stage (``FafnirEngine._run_tree``) is the object
-    sweep of :func:`tests.pe_oracle.run_tree`, merge-unit value check on,
-    and ``repro.core.sweep.leaf_messages`` is the oracle's sequential fold
+    every engine's tree stage (``FafnirEngine._run_trees``) is the object
+    sweep of :func:`tests.pe_oracle.run_tree` on each batch, merge-unit
+    value check on, and the leaf boundary under test,
+    :func:`tests.pe_oracle.leaf_boundary`, is the oracle's sequential fold
     on every FIFO, :func:`tests.pe_oracle.fold_every_fifo`.  Thunks
     return plain comparable data — vector bytes, ready cycles, ``PEWork``
     counters, statuses, :func:`tree_event_fingerprint` of a trace — so the
@@ -198,8 +210,11 @@ def on_pe_paths():
             assert not problems, "\n".join(problems)
         return result
 
-    def oracle_tree(engine, plan, leaf_inputs):
-        return pe_oracle.run_tree(engine, plan, leaf_inputs, check_values=True)
+    def oracle_trees(engine, plans, leaves, tracers):
+        return [
+            pe_oracle.run_tree(engine, plan, leaf, check_values=True, tracer=tracer)
+            for plan, leaf, tracer in zip(plans, leaves, tracers)
+        ]
 
     def run(thunk):
         results = {}
@@ -210,8 +225,8 @@ def on_pe_paths():
                 if name == "sweep":
                     patch.setattr(sweep_module, "leaf_messages", sweep_boundary)
                 else:
-                    patch.setattr(sweep_module, "leaf_messages", oracle_boundary)
-                    patch.setattr(FafnirEngine, "_run_tree", oracle_tree)
+                    patch.setattr(pe_oracle, "leaf_boundary", oracle_boundary)
+                    patch.setattr(FafnirEngine, "_run_trees", oracle_trees)
                 results[name] = thunk()
         assert results["sweep"] == results["oracle"], "tree sweep diverged from the oracle"
         return results["sweep"]

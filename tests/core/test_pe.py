@@ -225,8 +225,9 @@ class TestOutputBound:
         run = FafnirEngine._sweep
 
         def recording(self, *args):
-            results.append(run(self, *args))
-            return results[-1]
+            swept = run(self, *args)
+            results.extend(swept)
+            return swept
 
         monkeypatch.setattr(FafnirEngine, "_sweep", recording)
         engine = FafnirEngine(config=config)

@@ -20,7 +20,6 @@ build, with a multi-index message, goes to the oracle's fold alone.
 import numpy as np
 import pytest
 
-import repro.core.sweep as sweep_module
 from repro.core import (
     FafnirConfig,
     FafnirEngine,
@@ -61,6 +60,7 @@ def leaf_columns_of(stream):
         **pe_oracle.id_columns([ids for _, ids, _, _ in rows]),
         values=[value for _, _, value, _ in rows],
         fifos=2,
+        batch=np.zeros(len(rows), np.int64),
     )
     return columns, rows, queries
 
@@ -180,6 +180,7 @@ def process_on_paths(on_pe_paths, a, b, operator=SUM):
                                 for _, _, m in reads]),
         values=[m.value for _, _, m in reads],
         fifos=2,
+        batch=np.zeros(len(reads), np.int64),
     )
 
     def run():
@@ -188,7 +189,7 @@ def process_on_paths(on_pe_paths, a, b, operator=SUM):
             operator=operator,
             memory_config=MemoryConfig().scaled_to_ranks(2),
         )
-        values, ready, work = engine._run_tree(plan, columns)
+        ((values, ready, work),) = engine._run_trees([plan], [columns], [engine.tracer])
         return [value.tobytes() for value in values], ready, work
 
     return on_pe_paths(run)
@@ -202,8 +203,8 @@ def fold_on_paths(on_pe_paths, stream):
 
     def run():
         sink = InMemorySink()
-        messages = sweep_module.leaf_messages(queries, columns, SUM, REDUCE_PATH,
-                                              Tracer([sink]))
+        messages = pe_oracle.leaf_boundary(queries, columns, SUM, REDUCE_PATH,
+                                           Tracer([sink]))
         outputs = leaf_outputs(messages, 0, rows, queries)
         return ([row_fingerprint(row, queries) for row in outputs],
                 messages.work[0], sink.events)

@@ -106,7 +106,7 @@ def test_message_value_matches_indices_reduction(queries):
     finish, _, _ = engine._fetch_from_memory(plan.reads)
     values = {i: deterministic_source(i) for i in plan.unique_indices}
     leaf_inputs = engine._leaf_inputs(plan, finish, values)
-    root_values, _, _ = engine._run_tree(plan, leaf_inputs)
+    ((root_values, _, _),) = engine._run_trees([plan], [leaf_inputs], [engine.tracer])
     for query, value in zip(plan.queries, root_values):
         want = np.sum([deterministic_source(i) for i in sorted(query)], axis=0)
         assert np.allclose(value, want)
@@ -128,7 +128,7 @@ def test_subtree_completion_invariant(queries):
     finish, _, _ = engine._fetch_from_memory(plan.reads)
     values = {i: deterministic_source(i) for i in plan.unique_indices}
     leaf_inputs = engine._leaf_inputs(plan, finish, values)
-    result = engine._sweep(plan, leaf_inputs)
+    (result,) = engine._sweep([plan], [leaf_inputs], [engine.tracer])
 
     for level, table in enumerate(result.ids[1:]):
         for node, pe_id in enumerate(engine.tree.level_ids(level)):

@@ -22,12 +22,12 @@ import pytest
 
 from repro.core import FafnirConfig, FafnirEngine, get_operator, plan_batch
 from repro.core.pe import PEWork
-from repro.core.sweep import LeafColumns, leaf_messages
+from repro.core.sweep import LeafColumns
 from repro.memory import MemoryConfig
 from repro.obs import InMemorySink, Tracer
 from tests.conftest import leaf_kind
 from tests.pe_oracle import (
-    fold_every_fifo, fold_rows, id_columns, id_tuples, leaf_rows,
+    fold_every_fifo, fold_rows, id_columns, id_tuples, leaf_boundary, leaf_rows,
 )
 
 RUNS = 1200
@@ -184,6 +184,7 @@ def permuted(leaf, seed):
         **id_columns([id_tuples(leaf)[n] for n in order]),
         values=[leaf.values[n] for n in order],
         fifos=leaf.fifos,
+        batch=leaf.batch[order],
     )
 
 
@@ -251,7 +252,7 @@ def test_columnar_boundary_matches_folding_every_fifo(chunk):
         engine, plan, leaf = leaf_columns(case_of(seed))
         for arrival, columns in (("engine", leaf),
                                  ("permuted", permuted(leaf, 90_000 + seed))):
-            got = boundary_record(leaf_messages, engine, plan, columns)
+            got = boundary_record(leaf_boundary, engine, plan, columns)
             want = boundary_record(fold_every_fifo, engine, plan, columns)
             assert got == want, f"seed {seed} ({arrival} order): leaf boundary diverged"
 

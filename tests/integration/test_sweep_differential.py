@@ -158,7 +158,7 @@ class TestMessagesPerPE:
         finish, _, _ = engine._fetch_from_memory(plan.reads)
         values = {index: source(index) for index in plan.unique_indices}
         leaf_inputs = engine._leaf_inputs(plan, finish, values)
-        sweep = engine._sweep(plan, leaf_inputs)
+        (sweep,) = engine._sweep([plan], [leaf_inputs], [engine.tracer])
         oracle = pe_oracle.outputs_by_pe(engine, plan, leaf_inputs)
 
         checked = 0

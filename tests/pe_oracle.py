@@ -22,10 +22,12 @@ model they replaced, as the differential oracle:
 * :func:`fold_stream` — the leaf FIFO fold, one arrival at a time: the only
   sequential fold, and the reference for the sweep's closed form
   (``repro.core.sweep.leaf_messages``).  :func:`fold_rows` runs it over
-  rows, and :func:`fold_every_fifo` over every FIFO of leaf columns, with
-  ``leaf_messages``' signature and result.
-* :func:`run_tree` — the object sweep leaves→root, a drop-in replacement for
-  ``FafnirEngine._run_tree``.
+  rows, and :func:`fold_every_fifo` over every FIFO of one batch's leaf
+  columns, giving a :class:`Boundary`; :func:`leaf_boundary` is the sweep's
+  leaf boundary with the same signature and result, its combine program
+  evaluated.
+* :func:`run_tree` — the object sweep leaves→root, one batch of
+  ``FafnirEngine._run_trees``.
 
 Everything here is ``O(entries × partners)`` pure Python, written for
 clarity rather than speed.
@@ -42,10 +44,11 @@ from typing import (
 
 import numpy as np
 
+import repro.core.sweep as sweep_module
 from repro.core.config import FafnirConfig
 from repro.core.operators import ReductionOperator
 from repro.core.pe import PEWork
-from repro.core.sweep import LeafColumns, LeafMessages
+from repro.core.sweep import LeafColumns
 from repro.obs.events import PE_FORWARD, PE_MERGE, PE_REDUCE
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -241,13 +244,16 @@ def id_columns(tuples: Sequence[Sequence[int]]) -> Dict[str, np.ndarray]:
 
 
 def leaf_rows(leaf: LeafColumns) -> List[List[Row]]:
-    """Each FIFO's stream of single-index rows, in arrival order."""
-    streams: List[List[Row]] = [[] for _ in range(leaf.fifos)]
-    for index, fifo, ids, value, ready in zip(
-        leaf.index.tolist(), leaf.fifo.tolist(), id_tuples(leaf), leaf.values,
+    """Each FIFO's stream of single-index rows, in arrival order, listed by
+    FIFO key ``batch·fifos + fifo`` (the FIFO itself for one batch)."""
+    batches = int(leaf.batch.max()) + 1 if len(leaf.batch) else 1
+    streams: List[List[Row]] = [[] for _ in range(batches * leaf.fifos)]
+    keys = leaf.batch * leaf.fifos + leaf.fifo
+    for index, key, ids, value, ready in zip(
+        leaf.index.tolist(), keys.tolist(), id_tuples(leaf), leaf.values,
         leaf.ready.tolist(),
     ):
-        streams[fifo].append((frozenset((index,)), ids, value, ready))
+        streams[key].append((frozenset((index,)), ids, value, ready))
     return streams
 
 
@@ -602,9 +608,34 @@ def fold_rows(
     return to_rows(folded, queries)
 
 
-def fold_every_fifo(queries, leaf, operator, reduce_path, tracer=NULL_TRACER):
-    """``repro.core.sweep.leaf_messages`` by :func:`fold_rows` on every FIFO:
-    messages numbered FIFO-major in folded order."""
+@dataclass
+class Boundary:
+    """One batch's leaf messages with their values, numbered FIFO-major in
+    folded order: the (query id × FIFO) ``table`` of message ids, each
+    message's ``value``, ``ready`` cycle, ``size`` (indices folded in) and
+    ``fifo``, and each leaf PE's fold ``work``."""
+
+    table: np.ndarray
+    value: np.ndarray
+    ready: np.ndarray
+    size: np.ndarray
+    fifo: np.ndarray
+    work: List[PEWork]
+
+
+def leaf_boundary(queries, leaf, operator, reduce_path, tracer=NULL_TRACER) -> Boundary:
+    """``repro.core.sweep.leaf_messages`` on one batch's leaf columns, its
+    messages' values evaluated from its combine program."""
+    messages = sweep_module.leaf_messages(queries, leaf, reduce_path, [tracer])
+    (value,) = messages.program.evaluate(leaf.values, operator.combine, [messages.row])
+    work = [PEWork(*counts) for counts in messages.work.T.tolist()]
+    return Boundary(messages.table, value, messages.ready, messages.size,
+                    messages.fifo, work)
+
+
+def fold_every_fifo(queries, leaf, operator, reduce_path, tracer=NULL_TRACER) -> Boundary:
+    """:func:`leaf_boundary` by :func:`fold_rows` on every FIFO of one
+    batch's leaf columns."""
     work = [PEWork() for _ in range(leaf.fifos // 2)]
     cells, messages = [], []
     for fifo, stream in enumerate(leaf_rows(leaf)):
@@ -619,8 +650,8 @@ def fold_every_fifo(queries, leaf, operator, reduce_path, tracer=NULL_TRACER):
     rows, columns, ids = np.array(cells, np.int64).T
     table[rows, columns] = ids
     size, fifo, value, ready = zip(*messages)
-    return LeafMessages(table, np.stack(value), np.array(ready, np.int64),
-                        np.array(size, np.int64), np.array(fifo, np.int64), work)
+    return Boundary(table, np.stack(value), np.array(ready, np.int64),
+                    np.array(size, np.int64), np.array(fifo, np.int64), work)
 
 
 def retime_phased(
@@ -646,15 +677,19 @@ def retime_phased(
 
 
 def run_tree(
-    engine, plan, leaf_inputs, check_values: bool = False
+    engine, plan, leaf_inputs, check_values: bool = False,
+    tracer: Optional[Tracer] = None,
 ) -> Tuple[np.ndarray, List[int], Dict[int, PEWork]]:
-    """``FafnirEngine._run_tree`` by object PEs: one ``process`` per PE.
+    """One batch of ``FafnirEngine._run_trees`` by object PEs: one
+    ``process`` per PE.
 
     ``leaf_inputs`` is the engine's ``LeafColumns``; every leaf FIFO's
     rows (:func:`leaf_rows`) go through :func:`fold_rows` and become
     messages.  Returns each of ``plan``'s queries' root value and ready
-    cycle, and the per-PE work, exactly as the engine's sweep does.
+    cycle, and the per-PE work, exactly as the engine's sweep does.  Events
+    go to ``tracer`` (the engine's when ``None``).
     """
+    tracer = engine.tracer if tracer is None else tracer
     tree = engine.tree
     streams = leaf_rows(leaf_inputs)
     levels = [tree.level_ids(level) for level in range(tree.num_levels)]
@@ -667,7 +702,7 @@ def run_tree(
             engine.operator,
             name=f"PE{pe_id}",
             check_values=check_values,
-            tracer=engine.tracer,
+            tracer=tracer,
             pe_id=pe_id,
             level=node.level,
         )
@@ -677,7 +712,7 @@ def run_tree(
                 to_messages(
                     fold_rows(rows, plan.distinct, fold_work, engine.operator,
                               engine.config.latencies.reduce_path,
-                              engine.tracer, pe_id, node.level),
+                              tracer, pe_id, node.level),
                     plan.distinct,
                 )
                 for rows in streams[2 * pe_id : 2 * pe_id + 2]  # leaves come first
