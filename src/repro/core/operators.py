@@ -107,19 +107,27 @@ def canonical_fold(
     """
     if not entries:
         raise ValueError("cannot fold zero partials")
-
-    def fold(lo: int, hi: int) -> Optional[np.ndarray]:
-        if hi - lo == 1:
-            return entries.get(lo)
-        mid = (lo + hi) // 2
-        left = fold(lo, mid)
-        right = fold(mid, hi)
-        if left is None:
-            return right
-        if right is None:
-            return left
-        return combine(left, right)
-
-    result = fold(0, _next_pow2(num_pieces))
+    result = _fold_range(entries, combine, 0, _next_pow2(num_pieces))
     assert result is not None
     return result
+
+
+def _fold_range(
+    entries: Mapping[int, np.ndarray],
+    combine: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: int,
+    hi: int,
+) -> Optional[np.ndarray]:
+    """:func:`canonical_fold` over the pieces ``[lo, hi)``; ``None`` when
+    none is present.  A plain function, so a fold leaves no reference
+    cycle holding ``entries``."""
+    if hi - lo == 1:
+        return entries.get(lo)
+    mid = (lo + hi) // 2
+    left = _fold_range(entries, combine, lo, mid)
+    right = _fold_range(entries, combine, mid, hi)
+    if left is None:
+        return right
+    if right is None:
+        return left
+    return combine(left, right)

@@ -7,7 +7,7 @@ queue depth converted to whole batches ahead, each charged the
 controller's running estimate of batch service time:
 
     forecast = max(now, accelerator_free_at)
-             + batches_ahead · estimated_batch_us
+             + batches_ahead · batch_service_estimate_us
 
 A request is shed when the forecast overruns its deadline by more than
 the safety margin: it could only have missed its SLO while making every
@@ -82,10 +82,6 @@ class AdmissionController:
         )
         self.shed_count = 0
         self.admitted_count = 0
-
-    @property
-    def estimated_batch_us(self) -> float:
-        return self._estimate_us
 
     def observe(self, service_us: float) -> None:
         """Fold one observed batch service time into the EWMA."""

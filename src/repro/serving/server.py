@@ -159,12 +159,6 @@ class ServingReport:
             return 0.0
         return self.shed_requests / len(self.records)
 
-    def status_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for record in self.records:
-            counts[record.status] = counts.get(record.status, 0) + 1
-        return counts
-
     def summary(self) -> Dict[str, float]:
         return {
             "requests": float(len(self.records)),

@@ -1,12 +1,12 @@
-"""Partitions only the tests build: range sharding, literal maps, and the
-subtree-alignment predicate.
+"""Partitions only the tests build: range sharding, literal maps, the
+subtree-alignment predicate, and the per-query split.
 
 :class:`~repro.comm.partition.IndexPartition` serves all three modes; the
 runner builds only :meth:`~repro.comm.partition.IndexPartition.by_home_rank`
 partitions, so the other constructors live here.
 """
 
-from typing import Dict
+from typing import Dict, List, Sequence
 
 from repro.comm.partition import (
     MODE_CONTIGUOUS,
@@ -51,3 +51,13 @@ def subtree_aligned(partition: IndexPartition, config: FafnirConfig) -> bool:
         partition.rank_owner[rank] == rank // span
         for rank in range(config.total_ranks)
     )
+
+
+def split_query(partition: IndexPartition, query: Sequence[int]) -> Dict[int, List[int]]:
+    """Per-piece sub-queries, one ``owner`` call per index, preserving the
+    query's index order; pieces with no index in the query are absent.
+    The reference for ``ShardSplit``'s column split."""
+    pieces: Dict[int, List[int]] = {}
+    for index in query:
+        pieces.setdefault(partition.owner(int(index)), []).append(int(index))
+    return pieces

@@ -4,7 +4,7 @@ import pytest
 
 from repro.comm.partition import IndexPartition
 from repro.core.config import FafnirConfig
-from tests.comm.partitions import contiguous, explicit, subtree_aligned
+from tests.comm.partitions import contiguous, explicit, split_query, subtree_aligned
 
 
 def _config(ranks=16, per_leaf=2):
@@ -65,7 +65,7 @@ def test_split_query_preserves_order_and_omits_untouched_pieces():
     partition = IndexPartition.by_home_rank(config, 4)
     # All indices home to ranks 0..3 → piece 0 only.
     query = [32, 0, 16, 3]
-    split = partition.split_query(query)
+    split = split_query(partition, query)
     assert set(split) == {0}
     assert split[0] == [32, 0, 16, 3]  # original order, untouched pieces absent
 
@@ -74,7 +74,7 @@ def test_split_query_partitions_without_loss():
     config = _config(16, 2)
     partition = IndexPartition.by_home_rank(config, 4)
     query = list(range(40))
-    split = partition.split_query(query)
+    split = split_query(partition, query)
     recombined = sorted(index for piece in split.values() for index in piece)
     assert recombined == query
     for piece, indices in split.items():

@@ -1,9 +1,13 @@
 """Tests for reduction operators."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core import MAX, MEAN, MIN, SUM, available_operators, get_operator
+from repro.core.operators import canonical_fold
 
 
 class TestLookup:
@@ -71,3 +75,36 @@ class TestReduceMany:
         forward = SUM.reduce_many(vectors)
         backward = SUM.reduce_many(list(reversed(vectors)))
         assert np.allclose(forward, backward)
+
+
+class TestCanonicalFold:
+    def test_tournament_association(self):
+        entries = {piece: np.array([float(piece)]) for piece in (0, 2, 3, 5)}
+        calls = []
+
+        def combine(left, right):
+            calls.append((left[0], right[0]))
+            return left + right
+
+        assert canonical_fold(entries, 6, combine)[0] == 10.0
+        # ((0 · 2,3) · (5)) over [0, 8): pieces 1, 4, 6 and 7 are absent.
+        assert calls == [(2.0, 3.0), (0.0, 5.0), (5.0, 5.0)]
+
+    def test_leaves_no_reference_cycle(self):
+        """With the cyclic collector off, the partials die as soon as the
+        caller drops them: the fold keeps no reference to ``entries``."""
+        entries = {piece: np.ones(4) for piece in range(5)}
+        watched = weakref.ref(entries[3])
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            canonical_fold(entries, 5, np.add)
+            del entries
+            assert watched() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_zero_partials_raise(self):
+        with pytest.raises(ValueError):
+            canonical_fold({}, 4, np.add)

@@ -48,6 +48,12 @@ class TestPolicyValidation:
             policy.safety_margin_us = 1.0
 
 
+def one_batch_ahead(controller):
+    """The controller's batch-service estimate, as the forecast for an
+    empty queue on an idle accelerator charges it."""
+    return controller.forecast_complete_us(0.0, 0, 0.0)
+
+
 class TestController:
     def test_rejects_nonpositive_batch_size(self):
         with pytest.raises(ValueError, match="batch_size"):
@@ -59,22 +65,22 @@ class TestController:
             batch_size=4,
             default_service_us=5.0,
         )
-        assert controller.estimated_batch_us == 9.0
+        assert one_batch_ahead(controller) == 9.0
 
     def test_initial_estimate_falls_back_to_default(self):
         controller = AdmissionController(
             OverloadPolicy(), batch_size=4, default_service_us=5.0
         )
-        assert controller.estimated_batch_us == 5.0
+        assert one_batch_ahead(controller) == 5.0
 
     def test_ewma_converges_toward_observations(self):
         controller = AdmissionController(
             OverloadPolicy(ewma_alpha=0.5), batch_size=4, default_service_us=10.0
         )
         controller.observe(20.0)
-        assert controller.estimated_batch_us == pytest.approx(15.0)
+        assert one_batch_ahead(controller) == pytest.approx(15.0)
         controller.observe(20.0)
-        assert controller.estimated_batch_us == pytest.approx(17.5)
+        assert one_batch_ahead(controller) == pytest.approx(17.5)
 
     def test_forecast_charges_whole_batches_ahead(self):
         controller = AdmissionController(

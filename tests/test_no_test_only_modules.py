@@ -8,9 +8,10 @@ by a bench, an example or another used ``src`` module.  Re-exports in
 The check is by name, so it errs towards "used".  It is run to a fixed
 point, so a module reached only from test-only modules is test-only too.
 
-Within ``repro.core`` and ``repro.comm`` the same holds for each public
-function, class and method: its name must be referenced somewhere in
-``src``, a bench or an example.
+Within ``repro.core``, ``repro.comm``, ``repro.serving`` and
+``repro.resilience`` the same holds for each public function, class and
+method: its name must be referenced somewhere in ``src``, a bench or an
+example.
 """
 
 import ast
@@ -112,7 +113,7 @@ def test_no_test_only_core_names():
         referenced |= _referenced_names(ast.parse(path.read_text()))
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defined = []  # (qualified name, name)
-    paths = [path for package in ("core", "comm")
+    paths = [path for package in ("core", "comm", "serving", "resilience")
              for path in sorted(SRC.joinpath("repro", package).glob("*.py"))]
     for path in paths:
         module = _module_name(path)
@@ -124,4 +125,4 @@ def test_no_test_only_core_names():
                             for item in node.body if isinstance(item, functions)]
     unused = [qualified for qualified, name in defined
               if not name.startswith("_") and name not in referenced]
-    assert not unused, f"repro.core/repro.comm names reached only by tests: {unused}"
+    assert not unused, f"repro.core/comm/serving/resilience names reached only by tests: {unused}"
