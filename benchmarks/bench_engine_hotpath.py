@@ -180,13 +180,10 @@ def _tree_stages(config, memory, queries, vectors, repeats, benchmark=None):
     ``(oracle_s, sweep_s)``."""
     engine = FafnirEngine(config=config, memory_config=memory)
     plan = plan_batch(queries, max_query_len=config.max_query_len)
-    finish, _, _ = engine._fetch_from_memory(plan.reads)
-    leaf_inputs = engine._leaf_inputs(
-        plan, finish, {index: vectors[index] for index in plan.unique_indices}
-    )
+    leaf_inputs = pe_oracle.leaf_inputs(engine, plan, vectors.__getitem__)
 
     def sweep_run():
-        return _timed(lambda: engine._run_trees([plan], [leaf_inputs], [engine.tracer])[0])
+        return _timed(lambda: engine._run_trees([plan], leaf_inputs, [engine.tracer])[0])
 
     oracle_s, oracle = _timed(lambda: pe_oracle.run_tree(engine, plan, leaf_inputs))
     sweep_s, sweep = run_once(benchmark, sweep_run) if benchmark else sweep_run()

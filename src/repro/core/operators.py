@@ -26,13 +26,14 @@ class ReductionOperator:
 
     Attributes:
         name: operator identifier ("sum", "min", "max", "mean").
-        combine: pairwise element-wise combiner used inside the tree.
+        combine: pairwise element-wise combiner used inside the tree, a
+            ufunc, so the tree can write its results in place (``out=``).
         finalize: host-side post-processing of a fully reduced vector given
             the number of vectors that were folded into it.
     """
 
     name: str
-    combine: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    combine: np.ufunc
     finalize: Callable[[np.ndarray, int], np.ndarray]
 
     def reduce_many(self, vectors: list) -> np.ndarray:

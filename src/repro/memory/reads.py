@@ -38,6 +38,14 @@ class ReadColumns:
         self.issue: List[int] = []
         self.tag: List[object] = []
 
+    @classmethod
+    def of(cls, rank, bank, row, column, bytes_, issue, tag) -> "ReadColumns":
+        """Reads from whole columns: lists of one entry per read."""
+        reads = cls()
+        reads.rank, reads.bank, reads.row, reads.column = rank, bank, row, column
+        reads.bytes, reads.issue, reads.tag = bytes_, issue, tag
+        return reads
+
     def __len__(self) -> int:
         return len(self.rank)
 

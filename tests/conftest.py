@@ -210,10 +210,11 @@ def on_pe_paths():
             assert not problems, "\n".join(problems)
         return result
 
-    def oracle_trees(engine, plans, leaves, tracers):
+    def oracle_trees(engine, plans, leaf, tracers):
         return [
-            pe_oracle.run_tree(engine, plan, leaf, check_values=True, tracer=tracer)
-            for plan, leaf, tracer in zip(plans, leaves, tracers)
+            pe_oracle.run_tree(engine, plan, columns, check_values=True, tracer=tracer)
+            for plan, columns, tracer in zip(
+                plans, pe_oracle.batch_columns(leaf, plans), tracers)
         ]
 
     def run(thunk):

@@ -18,6 +18,7 @@ from repro.core.tree import TreePE
 from repro.memory import MemoryConfig
 from repro.obs import InMemorySink, Tracer
 from repro.workloads import EmbeddingTableSet, QueryGenerator
+from tests.pe_oracle import leaf_inputs
 
 RANKS = 8
 ELEMENTS = 16
@@ -276,10 +277,12 @@ class TestLeafRouting:
     def test_unwired_rank_is_rejected(self):
         engine = make_engine()
         leaf = engine.tree.leaves()[0]
-        engine._rank_fifo = FafnirEngine._leaf_routes(
+        routes = FafnirEngine._leaf_routes(
             [TreePE(pe_id=leaf.pe_id, level=0, children=None, leaf_ranks=(0,))]
         )
-        assert engine._leaf_fifos([0]) == ([0], [2 * leaf.pe_id])
+        engine._rank_fifo = np.full(engine.config.total_ranks, -1, np.int64)
+        engine._rank_fifo[list(routes)] = list(routes.values())
+        assert engine._leaf_fifos([0], [0]).tolist() == [2 * leaf.pe_id]
         with pytest.raises(ValueError, match="wired to no leaf PE"):
             engine.run_batch([[0, 1]], vector_source)
 
@@ -289,12 +292,13 @@ class TestDedupAblationTiming:
         engine = make_engine()
         queries = [[1, 2, 3], [1, 2, 4], [1, 5, 6]]
         plan = plan_batch(queries, deduplicate=False)
-        (index, cycles), _, _ = engine._fetch_from_memory(plan.reads)
+        leaf = leaf_inputs(engine, plan, vector_source)
+        index = leaf.index
         # Sorted by index: index 1 is read three times, index 2 twice, the
         # rest once.
         assert index.tolist() == [1, 1, 1, 2, 2, 3, 4, 5, 6]
         # Later occurrences of the same index never finish earlier.
-        ones = cycles[index == 1].tolist()
+        ones = leaf.ready[index == 1].tolist()
         assert ones == sorted(ones)
 
     def test_ablation_latency_not_below_dedup(self):

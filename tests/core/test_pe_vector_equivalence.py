@@ -58,7 +58,7 @@ def leaf_columns_of(stream):
         fifo=np.zeros(len(rows), np.int64),
         ready=np.array([ready for *_, ready in rows], np.int64),
         **pe_oracle.id_columns([ids for _, ids, _, _ in rows]),
-        values=[value for _, _, value, _ in rows],
+        values=np.array([value for _, _, value, _ in rows]),
         fifos=2,
         batch=np.zeros(len(rows), np.int64),
     )
@@ -126,7 +126,7 @@ def pe_inputs(rng, queries, max_ready=50, elements=8):
 def fifo_stream(rng, queries, deduplicate=True, elements=8):
     """An engine-shaped leaf FIFO holding the even indices, in random order.
 
-    As in ``FafnirEngine._leaf_inputs``, every read index arrives as one
+    As in ``FafnirEngine._leaf_columns``, every read index arrives as one
     single-index message carrying the remainder of each query it serves;
     without deduplication each occurrence arrives on its own.
     """
@@ -178,7 +178,7 @@ def process_on_paths(on_pe_paths, a, b, operator=SUM):
         ready=np.array([m.ready_cycle for _, _, m in reads], np.int64),
         **pe_oracle.id_columns([[query_id[m.indices | entry] for entry in m.entries]
                                 for _, _, m in reads]),
-        values=[m.value for _, _, m in reads],
+        values=np.array([m.value for _, _, m in reads]),
         fifos=2,
         batch=np.zeros(len(reads), np.int64),
     )
@@ -189,7 +189,7 @@ def process_on_paths(on_pe_paths, a, b, operator=SUM):
             operator=operator,
             memory_config=MemoryConfig().scaled_to_ranks(2),
         )
-        ((values, ready, work),) = engine._run_trees([plan], [columns], [engine.tracer])
+        ((values, ready, work),) = engine._run_trees([plan], columns, [engine.tracer])
         return [value.tobytes() for value in values], ready, work
 
     return on_pe_paths(run)

@@ -16,6 +16,7 @@ from repro.core import (
     plan_batch,
 )
 from repro.memory import MemoryConfig
+from tests import pe_oracle
 from tests.pe_oracle import Header, Message, ProcessingElement
 
 ELEMENTS = 16
@@ -103,10 +104,8 @@ def test_message_value_matches_indices_reduction(queries):
     query's indices."""
     engine = small_engine()
     plan = plan_batch(queries, max_query_len=8)
-    finish, _, _ = engine._fetch_from_memory(plan.reads)
-    values = {i: deterministic_source(i) for i in plan.unique_indices}
-    leaf_inputs = engine._leaf_inputs(plan, finish, values)
-    ((root_values, _, _),) = engine._run_trees([plan], [leaf_inputs], [engine.tracer])
+    leaf_inputs = pe_oracle.leaf_inputs(engine, plan, deterministic_source)
+    ((root_values, _, _),) = engine._run_trees([plan], leaf_inputs, [engine.tracer])
     for query, value in zip(plan.queries, root_values):
         want = np.sum([deterministic_source(i) for i in sorted(query)], axis=0)
         assert np.allclose(value, want)
@@ -125,10 +124,8 @@ def test_subtree_completion_invariant(queries):
     """
     engine = small_engine()
     plan = plan_batch(queries, max_query_len=8)
-    finish, _, _ = engine._fetch_from_memory(plan.reads)
-    values = {i: deterministic_source(i) for i in plan.unique_indices}
-    leaf_inputs = engine._leaf_inputs(plan, finish, values)
-    (result,) = engine._sweep([plan], [leaf_inputs], [engine.tracer])
+    leaf_inputs = pe_oracle.leaf_inputs(engine, plan, deterministic_source)
+    (result,) = engine._sweep([plan], leaf_inputs, [engine.tracer])
 
     for level, table in enumerate(result.ids[1:]):
         for node, pe_id in enumerate(engine.tree.level_ids(level)):

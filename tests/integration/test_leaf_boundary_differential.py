@@ -27,7 +27,8 @@ from repro.memory import MemoryConfig
 from repro.obs import InMemorySink, Tracer
 from tests.conftest import leaf_kind
 from tests.pe_oracle import (
-    fold_every_fifo, fold_rows, id_columns, id_tuples, leaf_boundary, leaf_rows,
+    fold_every_fifo, fold_rows, id_columns, id_tuples, leaf_boundary, leaf_inputs,
+    leaf_rows,
 )
 
 RUNS = 1200
@@ -182,7 +183,7 @@ def permuted(leaf, seed):
     return LeafColumns(
         index=leaf.index[order], fifo=leaf.fifo[order], ready=leaf.ready[order],
         **id_columns([id_tuples(leaf)[n] for n in order]),
-        values=[leaf.values[n] for n in order],
+        values=leaf.values[order],
         fifos=leaf.fifos,
         batch=leaf.batch[order],
     )
@@ -225,9 +226,7 @@ def leaf_columns(case):
     )
     plan = plan_batch(queries, max_query_len=config.max_query_len,
                       deduplicate=deduplicate)
-    finish, _, _ = engine._fetch_from_memory(plan.reads)
-    values = {index: source(index) for index in plan.unique_indices}
-    return engine, plan, engine._leaf_inputs(plan, finish, values)
+    return engine, plan, leaf_inputs(engine, plan, source)
 
 
 def boundary_record(boundary, engine, plan, leaf):

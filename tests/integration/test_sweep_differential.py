@@ -117,9 +117,7 @@ def batch_kind(config, kwargs, queries, deduplicate):
     engine = FafnirEngine(config=config, memory_config=kwargs["memory_config"])
     plan = plan_batch(queries, max_query_len=config.max_query_len,
                       deduplicate=deduplicate)
-    finish, _, _ = engine._fetch_from_memory(plan.reads)
-    values = {index: source(index) for index in plan.unique_indices}
-    return leaf_kind(engine._leaf_inputs(plan, finish, values))
+    return leaf_kind(pe_oracle.leaf_inputs(engine, plan, source))
 
 
 def test_cases_cover_every_class():
@@ -155,10 +153,8 @@ class TestMessagesPerPE:
             max_query_len=engine.config.max_query_len,
             deduplicate=result.plan.deduplicated,
         )
-        finish, _, _ = engine._fetch_from_memory(plan.reads)
-        values = {index: source(index) for index in plan.unique_indices}
-        leaf_inputs = engine._leaf_inputs(plan, finish, values)
-        (sweep,) = engine._sweep([plan], [leaf_inputs], [engine.tracer])
+        leaf_inputs = pe_oracle.leaf_inputs(engine, plan, source)
+        (sweep,) = engine._sweep([plan], leaf_inputs, [engine.tracer])
         oracle = pe_oracle.outputs_by_pe(engine, plan, leaf_inputs)
 
         checked = 0

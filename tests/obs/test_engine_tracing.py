@@ -117,7 +117,9 @@ class TestStatsCrossCheck:
         arrivals = [e for e in events if e.kind in (LEAF_INJECT, FIFO_ENQUEUE)]
         depth = {}
         for inject, enqueue in zip(arrivals[0::2], arrivals[1::2]):
-            (rank,), (fifo,) = engine._leaf_fifos([inject.args["index"]])
+            index = inject.args["index"]
+            rank = engine.placement.home_rank(index)
+            (fifo,) = engine._leaf_fifos([index], [rank]).tolist()
             leaf, side = divmod(fifo, 2)
             assert (inject.kind, inject.rank, inject.pe, inject.level) == (
                 LEAF_INJECT, rank, leaf, 0
