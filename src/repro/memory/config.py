@@ -116,16 +116,12 @@ class DramEnergy:
 
 @dataclass(frozen=True)
 class MemoryConfig:
-    """Bundle of geometry + timing + energy used across the simulator."""
+    """Bundle of geometry + timing + energy used across the simulator; the
+    defaults are the paper's 32-rank DDR4-2400 system (4 ch × 4 DIMM × 2 ranks)."""
 
     geometry: MemoryGeometry = field(default_factory=MemoryGeometry)
     timing: DramTiming = field(default_factory=DramTiming)
     energy: DramEnergy = field(default_factory=DramEnergy)
-
-    @staticmethod
-    def ddr4_2400_quad_channel() -> "MemoryConfig":
-        """The paper's 32-rank target system (4 ch × 4 DIMM × 2 ranks)."""
-        return MemoryConfig()
 
     @staticmethod
     def small_test_system() -> "MemoryConfig":

@@ -151,11 +151,6 @@ class HotIndexCache:
             entries.pop(0)
         return False
 
-    def contains(self, vector_id: int) -> bool:
-        """Residency probe without touching stats or recency."""
-        index = (vector_id // self.set_stride) % self.num_sets
-        return vector_id in self._sets.get(index, ())
-
     def reset(self) -> None:
         """Drop all cached lines and the stats."""
         self._sets.clear()
@@ -265,9 +260,3 @@ class HotIndexTier:
             if cache is not None:
                 total = total.merged_with(cache.stats)
         return total
-
-    def per_rank_stats(self) -> List[CacheStats]:
-        return [
-            CacheStats() if cache is None else cache.stats
-            for cache in self._caches
-        ]

@@ -71,7 +71,7 @@ class TestNodeGrouping:
         self, reference_tree
     ):
         """Paper Fig. 4a: four 7-PE DIMM/rank nodes and one 3-PE channel node."""
-        geometry = MemoryConfig.ddr4_2400_quad_channel().geometry
+        geometry = MemoryConfig().geometry
         grouping = reference_tree.node_grouping(geometry)
         counts = {}
         for group in grouping.values():
@@ -82,13 +82,13 @@ class TestNodeGrouping:
         assert all(counts[g] == 7 for g in dimm_nodes)
 
     def test_root_belongs_to_channel_node(self, reference_tree):
-        geometry = MemoryConfig.ddr4_2400_quad_channel().geometry
+        geometry = MemoryConfig().geometry
         grouping = reference_tree.node_grouping(geometry)
         (root,) = reference_tree.level_ids(reference_tree.num_levels - 1)
         assert grouping[root] == "channel_node"
 
     def test_leaves_belong_to_dimm_nodes(self, reference_tree):
-        geometry = MemoryConfig.ddr4_2400_quad_channel().geometry
+        geometry = MemoryConfig().geometry
         grouping = reference_tree.node_grouping(geometry)
         for leaf in reference_tree.leaves():
             assert grouping[leaf.pe_id].startswith("dimm_rank_node")

@@ -75,7 +75,7 @@ class TestBank:
 class TestChannelController:
     def test_routes_only_its_channel(self, config):
         controller = ChannelController(0, config)
-        bad_rank_channel = MemoryConfig.ddr4_2400_quad_channel()
+        bad_rank_channel = MemoryConfig()
         controller_q = ChannelController(0, bad_rank_channel)
         request = ReadRequest(rank=9, bank=0, row=0, column=0, bytes_=64)
         with pytest.raises(ValueError):

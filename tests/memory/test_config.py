@@ -7,7 +7,7 @@ from repro.memory import DramEnergy, MemoryConfig, MemoryGeometry
 
 class TestMemoryGeometry:
     def test_paper_target_has_32_ranks(self):
-        geometry = MemoryConfig.ddr4_2400_quad_channel().geometry
+        geometry = MemoryConfig().geometry
         assert geometry.channels == 4
         assert geometry.ranks_per_channel == 8
         assert geometry.total_ranks == 32

@@ -41,7 +41,7 @@ GEOMETRIES = ("small", "quad", "eight", "sweep", "hbm")
 def memory_config(name, refresh):
     config = {
         "small": MemoryConfig.small_test_system,
-        "quad": MemoryConfig.ddr4_2400_quad_channel,
+        "quad": MemoryConfig,
         "eight": lambda: MemoryConfig().scaled_to_ranks(8),
         "sweep": lambda: MemoryConfig.rank_sweep(4),
         "hbm": hbm2_stack,

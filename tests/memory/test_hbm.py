@@ -24,7 +24,7 @@ class TestHbmPreset:
 
     def test_faster_than_ddr4_for_scattered_reads(self):
         """32 independent pseudo-channels beat 4 shared DDR4 buses."""
-        ddr4 = MemorySystem(MemoryConfig.ddr4_2400_quad_channel())
+        ddr4 = MemorySystem(MemoryConfig())
         hbm = MemorySystem(hbm2_stack())
         requests = [
             ReadRequest(rank=rank, bank=rank % 16, row=rank * 7, column=0, bytes_=512)

@@ -68,7 +68,7 @@ def test_bank_time_monotone(rows):
 @settings(max_examples=60, deadline=None)
 @given(vector_id=st.integers(min_value=0, max_value=1_000_000))
 def test_placements_cover_vector_exactly(vector_id):
-    geometry = MemoryConfig.ddr4_2400_quad_channel().geometry
+    geometry = MemoryConfig().geometry
     for placement in (
         RowMajorPlacement(geometry, 512),
         ColumnMajorPlacement(geometry, 512),
@@ -87,7 +87,7 @@ def test_placements_cover_vector_exactly(vector_id):
 )
 def test_row_major_distinct_vectors_distinct_slots(vector_a, vector_b):
     """No two vectors may alias the same DRAM bytes."""
-    geometry = MemoryConfig.ddr4_2400_quad_channel().geometry
+    geometry = MemoryConfig().geometry
     placement = RowMajorPlacement(geometry, 512)
     if vector_a == vector_b:
         return

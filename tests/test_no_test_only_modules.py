@@ -113,7 +113,7 @@ def test_no_test_only_core_names():
         referenced |= _referenced_names(ast.parse(path.read_text()))
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defined = []  # (qualified name, name)
-    paths = [path for package in ("core", "comm", "serving", "resilience")
+    paths = [path for package in ("core", "comm", "serving", "resilience", "memory", "tiering")
              for path in sorted(SRC.joinpath("repro", package).glob("*.py"))]
     for path in paths:
         module = _module_name(path)
@@ -125,4 +125,4 @@ def test_no_test_only_core_names():
                             for item in node.body if isinstance(item, functions)]
     unused = [qualified for qualified, name in defined
               if not name.startswith("_") and name not in referenced]
-    assert not unused, f"repro.core/comm/serving/resilience names reached only by tests: {unused}"
+    assert not unused, f"repro.core/comm/serving/resilience/memory/tiering names reached only by tests: {unused}"

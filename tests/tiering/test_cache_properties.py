@@ -34,6 +34,19 @@ ids = st.integers(min_value=0, max_value=255)
 sequences = st.lists(ids, min_size=0, max_size=200)
 
 
+def contains(cache, vector_id):
+    """Whether ``vector_id`` is resident, without touching the stats or
+    the recency order."""
+    index = (vector_id // cache.set_stride) % cache.num_sets
+    return vector_id in cache._sets.get(index, ())
+
+
+def per_rank_stats(tier, num_ranks):
+    """Each rank's hit/miss stats; an uncached rank's are all zero."""
+    return [CacheStats() if tier.cache_for(rank) is None else tier.cache_for(rank).stats
+            for rank in range(num_ranks)]
+
+
 class ReferenceLRU:
     """Fully-associative LRU over an OrderedDict — the oracle."""
 
@@ -87,7 +100,7 @@ def test_streams_match_reference_when_no_set_overflows(
     occupancy = {}
     for vector_id in sequence:
         index = vector_id % cache.num_sets
-        resident = cache.contains(vector_id)
+        resident = contains(cache, vector_id)
         if not resident and occupancy.get(index, 0) >= cache.ways:
             break  # this access would evict; the models may now diverge
         if not resident:
@@ -107,9 +120,9 @@ def test_lru_evicts_least_recently_used(ways):
     for vector_id in range(1, ways):
         assert cache.access(vector_id) is True
     assert cache.access(ways) is False  # evicts 0
-    assert not cache.contains(0)
+    assert not contains(cache, 0)
     for vector_id in range(1, ways + 1):
-        assert cache.contains(vector_id)
+        assert contains(cache, vector_id)
 
 
 @settings(max_examples=120, deadline=None)
@@ -124,7 +137,7 @@ def test_fifo_ignores_recency(ways):
         cache.access(vector_id)
     assert cache.access(0) is True  # hit, but FIFO order unchanged
     assert cache.access(ways) is False  # still evicts 0
-    assert not cache.contains(0)
+    assert not contains(cache, 0)
 
 
 @settings(max_examples=120, deadline=None)
@@ -176,7 +189,7 @@ def test_tier_ranks_are_independent(accesses):
     for cache in isolated.values():
         merged = merged.merged_with(cache.stats)
     assert tier.stats == merged
-    per_rank = tier.per_rank_stats()
+    per_rank = per_rank_stats(tier, 4)
     assert [s.accesses for s in per_rank] == [
         isolated[rank].stats.accesses for rank in range(4)
     ]
@@ -193,11 +206,11 @@ def test_set_stride_spreads_rank_residue_streams():
     )
     for vector_id in ids:
         strided.access(vector_id)
-    assert all(strided.contains(vector_id) for vector_id in ids)
+    assert all(contains(strided, vector_id) for vector_id in ids)
     folded = HotIndexCache(size_bytes=64 * 64, line_bytes=64, ways=8)
     for vector_id in ids:
         folded.access(vector_id)
-    assert sum(folded.contains(v) for v in ids) == folded.ways
+    assert sum(contains(folded, v) for v in ids) == folded.ways
     # And the tier wires the stride in automatically.
     tier = HotIndexTier(
         HotTierConfig(size_bytes=64 * 64, line_bytes=64, ways=8), num_ranks=32
@@ -242,7 +255,7 @@ def test_zero_budget_rank_is_uncached():
     assert tier.access(0, 5) is False
     assert tier.access(0, 5) is False  # never warms
     assert tier.stats.accesses == 0  # uncached ranks don't count
-    assert tier.per_rank_stats() == [CacheStats(), CacheStats()]
+    assert per_rank_stats(tier, 2) == [CacheStats(), CacheStats()]
 
 
 def test_tiny_budget_clamps_ways():
