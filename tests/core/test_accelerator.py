@@ -59,6 +59,17 @@ class TestFacade:
             want = np.sum([source(i) for i in set(query)], axis=0)
             assert np.allclose(vector, want)
 
+    def test_split_batches_keep_the_unique_index_set(self):
+        """An index shared across hardware batches is read once per batch,
+        but counted once among the lookup's unique indices."""
+        accelerator = FafnirAccelerator(config=FafnirConfig(batch_size=2))
+        queries = [[9, 4], [4, 1], [9, 7], [4, 2, 9]]
+        result = accelerator.lookup(make_source(seed=9), queries)
+        assert result.plan.reads == (1, 4, 9, 2, 4, 7, 9)
+        assert result.plan.unique_indices == (1, 2, 4, 7, 9)
+        assert result.plan.unique_fraction == pytest.approx(5 / 9)
+        assert result.plan.accesses_saved == 2
+
     def test_split_batches_accumulate_latency(self):
         config = FafnirConfig(batch_size=2)
         accelerator = FafnirAccelerator(config=config)
