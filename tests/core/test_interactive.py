@@ -109,8 +109,15 @@ class _SplitPlacement:
     def home_rank(self, vector_id):
         return self._inner.home_rank(vector_id)
 
+    def locate(self, vector_ids):
+        return self._inner.locate(vector_ids)
+
     def reads_for(self, vector_ids, issue_cycle=0):
-        whole = self._inner.reads_for(vector_ids, issue_cycle)
+        return self.reads_at(vector_ids, self.locate(np.array(vector_ids, np.int64)),
+                             issue_cycle)
+
+    def reads_at(self, vector_ids, located, issue_cycle=0):
+        whole = self._inner.reads_at(vector_ids, located, issue_cycle)
         reads = ReadColumns()
         for rank, bank, row, column, size, issue, tag in zip(
             whole.rank, whole.bank, whole.row, whole.column, whole.bytes,
