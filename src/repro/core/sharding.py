@@ -27,6 +27,12 @@ one attempt count per shard:
   the policy's wall-clock timeout — is re-dispatched at the next attempt,
   up to ``FaultPolicy.max_shard_retries`` times; completed shards are
   kept;
+* a dead worker breaks the whole pool, so every shard still in flight
+  fails with it.  When the fault plan names the attempts that crashed,
+  only those are charged: the shards that were only in flight are
+  re-submitted at the same attempt, with no lifecycle events.  A death
+  no plan explains charges every shard in flight, since nothing tells
+  them apart;
 * a shard that exhausts its budget raises :class:`ShardFailedError` under
   ``fail_fast``; under ``degrade`` it gets one last attempt in-process
   (the parent is the one worker guaranteed healthy), and raises if that
@@ -260,12 +266,13 @@ class ShardedRunner:
                 # A shard past its budget takes its last attempt in-process.
                 pooled = [i for i in pending if use_pool and attempts[i] <= budget]
                 failed: List[Tuple[int, str]] = []
+                collateral: List[int] = []
                 if pooled:
                     round_ = self._pool_round(shards, source, pooled, attempts, workers)
                     if round_ is None:  # cannot spawn processes: go in-process
                         use_pool = False
                         continue
-                    finished, failed = round_
+                    finished, failed, collateral = round_
                     for index, outcome in finished.items():
                         outcomes[index] = outcome
                 for index in pending:
@@ -277,7 +284,7 @@ class ShardedRunner:
                     except SimulatedWorkerCrash:
                         failed.append((index, FAULT_WORKER_CRASH))
 
-                pending = []
+                pending = list(collateral)  # re-submitted at the same attempt
                 for index, reason in sorted(failed):
                     attempt = attempts[index]
                     fatal = attempt > budget or (attempt == budget and policy.fail_fast)
@@ -292,6 +299,7 @@ class ShardedRunner:
                         )
                     attempts[index] += 1
                     pending.append(index)
+                pending.sort()
         finally:
             # Shard order, each stream after its lifecycle; a failed run
             # still traces every lifecycle and the finished shards' streams.
@@ -417,13 +425,14 @@ class ShardedRunner:
         indices: Sequence[int],
         attempts: Sequence[int],
         workers: int,
-    ) -> Optional[Tuple[Dict[int, ShardOutcome], List[Tuple[int, str]]]]:
+    ) -> Optional[Tuple[Dict[int, ShardOutcome], List[Tuple[int, str]], List[int]]]:
         """One process-pool attempt at each shard of ``indices``.
 
-        Returns the finished outcomes and the failed ``(index, reason)``
-        pairs, or ``None`` when processes cannot be spawned: an
-        ``OSError`` at pool creation or submission is a restricted host,
-        not a worker death, and costs no attempt.
+        Returns the finished outcomes, the failed ``(index, reason)`` pairs
+        and the shards a crash cut short that did not crash themselves
+        (see :meth:`_crashed`), or ``None`` when processes cannot be
+        spawned: an ``OSError`` at pool creation or submission is a
+        restricted host, not a worker death, and costs no attempt.
         """
         try:
             context = multiprocessing.get_context("fork")
@@ -438,6 +447,7 @@ class ShardedRunner:
         finished: Dict[int, ShardOutcome] = {}
         failed: List[Tuple[int, str]] = []
         futures = {}
+        broken: List[int] = []  # in flight when the pool broke
         try:
             try:
                 for index in indices:
@@ -448,11 +458,9 @@ class ShardedRunner:
             except OSError:
                 return None
             except BrokenProcessPool:
-                # A worker died fast enough to break the pool mid-submission;
-                # the unsubmitted shards are worker deaths, not spawn failures.
-                failed.extend(
-                    (index, FAULT_WORKER_CRASH) for index in indices if index not in futures
-                )
+                # A worker died fast enough to break the pool mid-submission:
+                # a worker death, not a spawn failure.
+                pass
             for index, future in futures.items():
                 try:
                     finished[index] = future.result(
@@ -461,10 +469,23 @@ class ShardedRunner:
                 except FuturesTimeoutError:
                     failed.append((index, FAULT_WORKER_HANG))
                 except BrokenProcessPool:
-                    failed.append((index, FAULT_WORKER_CRASH))
+                    broken.append(index)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
-        return finished, failed
+        unsubmitted = [index for index in indices if index not in futures]
+        crashed = self._crashed(broken, attempts)
+        if not crashed:  # no plan explains the death: charge every shard in it
+            crashed = broken + unsubmitted
+        collateral = sorted(set(broken + unsubmitted) - set(crashed))
+        failed.extend((index, FAULT_WORKER_CRASH) for index in crashed)
+        return finished, failed, collateral
+
+    def _crashed(self, broken: Sequence[int], attempts: Sequence[int]) -> List[int]:
+        """The shards of ``broken`` (all failed by one broken pool) whose
+        attempt the fault plan crashes: the ones whose worker died."""
+        if self.faults is None:
+            return []
+        return [index for index in broken if self.faults.shard_crashes(index, attempts[index])]
 
     def _shard_fault_events(
         self, index: int, attempt: int, reason: str, fatal: bool

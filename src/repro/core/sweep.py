@@ -11,30 +11,39 @@ one side nothing on the other input lies inside the entry (one forward).
 So routing is a group-by, not a search.  A message is named by the pair
 (left id, right id) of the child messages it came from, ``-1`` for an
 absent side; the children cover disjoint indices, so equal pairs mean equal
-index sets.  Each level keeps a (query × node) table of message ids, and
-one group-by over the pairs of its live cells gives the level's messages.
-Per PE, with ``|A|``, ``|B|`` the inputs' message counts: ``compares =
-|B|·pending_A + |A|·pending_B`` (``pending``: the query is not complete
-below that child), ``reduces = 2·both``, ``duplicates_removed = both``,
-``forwards`` = one-sided queries, ``merges`` = messages built from more
-than one raw compute-unit output, ``outputs`` = messages and
-``peak_input_occupancy = max(|A|, |B|)``, counted for every PE at once
-after the last level.
+index sets.  Each level keeps a (node × query) table of message ids, and
+one group-by over the pairs of its live cells gives the level's messages:
+one stable argsort of the pair keys and a flag where each run of equal
+keys starts (:func:`group_by`), the ids coming out in key order as
+``np.unique`` numbers them.  The level loop carries only what the next
+level groups — the table and each message's size, row and batch — and
+appends the level's reduces to the combine program; everything else is
+computed once after it, over every level's cells and messages
+concatenated.  Per PE, with ``|A|``, ``|B|`` the inputs' message counts:
+``compares = |B|·pending_A + |A|·pending_B`` (``pending``: the query is
+not complete below that child), ``reduces = 2·both``,
+``duplicates_removed = both``, ``forwards`` = one-sided queries,
+``merges`` = messages built from more than one raw compute-unit output,
+``outputs`` = messages and ``peak_input_occupancy = max(|A|, |B|)``,
+counted for every PE at once after the last level.
 
 A message is ready ``forward_path`` after its child message, or
-``reduce_path`` after the later of its two.  The issue limit would stall
-the message ranked ``r`` within its PE under (ready, sorted indices) by
-``r // compute_units`` cycles, but a PE emits at most one message per
-distinct query and the paper sizes ``compute_units = B``, so that stall
-is always zero.  Phased timing emits the message ``r`` cycles after the
-PE's store-and-forward start, so only it ranks.
+``reduce_path`` after the later of its two; after the level loop, a few
+array ops per level stamp these, each level reading the one below.  The
+issue limit would stall the message ranked ``r`` within its PE under
+(ready, sorted indices) by ``r // compute_units`` cycles, but a PE emits
+at most one message per distinct query and the paper sizes
+``compute_units = B``, so that stall is always zero.  Phased timing
+emits the message ``r`` cycles after the PE's store-and-forward start,
+so only it ranks.
 
 **A stream of batches is swept as one.**  The batches of a stream are
 independent trees, so :func:`sweep_stream` runs the structure of all of
 them in one pass: query ids are numbered across the stream (the batches'
-distinct queries, batch after batch), the (query × FIFO) and (query ×
-node) tables keep each batch's own columns, and everything grouped per
-FIFO or per PE is keyed ``batch·FIFOs + fifo`` or ``batch·PEs + pe``.
+distinct queries, batch after batch), the (query × FIFO) and (node ×
+query) tables hold every batch's queries side by side, and everything
+grouped per FIFO or per PE is keyed ``batch·FIFOs + fifo`` or
+``batch·PEs + pe``.
 Message ids run batch after batch at every level, so a batch's messages
 are one contiguous range and its events and work are slices.
 
@@ -77,7 +86,8 @@ order a one-batch sweep emits them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from functools import lru_cache
+from itertools import accumulate, chain, starmap
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
@@ -92,6 +102,8 @@ from repro.obs.tracer import Tracer
 
 Query = FrozenSet[int]
 _ABSENT = np.iinfo(np.int64).max
+#: A ready cycle below every other, read for an absent side.
+_NEVER = np.array([np.iinfo(np.int64).min])
 #: Rows of one combine step evaluated at a time (see
 #: :meth:`CombineProgram.evaluate`).
 STEP_ROWS = 256
@@ -251,10 +263,10 @@ class LeafMessages:
 
 def fifo_positions(fifo: np.ndarray) -> np.ndarray:
     """Each occurrence's 0-based arrival position in its FIFO ``fifo``."""
-    order = np.argsort(fifo, kind="stable")
+    order = fifo.argsort(kind="stable")
     ordered = fifo[order]
     position = np.empty(len(fifo), np.int64)
-    position[order] = np.arange(len(fifo)) - np.searchsorted(ordered, ordered)
+    position[order] = np.arange(len(fifo)) - ordered.searchsorted(ordered)
     return position
 
 
@@ -275,20 +287,21 @@ def leaf_messages(
     fifo = leaf.batch * fifos + leaf.fifo  # FIFO keys
     occurrences = len(fifo)
     counts, query = leaf.id_counts, leaf.ids
-    carrier = np.repeat(np.arange(occurrences), counts)  # each id's occurrence
+    carrier = np.arange(occurrences).repeat(counts)  # each id's occurrence
 
     # A FIFO can fold iff a (FIFO, query id) or a (FIFO, index) pair
-    # repeats.  An index read in two batches is two reads: name each
-    # (batch, index) pair densely.
+    # repeats.  An index read in two batches is two reads.
     folds = np.zeros(keys, bool)
-    pair = np.sort(fifo[carrier] * len(queries) + query)
+    pair = fifo[carrier] * len(queries) + query
+    pair.sort()
     folds[pair[1:][pair[1:] == pair[:-1]] // len(queries)] = True
     by_index = np.lexsort((leaf.index, leaf.batch))
-    fresh = np.r_[True, (np.diff(leaf.index[by_index]) != 0)
-                  | (np.diff(leaf.batch[by_index]) != 0)]
+    ordered, in_batch = leaf.index[by_index], leaf.batch[by_index]
+    fresh = np.empty(occurrences, bool)  # the first read of its (batch, index)
+    fresh[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    fresh[1:] |= in_batch[1:] != in_batch[:-1]
     folds[fifo[by_index[~fresh]]] = True
-    index = np.empty(occurrences, np.int64)
-    index[by_index] = np.cumsum(fresh) - 1
     free = ~folds[fifo]
 
     # The identity fold's compares: a query of more than one index scans
@@ -297,32 +310,39 @@ def leaf_messages(
     lengths = np.fromiter(map(len, queries), np.int64, len(queries))
     multi = np.bincount(carrier, lengths[query] > 1, minlength=occurrences)
     counters = np.zeros((6, keys // 2), np.int64)  # PEWork's, per leaf PE key
-    counters[0] = np.bincount(fifo[free] >> 1, (position * multi)[free],
+    kept = free.nonzero()[0]
+    counters[0] = np.bincount(fifo[kept] >> 1, (position * multi)[kept],
                               minlength=keys // 2)
-    folded = (_fold(lengths, leaf, fifo, index, query, carrier, counts, folds,
-                    reduce_path, tracers, counters)
-              if folds.any() else None)
+    folded = None
+    if folds.any():
+        # Name each (batch, index) pair densely.
+        index = np.empty(occurrences, np.int64)
+        index[by_index] = fresh.cumsum() - 1
+        folded = _fold(lengths, leaf, fifo, index, query, carrier, counts, folds,
+                       reduce_path, tracers, counters)
 
     # Leaf rows: each free occurrence's vector and each folded index's.
-    kept = np.flatnonzero(free)
     occurrence = kept if folded is None else np.union1d(kept, folded.known)
     program = CombineProgram(occurrence, leaf.batch[occurrence])
 
     # Number the messages FIFO-major; a free occurrence keeps its position.
-    per_fifo = np.bincount(fifo[free], minlength=keys)
+    per_fifo = np.bincount(fifo[kept], minlength=keys)
     if folded is not None:
         per_fifo += np.bincount(folded.fifo, minlength=keys)
-    offset = np.cumsum(per_fifo) - per_fifo
+    offset = per_fifo.cumsum() - per_fifo
     message = offset[fifo] + position
-    total = int(per_fifo.sum())
-    table = np.full((len(queries), fifos), -1, np.int64)
+    total = len(kept) + (0 if folded is None else len(folded.fifo))
+    table = np.empty((len(queries), fifos), np.int64)
+    table.fill(-1)
     cell = free[carrier]
-    table[query[cell], leaf.fifo[carrier[cell]]] = message[carrier[cell]]
+    at = carrier[cell]
+    table[query[cell], leaf.fifo[at]] = message[at]
+    at = message[kept]
     ready = np.empty(total, np.int64)
-    ready[message[free]] = leaf.ready[free]
+    ready[at] = leaf.ready[kept]
     size = np.ones(total, np.int64)
     row = np.empty(total, np.int64)
-    row[message[free]] = np.searchsorted(occurrence, kept)
+    row[at] = occurrence.searchsorted(kept)
     if folded is not None:
         at = offset[folded.fifo] + np.arange(len(folded.fifo)) - np.searchsorted(
             folded.fifo, folded.fifo)
@@ -336,7 +356,7 @@ def leaf_messages(
         for made, first, rest, batch in folded.steps:
             set_row[made] = program.append(set_row[first], set_row[rest], batch)
         row[at] = set_row[folded.message_set]
-    message_fifo = np.repeat(np.arange(keys), per_fifo)
+    message_fifo = np.arange(keys).repeat(per_fifo)
     return LeafMessages(table, row, ready, size, message_fifo, counters, program)
 
 
@@ -393,7 +413,7 @@ def _fold(lengths, leaf, fifo, index, query, carrier, counts, folds,
 
     # Chains: each (FIFO, query id)'s reads in arrival order; m is the step.
     c = np.lexsort((q, f))
-    new = np.r_[True, (f[c[1:]] != f[c[:-1]]) | (q[c[1:]] != q[c[:-1]])]
+    new = np.concatenate(([True], (f[c[1:]] != f[c[:-1]]) | (q[c[1:]] != q[c[:-1]])))
     head = np.maximum.accumulate(np.where(new, np.arange(len(c)), 0))
     m = np.empty(len(c), np.int64)
     m[c] = np.arange(len(c)) - head + 1
@@ -401,7 +421,7 @@ def _fold(lengths, leaf, fifo, index, query, carrier, counts, folds,
     linked = ~new[1:]
     prev[c[1:][linked]] = c[:-1][linked]
     nxt[c[:-1][linked]] = c[1:][linked]
-    last = c[np.r_[new[1:], True]]
+    last = c[np.concatenate((new[1:], [True]))]
     gone = np.where(nxt >= 0, step[nxt], never)  # when the pair's row loses it
 
     # Index sets: {index} at step 1; step m's set names (step m-1's set,
@@ -426,14 +446,14 @@ def _fold(lengths, leaf, fifo, index, query, carrier, counts, folds,
     # produced pair (step ≥ 2).  A row is live from its creation until the
     # step that consumes its last query.
     starts = np.flatnonzero(m == 1)
-    opens = np.r_[True, n[starts[1:]] != n[starts[:-1]]]
+    opens = np.concatenate(([True], n[starts[1:]] != n[starts[:-1]]))
     arrival = starts[opens]
     produced = np.flatnonzero(m >= 2)
-    row_set = np.r_[set_of[arrival], set_of[produced]]
-    created = np.r_[3 * width * n[arrival] + width, made[produced]]
-    emptied = np.r_[np.maximum.reduceat(gone[starts], np.flatnonzero(opens)),
-                    gone[produced]]
-    row_fifo = np.r_[f[arrival], f[produced]]
+    row_set = np.concatenate((set_of[arrival], set_of[produced]))
+    created = np.concatenate((3 * width * n[arrival] + width, made[produced]))
+    emptied = np.concatenate((np.maximum.reduceat(gone[starts], np.flatnonzero(opens)),
+                              gone[produced]))
+    row_fifo = np.concatenate((f[arrival], f[produced]))
     row_of = np.empty(len(c), np.int64)
     row_of[produced] = len(arrival) + np.arange(len(produced))
 
@@ -459,8 +479,9 @@ def _fold(lengths, leaf, fifo, index, query, carrier, counts, folds,
     # id step of a multi-index query, and every produced row whose query
     # is still incomplete.
     incomplete = produced[m[produced] < lengths[q[produced]]]
-    charged = np.r_[step[lengths[q] > 1], made[incomplete]]
-    charged_fifo = np.r_[f[lengths[q] > 1], f[incomplete]]
+    multi = lengths[q] > 1
+    charged = np.concatenate((step[multi], made[incomplete]))
+    charged_fifo = np.concatenate((f[multi], f[incomplete]))
     low, key = charged_fifo * span, charged_fifo * span + charged
     opened = np.sort(row_fifo * span + created)
     closed = np.sort(row_fifo * span + emptied)
@@ -475,10 +496,10 @@ def _fold(lengths, leaf, fifo, index, query, carrier, counts, folds,
     # the order of its first live row; two or more rows of a set merge.
     final = np.flatnonzero(emptied == never)
     grouped = final[np.lexsort((created[final], row_set[final]))]
-    opens = np.r_[True, row_set[grouped[1:]] != row_set[grouped[:-1]]]
+    opens = np.concatenate(([True], row_set[grouped[1:]] != row_set[grouped[:-1]]))
     runs = np.flatnonzero(opens)
     lead = grouped[opens]
-    members = np.diff(np.r_[runs, len(grouped)])
+    members = np.diff(runs, append=len(grouped))
     message_ready = np.maximum.reduceat(ready[grouped], runs)
     order = np.lexsort((created[lead], row_fifo[lead]))
     lead, members, message_ready = lead[order], members[order], message_ready[order]
@@ -491,12 +512,12 @@ def _fold(lengths, leaf, fifo, index, query, carrier, counts, folds,
     table[q[last], leaf.fifo[n[last]]] = message_of[set_of[last]]
 
     if tracers[0].enabled:  # per FIFO: its reduces in arrival order, then merges
-        merge = np.r_[np.zeros(len(produced), bool), np.ones(len(merged), bool)]
-        at_fifo = np.r_[f[produced], message_fifo[merged]]
+        merge = np.arange(len(produced) + len(merged)) >= len(produced)
+        at_fifo = np.concatenate((f[produced], message_fifo[merged]))
         order = np.lexsort((merge, at_fifo))
         kinds = np.where(merge, KIND_CODES[PE_MERGE], KIND_CODES[PE_REDUCE])[order]
-        cycles = np.r_[ready[len(arrival):], message_ready[merged]][order]
-        args = np.r_[np.full(len(produced), reduce_path), members[merged]][order, None]
+        cycles = np.concatenate((ready[len(arrival):], message_ready[merged]))[order]
+        args = np.concatenate((np.full(len(produced), reduce_path), members[merged]))[order, None]
         at_fifo = at_fifo[order]
         fifos = leaf.fifos
         edges = np.searchsorted(at_fifo, np.arange(len(tracers) + 1) * fifos).tolist()
@@ -557,100 +578,139 @@ def sweep_stream(
             for plan, value, (ready, work, ids) in zip(plans, values, swept)]
 
 
+def group_by(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Group equal keys with one stable sort: the position of each group's
+    first key and each key's group, groups numbered in key order — what
+    ``np.unique(key, return_index=True, return_inverse=True)[1:]`` gives."""
+    order = key.argsort(kind="stable")
+    ordered = key[order]
+    new = np.empty(len(key), np.int64)  # 1 where a sorted key starts a group
+    new[:1] = 0
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    group = np.empty(len(key), np.int64)
+    group[order] = new.cumsum()
+    new[:1] = 1
+    return order[new.astype(bool)], group
+
+
+@lru_cache(maxsize=None)
+def _children(fifos: int, widths: Tuple[int, ...]) -> np.ndarray:
+    """Each PE's left input among one batch's FIFOs and then its PEs (the
+    right input is the next one): leaf PE ``k`` reads FIFOs ``2k`` and
+    ``2k+1``, and any other PE ``k`` of a level its nodes ``2k`` and
+    ``2k+1`` on the level below.  Cached per tree shape, so read-only."""
+    starts = accumulate((fifos, *widths[:-1]), initial=0)
+    children = np.concatenate([start + 2 * np.arange(width)
+                               for start, width in zip(starts, widths)])
+    children.flags.writeable = False
+    return children
+
+
 def _structure(plans, leaf, first_id, config, tree, tracers, phased):
     """The stream's structure: its combine program, each batch's root rows
     in submission order, and each batch's ready cycles, per-PE work and
     message-id tables (see :class:`SweepResult`)."""
     batches = len(plans)
-    units = config.compute_units
     reduce_path = config.latencies.reduce_path
     forward_path = config.latencies.forward_path
     # Level L+1's node k joins level L's nodes 2k and 2k+1.
     levels = [tree.level_ids(level) for level in range(tree.num_levels)]
-    pes = sum(map(len, levels))
+    widths = [len(pe_ids) for pe_ids in levels]
+    pes = sum(widths)
     distinct = [query for plan in plans for query in plan.distinct]
     per_batch = [len(plan.distinct) for plan in plans]
-    owner = np.repeat(np.arange(batches), per_batch)  # each query id's batch
+    owner = np.arange(batches).repeat(per_batch)  # each query id's batch
     lengths = np.fromiter(map(len, distinct), np.int64, len(distinct))
 
     # Leaf boundary: each (query, FIFO) gets the id of the message carrying
     # the query, FIFO 2k+s being side s of leaf k.
     boundary = leaf_messages(distinct, leaf, reduce_path, tracers)
-    table, row, ready, size = boundary.table, boundary.row, boundary.ready, boundary.size
-    batch, position = np.divmod(boundary.fifo, leaf.fifos)
+    size, row = boundary.size, boundary.row
+    batch = boundary.fifo // leaf.fifos
     program = boundary.program
-    issue_order = _IssueOrder(distinct, lengths, leaf)
 
-    # Structure: every level's messages, sizes and rows, and the rows its
-    # work counters count, with PEs numbered level by level from the leaves
-    # and keyed batch·PEs + pe.
-    tables, steps, counted = [table], [], []
-    base = 0
-    for pe_ids in levels:
-        left, right = table[:, 0::2], table[:, 1::2]
-        node, query = np.nonzero(((left >= 0) | (right >= 0)).T)
-        a, b = left[query, node], right[query, node]
-        key_a = a
+    # Structure, level by level.  A level groups a table with a row per
+    # node of the level below (per FIFO at the leaves) and a column per
+    # query id.  Its cells are its live (node, query) pairs, node-major,
+    # and a cell's message is named by its pair (left id, right id).  Only
+    # what the next level groups is carried: the table and each message's
+    # size, row and batch.
+    table = boundary.table.T
+    tables, lives, groups, sides = [], [], [], []
+    for width in widths:
+        children = table.reshape(width, 2, len(distinct))
+        left, right = children[:, 0], children[:, 1]
+        live = np.maximum(left, right) >= 0
+        a, b = left[live], right[live]
+        key = a * (len(size) + 1)
         if batches > 1:
             # Message ids run batch after batch: an absent left side keys
             # just below its batch's first message, keeping batches apart.
-            start = np.searchsorted(batch, np.arange(batches))
-            key_a = np.where(a >= 0, a, start[owner[query]] - 1)
-        key = (key_a + 1) * (len(size) + 1) + (b + 1)
-        _, first, group, members = np.unique(
-            key, return_index=True, return_inverse=True, return_counts=True
-        )
-        g_a, g_b, g_node, rep = a[first], b[first], node[first], query[first]
-        g_batch = owner[rep]
-        g_pe = g_batch * pes + (base + g_node)
-        both = (g_a >= 0) & (g_b >= 0)
-        source = np.where(g_a >= 0, g_a, g_b)
-        pair = np.flatnonzero(both)
-        pa, pb = g_a[pair], g_b[pair]
-        g_size, g_row = size[source], row[source]
-        if pair.size:
-            g_size[pair] += size[pb]
+            below = batch.searchsorted(np.arange(batches)) - 1
+            absent = a < 0
+            key[absent] = below[np.broadcast_to(owner, live.shape)[live][absent]] * (len(size) + 1)
+        key += b
+        first, group = group_by(key)
+        g_a, g_b = a[first], b[first]
+        source = np.maximum(g_a, g_b)  # a side present (either, on both)
+        g_size, g_row, g_batch = size[source], row[source], batch[source]
+        pair = (np.minimum(g_a, g_b) >= 0).nonzero()[0]
+        if len(pair):
+            pa, pb = g_a[pair], g_b[pair]
+            g_size[pair] = size[pa] + size[pb]
             g_row[pair] = program.append(row[pa], row[pb], g_batch[pair])
-        raw_rows = np.where(both, 2 * members, members)
-        length = lengths[query]
-        counted.append((
-            g_pe[group], both[group],  # each (query, node) row: two-sided?
-            (a >= 0) & (size[a] < length), (b >= 0) & (size[b] < length),
-            g_pe, raw_rows > 1,  # each message: merged?
-        ))
-        steps.append((node, query, group, g_node, g_batch, both, source, pa, pb,
-                      raw_rows, rep, position, batch))
-        table = np.full((len(distinct), len(pe_ids)), -1, np.int64)
-        table[query, node] = group
+        table = np.empty(live.shape, np.int64)
+        table.fill(-1)
+        table[live] = group
         tables.append(table)
-        row, size, position, batch = g_row, g_size, g_node, g_batch
-        base += len(pe_ids)
+        lives.append(live)
+        groups.append(group)
+        sides.append((g_a, g_b, g_size))
+        size, row, batch = g_size, g_row, g_batch
 
-    pe, two_sided, pending_a, pending_b, out, merged = map(
-        np.concatenate, zip(*counted)
-    )
+    # Then every level's cells and messages at once, messages numbered
+    # level after level.  The stacked live masks have a row per PE, so a
+    # cell's row is its PE.
+    ends = list(accumulate((len(g_a) for g_a, _, _ in sides), initial=0))
+    cell_ends = list(accumulate(map(len, groups), initial=0))
+    pe, query = np.concatenate(lives).nonzero()
+    pe += owner[query] * pes  # a cell's PE key: batch·PEs + pe
+    group = np.concatenate(groups)
+    group += np.array(ends[:-1]).repeat(np.diff(cell_ends))
+    g_a, g_b, g_size = map(np.concatenate, zip(*sides))
+    both = np.minimum(g_a, g_b) >= 0
+    members = np.bincount(group, minlength=len(both))  # cells per message
+    out = np.empty(len(both), np.int64)  # a message's PE key
+    out[group] = pe
+    # A cell whose message holds fewer indices than its query is pending
+    # on the PE above.
+    at_leaf = boundary.table
+    fifo_open = ((at_leaf >= 0) & (boundary.size[at_leaf] < lengths[:, None])).nonzero()
+    pe_open = pe[g_size[group] < lengths[query]]
 
     def count(keys, where=Ellipsis):
         return np.bincount(keys[where], minlength=batches * pes)
 
-    # A PE's inputs are its children's outputs (the leaf FIFOs' messages
-    # at the leaves).
+    # A PE's inputs are its children: leaf FIFOs at the leaves, the level
+    # below's PEs above them.  Per input, its messages and its pending
+    # queries, laid out per batch as the FIFOs and then the PEs.
+    fifo_keys = batches * leaf.fifos
     outputs = count(out)
-    fed = np.bincount(boundary.fifo, minlength=batches * leaf.fifos).reshape(batches, -1)
-    size_a, size_b = np.empty((2, batches, pes), np.int64)
-    base = 0
-    for pe_ids in levels:
-        width = len(pe_ids)
-        size_a[:, base : base + width], size_b[:, base : base + width] = fed[:, 0::2], fed[:, 1::2]
-        fed = outputs.reshape(batches, pes)[:, base : base + width]
-        base += width
-    size_a, size_b = size_a.ravel(), size_b.ravel()
-    duplicates = count(pe, two_sided)
+    inputs = np.concatenate((
+        np.array((np.bincount(boundary.fifo, minlength=fifo_keys),
+                  np.bincount(owner[fifo_open[0]] * leaf.fifos + fifo_open[1],
+                              minlength=fifo_keys))).reshape(2, batches, -1),
+        np.array((outputs, count(pe_open))).reshape(2, batches, -1),
+    ), axis=2)
+    children = _children(leaf.fifos, tuple(widths))
+    size_a, pending_a = inputs[:, :, children].reshape(2, -1)
+    size_b, pending_b = inputs[:, :, children + 1].reshape(2, -1)
+    duplicates = count(pe, both[group])
     counters = np.array([  # PEWork's fields, in order
-        size_b * count(pe, pending_a) + size_a * count(pe, pending_b),  # compares
+        size_b * pending_a + size_a * pending_b,  # compares
         2 * duplicates,  # reduces
-        count(pe, ~two_sided),  # forwards
-        count(out, merged),  # merges
+        count(pe) - duplicates,  # forwards
+        count(out, both | (members > 1)),  # merges
         duplicates,  # duplicates_removed
         np.zeros(batches * pes, np.int64),  # entries_consumed
         outputs,
@@ -659,82 +719,100 @@ def _structure(plans, leaf, first_id, config, tree, tracers, phased):
     leaf_pes = leaf.fifos // 2  # the leaf PEs come first: add their folds
     counters[:6].reshape(6, batches, pes)[:, :, :leaf_pes] += boundary.work.reshape(
         6, batches, leaf_pes)
-    compares = counters[0].reshape(batches, pes)
 
-    # Timing, level by level.
-    ready = boundary.ready
+    # Timing, level by level.  A level's ready cycles end in a sentinel
+    # below every cycle, which an absent side (``-1``) reads.
+    path = np.where(both, reduce_path, forward_path)
+    ready = np.concatenate((boundary.ready, _NEVER))
+    if phased:
+        compares = counters[0].reshape(batches, pes)
+        issue_order = _IssueOrder(distinct, lengths, leaf)
+        rep = np.empty(len(both), np.int64)  # a query the message carries
+        rep[group] = query
+        parent = boundary.fifo >> 1  # each input's PE key on the level above
+    pe_ids = np.fromiter(chain.from_iterable(levels), np.int64, pes)
     base = 0
-    for level, (pe_ids, step) in enumerate(zip(levels, steps)):
-        (node, query, group, g_node, g_batch, both, source, pa, pb, raw_rows,
-         rep, position, batch) = step
-        raw = ready[source] + forward_path
-        raw[both] = np.maximum(ready[pa], ready[pb]) + reduce_path
-        width = len(pe_ids)
+    for level, width in enumerate(widths):
+        lo, hi = ends[level], ends[level + 1]
+        raw = np.maximum(ready[g_a[lo:hi]], ready[g_b[lo:hi]])
+        raw += path[lo:hi]
         if phased:
             start = np.zeros(batches * width, np.int64)
-            np.maximum.at(start, batch * width + (position >> 1), ready)
+            np.maximum.at(start, parent, ready[:-1])
             work = np.maximum(compares[:, base : base + width].ravel(), 1)
-            busy = (work - 1) // units + 1 + reduce_path
-            keyed = g_batch * width + g_node
-            rank = issue_order.rank(level, keyed, g_node, raw, rep)
-            ready = start[keyed] + busy[keyed] + rank
+            busy = (work - 1) // config.compute_units + 1 + reduce_path
+            in_batch, node = np.divmod(out[lo:hi], pes)
+            node -= base
+            keyed = in_batch * width + node
+            rank = issue_order.rank(level, keyed, node, raw, rep[lo:hi])
+            ready = np.concatenate((start[keyed] + busy[keyed] + rank, _NEVER))
+            parent = keyed >> 1
         else:
             # A PE emits one message per distinct projection, so at most
             # B = compute_units of them: the issue limit's stall, rank //
             # compute_units, is zero.
-            ready = raw
+            ready = np.concatenate((raw, _NEVER))
         if tracers[0].enabled:
-            at = owner[query]
-            order = np.argsort(at, kind="stable")
-            row_edges = np.searchsorted(at[order], np.arange(batches + 1)).tolist()
-            edges = np.searchsorted(g_batch, np.arange(batches + 1)).tolist()
-            for k, tracer in enumerate(tracers):
-                rows = order[row_edges[k] : row_edges[k + 1]]
-                lo, hi = edges[k], edges[k + 1]
-                _emit(tracer, reduce_path, forward_path, level, pe_ids, node[rows],
-                      group[rows] - lo, g_node[lo:hi], both[lo:hi], raw[lo:hi],
-                      raw_rows[lo:hi])
+            rows = slice(cell_ends[level], cell_ends[level + 1])
+            _emit(tracers, reduce_path, forward_path, level, pe_ids, owner,
+                  pe[rows], query[rows], group[rows] - lo, out[lo:hi], both[lo:hi],
+                  raw, members[lo:hi] << both[lo:hi])
         base += width
 
-    root = table[:, 0]
-    incomplete = np.flatnonzero((root < 0) | (size[root] != lengths))
-    if incomplete.size:
+    root = table[0]
+    complete = (root >= 0) & (size[root] == lengths)
+    if not complete.all():
         raise RuntimeError(
-            f"tree failed to complete query {sorted(distinct[incomplete[0]])} "
+            f"tree failed to complete query {sorted(distinct[complete.argmin()])} "
             "— FAFNIR's completion guarantee was violated; this is a bug"
         )
-    messages = [root[first + np.array(plan.query_ids, np.int64)]
-                for plan, first in zip(plans, first_id)]
-    pe_order = list(chain.from_iterable(levels))
-    works = [PEWork(*fields) for fields in counters.T.tolist()]
-    swept = []
-    for k, message in enumerate(messages):
-        lo, hi = first_id[k], first_id[k] + per_batch[k]
+    ids = [boundary.table, *(table.T for table in tables)]
+    pe_order = pe_ids.tolist()
+    works = list(starmap(PEWork, counters.T.tolist()))
+    swept, rows = [], []
+    for k, (plan, lo) in enumerate(zip(plans, first_id)):
+        message = root[lo + np.array(plan.query_ids, np.int64)]
+        rows.append(row[message])
         swept.append((ready[message].tolist(),
                       dict(zip(pe_order, works[k * pes : (k + 1) * pes])),
-                      [ids[lo:hi] for ids in tables]))
-    return program, [row[message] for message in messages], swept
+                      [level_ids[lo : lo + per_batch[k]] for level_ids in ids]))
+    return program, rows, swept
 
 
-def _emit(tracer, reduce_path, forward_path, level, pe_ids, node, group,
-          g_node, both, raw, raw_rows) -> None:
-    """One batch's level of PE events, exactly as the per-message PEs count
-    them: per (node, query) row in order two ``pe_reduce`` if two-sided,
-    else one ``pe_forward``; then a ``pe_merge`` per merged message."""
-    two_sided = both[group]
-    row = np.repeat(np.arange(len(group)), np.where(two_sided, 2, 1))
-    reduced = two_sided[row]
-    merged = np.flatnonzero(raw_rows > 1)
-    pe_ids = np.asarray(pe_ids)
-    tracer.emit_columns(
-        np.r_[np.where(reduced, KIND_CODES[PE_REDUCE], KIND_CODES[PE_FORWARD]),
-              np.full(len(merged), KIND_CODES[PE_MERGE])],
-        np.r_[raw[group[row]], raw[merged]],
-        np.r_[np.where(reduced, reduce_path, forward_path),
-              raw_rows[merged]][:, None],
-        pe=np.r_[pe_ids[node[row]], pe_ids[g_node[merged]]],
-        level=level,
-    )
+def _emit(tracers, reduce_path, forward_path, level, pe_ids, owner, pe, query,
+          group, out, both, raw, raw_rows) -> None:
+    """One level of PE events, each batch's to its own tracer, exactly as
+    the per-message PEs count them: per (node, query) cell in order two
+    ``pe_reduce`` if two-sided, else one ``pe_forward``; then a
+    ``pe_merge`` per merged message.  The cells' PE keys, query ids and
+    messages come node-major; ``out`` holds each message's PE key."""
+    pes = len(pe_ids)
+    edges = np.arange(len(tracers) + 1)
+    cell_batch = owner[query]
+    cells = cell_batch.argsort(kind="stable")  # batch-major, node-major within
+    two_sided = both[group[cells]]
+    row = cells.repeat(1 + two_sided)  # a cell's events
+    ends = np.concatenate(([0], (1 + two_sided).cumsum()))
+    event_edges = ends[cell_batch[cells].searchsorted(edges)].tolist()
+    reduced = both[group[row]]
+    kinds = np.where(reduced, KIND_CODES[PE_REDUCE], KIND_CODES[PE_FORWARD])
+    cycles = raw[group[row]]
+    args = np.where(reduced, reduce_path, forward_path)
+    at = pe_ids[pe[row] % pes]
+    merged = (raw_rows > 1).nonzero()[0]
+    merge_edges = (out[merged] // pes).searchsorted(edges).tolist()
+    merge_cycles, merge_args = raw[merged], raw_rows[merged]
+    merge_at = pe_ids[out[merged] % pes]
+    for k, tracer in enumerate(tracers):
+        lo, hi = event_edges[k], event_edges[k + 1]
+        first, last = merge_edges[k], merge_edges[k + 1]
+        tracer.emit_columns(
+            np.concatenate((kinds[lo:hi], np.full(last - first, KIND_CODES[PE_MERGE]))),
+            np.concatenate((cycles[lo:hi], merge_cycles[first:last])),
+            np.concatenate((args[lo:hi], merge_args[first:last]))[:, None],
+            pe=np.concatenate((at[lo:hi], merge_at[first:last])),
+            level=level,
+        )
 
 
 class _IssueOrder:

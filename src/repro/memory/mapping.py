@@ -107,10 +107,18 @@ class RowMajorPlacement:
         self, vector_ids: Sequence[int], located: np.ndarray, issue_cycle: int = 0
     ) -> ReadColumns:
         """The reads fetching ``vector_ids``, placed at the columns of
-        ``located`` (see :meth:`locate`)."""
+        ``located`` (:meth:`locate` of the same non-negative ids).
+
+        Placed this way, every read lies inside its rank, bank and row, so
+        the columns are marked valid in this geometry and the memory
+        system does not check them again (a negative ``issue_cycle`` is
+        left unmarked, for the memory system to reject)."""
         count = len(vector_ids)
-        return ReadColumns.of(*located.tolist(), [self.vector_bytes] * count,
-                              [issue_cycle] * count, list(vector_ids))
+        reads = ReadColumns.of(*located.tolist(), [self.vector_bytes] * count,
+                               [issue_cycle] * count, list(vector_ids))
+        if issue_cycle >= 0:
+            reads.placed_in = self.geometry
+        return reads
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,10 @@ they reach the simulator.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional
+
+if TYPE_CHECKING:
+    from repro.memory.config import MemoryGeometry
 
 
 class ReadColumns:
@@ -25,9 +28,16 @@ class ReadColumns:
         issue:  earliest cycle the controller may serve the read.
         tag:    opaque caller identifier (a vector read's tag is its vector
                 id, which is what the hot-index tier caches on).
+
+    ``placed_in`` is the :class:`~repro.memory.config.MemoryGeometry` whose
+    placement built the columns (see
+    :meth:`~repro.memory.mapping.RowMajorPlacement.reads_at`), which makes
+    them valid in that geometry by construction; ``None`` for reads built
+    any other way, and again after any read is added.
     """
 
-    __slots__ = ("rank", "bank", "row", "column", "bytes", "issue", "tag")
+    _COLUMNS = ("rank", "bank", "row", "column", "bytes", "issue", "tag")
+    __slots__ = _COLUMNS + ("placed_in",)
 
     def __init__(self) -> None:
         self.rank: List[int] = []
@@ -37,6 +47,7 @@ class ReadColumns:
         self.bytes: List[int] = []
         self.issue: List[int] = []
         self.tag: List[object] = []
+        self.placed_in: Optional[MemoryGeometry] = None
 
     @classmethod
     def of(cls, rank, bank, row, column, bytes_, issue, tag) -> "ReadColumns":
@@ -60,6 +71,7 @@ class ReadColumns:
         tag: object = None,
     ) -> None:
         """Add one read."""
+        self.placed_in = None
         self.rank.append(rank)
         self.bank.append(bank)
         self.row.append(row)
@@ -70,7 +82,8 @@ class ReadColumns:
 
     def extend(self, other: "ReadColumns") -> None:
         """Add every read of ``other``, in its order."""
-        for name in self.__slots__:
+        self.placed_in = None
+        for name in self._COLUMNS:
             getattr(self, name).extend(getattr(other, name))
 
 

@@ -1,5 +1,6 @@
 """Fault-tolerant sharded serving: crash/hang detection and re-dispatch."""
 
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from repro.core import FafnirConfig, ShardedRunner, shard_batches
 from repro.faults import FaultPlan, FaultPolicy, ShardFailedError, recovery_report
+from repro.faults.plan import FAULT_WORKER_CRASH
 from repro.obs import InMemorySink, Tracer
 from repro.obs.events import (
     BATCH_START,
@@ -46,6 +48,13 @@ def make_runner(**kwargs):
 def vector_source(index):
     """Module-level (picklable) deterministic vector store."""
     return np.random.default_rng(70_000 + index).normal(size=ELEMENTS)
+
+
+def slow_source(index):
+    """:func:`vector_source`, slow enough that a shard is still running
+    when another shard's worker dies at its start."""
+    time.sleep(0.05)
+    return vector_source(index)
 
 
 def traced_runner(**kwargs):
@@ -262,6 +271,48 @@ class TestOneRetryRule:
             assert (results is not None) == recovers, path
             if results is not None:
                 assert_same_vectors(clean, results)
+
+
+class TestCrashCharging:
+    @pytest.mark.parametrize("graceful", [False, True], ids=["fail_fast", "graceful"])
+    def test_only_the_crashed_shard_is_charged(self, monkeypatch, graceful):
+        """Shard 0's worker dies at its start while shard 1 is in flight:
+        the broken pool fails both, but only shard 0 is charged.  Shard 1
+        is re-submitted at its same attempt, with no lifecycle events, and
+        completes; under ``fail_fast`` with no retries the run raises for
+        shard 0 alone."""
+        policy = (FaultPolicy.graceful(max_shard_retries=0) if graceful
+                  else FaultPolicy(max_shard_retries=0))
+        plan = FaultPlan(seed=0, crash_shards=frozenset({0}), crash_attempts=1)
+        runner, sink = traced_runner(max_workers=2, faults=plan, fault_policy=policy)
+        rounds = []
+        pool_round = ShardedRunner._pool_round
+
+        def recording(self, *args):
+            rounds.append(pool_round(self, *args))
+            return rounds[-1]
+
+        monkeypatch.setattr(ShardedRunner, "_pool_round", recording)
+        two = shard_batches(BATCHES, 2)
+        if graceful:
+            results = runner.run(two, slow_source)
+            assert_same_vectors(make_runner(max_workers=1).run(two, vector_source), results)
+        else:
+            with pytest.raises(ShardFailedError, match="shard 0 failed"):
+                runner.run(two, slow_source)
+        finished, failed, collateral = rounds[0]
+        assert (finished, failed, collateral) == ({}, [(0, FAULT_WORKER_CRASH)], [1])
+        lifecycle = [
+            (event.kind, event.args["shard"], event.args["attempt"])
+            for event in sink.events
+            if event.kind in (FAULT_DETECTED, SHARD_REDISPATCHED)
+        ]
+        if graceful:
+            assert lifecycle == [(FAULT_DETECTED, 0, 0), (SHARD_REDISPATCHED, 0, 1)]
+            assert len(rounds) == 2 and rounds[1][0].keys() == {1}  # shard 1, attempt 0
+        else:
+            assert lifecycle == [(FAULT_DETECTED, 0, 0)]
+            assert len(rounds) == 1
 
 
 class TestUntracedRunBuildsNoEvents:

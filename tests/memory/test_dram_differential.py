@@ -226,3 +226,43 @@ def test_rejects_ragged_columns_and_missing_banks():
     reads.tag.append(None)
     with pytest.raises(ValueError, match="length"):
         MemorySystem(config).execute(reads)
+
+
+def test_only_reads_placed_in_this_geometry_skip_the_check():
+    """A placement's ``reads_at`` marks its columns valid in its geometry,
+    so the memory system serves them unchecked; every other batch is
+    still checked, and a malformed one rejected before any state changes."""
+    config = MemoryConfig.small_test_system()
+    geometry = config.geometry
+    placement = RowMajorPlacement(geometry, 64)
+    ids = [0, 5, 9]
+    placed = placement.reads_at(ids, placement.locate(np.array(ids, np.int64)))
+    assert placed.placed_in == geometry
+    system = MemorySystem(config)
+    checked = ReadColumns()
+    checked.extend(placed)
+    assert checked.placed_in is None
+    assert system.execute(placed)[0] == MemorySystem(config).execute(checked)[0]
+
+    # Malformed external columns: a bank past the rank's last.
+    bad_bank = geometry.banks_per_rank
+    system = MemorySystem(config)
+    with pytest.raises(ValueError, match="bank"):
+        system.execute(ReadColumns.of([0], [bad_bank], [0], [0], [64], [0], [None]))
+    # Adding a read to placed columns drops the mark.
+    placed.append(rank=0, bank=bad_bank, row=0, column=0, bytes_=64)
+    assert placed.placed_in is None
+    with pytest.raises(ValueError, match="bank"):
+        system.execute(placed)
+    # Columns placed in another geometry are checked against this one.
+    wider = RowMajorPlacement(dataclasses.replace(geometry, channels=2), 64)
+    far = wider.reads_at([7], wider.locate(np.array([7], np.int64)))
+    with pytest.raises(ValueError, match="rank 7 out of range"):
+        system.execute(far)
+    # A negative issue cycle leaves the columns unmarked, to be rejected.
+    late = placement.reads_at([1], placement.locate(np.array([1], np.int64)), -1)
+    assert late.placed_in is None
+    with pytest.raises(ValueError, match="issue_cycle"):
+        system.execute(late)
+    # Nothing was served: the first good read still finds its bank cold.
+    assert system.execute(placement.reads_for([0]))[0].activated == [True]
